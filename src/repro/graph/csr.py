@@ -7,7 +7,8 @@ integers and column indices ("adjacency lists") are 4-byte vertex ids.
 
 The container is immutable after construction; transformation helpers
 (:meth:`CSRGraph.reverse`, :meth:`CSRGraph.with_adjacency_order`) return
-new instances sharing nothing mutable with the original.
+new instances sharing nothing mutable with the original. Derived data
+(degrees, the transpose) is built on first use and memoized per graph.
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ class CSRGraph:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     name: str = "graph"
-    _degrees_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Memoized derived data: ``"deg"`` (out-degrees) and ``"rev"`` (the
+    #: transpose, which :func:`repro.graph.delta.apply_delta` carries
+    #: forward to the mutated graph).
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -197,11 +201,11 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex as an ``int64`` array (cached, read-only)."""
-        cached = self._degrees_cache.get("deg")
+        cached = self._cache.get("deg")
         if cached is None:
             cached = np.diff(self.row_offsets)
             cached.setflags(write=False)
-            self._degrees_cache["deg"] = cached
+            self._cache["deg"] = cached
         return cached
 
     @property
@@ -238,11 +242,18 @@ class CSRGraph:
     # Transformations
     # ------------------------------------------------------------------
     def reverse(self) -> "CSRGraph":
-        """The transpose graph (every edge flipped)."""
-        src, dst = self.to_edge_arrays()
-        return CSRGraph.from_edges(
-            dst, src, self.num_vertices, name=f"{self.name}^T"
-        )
+        """The transpose graph (every edge flipped), memoized per graph.
+
+        Built on first use; every engine on this graph shares the one
+        instance."""
+        rev = self._cache.get("rev")
+        if rev is None:
+            src, dst = self.to_edge_arrays()
+            rev = CSRGraph.from_edges(
+                dst, src, self.num_vertices, name=f"{self.name}^T"
+            )
+            self._cache["rev"] = rev
+        return rev
 
     def with_adjacency_order(self, order: np.ndarray, *, name: str | None = None) -> "CSRGraph":
         """Return a graph with permuted adjacency storage.

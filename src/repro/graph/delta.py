@@ -4,9 +4,10 @@ A :class:`GraphDelta` is one batch of edge inserts and deletes with
 *set semantics*: inserting an edge that already exists is a no-op,
 deleting an edge removes every parallel copy, and an edge may not
 appear on both sides of one delta. :func:`apply_delta` merges a delta
-into the graph's sorted edges in one O(|M| + k) pass and returns a fresh
-canonical CSR — bit-identical to building the mutated edge list from
-scratch with :meth:`CSRGraph.from_edges` — so the graphs the registry
+into the graph's sorted adjacency (and into its memoized transpose,
+when it has one) and returns a fresh canonical CSR — bit-identical to
+building the mutated edge list from scratch with
+:meth:`CSRGraph.from_edges` — so the graphs the registry
 serves after a mutation are indistinguishable from cold builds of the
 post-mutation edge set.
 
@@ -145,14 +146,42 @@ def _sorted_keys(graph: CSRGraph) -> np.ndarray:
     return keys
 
 
-def _runs(keys: np.ndarray, pairs, num_vertices: int):
-    """``(rows, needles, lo, hi)`` for sorted ``pairs``: each pair's key
-    and the run ``keys[lo:hi]`` of its parallel copies (empty if absent)."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    needles = arr[:, 0] * int(num_vertices) + arr[:, 1]
-    lo = np.searchsorted(keys, needles, side="left")
-    hi = np.searchsorted(keys, needles, side="right")
-    return arr[:, 0], needles, lo, hi
+def _sorted_cols(graph: CSRGraph) -> np.ndarray:
+    """``graph.col_indices`` with every row in neighbour-id order.
+
+    A canonical CSR passes through untouched (one compare pass: every
+    descent must sit at a row start); an adjacency stored out of id
+    order (:meth:`CSRGraph.with_adjacency_order`) is sorted here.
+    """
+    cols = graph.col_indices
+    offsets = graph.row_offsets
+    descents = np.flatnonzero(cols[1:] < cols[:-1]) + 1
+    if np.array_equal(offsets[np.searchsorted(offsets, descents)], descents):
+        return cols
+    return (_sorted_keys(graph) - _row_bases(graph.degrees)).astype(cols.dtype)
+
+
+def _pair_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Ascending ``u * |V| + v`` keys of an ``(k, 2)`` array of pairs."""
+    return np.sort(pairs[:, 0] * int(num_vertices) + pairs[:, 1])
+
+
+def _bisect(
+    cols: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, side: str
+) -> np.ndarray:
+    """``searchsorted(cols[lo[i]:hi[i]], vals[i], side) + lo[i]`` for
+    every ``i`` at once: one bisection step per round over all pairs,
+    so k lookups cost O(k log d) instead of an O(|M|) key array."""
+    lo, hi = lo.copy(), hi.copy()
+    open_ = lo < hi
+    while open_.any():
+        mid = (lo + hi) >> 1
+        probe = cols[np.where(open_, mid, 0)]
+        right = open_ & ((probe < vals) if side == "left" else (probe <= vals))
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+        open_ = lo < hi
+    return lo
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -162,35 +191,70 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - starts, counts) + np.arange(counts.sum())
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _merge(graph: CSRGraph, inserts: np.ndarray, deletes: np.ndarray) -> CSRGraph:
+    """Merge sorted, distinct ``u * |V| + v`` insert and delete keys
+    into ``graph``.
+
+    Each key is located in its row's sorted adjacency by :func:`_bisect`.
+    A delete cuts out the run of its parallel copies, an insert not
+    already present lands at its slot, and ``row_offsets`` is rebuilt
+    from the per-row counts.
+    """
+    n = graph.num_vertices
+    cols = _sorted_cols(graph)
+    offsets = graph.row_offsets
+    counts = graph.degrees.copy()
+    if deletes.size:
+        rows, vals = np.divmod(deletes, n)
+        lo = _bisect(cols, offsets[rows], offsets[rows + 1], vals, "left")
+        hi = _bisect(cols, lo, offsets[rows + 1], vals, "right")
+        np.subtract.at(counts, rows, hi - lo)
+        cols = np.delete(cols, _ranges(lo, hi))
+        offsets = _offsets(counts)
+    if inserts.size:
+        # Ascending keys: inserts sharing one slot go in in id order.
+        rows, vals = np.divmod(inserts, n)
+        lo = _bisect(cols, offsets[rows], offsets[rows + 1], vals, "left")
+        fresh = lo == _bisect(cols, lo, offsets[rows + 1], vals, "right")
+        np.add.at(counts, rows[fresh], 1)
+        cols = np.insert(cols, lo[fresh], vals[fresh])
+        offsets = _offsets(counts)
+    return CSRGraph(offsets, cols, name=graph.name)
+
+
 def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     """Return the mutated graph as a fresh canonical CSR.
 
     Set semantics: deletes drop every parallel copy of each listed
-    edge, inserts that already exist are skipped. The delta is merged
-    into the graph's sorted edge keys in one O(|M| + k) pass, with no
-    re-sort: each delete's run of copies is cut out, each fresh insert
-    lands at its ``searchsorted`` slot, and ``row_offsets`` is rebuilt
-    from the per-row counts. The output is bit-identical to
+    edge, inserts that already exist are skipped. Each delta edge is
+    found by bisecting its row, O(k log d), and the adjacency is cut
+    and spliced in one O(|M|) copy, with no re-sort and no |M|-sized
+    key array. The output is bit-identical to
     :meth:`CSRGraph.from_edges` on the mutated edge list. The input
     graph is never touched (CSR containers are immutable).
+
+    When ``graph`` has already memoized its :meth:`~CSRGraph.reverse`,
+    the output's reverse is the same merge applied to that reverse with
+    every pair flipped, so no graph version ever rebuilds its transpose
+    from scratch. A graph without one hands none on.
     """
     delta.validate(graph.num_vertices)
     n = graph.num_vertices
-    keys = _sorted_keys(graph)
-    counts = graph.degrees.copy()
-    if delta.deletes:
-        rows, _, lo, hi = _runs(keys, delta.deletes, n)
-        np.subtract.at(counts, rows, hi - lo)
-        keys = np.delete(keys, _ranges(lo, hi))
-    if delta.inserts:
-        rows, needles, lo, hi = _runs(keys, delta.inserts, n)
-        fresh = lo == hi
-        np.add.at(counts, rows[fresh], 1)
-        keys = np.insert(keys, lo[fresh], needles[fresh])
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    cols = keys - _row_bases(counts)
-    return CSRGraph(offsets, cols, name=graph.name)
+    inserts = np.asarray(delta.inserts, dtype=np.int64).reshape(-1, 2)
+    deletes = np.asarray(delta.deletes, dtype=np.int64).reshape(-1, 2)
+    out = _merge(graph, _pair_keys(inserts, n), _pair_keys(deletes, n))
+    rev = graph._cache.get("rev")
+    if rev is not None:
+        out._cache["rev"] = _merge(
+            rev, _pair_keys(inserts[:, ::-1], n), _pair_keys(deletes[:, ::-1], n)
+        )
+    return out
 
 
 def random_delta(

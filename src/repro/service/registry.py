@@ -74,6 +74,10 @@ def engine_warm_bytes(obj) -> int:
         return 0
 
 
+def _uncharged(delta: int) -> None:
+    """Byte hook of a retired entry's slots: nothing is charged."""
+
+
 class EngineSlots(dict):
     """Engine-attachment dict that charges warm bytes to its entry.
 
@@ -392,10 +396,17 @@ class GraphRegistry:
         entry._on_bytes = self._entry_bytes_changed
 
     def _retire(self, entry: RegistryEntry) -> None:
-        """Mark ``entry`` dead and drop its warm state (uncharged)."""
+        """Mark ``entry`` dead and drop its warm state (uncharged).
+
+        The slots' notify hook is a bound method of the entry; swapping
+        it out breaks the entry → slots → entry cycle, so the retired
+        version (graph, reverse and all) is freed by reference counting
+        as soon as its last holder lets go.
+        """
         entry.alive = False
         entry._on_bytes = None
         entry.engines.clear()
+        entry.engines._notify = _uncharged
 
     def _evict_key(self, key: str) -> RegistryEntry:
         entry = self._entries.pop(key)

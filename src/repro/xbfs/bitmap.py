@@ -16,9 +16,11 @@ is a handful of word-wide vector ops. This module is the single
 implementation of those packbits frontier ops — the scatter-OR push
 product, the segment-OR pull gather, the ``¬visited`` mask, the
 pack/unpack conversions, and the bit-sliced level counter that tracks
-every pair's BFS level in packed planes. Engines differ only in
-*which* ops they launch per level and what cost they charge, never in
-the arithmetic.
+every pair's BFS level in packed planes. Both multi-source engines
+(:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS` and the 64-source
+:class:`~repro.xbfs.concurrent.ConcurrentBFS`) run on it; they differ
+only in *which* product they run per level and what cost they charge,
+never in the arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TraversalError
+from repro.graph.csr import CSRGraph
+from repro.xbfs.common import gather_adjacency
 
 __all__ = [
     "WORD_BITS",
@@ -35,6 +39,8 @@ __all__ = [
     "full_row_mask",
     "scatter_or_rows",
     "segment_or_rows",
+    "push_product",
+    "pull_product",
     "fresh_mask",
     "occupied_rows",
     "popcount_rows",
@@ -122,19 +128,60 @@ def segment_or_rows(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def push_product(
+    graph: CSRGraph, frontier: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """Push product ``Aᵀ · F``: scatter-OR along the frontier's out-edges.
+
+    Every occupied row ``active`` ORs its frontier words into its
+    out-neighbours' rows."""
+    incoming = np.zeros_like(frontier)
+    scatter_or_rows(
+        incoming,
+        gather_adjacency(graph, active),
+        np.repeat(frontier[active], graph.degrees[active], axis=0),
+    )
+    return incoming
+
+
+def pull_product(
+    reverse: CSRGraph, frontier: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """Pull product ``Aᵀ · F`` on rows ``cand``: OR-gather over their in-edges.
+
+    Each candidate OR-reduces its in-neighbours' frontier words
+    (``reverse`` is the transpose graph); row *i* of the result belongs
+    to ``cand[i]``."""
+    return segment_or_rows(
+        frontier[gather_adjacency(reverse, cand)], reverse.degrees[cand]
+    )
+
+
 def fresh_mask(incoming: np.ndarray, visited: np.ndarray) -> np.ndarray:
     """The masked assign of the Boolean semiring: ``incoming ⊙ ¬visited``."""
     return incoming & ~visited
 
 
 def occupied_rows(bitmap: np.ndarray) -> np.ndarray:
-    """Indices of rows with at least one bit set (int64)."""
-    return np.flatnonzero(bitmap.any(axis=1)).astype(np.int64)
+    """Indices of rows with at least one bit set (int64).
+
+    ORs the word columns together first: a reduction along the short
+    word axis costs several times more per row than ``words`` strided
+    column ORs.
+    """
+    union = bitmap[:, 0]
+    for w in range(1, bitmap.shape[1]):
+        union = union | bitmap[:, w]
+    return np.flatnonzero(union).astype(np.int64)
 
 
 def popcount_rows(bitmap: np.ndarray) -> np.ndarray:
-    """Set bits per row (int64) — how many sources each row carries."""
-    return np.bitwise_count(bitmap).sum(axis=1, dtype=np.int64)
+    """Set bits per row (int64) — how many sources each row carries
+    (summed column by column, like :func:`occupied_rows`)."""
+    counts = np.bitwise_count(bitmap[:, 0]).astype(np.int64)
+    for w in range(1, bitmap.shape[1]):
+        counts += np.bitwise_count(bitmap[:, w])
+    return counts
 
 
 def pack_rows(bools: np.ndarray) -> np.ndarray:
@@ -153,8 +200,7 @@ def _unpack_bits_u8(packed: np.ndarray, num_sources: int) -> np.ndarray:
     as_bytes = np.ascontiguousarray(packed.astype("<u8", copy=False)).view(
         np.uint8
     )
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :num_sources]
+    return np.unpackbits(as_bytes, axis=1, count=num_sources, bitorder="little")
 
 
 def unpack_rows(packed: np.ndarray, num_sources: int) -> np.ndarray:
@@ -191,25 +237,25 @@ def counter_levels(
     num_vertices: int,
     num_sources: int,
     *,
-    unreached: np.ndarray | None = None,
+    depth: int,
 ) -> np.ndarray:
     """Decode bit-sliced counters into a ``(num_sources, num_vertices)``
     int32 matrix — one unpack per plane, done once per run.
 
-    With :func:`counter_add` fed ``¬visited`` at the top of every
-    level, the decoded count *is* each pair's BFS level: a vertex
-    first visited at level *t* was missing from exactly the *t*
-    pre-states before it. ``unreached`` (a ``(vertices, sources)`` bool
-    matrix) marks pairs that never connected; their counts saturate at
-    the traversal depth and decode to -1 instead.
+    With :func:`counter_add` fed ``¬visited`` once per level, the
+    decoded count *is* each pair's BFS level: a vertex first visited at
+    level *t* was missing from exactly the *t* pre-states before it.
+    A traversal of ``depth`` levels reaches nothing deeper than level
+    ``depth - 1``, so a count of exactly ``depth`` marks a pair that
+    never connected; it decodes to -1.
 
     The accumulation runs vertex-major — the planes' own layout, so
     every pass is over contiguous memory — as plain weighted integer
     adds of the unpacked 0/1 bytes (an order of magnitude cheaper than
-    masked ``where`` stores), and pays a single widening transpose at
-    the very end. An int16 accumulator covers any depth 15 planes can
-    encode; deeper traversals (degenerate path-like graphs) fall back
-    to int32.
+    masked ``where`` stores; the -1 fix-up is one more weighted add),
+    and pays a single widening transpose at the very end. An int16
+    accumulator covers any depth 15 planes can encode; deeper
+    traversals (degenerate path-like graphs) fall back to int32.
     """
     acc_dtype = np.int32 if len(planes) > 15 else np.int16
     acc = np.zeros((num_vertices, num_sources), dtype=acc_dtype)
@@ -222,6 +268,6 @@ def counter_levels(
             acc += bits
         else:
             acc += bits.astype(acc_dtype) << acc_dtype(j)
-    if unreached is not None:
-        acc[unreached] = -1
+    # depth + (-1 - depth) = -1, and -1 - depth still fits acc_dtype.
+    acc += (acc == depth) * acc_dtype(-1 - depth)
     return acc.T.astype(np.int32)

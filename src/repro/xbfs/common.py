@@ -17,6 +17,7 @@ from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "gather_adjacency",
     "gather_neighbors",
     "segment_ids",
     "first_match_per_segment",
@@ -60,6 +61,29 @@ def segment_ids(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
 
 
+def gather_adjacency(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
+    """Concatenate the adjacency lists of ``vertices`` (no owner map).
+
+    The gather half of :func:`gather_neighbors`, for callers that reduce
+    per segment and never need to know which vertex an edge came from.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    # One-pass bounds check: reinterpreting int64 as uint64 maps any
+    # negative id above every valid vertex, so a single max() catches
+    # both ends of the range (this runs on every frontier chunk).
+    if vertices.size and int(vertices.view(np.uint64).max()) >= graph.num_vertices:
+        raise TraversalError("frontier contains out-of-range vertex ids")
+    counts = graph.degrees[vertices]
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=graph.col_indices.dtype)
+    # Flat edge index: each segment's CSR start, shifted back by the
+    # slots of the segments before it, plus the running slot number.
+    shift = graph.row_offsets[vertices] - (np.cumsum(counts) - counts)
+    flat = np.repeat(shift, counts) + shared_arange(total)
+    return graph.col_indices[flat]
+
+
 def gather_neighbors(
     graph: CSRGraph, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,26 +93,10 @@ def gather_neighbors(
     index *into vertices* whose list produced ``neighbors[i]``. This is
     the edge-parallel expansion every top-down kernel performs.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    # One-pass bounds check: reinterpreting int64 as uint64 maps any
-    # negative id above every valid vertex, so a single max() catches
-    # both ends of the range (this runs on every frontier chunk).
-    if vertices.size and int(vertices.view(np.uint64).max()) >= graph.num_vertices:
-        raise TraversalError("frontier contains out-of-range vertex ids")
-    starts = graph.row_offsets[vertices]
-    counts = graph.degrees[vertices]
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.zeros(0, dtype=graph.col_indices.dtype),
-            np.zeros(0, dtype=np.int64),
-        )
-    owner = segment_ids(counts)
-    # Flat edge index: start of each owner segment plus intra-segment rank.
-    seg_begin = np.repeat(np.cumsum(counts) - counts, counts)
-    intra = shared_arange(total) - seg_begin
-    flat = np.repeat(starts, counts) + intra
-    return graph.col_indices[flat], owner
+    neighbors = gather_adjacency(graph, vertices)
+    if neighbors.size == 0:
+        return neighbors, np.zeros(0, dtype=np.int64)
+    return neighbors, segment_ids(graph.degrees[np.asarray(vertices, dtype=np.int64)])
 
 
 def first_match_per_segment(

@@ -7,7 +7,23 @@ together, with a 64-bit status word per vertex — bit *i* set means
 so adjacency lists shared by several concurrent traversals are fetched
 a single time; the win over 64 sequential runs is exactly the sharing
 factor of the batch. The 64-bit word is also a natural fit for the
-MI250X's 64-lane wavefronts (and exercises ``__popcll`` again).
+MI250X's 64-lane wavefronts (and exercises ``__popcll``).
+
+On the host the status words are one-word rows of the
+:mod:`repro.xbfs.bitmap` frontier matrix, the representation
+:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS` uses for wider
+batches. Each level runs whichever product scans fewer edges: push
+(scatter-OR along the frontier's out-edges) or pull (OR-gather over
+the in-edges of every vertex some source has not reached, via the
+graph's memoized :meth:`~repro.graph.csr.CSRGraph.reverse`). Levels
+live in bit-sliced counter planes, decoded once at the end. The
+modelled ``cb_expand`` launch is the top-down iBFS kernel whichever
+product ran: its cost is computed from the frontier and its
+discoveries only.
+
+A level is committed (visited, frontier, counters) only after its
+launch syncs, so an injected device fault leaves nothing to roll back:
+the launch is replayed, up to ``recovery.max_level_restarts`` times.
 
 This is the library's optional extension of the paper's n-to-n
 measurement loop; :class:`ConcurrentBFS` produces per-source level
@@ -35,7 +51,8 @@ from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import gather_neighbors, segment_ids, segment_lines_touched
+from repro.xbfs import bitmap as bm
+from repro.xbfs.common import segment_lines_touched
 
 __all__ = [
     "ConcurrentBFS",
@@ -171,8 +188,8 @@ class ConcurrentBFS:
         #: ``bfs.run``/``bfs.level`` spans like the solo driver, tagged
         #: ``engine="concurrent"``.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional fault injector; engages per-level checkpoint/restart
-        #: exactly like :class:`~repro.xbfs.driver.XBFS`.
+        #: Optional fault injector; a faulted level replays its launch
+        #: (nothing is committed before the launch syncs).
         self.injector = injector
         if injector is not None and self.tracer.enabled:
             injector.bind_tracer(self.tracer)
@@ -226,34 +243,30 @@ class ConcurrentBFS:
     ) -> ConcurrentResult:
         graph = self.graph
         tracer = self.tracer
+        prof = self.profiler
 
         n = graph.num_vertices
-        visited = np.zeros(n, dtype=np.uint64)
-        frontier_bits = np.zeros(n, dtype=np.uint64)
-        levels = np.full((k, n), -1, dtype=np.int32)
-        bit_of = np.uint64(1) << np.arange(k, dtype=np.uint64)
-        visited[sources] |= bit_of
-        frontier_bits[sources] |= bit_of
-        levels[np.arange(k), sources] = 0
-
+        degs = graph.degrees
         line = gcd.device.cache_line_bytes
+        full = bm.full_row_mask(k)[np.newaxis, :]
+        frontier = bm.make_bitmap(n, k)
+        visited = bm.make_bitmap(n, k)
+        bm.set_source_bits(frontier, sources)
+        visited |= frontier
+        #: Bit-sliced level counter, fed ¬visited as each level commits
+        #: and decoded once at the end (see :func:`bm.counter_levels`).
+        planes: list[np.ndarray] = []
+
         level = 0
         union_edges = 0
         solo_edges = 0
-        degs = graph.degrees
-
-        prof = self.profiler
         level_restarts = 0
         while True:
-            active = np.flatnonzero(frontier_bits).astype(np.int64)
+            active = bm.occupied_rows(frontier)
             if active.size == 0:
                 break
-            if self.injector is not None:
-                # Level-entry checkpoint: an injected fault rolls the
-                # bit-status planes and edge counters back and replays
-                # only this level.
-                snap = (visited.copy(), frontier_bits.copy(), levels.copy(),
-                        union_edges, solo_edges)
+            missing = bm.fresh_mask(full, visited)
+            frontier_edges = int(degs[active].sum())
             with tracer.span(
                 "bfs.level",
                 clock=lambda: gcd.elapsed_ms,
@@ -261,59 +274,46 @@ class ConcurrentBFS:
                 strategy="concurrent",
                 frontier=int(active.size),
             ):
+                with prof.timer("cb_expand"):
+                    fresh, pulled = self._expand(
+                        frontier, missing, active, frontier_edges
+                    )
+                    newly = bm.occupied_rows(fresh)
+                if pulled:
+                    prof.count("levels/concurrent_pull")
+                # The modelled kernel is the top-down iBFS expand whichever
+                # product ran on the host: its cost depends only on the
+                # frontier and on what it discovered.
+                adj_lines = segment_lines_touched(
+                    graph.row_offsets[active], degs[active],
+                    element_bytes=4, line_bytes=line,
+                )
+                streams = [
+                    seq_read("frontier", int(active.size), 8),
+                    rand_read("beg_pos", 2 * int(active.size), 2 * int(active.size), 8),
+                    segmented_read("adj_list", frontier_edges, adj_lines, 4),
+                    # 8-byte bit-status words, read per edge, OR-written
+                    # per fresh discovery.
+                    rand_read("bit_status", frontier_edges, n, 8),
+                    rand_write("bit_status", int(newly.size), int(newly.size), 8),
+                    seq_write("next_frontier", int(newly.size), 8),
+                ]
                 attempts = 0
                 while True:
                     try:
-                        with prof.timer("cb_expand"):
-                            neighbors, owner = gather_neighbors(graph, active)
-                            e_union = int(neighbors.size)
-                            union_edges += e_union
-                            # A solo run would expand each (source,
-                            # vertex) pair separately.
-                            popcounts = np.bitwise_count(
-                                frontier_bits[active]
-                            ).astype(np.int64)
-                            solo_edges += int((popcounts * degs[active]).sum())
-
-                            # Propagate the frontier bits along the
-                            # gathered edges.
-                            incoming = np.zeros(n, dtype=np.uint64)
-                            np.bitwise_or.at(
-                                incoming, neighbors, frontier_bits[active][owner]
-                            )
-                            fresh = incoming & ~visited
-                            visited |= fresh
-                            newly = np.flatnonzero(fresh).astype(np.int64)
-                            for i in range(k):
-                                mine = newly[
-                                    (fresh[newly] >> np.uint64(i)) & np.uint64(1)
-                                    == 1
-                                ]
-                                levels[i, mine] = level + 1
-
-                        adj_lines = segment_lines_touched(
-                            graph.row_offsets[active], degs[active],
-                            element_bytes=4, line_bytes=line,
-                        )
                         gcd.launch(
                             "cb_expand",
                             strategy="concurrent",
                             level=level,
-                            streams=[
-                                seq_read("frontier", int(active.size), 8),
-                                rand_read("beg_pos", 2 * int(active.size), 2 * int(active.size), 8),
-                                segmented_read("adj_list", e_union, adj_lines, 4),
-                                # 8-byte bit-status words, read per edge,
-                                # OR-written per fresh discovery.
-                                rand_read("bit_status", e_union, n, 8),
-                                rand_write("bit_status", int(newly.size), int(newly.size), 8),
-                                seq_write("next_frontier", int(newly.size), 8),
-                            ],
-                            work=ComputeWork(flat_ops=float(e_union + active.size)),
+                            streams=streams,
+                            work=ComputeWork(
+                                flat_ops=float(frontier_edges + active.size)
+                            ),
                             work_items=int(active.size),
                         )
                         gcd.sync()
                     except DeviceFaultError as exc:
+                        # Nothing was committed yet: replay the launch.
                         attempts += 1
                         level_restarts += 1
                         tracer.event(
@@ -327,17 +327,22 @@ class ConcurrentBFS:
                                 f"{self.recovery.max_level_restarts} checkpoint "
                                 f"restarts: {exc}"
                             ) from exc
-                        visited[:] = snap[0]
-                        frontier_bits[:] = snap[1]
-                        levels[:] = snap[2]
-                        union_edges, solo_edges = snap[3], snap[4]
                         gcd.quiesce()
                     else:
                         break
-            frontier_bits = fresh
+            # Commit the synced level. A solo run would expand each
+            # (source, vertex) pair of the frontier separately.
+            bm.counter_add(planes, missing)
+            visited |= fresh
+            union_edges += frontier_edges
+            solo_edges += int(
+                (bm.popcount_rows(frontier[active]) * degs[active]).sum()
+            )
+            frontier = fresh
             prof.count("levels/concurrent")
             level += 1
 
+        levels = bm.counter_levels(planes, n, k, depth=level)
         return ConcurrentResult(
             sources=sources,
             levels=levels,
@@ -348,3 +353,24 @@ class ConcurrentBFS:
             paid_warmup=paid_warmup,
             level_restarts=level_restarts,
         )
+
+    def _expand(
+        self,
+        frontier: np.ndarray,
+        missing: np.ndarray,
+        active: np.ndarray,
+        frontier_edges: int,
+    ) -> tuple[np.ndarray, bool]:
+        """One level's fresh bits, ``(Aᵀ · F) ⊙ ¬visited``, by whichever
+        host product scans fewer edges: push scatters the frontier rows
+        along their ``frontier_edges`` out-edges; pull OR-gathers the
+        in-edges of every vertex some source has not reached yet.
+        Returns ``(fresh, pulled)``."""
+        graph = self.graph
+        rev = graph.reverse()
+        cand = bm.occupied_rows(missing)
+        if int(rev.degrees[cand].sum()) < frontier_edges:
+            fresh = np.zeros_like(frontier)
+            fresh[cand] = bm.pull_product(rev, frontier, cand) & missing[cand]
+            return fresh, True
+        return bm.push_product(graph, frontier, active) & missing, False

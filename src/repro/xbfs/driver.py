@@ -214,17 +214,20 @@ class XBFS:
         self.recovery = recovery or DEFAULT_RECOVERY
         self._scratch = ScratchPool()
         self._gcd: GCD | None = None
-        self._reverse: CSRGraph | None = None
+        #: The re-arranged transpose (``rearrange=True`` only); a plain
+        #: transpose is the graph's own memoized :meth:`CSRGraph.reverse`.
+        self._rearranged_reverse: CSRGraph | None = None
 
     @property
     def reverse_graph(self) -> CSRGraph:
         """Transpose adjacency (CSC) for the bottom-up kernels, built
         lazily and re-arranged with the same policy as the forward
         graph. For symmetric inputs it equals the forward graph."""
-        if self._reverse is None:
-            rev = self._base_graph.reverse()
-            self._reverse = rearrange_by_degree(rev) if self._rearranged else rev
-        return self._reverse
+        if not self._rearranged:
+            return self._base_graph.reverse()
+        if self._rearranged_reverse is None:
+            self._rearranged_reverse = rearrange_by_degree(self._base_graph.reverse())
+        return self._rearranged_reverse
 
     @property
     def warm_bytes(self) -> int:

@@ -55,7 +55,7 @@ from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import BOTTOM_UP, SINGLE_SCAN, AdaptiveClassifier, Decision
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
+from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = [
@@ -170,9 +170,6 @@ class LinAlgBatchBFS:
             injector.bind_tracer(self.tracer)
         self.recovery = recovery or DEFAULT_RECOVERY
         self._gcd: GCD | None = None
-        #: Reverse CSR for the pull product, built on first use (a
-        #: pinned-push run never pays for it).
-        self._reverse: CSRGraph | None = None
 
     @property
     def warm_bytes(self) -> int:
@@ -182,11 +179,6 @@ class LinAlgBatchBFS:
         return self.graph.memory_bytes + 8 * self.graph.num_vertices
 
     # ------------------------------------------------------------------
-    def _reverse_graph(self) -> CSRGraph:
-        if self._reverse is None:
-            self._reverse = self.graph.reverse()
-        return self._reverse
-
     def _choose_direction(
         self,
         *,
@@ -340,10 +332,9 @@ class LinAlgBatchBFS:
                                     gcd, frontier, visited, full, level, line
                                 )
                             union_edges += examined
-                            newly = bm.occupied_rows(fresh)
                             visited |= fresh
                         self._launch_mask_assign(
-                            gcd, n, words, int(bm.popcount_rows(fresh[newly]).sum()), level
+                            gcd, n, words, int(np.bitwise_count(fresh).sum()), level
                         )
                         gcd.sync()
                     except DeviceFaultError as exc:
@@ -374,14 +365,7 @@ class LinAlgBatchBFS:
             frontier = fresh
             level += 1
 
-        levels = bm.counter_levels(
-            planes,
-            n,
-            k,
-            unreached=bm.unpack_rows(
-                bm.fresh_mask(full[np.newaxis, :], visited), k
-            ),
-        )
+        levels = bm.counter_levels(planes, n, k, depth=level)
 
         return LinAlgBatchResult(
             sources=sources,
@@ -411,11 +395,8 @@ class LinAlgBatchBFS:
         graph = self.graph
         n = graph.num_vertices
         words = frontier.shape[1]
-        neighbors, owner = gather_neighbors(graph, active)
-        e_union = int(neighbors.size)
-        incoming = np.zeros_like(visited)
-        bm.scatter_or_rows(incoming, neighbors, frontier[active][owner])
-        fresh = bm.fresh_mask(incoming, visited)
+        e_union = int(graph.degrees[active].sum())
+        fresh = bm.fresh_mask(bm.push_product(graph, frontier, active), visited)
 
         adj_lines = segment_lines_touched(
             graph.row_offsets[active],
@@ -461,18 +442,14 @@ class LinAlgBatchBFS:
         frontier's — the same asymmetry XBFS's bottom-up switch buys.
         """
         graph = self.graph
-        rev = self._reverse_graph()
+        rev = graph.reverse()
         n = graph.num_vertices
         words = frontier.shape[1]
         missing = bm.fresh_mask(full[np.newaxis, :], visited)
         cand = bm.occupied_rows(missing)
-        neighbors, _ = gather_neighbors(rev, cand)
-        e_cand = int(neighbors.size)
-        gathered = bm.segment_or_rows(
-            frontier[neighbors], rev.degrees[cand]
-        )
+        e_cand = int(rev.degrees[cand].sum())
         fresh = np.zeros_like(visited)
-        fresh[cand] = gathered & missing[cand]
+        fresh[cand] = bm.pull_product(rev, frontier, cand) & missing[cand]
 
         adj_lines = segment_lines_touched(
             rev.row_offsets[cand],

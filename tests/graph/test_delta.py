@@ -88,6 +88,34 @@ def _mutation_cases(draw):
     return n, edges, shuffle_seed, sorted(inserts), sorted(deletes)
 
 
+def _shuffled(g: CSRGraph, seed: int) -> CSRGraph:
+    """``g`` with every adjacency list stored in a random order."""
+    rng = np.random.default_rng(seed)
+    return g.with_adjacency_order(np.concatenate([
+        rng.permutation(np.arange(g.row_offsets[v], g.row_offsets[v + 1]))
+        for v in range(g.num_vertices)
+    ] + [np.zeros(0, dtype=np.int64)]))
+
+
+@st.composite
+def _delta_chains(draw):
+    """``(n, edges, shuffle_seed, deltas)``: a small directed multigraph
+    and a chain of deltas whose inserts and deletes mix fresh pairs,
+    self-loops and picks of the base edges, so later deltas re-insert
+    edges earlier ones deleted and delete edges already gone."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair, max_size=40))
+    shuffle_seed = draw(st.none() | st.integers(0, 2**16))
+    picks = st.lists(st.sampled_from(edges), max_size=4) if edges else st.just([])
+    deltas = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        inserts = set(draw(st.lists(pair, max_size=6)) + draw(picks))
+        deletes = set(draw(st.lists(pair, max_size=6)) + draw(picks)) - inserts
+        deltas.append(GraphDelta(inserts=inserts, deletes=deletes))
+    return n, edges, shuffle_seed, deltas
+
+
 class TestApplyDelta:
     def test_insert_and_delete(self):
         g = CSRGraph.from_edges([0, 0, 1], [1, 2, 2], 4)
@@ -119,11 +147,7 @@ class TestApplyDelta:
             [u for u, _ in edges], [v for _, v in edges], n, name="g"
         )
         if shuffle_seed is not None:
-            rng = np.random.default_rng(shuffle_seed)
-            g = g.with_adjacency_order(np.concatenate([
-                rng.permutation(np.arange(g.row_offsets[v], g.row_offsets[v + 1]))
-                for v in range(n)
-            ] + [np.zeros(0, dtype=np.int64)]))
+            g = _shuffled(g, shuffle_seed)
         offsets_before = g.row_offsets.copy()
         cols_before = g.col_indices.copy()
         delta = GraphDelta(inserts=inserts, deletes=deletes)
@@ -177,6 +201,48 @@ class TestApplyDelta:
         # same CSR — the property registry rebuilds rely on.
         again = apply_delta(apply_delta(rmat(8, 4, seed=1), d1), d2)
         assert np.array_equal(step.col_indices, again.col_indices)
+
+
+class TestCarriedReverse:
+    def test_reverse_is_memoized(self):
+        g = rmat(6, 4, seed=2)
+        assert g.reverse() is g.reverse()
+
+    def test_no_reverse_means_none_carried(self):
+        g = rmat(6, 4, seed=2)
+        mutated = apply_delta(g, random_delta(g, num_inserts=3, seed=1))
+        assert "rev" not in g._cache
+        assert "rev" not in mutated._cache
+
+    @given(_delta_chains())
+    @settings(max_examples=100, deadline=None)
+    # parallel runs, self-loops, an absent delete, then a re-insert of
+    # the deleted edge
+    @example((3, [(0, 1), (0, 1), (1, 1), (2, 0)], None, [
+        GraphDelta(inserts=((1, 1), (2, 2)), deletes=((0, 1), (1, 2))),
+        GraphDelta(inserts=((0, 1),), deletes=((1, 1),)),
+    ]))
+    def test_carried_reverse_equals_fresh_transpose(self, case):
+        n, edges, shuffle_seed, deltas = case
+        g = CSRGraph.from_edges(
+            [u for u, _ in edges], [v for _, v in edges], n, name="g"
+        )
+        if shuffle_seed is not None:
+            g = _shuffled(g, shuffle_seed)
+        g.reverse()
+        for delta in deltas:
+            g = apply_delta(g, delta)
+            carried = g._cache["rev"]
+            src, dst = g.to_edge_arrays()
+            fresh = CSRGraph.from_edges(dst, src, n, name=f"{g.name}^T")
+            assert carried.name == fresh.name
+            for got, want in (
+                (carried.row_offsets, fresh.row_offsets),
+                (carried.col_indices, fresh.col_indices),
+            ):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert g.reverse() is carried
 
 
 class TestRandomDelta:

@@ -1,10 +1,16 @@
 """Tests for the memory-budgeted LRU graph registry."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import GraphTooLargeError
+from repro.graph.delta import GraphDelta
 from repro.graph.generators import rmat
+from repro.graph.stats import pick_sources
 from repro.service.registry import GraphRegistry
+from repro.xbfs.concurrent import ConcurrentBFS
 
 
 def _builder(spec: str):
@@ -105,3 +111,41 @@ class TestStats:
         reg = GraphRegistry(memory_budget_bytes=1 << 30, scale_factor=64, seed=0)
         entry, _ = reg.get("rmat:8")
         assert entry.graph.num_vertices == 256
+
+
+class TestRetiredEntriesFreed:
+    """A retired version (and its graph, reverse and engines) is freed
+    by reference counting the moment its last holder lets go, without
+    waiting for the cyclic collector."""
+
+    @pytest.fixture
+    def no_gc(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _warm(reg: GraphRegistry, spec: str):
+        entry, _ = reg.get(spec)
+        engine = ConcurrentBFS(entry.graph)
+        engine.run(pick_sources(entry.graph, 4, seed=0))
+        entry.engines["concurrent"] = engine
+        return weakref.ref(entry), weakref.ref(entry.graph)
+
+    def test_mutate_frees_retired_version(self, no_gc):
+        reg = _registry(1 << 30)
+        entry_ref, graph_ref = self._warm(reg, "8")
+        assert "rev" in graph_ref()._cache
+        fresh = reg.mutate("8", GraphDelta(inserts=((0, 1),)))
+        assert fresh is not None and fresh.graph is not graph_ref()
+        assert entry_ref() is None
+        assert graph_ref() is None
+
+    def test_evict_frees_entry(self, no_gc):
+        reg = _registry(1 << 30)
+        entry_ref, graph_ref = self._warm(reg, "8")
+        assert reg.evict(1) == ["8"]
+        assert entry_ref() is None
+        assert graph_ref() is None

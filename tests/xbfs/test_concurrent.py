@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BatchSourceError, TraversalError
+from repro.graph.csr import CSRGraph
 from repro.graph.stats import bfs_levels_reference, pick_sources
+from repro.perf import HostProfiler
 from repro.xbfs.concurrent import (
     MAX_CONCURRENT,
     ConcurrentBFS,
@@ -131,35 +135,93 @@ class TestAccounting:
         assert first.paid_warmup and not second.paid_warmup
 
 
+@st.composite
+def _batch_cases(draw):
+    """A directed multigraph (parallel edges and self-loops are common)
+    and a batch of 1..64 distinct sources on it."""
+    n = draw(st.integers(min_value=2, max_value=160))
+    m = draw(st.integers(min_value=0, max_value=4 * n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    src = draw(st.lists(vertex, min_size=m, max_size=m))
+    dst = draw(st.lists(vertex, min_size=m, max_size=m))
+    k = draw(st.integers(min_value=1, max_value=min(MAX_CONCURRENT, n)))
+    sources = draw(st.lists(vertex, min_size=k, max_size=k, unique=True))
+    return CSRGraph.from_edges(np.asarray(src), np.asarray(dst), n), sources
+
+
+def _run_counting_pulls(graph, sources):
+    """``(result, pull levels)`` of one batched run."""
+    prof = HostProfiler()
+    result = ConcurrentBFS(graph, profiler=prof).run(np.asarray(sources))
+    pulls = prof.counters.get("levels/concurrent_pull", 0)
+    assert prof.counters["levels/concurrent"] == result.depth
+    return result, pulls
+
+
+def _assert_matches_oracle(graph, sources, result):
+    """Levels equal the oracle's, and so do the direction-independent
+    counts the modelled launch is charged from: a frontier never
+    carries a bit its vertex was already visited by."""
+    oracle = np.vstack([bfs_levels_reference(graph, s) for s in sources])
+    assert np.array_equal(result.levels, oracle)
+    depth = int(oracle.max()) + 1
+    assert result.depth == depth
+    degs = graph.degrees
+    assert result.union_edges == sum(
+        int(degs[(oracle == t).any(axis=0)].sum()) for t in range(depth)
+    )
+    assert result.solo_edges == int((degs * (oracle >= 0).sum(axis=0)).sum())
+
+
 class TestPropertyEquivalence:
-    def test_batch_equals_solo_on_random_graphs(self):
+    @given(_batch_cases())
+    @settings(max_examples=60, deadline=None)
+    # exactly 64 sources: the full-word mask is ~0
+    @example((
+        CSRGraph.from_edges(
+            np.arange(80) % 70, (np.arange(80) * 7 + 3) % 70, 70
+        ),
+        list(range(64)),
+    ))
+    def test_batch_equals_solo_on_random_graphs(self, case):
         """Property: for arbitrary graphs and batches, every source's
         level array from the batched engine equals a solo run's."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-        from repro.graph.csr import CSRGraph
+        graph, sources = case
+        result, _ = _run_counting_pulls(graph, sources)
+        _assert_matches_oracle(graph, sources, result)
 
-        @st.composite
-        def cases(draw):
-            n = draw(st.integers(min_value=2, max_value=30))
-            m = draw(st.integers(min_value=0, max_value=90))
-            vertex = st.integers(min_value=0, max_value=n - 1)
-            src = draw(st.lists(vertex, min_size=m, max_size=m))
-            dst = draw(st.lists(vertex, min_size=m, max_size=m))
-            k = draw(st.integers(min_value=1, max_value=min(8, n)))
-            sources = draw(
-                st.lists(vertex, min_size=k, max_size=k, unique=True)
-            )
-            return CSRGraph.from_edges(np.asarray(src), np.asarray(dst), n), sources
+    def test_full_word_batch_on_directed_multigraph(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        src = rng.integers(0, n, 1500)
+        dst = rng.integers(0, n, 1500)
+        graph = CSRGraph.from_edges(
+            np.concatenate([src, src[:200]]), np.concatenate([dst, dst[:200]]), n
+        )
+        sources = rng.choice(n, size=MAX_CONCURRENT, replace=False).tolist()
+        result, pulls = _run_counting_pulls(graph, sources)
+        _assert_matches_oracle(graph, sources, result)
+        assert 0 < pulls < result.depth
 
-        @given(cases())
-        @settings(max_examples=30, deadline=None)
-        def check(case):
-            graph, sources = case
-            batch = ConcurrentBFS(graph).run(np.asarray(sources))
-            for i, s in enumerate(sources):
-                assert np.array_equal(
-                    batch.levels[i], bfs_levels_reference(graph, s)
-                )
+    def test_path_levels_only_push(self):
+        """A directed path beside a dense cluster it never reaches: each
+        level pushes one edge, while a pull would rescan the cluster's
+        in-edges every time."""
+        path = 30
+        cluster = np.arange(path, path + 10)
+        cu, cv = np.meshgrid(cluster, cluster)
+        graph = CSRGraph.from_edges(
+            np.concatenate([np.arange(path - 1), cu.ravel()]),
+            np.concatenate([np.arange(1, path), cv.ravel()]),
+            path + cluster.size,
+        )
+        sources = [0, 1, 5]
+        result, pulls = _run_counting_pulls(graph, sources)
+        _assert_matches_oracle(graph, sources, result)
+        assert result.depth == path and pulls == 0
 
-        check()
+    def test_peak_levels_pull(self, small_rmat):
+        sources = pick_sources(small_rmat, 8, seed=3).tolist()
+        result, pulls = _run_counting_pulls(small_rmat, sources)
+        _assert_matches_oracle(small_rmat, sources, result)
+        assert 0 < pulls < result.depth

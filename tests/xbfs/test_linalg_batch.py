@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import BatchSourceError, RecoveryExhaustedError, TraversalError
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
+from repro.graph.csr import CSRGraph
 from repro.graph.stats import bfs_levels_reference, pick_sources
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import AdaptiveClassifier
@@ -71,6 +72,48 @@ class TestBitmapKernels:
         got = bm.unpack_rows(dest, 2)
         assert got[1].tolist() == [True, True]
         assert got[2].tolist() == [True, False]
+
+
+    @pytest.mark.parametrize("k", [1, 64, 130])
+    def test_push_and_pull_products_agree_with_dense(self, k):
+        """Both host forms of ``Aᵀ · F`` on a directed multigraph with
+        self-loops equal the dense Boolean product."""
+        rng = np.random.default_rng(k)
+        n = 40
+        src, dst = rng.integers(0, n, 160), rng.integers(0, n, 160)
+        graph = CSRGraph.from_edges(np.r_[src, src[:30]], np.r_[dst, dst[:30]], n)
+        bools = rng.random((n, k)) < 0.3
+        bools[rng.random(n) < 0.5] = False
+        frontier = bm.pack_rows(bools)
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[src, dst] = True
+        dense = (adjacency.T.astype(int) @ bools.astype(int)) > 0
+
+        pushed = bm.push_product(graph, frontier, bm.occupied_rows(frontier))
+        assert np.array_equal(bm.unpack_rows(pushed, k), dense)
+        cand = np.arange(0, n, 3)
+        pulled = bm.pull_product(graph.reverse(), frontier, cand)
+        assert np.array_equal(bm.unpack_rows(pulled, k), dense[cand])
+
+    def test_occupied_and_popcount_rows_span_words(self):
+        bools = np.zeros((5, 130), dtype=bool)
+        bools[1, 129] = bools[3, [0, 64, 65]] = True
+        bitmap = bm.pack_rows(bools)
+        assert bm.occupied_rows(bitmap).tolist() == [1, 3]
+        assert bm.popcount_rows(bitmap).tolist() == [0, 1, 0, 3, 0]
+
+    def test_counter_levels_decodes_counts_and_saturation(self):
+        """Counts feed-forward as levels; a count equal to the depth
+        (missing from every pre-state) decodes to -1."""
+        k, depth = 3, 5
+        want = np.array([[0, 1, 4, -1], [2, -1, 0, 3], [-1, -1, 1, 0]])
+        planes: list[np.ndarray] = []
+        for t in range(depth):
+            missing = (want.T > t) | (want.T < 0)
+            bm.counter_add(planes, bm.pack_rows(missing))
+        got = bm.counter_levels(planes, 4, k, depth=depth)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 class TestCorrectness:
@@ -176,9 +219,12 @@ class TestSharingAndAccounting:
         assert second.traversed_edges == second.solo_edges
 
     def test_pull_never_built_for_pinned_push(self, small_rmat):
-        engine = LinAlgBatchBFS(small_rmat, direction="push")
-        engine.run(pick_sources(small_rmat, 32, seed=4))
-        assert engine._reverse is None
+        # A private copy: the shared fixture's memoized reverse may
+        # already exist from other tests.
+        graph = CSRGraph(small_rmat.row_offsets, small_rmat.col_indices)
+        engine = LinAlgBatchBFS(graph, direction="push")
+        engine.run(pick_sources(graph, 32, seed=4))
+        assert "rev" not in graph._cache
 
 
 class TestFaultRecovery:
@@ -222,7 +268,6 @@ class TestPropertyEquivalence:
         schedules, every source's level array equals a solo run's."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from repro.graph.csr import CSRGraph
 
         @st.composite
         def cases(draw):
