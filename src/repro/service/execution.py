@@ -451,7 +451,7 @@ class ExecutionEngine:
                 self._audit_distributed(live, result, now_ms)
             return result.elapsed_ms, 1.0, result.levels_of, engine
         if self.routes_linalg(entry, live, sources):
-            result = self._run_linalg(entry, sources)
+            result = self._run_batch(LinAlgBatchBFS, "linalg_batch", entry, sources)
             if result.level_restarts:
                 self.metrics.record_level_restarts(result.level_restarts)
             if self.audit.enabled:
@@ -481,7 +481,7 @@ class ExecutionEngine:
                 "linalg_batch",
             )
         if batched:
-            result = self._run_concurrent(entry, sources)
+            result = self._run_batch(ConcurrentBFS, "concurrent", entry, sources)
             if result.level_restarts:
                 self.metrics.record_level_restarts(result.level_restarts)
             if self.audit.enabled:
@@ -620,25 +620,13 @@ class ExecutionEngine:
             entry.engines[slot] = device
         return device
 
-    def _run_concurrent(self, entry: RegistryEntry, sources: list[int]):
-        slot = self._slot(entry, "concurrent")
+    def _run_batch(self, engine_cls, slot_name: str, entry: RegistryEntry, sources):
+        """One bitmap multi-source run (``ConcurrentBFS`` or
+        ``LinAlgBatchBFS``) on the engine cached under ``slot_name``."""
+        slot = self._slot(entry, slot_name)
         engine = entry.engines.get(slot)
         if engine is None:
-            engine = ConcurrentBFS(
-                entry.graph,
-                device=self._device_of(entry),
-                tracer=self.tracer,
-                injector=self.fault_injector,
-                recovery=self.recovery,
-            )
-            entry.engines[slot] = engine
-        return engine.run(np.asarray(sources, dtype=np.int64))
-
-    def _run_linalg(self, entry: RegistryEntry, sources: list[int]):
-        slot = self._slot(entry, "linalg_batch")
-        engine = entry.engines.get(slot)
-        if engine is None:
-            engine = LinAlgBatchBFS(
+            engine = engine_cls(
                 entry.graph,
                 device=self._device_of(entry),
                 tracer=self.tracer,

@@ -14,15 +14,12 @@ from repro.xbfs.classifier import (
     AdaptiveClassifier,
     Decision,
 )
+from repro.xbfs.bitmap import BitmapBatchResult
 from repro.xbfs.common import UNVISITED
 from repro.xbfs.autotune import PARAMETER_GRID, TuneResult, autotune_classifier
-from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS, ConcurrentResult
+from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.driver import BatchResult, XBFS, XBFSResult
-from repro.xbfs.linalg_batch import (
-    MAX_LINALG_BATCH,
-    LinAlgBatchBFS,
-    LinAlgBatchResult,
-)
+from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.frontier import FrontierQueue, sorted_queue_from_mask
 from repro.xbfs.level import LevelResult
 from repro.xbfs.predictor import LevelPrediction, predict_level_costs, predict_schedule
@@ -57,10 +54,9 @@ __all__ = [
     "BOTTOM_UP",
     "UNVISITED",
     "ConcurrentBFS",
-    "ConcurrentResult",
     "MAX_CONCURRENT",
     "LinAlgBatchBFS",
-    "LinAlgBatchResult",
+    "BitmapBatchResult",
     "MAX_LINALG_BATCH",
     "RepairResult",
     "repair_levels",

@@ -1,14 +1,12 @@
-"""Bit-packed frontier bitmaps shared by the linear-algebra engines.
+"""Bit-packed frontier bitmaps and the level loop of the bitmap engines.
 
 The linear-algebra view of BFS replaces per-vertex frontier queues with
 a Boolean matrix: entry ``(v, s)`` means "vertex *v* is on source *s*'s
 frontier". Both the fixed-direction baseline
 (:class:`repro.baselines.linalg.LinAlgBFS`, one source) and the batched
-serving engine (:class:`repro.xbfs.linalg_batch.LinAlgBatchBFS`, up to
-:data:`~repro.xbfs.linalg_batch.MAX_LINALG_BATCH` sources) operate on
-the same representation: the source axis packed 64-to-a-word into a
-``(num_vertices, words)`` ``uint64`` array, so one AND/OR retires 64
-sources and the masked semiring product
+serving engines operate on the same representation: the source axis
+packed 64-to-a-word into a ``(num_vertices, words)`` ``uint64`` array,
+so one AND/OR retires 64 sources and the masked semiring product
 
     next = (Aᵀ · F) ⊙ ¬visited
 
@@ -16,20 +14,38 @@ is a handful of word-wide vector ops. This module is the single
 implementation of those packbits frontier ops — the scatter-OR push
 product, the segment-OR pull gather, the ``¬visited`` mask, the
 pack/unpack conversions, and the bit-sliced level counter that tracks
-every pair's BFS level in packed planes. Both multi-source engines
-(:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS` and the 64-source
-:class:`~repro.xbfs.concurrent.ConcurrentBFS`) run on it; they differ
-only in *which* product they run per level and what cost they charge,
-never in the arithmetic.
+every pair's BFS level in packed planes.
+
+It also holds the one level loop both multi-source engines run
+(:class:`BitmapBatchEngine`): the 64-source
+:class:`~repro.xbfs.concurrent.ConcurrentBFS` and the up-to-1024-source
+:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS`. The loop owns the
+frontier/visited bitmaps, the counter planes, the ``bfs.level`` spans,
+the host product and the fault replay, and returns one
+:class:`BitmapBatchResult`. An engine supplies only a per-level *plan*
+(which host product, under which strategy label) and a per-level
+*charge* (the modelled launches). A level is committed — counters,
+visited, edge totals — only after its launches sync, so an injected
+device fault leaves nothing to roll back: the charge is replayed under
+:func:`~repro.xbfs.common.replay_on_fault`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import TraversalError
+from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
+from repro.gcd.device import DeviceProfile, MI250X_GCD
+from repro.gcd.kernel import ExecConfig
+from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import gather_adjacency
+from repro.perf import NULL_PROFILER, HostProfiler
+from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.xbfs.classifier import Decision
+from repro.xbfs.common import gather_adjacency, replay_on_fault
 
 __all__ = [
     "WORD_BITS",
@@ -48,6 +64,8 @@ __all__ = [
     "unpack_rows",
     "counter_add",
     "counter_levels",
+    "BitmapBatchResult",
+    "BitmapBatchEngine",
 ]
 
 #: Sources per bitmap word.
@@ -271,3 +289,247 @@ def counter_levels(
     # depth + (-1 - depth) = -1, and -1 - depth still fits acc_dtype.
     acc += (acc == depth) * acc_dtype(-1 - depth)
     return acc.T.astype(np.int32)
+
+
+@dataclass
+class BitmapBatchResult:
+    """Outcome of one multi-source run on the bitmap level loop."""
+
+    sources: np.ndarray
+    #: ``levels[i]`` is source *i*'s level array (-1 unreachable) —
+    #: bit-identical to a solo :meth:`XBFS.run` from ``sources[i]``.
+    levels: np.ndarray
+    elapsed_ms: float
+    #: Edges the modelled level kernels examined, as each engine's
+    #: charge counts them.
+    union_edges: int
+    #: Σ over sources of the edges a solo run would expand.
+    solo_edges: int
+    depth: int
+    #: Per-level :class:`~repro.xbfs.classifier.Decision`: the strategy
+    #: label plus the rule and signals behind the level's host product
+    #: — the audit plane's raw material.
+    decisions: tuple = ()
+    paid_warmup: bool = False
+    #: Levels whose launches were replayed after injected device faults
+    #: (0 on a fault-free run).
+    level_restarts: int = 0
+
+    @property
+    def directions(self) -> tuple:
+        """Strategy label per level (the ``bfs.level`` span's)."""
+        return tuple(d.strategy for d in self.decisions)
+
+    @property
+    def sharing_factor(self) -> float:
+        """How many solo edge-expansions each examined edge stood in
+        for (higher = more sharing)."""
+        return self.solo_edges / self.union_edges if self.union_edges else 1.0
+
+    @property
+    def traversed_edges(self) -> int:
+        return self.solo_edges
+
+    def levels_of(self, source: int) -> np.ndarray:
+        """The level array of one batched ``source``."""
+        hits = np.flatnonzero(self.sources == source)
+        if hits.size == 0:
+            raise TraversalError(f"source {source} is not in this batch")
+        return self.levels[int(hits[0])]
+
+    @property
+    def gteps(self) -> float:
+        """Aggregate throughput credited the Graph500 way: every
+        source's traversal counts, over the shared wall time."""
+        if self.elapsed_ms <= 0:
+            return 0.0
+        return self.solo_edges / (self.elapsed_ms * 1e-3) / 1e9
+
+
+class BitmapBatchEngine:
+    """Construction and level loop shared by the bitmap multi-source
+    engines over one simulated GCD.
+
+    A subclass names itself (:attr:`ENGINE`, the tag on spans, launches
+    and errors; :attr:`TIMER`, the host-profiler timer around the
+    product) and implements :meth:`_plan` and :meth:`_charge`; its
+    ``run`` validates the batch and calls :meth:`_traverse`.
+    """
+
+    ENGINE = ""
+    TIMER = ""
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        *,
+        device: DeviceProfile = MI250X_GCD,
+        config: ExecConfig | None = None,
+        profiler: HostProfiler | None = None,
+        tracer: Tracer | None = None,
+        injector=None,
+        recovery: RecoveryPolicy | None = None,
+    ) -> None:
+        self.graph = graph
+        self.device = device
+        self.config = config or ExecConfig()
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        #: Optional :class:`~repro.telemetry.tracer.Tracer`; runs emit
+        #: ``bfs.run``/``bfs.level`` spans like the solo driver, tagged
+        #: ``engine=ENGINE``.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Optional fault injector; a faulted level replays its launches
+        #: (nothing is committed before they sync).
+        self.injector = injector
+        if injector is not None and self.tracer.enabled:
+            injector.bind_tracer(self.tracer)
+        self.recovery = recovery or DEFAULT_RECOVERY
+        self._gcd: GCD | None = None
+
+    def _plan(
+        self,
+        level: int,
+        active: np.ndarray,
+        frontier_edges: int,
+        missing: np.ndarray,
+        prev_active: int,
+        prev: Decision | None,
+    ) -> tuple[Decision, np.ndarray | None]:
+        """Pick one level's host product: ``(decision, cand)``.
+
+        ``active`` holds the frontier's occupied rows and
+        ``frontier_edges`` their out-degree sum; ``missing`` is
+        ``¬visited``. ``prev_active``/``prev`` describe the previous
+        level. ``cand`` is ``None`` for push, or the rows to pull
+        (every row of ``missing`` that is occupied)."""
+        raise NotImplementedError
+
+    def _charge(
+        self,
+        gcd: GCD,
+        level: int,
+        active: np.ndarray,
+        frontier_edges: int,
+        cand: np.ndarray | None,
+        fresh: np.ndarray,
+        newly: np.ndarray,
+    ) -> int:
+        """Issue one level's modelled launches; return the edges they
+        examined. ``fresh`` is the level's discoveries and ``newly``
+        its occupied rows. Replayed as a whole on a device fault, so
+        it must not mutate traversal state."""
+        raise NotImplementedError
+
+    def _traverse(self, sources: np.ndarray) -> BitmapBatchResult:
+        """Run the level loop from validated, distinct ``sources``."""
+        if self._gcd is None:
+            self._gcd = GCD(
+                self.device,
+                self.config,
+                injector=self.injector,
+                tracer=self.tracer if self.tracer.enabled else None,
+            )
+        else:
+            self._gcd.reset(keep_warm=True)
+        gcd = self._gcd
+        paid_warmup = not gcd._warm
+        k = int(sources.size)
+        with self.tracer.span(
+            "bfs.run",
+            clock=lambda: gcd.elapsed_ms,
+            engine=self.ENGINE,
+            sources=k,
+        ):
+            return self._levels(gcd, sources, k, paid_warmup=paid_warmup)
+
+    def _levels(
+        self, gcd: GCD, sources: np.ndarray, k: int, *, paid_warmup: bool
+    ) -> BitmapBatchResult:
+        graph = self.graph
+        tracer = self.tracer
+        prof = self.profiler
+        n = graph.num_vertices
+        degs = graph.degrees
+        full = full_row_mask(k)[np.newaxis, :]
+        frontier = make_bitmap(n, k)
+        set_source_bits(frontier, sources)
+        visited = frontier.copy()
+        #: Bit-sliced per-(vertex, source) level counter, fed ¬visited
+        #: as each level commits, so a pair's decoded count is the
+        #: number of pre-states it was missing from — its BFS level.
+        #: Levels never materialize inside the loop; the
+        #: (sources × vertices) matrix is decoded once at the end.
+        planes: list[np.ndarray] = []
+
+        level = 0
+        union_edges = 0
+        solo_edges = 0
+        level_restarts = 0
+        decisions: list[Decision] = []
+        prev_active = 1
+        active = occupied_rows(frontier)
+        while active.size:
+            missing = fresh_mask(full, visited)
+            frontier_edges = int(degs[active].sum())
+            decision, cand = self._plan(
+                level, active, frontier_edges, missing, prev_active,
+                decisions[-1] if decisions else None,
+            )
+            with tracer.span(
+                "bfs.level",
+                clock=lambda: gcd.elapsed_ms,
+                level=level,
+                strategy=decision.strategy,
+                frontier=int(active.size),
+            ):
+                with prof.timer(self.TIMER):
+                    if cand is None:
+                        fresh = push_product(graph, frontier, active) & missing
+                    else:
+                        fresh = np.zeros_like(frontier)
+                        fresh[cand] = (
+                            pull_product(graph.reverse(), frontier, cand)
+                            & missing[cand]
+                        )
+                    newly = occupied_rows(fresh)
+
+                def attempt() -> int:
+                    examined = self._charge(
+                        gcd, level, active, frontier_edges, cand, fresh, newly
+                    )
+                    gcd.sync()
+                    return examined
+
+                examined, restarts = replay_on_fault(
+                    attempt,
+                    gcd,
+                    self.recovery,
+                    tracer,
+                    what=f"{self.ENGINE} level {level}",
+                    level=level,
+                )
+            # Commit the synced level. Solo-equivalent accounting is
+            # product-independent: a solo run would expand each
+            # (source, vertex) pair of the frontier separately.
+            counter_add(planes, missing)
+            visited |= fresh
+            union_edges += examined
+            solo_edges += int((popcount_rows(frontier[active]) * degs[active]).sum())
+            level_restarts += restarts
+            decisions.append(decision)
+            prof.count(f"levels/{decision.strategy}")
+            prev_active = int(active.size)
+            frontier, active = fresh, newly
+            level += 1
+
+        return BitmapBatchResult(
+            sources=sources,
+            levels=counter_levels(planes, n, k, depth=level),
+            elapsed_ms=gcd.elapsed_ms,
+            union_edges=union_edges,
+            solo_edges=solo_edges,
+            depth=level,
+            decisions=tuple(decisions),
+            paid_warmup=paid_warmup,
+            level_restarts=level_restarts,
+        )

@@ -6,14 +6,17 @@ neighbour per vertex (the bottom-up early-termination point), count the
 cache lines a partial segment scan touches, and aggregate per-wavefront
 divergence. They are implemented once here, loop-free, and validated in
 tests against both naive Python and the lane-accurate wavefront
-interpreter.
+interpreter. The level-replay policy the single-GCD drivers share under
+injected device faults (:func:`replay_on_fault`) lives here too.
 """
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 import numpy as np
 
-from repro.errors import TraversalError
+from repro.errors import DeviceFaultError, RecoveryExhaustedError, TraversalError
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "shared_arange",
     "segment_lines_touched",
     "wavefront_serialized_steps",
+    "replay_on_fault",
     "UNVISITED",
     "DEFAULT_PROBE_BLOCK",
 ]
@@ -37,6 +41,8 @@ UNVISITED = np.int32(-1)
 DEFAULT_PROBE_BLOCK = 8
 
 _ARANGE = np.zeros(0, dtype=np.int64)
+
+_T = TypeVar("_T")
 
 
 def shared_arange(n: int) -> np.ndarray:
@@ -264,3 +270,43 @@ def wavefront_serialized_steps(scan_lengths: np.ndarray, width: int) -> int:
     pad = (-n) % width
     padded = np.pad(scan_lengths, (0, pad), constant_values=0)
     return int(padded.reshape(-1, width).max(axis=1).sum())
+
+
+def replay_on_fault(
+    attempt: Callable[[], _T],
+    gcd,
+    recovery,
+    tracer,
+    *,
+    what: str,
+    event: str = "recovery.level_restart",
+    rollback: Callable[[], None] | None = None,
+    **attrs,
+) -> tuple[_T, int]:
+    """Run ``attempt`` until it completes without an injected device
+    fault; return ``(its result, restarts)``.
+
+    The one level-replay policy every single-GCD driver shares: each
+    :class:`~repro.errors.DeviceFaultError` counts a restart and emits
+    ``event`` (with ``attrs`` and the attempt number), then
+    ``rollback`` undoes whatever the attempt had already committed and
+    the die is quiesced — the settle sync is charged, so every replay
+    stays visible in ``elapsed_ms``. More than
+    ``recovery.max_level_restarts`` restarts raise
+    :class:`~repro.errors.RecoveryExhaustedError` naming ``what``.
+    """
+    restarts = 0
+    while True:
+        try:
+            return attempt(), restarts
+        except DeviceFaultError as exc:
+            restarts += 1
+            tracer.event(event, **attrs, attempt=restarts)
+            if restarts > recovery.max_level_restarts:
+                raise RecoveryExhaustedError(
+                    f"{what} still faulting after "
+                    f"{recovery.max_level_restarts} restarts: {exc}"
+                ) from exc
+            if rollback is not None:
+                rollback()
+            gcd.quiesce()

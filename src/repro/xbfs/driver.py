@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DeviceFaultError, RecoveryExhaustedError, TraversalError
+from repro.errors import TraversalError
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig, KernelRecord
@@ -35,7 +35,7 @@ from repro.xbfs.classifier import (
     AdaptiveClassifier,
     Decision,
 )
-from repro.xbfs.common import DEFAULT_PROBE_BLOCK
+from repro.xbfs.common import DEFAULT_PROBE_BLOCK, replay_on_fault
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
@@ -168,8 +168,8 @@ class XBFS:
         level runs under checkpoint/restart: status and parents are
         snapshotted at level entry, a :class:`~repro.errors.
         DeviceFaultError` rolls them back and replays *only the failed
-        level* (never the whole traversal), up to
-        ``recovery.max_level_restarts`` times before raising
+        level* (never the whole traversal), within the ``recovery``
+        restart budget before raising
         :class:`~repro.errors.RecoveryExhaustedError`.
     recovery:
         Restart budget policy (default :data:`repro.faults.recovery.
@@ -313,30 +313,24 @@ class XBFS:
         if record_parents:
             parents = np.full(graph.num_vertices, -1, dtype=np.int64)
             parents[source] = source
-        init_restarts = 0
-        while True:
-            try:
-                gcd.launch(
-                    "init_status",
-                    strategy="setup",
-                    level=-1,
-                    streams=[seq_write("status", graph.num_vertices, 4)],
-                    work=ComputeWork(flat_ops=float(graph.num_vertices)),
-                    work_items=graph.num_vertices,
-                    setup=True,
-                )
-                break
-            except DeviceFaultError as exc:
-                # The status init is idempotent: re-issue it like a
-                # faulted level, against the same restart budget.
-                init_restarts += 1
-                tracer.event("recovery.init_restart", attempt=init_restarts)
-                if init_restarts > self.recovery.max_level_restarts:
-                    raise RecoveryExhaustedError(
-                        f"status init still faulting after "
-                        f"{self.recovery.max_level_restarts} restarts: {exc}"
-                    ) from exc
-                gcd.quiesce()
+        # The status init is idempotent: re-issue it like a faulted
+        # level, against the same restart budget.
+        _, init_restarts = replay_on_fault(
+            lambda: gcd.launch(
+                "init_status",
+                strategy="setup",
+                level=-1,
+                streams=[seq_write("status", graph.num_vertices, 4)],
+                work=ComputeWork(flat_ops=float(graph.num_vertices)),
+                work_items=graph.num_vertices,
+                setup=True,
+            ),
+            gcd,
+            self.recovery,
+            tracer,
+            what="status init",
+            event="recovery.init_restart",
+        )
 
         total_edges = max(1, graph.num_edges)
         level = 0
@@ -510,35 +504,28 @@ class XBFS:
         Snapshots the mutable traversal state (status levels + visited
         count, parents) at level entry; an injected
         :class:`~repro.errors.DeviceFaultError` rolls back to the
-        snapshot, quiesces the die (the settle sync is charged — every
-        replay's cost stays visible in ``elapsed_ms``) and re-runs the
-        level. Gives up with
-        :class:`~repro.errors.RecoveryExhaustedError` after
-        ``recovery.max_level_restarts`` replays.
+        snapshot and re-runs the level under the shared replay policy
+        (:func:`~repro.xbfs.common.replay_on_fault`).
         """
         snap_levels = status.levels.copy()
         snap_visited = status.visited_count()
         snap_parents = parents.copy() if parents is not None else None
-        restarts = 0
-        while True:
-            try:
-                return attempt_level(), restarts
-            except DeviceFaultError as exc:
-                restarts += 1
-                self.tracer.event(
-                    "recovery.level_restart", level=level, attempt=restarts
-                )
-                if restarts > self.recovery.max_level_restarts:
-                    raise RecoveryExhaustedError(
-                        f"level {level} still faulting after "
-                        f"{self.recovery.max_level_restarts} checkpoint "
-                        f"restarts: {exc}"
-                    ) from exc
-                status.levels[:] = snap_levels
-                status.note_visited(snap_visited - status.visited_count())
-                if parents is not None:
-                    parents[:] = snap_parents
-                gcd.quiesce()
+
+        def rollback() -> None:
+            status.levels[:] = snap_levels
+            status.note_visited(snap_visited - status.visited_count())
+            if parents is not None:
+                parents[:] = snap_parents
+
+        return replay_on_fault(
+            attempt_level,
+            gcd,
+            self.recovery,
+            self.tracer,
+            what=f"level {level}",
+            rollback=rollback,
+            level=level,
+        )
 
     # ------------------------------------------------------------------
     def run_many(

@@ -1,4 +1,5 @@
-"""Tests for the iBFS-style concurrent multi-source engine."""
+"""Tests for the iBFS-style concurrent multi-source engine, and the
+differential property both bitmap engines share."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from repro.xbfs.concurrent import (
     validate_batch_sources,
 )
 from repro.xbfs.driver import XBFS
+from repro.xbfs.linalg_batch import LinAlgBatchBFS
+
+#: Widest property batch: three bitmap words for the linalg engine.
+_MAX_PROPERTY_SOURCES = 130
 
 
 class TestCorrectness:
@@ -137,16 +142,18 @@ class TestAccounting:
 
 @st.composite
 def _batch_cases(draw):
-    """A directed multigraph (parallel edges and self-loops are common)
-    and a batch of 1..64 distinct sources on it."""
+    """A directed multigraph (parallel edges and self-loops are common),
+    a batch of 1..130 distinct sources on it, and a linalg direction
+    mode."""
     n = draw(st.integers(min_value=2, max_value=160))
     m = draw(st.integers(min_value=0, max_value=4 * n))
     vertex = st.integers(min_value=0, max_value=n - 1)
     src = draw(st.lists(vertex, min_size=m, max_size=m))
     dst = draw(st.lists(vertex, min_size=m, max_size=m))
-    k = draw(st.integers(min_value=1, max_value=min(MAX_CONCURRENT, n)))
+    k = draw(st.integers(min_value=1, max_value=min(_MAX_PROPERTY_SOURCES, n)))
     sources = draw(st.lists(vertex, min_size=k, max_size=k, unique=True))
-    return CSRGraph.from_edges(np.asarray(src), np.asarray(dst), n), sources
+    direction = draw(st.sampled_from(["auto", "push", "pull"]))
+    return CSRGraph.from_edges(np.asarray(src), np.asarray(dst), n), sources, direction
 
 
 def _run_counting_pulls(graph, sources):
@@ -158,37 +165,64 @@ def _run_counting_pulls(graph, sources):
     return result, pulls
 
 
-def _assert_matches_oracle(graph, sources, result):
+def _assert_matches_oracle(graph, sources, result, *, union=True):
     """Levels equal the oracle's, and so do the direction-independent
-    counts the modelled launch is charged from: a frontier never
-    carries a bit its vertex was already visited by."""
+    counts: a frontier never carries a bit its vertex was already
+    visited by. ``union`` also checks the edges examined, which equal
+    the union frontiers' out-degrees unless a linalg level pulled."""
     oracle = np.vstack([bfs_levels_reference(graph, s) for s in sources])
     assert np.array_equal(result.levels, oracle)
     depth = int(oracle.max()) + 1
     assert result.depth == depth
     degs = graph.degrees
-    assert result.union_edges == sum(
-        int(degs[(oracle == t).any(axis=0)].sum()) for t in range(depth)
-    )
     assert result.solo_edges == int((degs * (oracle >= 0).sum(axis=0)).sum())
+    if union:
+        assert result.union_edges == sum(
+            int(degs[(oracle == t).any(axis=0)].sum()) for t in range(depth)
+        )
 
 
 class TestPropertyEquivalence:
-    @given(_batch_cases())
+    @pytest.mark.parametrize("engine", ["concurrent", "linalg_batch"])
+    @given(case=_batch_cases())
     @settings(max_examples=60, deadline=None)
     # exactly 64 sources: the full-word mask is ~0
-    @example((
+    @example(case=(
         CSRGraph.from_edges(
             np.arange(80) % 70, (np.arange(80) * 7 + 3) % 70, 70
         ),
         list(range(64)),
+        "auto",
     ))
-    def test_batch_equals_solo_on_random_graphs(self, case):
+    # 130 sources: three words, the last one partial
+    @example(case=(
+        CSRGraph.from_edges(
+            np.arange(400) % 150, (np.arange(400) * 11 + 5) % 150, 150
+        ),
+        list(range(130)),
+        "pull",
+    ))
+    def test_batch_equals_solo_on_random_graphs(self, engine, case):
         """Property: for arbitrary graphs and batches, every source's
-        level array from the batched engine equals a solo run's."""
-        graph, sources = case
-        result, _ = _run_counting_pulls(graph, sources)
-        _assert_matches_oracle(graph, sources, result)
+        level array from either bitmap engine equals a solo run's
+        (ConcurrentBFS takes the first 64 sources; LinAlgBatchBFS runs
+        the whole batch in the drawn direction mode)."""
+        graph, sources, direction = case
+        prof = HostProfiler()
+        if engine == "concurrent":
+            sources = sources[:MAX_CONCURRENT]
+            bfs = ConcurrentBFS(graph, profiler=prof)
+        else:
+            bfs = LinAlgBatchBFS(graph, direction=direction, profiler=prof)
+        result = bfs.run(np.asarray(sources))
+        _assert_matches_oracle(
+            graph, sources, result,
+            union=engine == "concurrent" or direction == "push",
+        )
+        assert len(result.directions) == result.depth
+        assert sum(
+            prof.counters[f"levels/{d}"] for d in set(result.directions)
+        ) == result.depth
 
     def test_full_word_batch_on_directed_multigraph(self):
         rng = np.random.default_rng(5)

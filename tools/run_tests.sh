@@ -15,10 +15,12 @@
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing) + the
 #                                 # scale-out bench
-#   tools/run_tests.sh linalg     # the bitmap linear-algebra tier: the
-#                                 # batch engine, its routing contract
-#                                 # and the batch-width bench vs the
-#                                 # concurrent engine
+#   tools/run_tests.sh linalg     # the bitmap tier: both engines on
+#                                 # the shared bitmap level loop
+#                                 # (linalg batch and concurrent, with
+#                                 # the concurrent fault recovery), the
+#                                 # linalg routing contract and the
+#                                 # batch-width bench between them
 #   tools/run_tests.sh multigcd-scaling
 #                                 # the exchange plane: codec property
 #                                 # tests, overlap accounting, the 2D
@@ -72,7 +74,9 @@ case "$tier" in
     python -m pytest benchmarks/bench_cluster_scaleout.py benchmarks/bench_routing.py -s "$@"
     ;;
   linalg)
-    python -m pytest tests/xbfs/test_linalg_batch.py tests/service/test_linalg_routing.py "$@"
+    python -m pytest tests/xbfs/test_linalg_batch.py tests/xbfs/test_concurrent.py \
+      tests/service/test_linalg_routing.py \
+      "tests/faults/test_driver_recovery.py::TestConcurrentRecovery" "$@"
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
   multigcd-scaling)
