@@ -28,6 +28,7 @@ from repro.xbfs.common import (
     first_match_per_segment,
     gather_neighbors,
     segment_lines_touched,
+    unique_vertices,
     wavefront_serialized_steps,
 )
 from repro.baselines.base import BaselineBatch, BaselineResult
@@ -162,7 +163,7 @@ class EnterpriseBFS:
                     element_bytes=4, line_bytes=line,
                 )
                 fresh = neighbors[levels[neighbors] == UNVISITED]
-                new_unique = np.unique(fresh).astype(np.int64)
+                new_unique = unique_vertices(fresh, graph.num_vertices)
                 gcd.launch(
                     "en_expand",
                     strategy=self.ENGINE,

@@ -29,7 +29,12 @@ from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    UNVISITED,
+    gather_neighbors,
+    segment_lines_touched,
+    unique_vertices,
+)
 from repro.baselines.base import BaselineBatch, BaselineResult
 
 __all__ = ["GunrockBFS"]
@@ -118,7 +123,7 @@ class GunrockBFS:
             discovered = neighbors[unvisited_mask].astype(np.int64)
             next_frontier = _cull_duplicates(discovered, self.MAX_DUPLICATES)
             kept = int(next_frontier.size)
-            new_unique = np.unique(next_frontier)
+            new_unique = unique_vertices(next_frontier, graph.num_vertices)
             duplicates += int(discovered.size) - int(new_unique.size)
             wf = gcd.device.wavefront_size
             append_ops = -(-kept // wf) if kept else 0

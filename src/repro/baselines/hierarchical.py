@@ -27,7 +27,12 @@ from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    UNVISITED,
+    gather_neighbors,
+    segment_lines_touched,
+    unique_vertices,
+)
 from repro.baselines.base import BaselineBatch, BaselineResult
 
 __all__ = ["HierarchicalBFS"]
@@ -80,7 +85,7 @@ class HierarchicalBFS:
             )
             fresh_mask = levels[neighbors] == UNVISITED
             fresh = neighbors[fresh_mask]
-            winners = np.unique(fresh).astype(np.int64)
+            winners = unique_vertices(fresh, graph.num_vertices)
             levels[winners] = level + 1
 
             # Expansion into per-block queues: block-local atomics are

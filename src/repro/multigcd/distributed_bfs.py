@@ -6,10 +6,14 @@ style, with each partition expanded on its own simulated GCD and
 remote discoveries exchanged through the α–β interconnect model.
 
 Per level, on every GCD: expand the locally-owned slice of the frontier
-(one top-down kernel, costed by the same substrate XBFS uses), bucket
-discoveries by owner, all-to-all, then owners deduplicate and update
-their status slice. Wall-clock per level is the *slowest* GCD's kernel
-time (bulk-synchronous) plus the exchange plus one sync.
+(one top-down kernel, costed by the same substrate XBFS uses), claim
+the unvisited neighbours with a |V| flag scan
+(:func:`~repro.xbfs.common.unique_vertices`), bucket them by owner,
+all-to-all, then owners claim the merged discoveries the same way and
+update their status slice. Claims are ascending and owned ranges
+contiguous, so each per-owner bucket is a ``searchsorted`` slice.
+Wall-clock per level is the *slowest* GCD's kernel time
+(bulk-synchronous) plus the exchange plus one sync.
 
 With ``direction_alpha`` set, peak levels run *bottom-up* the way
 distributed Graph500 codes do: every GCD first contributes its owned
@@ -53,7 +57,13 @@ from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.partition import Partition1D, partition_by_edges
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    first_match_per_segment,
+    gather_adjacency,
+    segment_lines_touched,
+    unique_vertices,
+    wavefront_serialized_steps,
+)
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["MultiGcdBFS", "DistributedResult", "DistributedBatchResult"]
@@ -246,7 +256,7 @@ class MultiGcdBFS:
         levels: np.ndarray,
         frontier: np.ndarray,
         level: int,
-    ) -> tuple[float, float, int, np.ndarray]:
+    ) -> tuple[float, float, int, int, np.ndarray]:
         """One distributed bottom-up level.
 
         Phase 1: allgather the frontier bitmap — every GCD ships its
@@ -259,14 +269,8 @@ class MultiGcdBFS:
         so there is no discovery exchange.
 
         Returns (kernel_ms, comm_ms, comm_bytes, raw_bytes,
-        claimed_vertices).
+        claimed_vertices); ``frontier`` and the claim are ascending.
         """
-        from repro.xbfs.common import (
-            first_match_per_segment,
-            segment_lines_touched,
-            wavefront_serialized_steps,
-        )
-
         graph = self.graph
         incoming = graph.reverse()
         part = self.partition
@@ -287,10 +291,10 @@ class MultiGcdBFS:
             in_frontier[frontier] = True
             raw_bytes = int(bytes_matrix.sum())
         else:
-            frontier_owner = part.owner_of(frontier)
+            cut = np.searchsorted(frontier, part.boundaries)
             for g in range(p):
                 lo, hi = part.owned_range(g)
-                mine = np.sort(frontier[frontier_owner == g])
+                mine = frontier[cut[g]:cut[g + 1]]
                 if p == 1:
                     in_frontier[mine] = True
                     continue
@@ -321,7 +325,7 @@ class MultiGcdBFS:
             before = gcds[g].elapsed_ms
             if local_unvisited.size:
                 degs = incoming.degrees[local_unvisited]
-                nbrs, _ = gather_neighbors(incoming, local_unvisited)
+                nbrs = gather_adjacency(incoming, local_unvisited)
                 match = in_frontier[nbrs]
                 first = first_match_per_segment(match, degs)
                 found = first >= 0
@@ -363,7 +367,7 @@ class MultiGcdBFS:
         claim = (
             np.concatenate(claimed) if claimed else np.zeros(0, dtype=np.int64)
         )
-        return kernel_ms, comm_ms, comm_bytes, raw_bytes, np.sort(claim)
+        return kernel_ms, comm_ms, comm_bytes, raw_bytes, claim
 
     # ------------------------------------------------------------------
     def run(self, source: int) -> DistributedResult:
@@ -503,19 +507,20 @@ class MultiGcdBFS:
                 frontier = claim
                 level += 1
                 continue
-            owners = part.owner_of(frontier)
+            cut = np.searchsorted(frontier, part.boundaries)
             level_kernel_ms = 0.0
             level_raw = 0
             bytes_matrix = np.zeros((p, p), dtype=np.int64)
             discoveries: list[np.ndarray] = []
             for g in range(p):
-                local = frontier[owners == g]
+                local = frontier[cut[g]:cut[g + 1]]
                 before = gcds[g].elapsed_ms
                 if local.size:
-                    neighbors, _ = gather_neighbors(graph, local)
+                    neighbors = gather_adjacency(graph, local)
                     e_f = int(neighbors.size)
-                    fresh = neighbors[levels[neighbors] == UNVISITED]
-                    fresh = np.unique(fresh).astype(np.int64)
+                    fresh = unique_vertices(
+                        neighbors, graph.num_vertices, levels
+                    )
                     adj_lines = segment_lines_touched(
                         graph.row_offsets[local], graph.degrees[local],
                         element_bytes=4, line_bytes=line,
@@ -543,10 +548,9 @@ class MultiGcdBFS:
                         work_items=int(local.size),
                     )
                     gcds[g].sync()
-                    dest = part.owner_of(fresh)
+                    dest = np.searchsorted(fresh, part.boundaries)
                     if self.codec is None:
-                        counts = np.bincount(dest, minlength=p)
-                        bytes_matrix[g, :] = counts * _ID_BYTES
+                        bytes_matrix[g, :] = np.diff(dest) * _ID_BYTES
                         discoveries.append(fresh)
                     else:
                         # Encode one message per remote owner; locally
@@ -555,10 +559,9 @@ class MultiGcdBFS:
                         # decode round-trip, so the codec provably
                         # cannot change the answer.
                         for d in range(p):
-                            mine = fresh[dest == d]
+                            mine = fresh[dest[d]:dest[d + 1]]
                             if d == g:
-                                if mine.size:
-                                    discoveries.append(mine)
+                                discoveries.append(mine)
                                 continue
                             if not mine.size:
                                 continue
@@ -594,17 +597,17 @@ class MultiGcdBFS:
                 saved_ms = 0.0
                 elapsed += level_kernel_ms + comm_ms
 
-            if discoveries:
-                incoming = np.unique(np.concatenate(discoveries))
-                claim = incoming[levels[incoming] == UNVISITED]
-            else:
-                claim = np.zeros(0, dtype=np.int64)
-            # Owners deduplicate and claim: a small scatter on each GCD.
+            # Every GCD holding part of the (non-empty) frontier keeps
+            # its own discoveries, so there is always one to merge.
+            claim = unique_vertices(
+                np.concatenate(discoveries), graph.num_vertices, levels
+            )
+            # Owners claim their discoveries: a small scatter on each GCD.
             update_ms = 0.0
             if claim.size:
-                claim_owner = part.owner_of(claim)
+                cut = np.searchsorted(claim, part.boundaries)
                 for g in range(p):
-                    mine = claim[claim_owner == g]
+                    mine = claim[cut[g]:cut[g + 1]]
                     if not mine.size:
                         continue
                     before = gcds[g].elapsed_ms

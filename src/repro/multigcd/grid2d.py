@@ -47,7 +47,11 @@ from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.distributed_bfs import DistributedBatchResult
 from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    gather_neighbors,
+    segment_lines_touched,
+    unique_vertices,
+)
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS", "Grid2dResult"]
@@ -330,8 +334,7 @@ class Grid2dBFS:
             # in row block i; we charge each tile its share of the
             # frontier's adjacency.
             neighbors, owner = gather_neighbors(graph, frontier)
-            fresh_mask = levels[neighbors] == -1
-            discovered = np.unique(neighbors[fresh_mask]).astype(np.int64)
+            discovered = unique_vertices(neighbors, n, levels)
             tile_ms = 0.0
             col_of_frontier = np.searchsorted(
                 self.col_bounds, frontier, side="right"
@@ -348,7 +351,7 @@ class Grid2dBFS:
                     e_tile = int(np.count_nonzero(in_tile))
                     if e_tile == 0:
                         continue
-                    local_frontier = np.unique(frontier[owner[in_tile]])
+                    local_frontier = unique_vertices(frontier[owner[in_tile]], n)
                     before = gcds[g].elapsed_ms
                     adj_lines = segment_lines_touched(
                         graph.row_offsets[local_frontier],

@@ -7,7 +7,9 @@ edge relaxation. :func:`repair_levels` exploits this: it seeds a
 frontier from the heads of the inserted edges (the only vertices that
 can improve without a predecessor improving first), then runs rounds
 of vectorised relaxation over the *mutated* graph's CSR until no level
-moves. Because BFS levels are a unique fixpoint, the repaired array is
+moves. Each round's improved vertices become the next frontier through
+the flag-scan claim (:func:`~repro.xbfs.common.unique_vertices`).
+Because BFS levels are a unique fixpoint, the repaired array is
 bit-identical to a from-scratch traversal of the mutated graph — the
 property the differential tests pin across every engine tier.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED
+from repro.xbfs.common import UNVISITED, unique_vertices
 
 __all__ = [
     "RepairResult",
@@ -91,7 +93,7 @@ def _relax_frontier(
     before = lv[nbrs]
     np.minimum.at(lv, nbrs, cand)
     improved = nbrs[lv[nbrs] < before]
-    return np.unique(improved), total
+    return unique_vertices(improved, lv.size), total
 
 
 def repair_levels(
@@ -129,7 +131,7 @@ def repair_levels(
         u, v = pairs[:, 0], pairs[:, 1]
         before = lv[v]
         np.minimum.at(lv, v, lv[u] + 1)
-        frontier = np.unique(v[lv[v] < before])
+        frontier = unique_vertices(v[lv[v] < before], n)
         relaxed += pairs.shape[0]
     else:
         frontier = np.zeros(0, dtype=np.int64)

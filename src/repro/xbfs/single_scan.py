@@ -11,7 +11,9 @@ Two kernels per level:
   write the same value, so the data race is benign. Avoiding the CAS
   and the duplicate enqueues is what makes single-scan beat scan-free
   at moderate ratios even though it reads more bytes (the paper's
-  level-2 observation in Table VI).
+  level-2 observation in Table VI). The host finds the vertices those
+  lanes write with the flag-scan claim
+  (:func:`~repro.xbfs.common.unique_vertices`), not a sort.
 
 The *no-frontier-generation* variant skips ``ss_queue_gen`` entirely
 when the previous level already produced a usable queue (exactly the
@@ -30,7 +32,12 @@ from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, se
 from repro.gcd.simulator import GCD, KernelSpec
 from repro.graph.csr import CSRGraph
 from repro.perf import NULL_PROFILER
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    UNVISITED,
+    gather_neighbors,
+    segment_lines_touched,
+    unique_vertices,
+)
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
@@ -101,8 +108,8 @@ def _expand_chunk(
         )
     else:
         fresh_mask = status.levels[neighbors] == UNVISITED
-    fresh = neighbors[fresh_mask].astype(np.int64)
-    new_vertices = np.unique(fresh)
+    fresh = neighbors[fresh_mask]
+    new_vertices = unique_vertices(fresh, status.num_vertices)
     status.mark(new_vertices, level + 1)
     if parents is not None and new_vertices.size:
         # Benign races: any discovering parent is a valid BFS parent;
@@ -217,9 +224,7 @@ def run_level(
             edges += e_f
         records.extend(gcd.launch_concurrent(specs))
 
-    new_vertices = (
-        np.unique(np.concatenate(new_parts)) if new_parts else np.zeros(0, dtype=np.int64)
-    )
+    new_vertices = unique_vertices(np.concatenate(new_parts), graph.num_vertices)
     return LevelResult(
         strategy=STRATEGY,
         level=level,

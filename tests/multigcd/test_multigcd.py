@@ -8,6 +8,7 @@ from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import (
     INFINITY_FABRIC,
     SLINGSHOT,
+    ExchangeCodec,
     InterconnectModel,
     MultiGcdBFS,
     Partition1D,
@@ -211,6 +212,34 @@ class TestDirectionOptimized:
         do = MultiGcdBFS(social_graph, 4, device=dev, direction_alpha=0.1)
         do.run(source)
         assert do.run(source).elapsed_ms < td.run(source).elapsed_ms
+
+    @pytest.mark.parametrize("codec, pinned", [
+        (False, (40.126093197318, 0.01602672, 1888, 1888,
+                 [1108, 390, 390, 0], {})),
+        (True, (40.126073217318, 0.016006740000000002, 889, 10408,
+                [109, 390, 390, 0], {"sparse": 0, "bitmap": 27})),
+    ], ids=["raw", "codec"])
+    def test_mixed_direction_run_is_pinned(self, small_rmat, codec, pinned):
+        """Exact modelled cost, bytes and wire formats of one pod run
+        whose peak levels go bottom-up. No regression fingerprint
+        covers this path, so host-side rewrites of either level kind
+        must leave every number here unchanged."""
+        source = int(np.argmax(small_rmat.degrees))
+        result = MultiGcdBFS(
+            small_rmat, 4, direction_alpha=0.05,
+            codec=ExchangeCodec() if codec else None,
+        ).run(source)
+        assert [d["direction"] for d in result.level_decisions] == [
+            "top_down", "bottom_up", "bottom_up", "top_down",
+        ]
+        assert np.array_equal(
+            result.levels, bfs_levels_reference(small_rmat, source)
+        )
+        assert (
+            result.elapsed_ms, result.comm_ms, result.bytes_exchanged,
+            result.bytes_raw, result.per_level_comm_bytes,
+            result.exchange_formats,
+        ) == pinned
 
     def test_alpha_validation(self, small_rmat):
         with pytest.raises(PartitionError):

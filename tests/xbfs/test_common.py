@@ -18,6 +18,55 @@ class TestSegmentIds:
         assert common.segment_ids(np.array([], dtype=np.int64)).size == 0
 
 
+class TestUniqueVertices:
+    """The flag-scan claim is ``np.unique`` on every input, on both
+    sides of its ``np.unique`` crossover."""
+
+    @given(
+        n=st.integers(1, 3000),
+        shape=st.sampled_from(["random", "all_duplicates", "full_range", "empty"]),
+        dense=st.booleans(),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        filtered=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, n, shape, dense, dtype, filtered, seed):
+        rng = np.random.default_rng(seed)
+        sparse_max = (n - 1) // common._FLAG_SCAN_RATIO
+        k = (
+            int(rng.integers(sparse_max + 1, 3 * n + 1))
+            if dense
+            else int(rng.integers(0, sparse_max + 1))
+        )
+        if shape == "random":
+            ids = rng.integers(0, n, k)
+        elif shape == "all_duplicates":
+            ids = np.full(k, rng.integers(0, n))
+        elif shape == "full_range":
+            ids = np.concatenate([rng.permutation(n), rng.integers(0, n, k)])
+        else:
+            ids = np.zeros(0)
+        ids = ids.astype(dtype)
+        levels = rng.integers(-1, 3, n).astype(np.int32) if filtered else None
+        expected = np.unique(ids).astype(np.int64)
+        if filtered:
+            expected = expected[levels[expected] == common.UNVISITED]
+        got = common.unique_vertices(ids, n, levels)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [10, 10_000], ids=["flag_scan", "np_unique"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("bad", [-1, "n", "min"])
+    def test_out_of_range_raises(self, n, dtype, bad):
+        """A ``-1`` must raise, never wrap around to flag vertex V-1."""
+        bad = {"n": n, "min": np.iinfo(dtype).min}.get(bad, bad)
+        ids = np.array([0, bad, 3], dtype=dtype)
+        with pytest.raises(TraversalError):
+            common.unique_vertices(ids, n)
+
+
 class TestGatherNeighbors:
     def test_matches_per_vertex_lists(self, small_rmat):
         frontier = np.array([0, 5, 9], dtype=np.int64)

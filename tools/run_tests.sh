@@ -10,7 +10,10 @@
 #                                 # the distributed engine + the serving
 #                                 # layer that routes onto it (engine
 #                                 # routing, registry accounting, the
-#                                 # routing differential contract)
+#                                 # routing differential contract), the
+#                                 # shared kernel helpers whose frontier
+#                                 # claim the pod dedups with, and
+#                                 # incremental repair, which uses it too
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing) + the
@@ -67,7 +70,8 @@ case "$tier" in
     python -m pytest benchmarks/bench_telemetry_overhead.py -s "$@"
     ;;
   multigcd-service)
-    python -m pytest tests/multigcd tests/service -m "not slow" "$@"
+    python -m pytest tests/multigcd tests/service tests/xbfs/test_common.py \
+      tests/xbfs/test_repair.py -m "not slow" "$@"
     ;;
   cluster)
     python -m pytest tests/cluster "$@"
