@@ -159,6 +159,17 @@ class DistributedBatchResult:
     def traversed_edges(self) -> int:
         return sum(r.traversed_edges for r in self.runs)
 
+    @property
+    def sharing_factor(self) -> float:
+        """1.0: the pod traverses every source on its own."""
+        return 1.0
+
+    @property
+    def level_restarts(self) -> int:
+        """0: the pod has no checkpoint layer, so a device fault
+        surfaces as the typed error instead of a replayed level."""
+        return 0
+
     def levels_of(self, source: int) -> np.ndarray:
         """The level array of one batched ``source`` (equal to a solo
         run — distributed answers are bit-identical by contract)."""

@@ -1,29 +1,31 @@
 """The execution engine: one dispatch → one (recovered) engine run.
 
 This module is the *execution* third of the serving stack's
-placement / dispatch / execution split:
+placement / dispatch / execution split (placement:
+:mod:`repro.cluster.placement`; dispatch — queueing, coalescing,
+worker slots, deadlines: :mod:`repro.service.scheduler`).
 
-* placement — which replica owns a graph
-  (:mod:`repro.cluster.placement`);
-* dispatch — queueing, coalescing, worker slots and deadlines
-  (:mod:`repro.service.scheduler`);
-* execution — this module: pick the engine for one ready batch, run
-  it, and recover from injected faults without ever returning a wrong
-  answer.
+Every dispatch takes one path through :class:`ExecutionEngine`:
 
-:class:`ExecutionEngine` owns the engine-routing policy — by graph
-size (solo XBFS / concurrent iBFS vs the multi-GCD pod) and by batch
-width (the linear-algebra batch tier: same-graph dispatches of
-``linalg_batch_threshold``+ distinct sources run as one masked
-CSR×matrix product on :class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS`
-instead of a stream of ≤64-source concurrent batches) — plus the
-per-entry engine cache on
-:class:`~repro.service.registry.RegistryEntry` and the recovery
-ladder: per-level checkpoint/restart inside the engines,
-dispatch-level retries with virtual-time backoff, and a circuit
-breaker that routes cooldown dispatches to the serial CPU baseline.
-It holds no queue and no clock — the scheduler hands it a ready batch
-and charges whatever virtual elapsed time it returns.
+1. **repair** — on a mutated graph, re-relax cached level bases when
+   the deltas since them allow it;
+2. **picker** — else name the tier, first match wins: the multi-GCD
+   pod (``multigcd``, or ``grid2d`` with the 2D partition) when the CSR
+   outgrows ``distributed_threshold_bytes``; ``linalg_batch`` when a
+   batch reaches ``linalg_batch_threshold`` distinct sources or
+   outgrows the 64-slot concurrent word; ``concurrent`` for any other
+   coalesced batch; ``solo`` XBFS for the rest;
+3. **table** — build the tier's engine from :data:`_BUILDERS` once per
+   registry entry, cached in its version-stamped ``engines`` slot;
+4. **post-run** — every engine result has one serving surface
+   (``elapsed_ms``, ``sharing_factor``, ``levels_of(source)``,
+   ``level_restarts``), so one block records restarts, writes the
+   routing and per-level decision audit records and stores the levels
+   as repair bases.
+
+Around that path runs the recovery ladder (see :meth:`ExecutionEngine.run`).
+The executor holds no queue and no clock — the scheduler hands it a
+ready batch and charges whatever virtual elapsed time it returns.
 """
 
 from __future__ import annotations
@@ -38,12 +40,16 @@ from repro.errors import (
 )
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.gcd.device import MI250X_GCD
+from repro.multigcd.distributed_bfs import MultiGcdBFS
+from repro.multigcd.exchange import ExchangeCodec
+from repro.multigcd.grid2d import Grid2dBFS
 from repro.obs.audit import NULL_AUDIT
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import RegistryEntry
 from repro.service.request import Query
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
+from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.repair import REPAIR_BASE_MS, repair_levels
 
@@ -63,6 +69,26 @@ SERIAL_FALLBACK_MS_PER_MEDGE = 50.0
 #: it a fresh adaptive traversal is cheaper than scattered relaxation
 #: over most of the graph, so the dispatch recomputes instead.
 DEFAULT_REPAIR_MAX_FRACTION = 0.05
+
+#: Tiers served by a multi-GCD pod: one ``run_batch`` traverses the
+#: sources back to back, and a cached pod is rebuilt when the
+#: executor's ``num_gcds`` no longer matches it.
+_POD_TIERS = ("multigcd", "grid2d")
+
+#: Tier -> engine constructor, called as ``build(executor, graph,
+#: device=, tracer=, injector=)``. The single-GCD engines checkpoint
+#: under the executor's recovery policy. The 1D pod keeps the naive
+#: exchange (its routing fingerprint is committed); the 2D grid ships
+#: with the compressed exchange codec and comm/compute overlap on.
+_BUILDERS = {
+    "solo": lambda ex, g, **kw: XBFS(g, recovery=ex.recovery, **kw),
+    "concurrent": lambda ex, g, **kw: ConcurrentBFS(g, recovery=ex.recovery, **kw),
+    "linalg_batch": lambda ex, g, **kw: LinAlgBatchBFS(g, recovery=ex.recovery, **kw),
+    "multigcd": lambda ex, g, **kw: MultiGcdBFS(g, ex.num_gcds, **kw),
+    "grid2d": lambda ex, g, **kw: Grid2dBFS(
+        g, ex.num_gcds, codec=ExchangeCodec(), overlap=True, **kw
+    ),
+}
 
 
 class ExecutionEngine:
@@ -120,13 +146,8 @@ class ExecutionEngine:
         #: tier (and keeps the scheduler's batch cap at
         #: :data:`~repro.xbfs.concurrent.MAX_CONCURRENT`).
         self.linalg_batch_threshold = linalg_batch_threshold
-        #: Decomposition of the distributed tier: ``"1d"`` is the
-        #: edge-balanced row partition (:class:`MultiGcdBFS
-        #: <repro.multigcd.distributed_bfs.MultiGcdBFS>`, naive
-        #: exchange — the committed-fingerprint default), ``"2d"`` the
-        #: checkerboard grid (:class:`~repro.multigcd.grid2d.Grid2dBFS`)
-        #: with the compressed exchange codec and comm/compute overlap
-        #: enabled.
+        #: Decomposition of the distributed tier: ``"1d"`` edge-balanced
+        #: rows (``multigcd``) or ``"2d"`` the checkerboard (``grid2d``).
         self.partition = partition
         self.fault_injector = fault_injector
         self.recovery = recovery or DEFAULT_RECOVERY
@@ -169,7 +190,8 @@ class ExecutionEngine:
         post-mutation dispatch recomputes.
 
         Returns ``(elapsed_ms, sharing_factor, levels_of, engine)``.
-        The ladder:
+        One attempt is repair, else picker → engine table → post-run
+        (see the module docstring). Around it runs the ladder:
 
         1. per-level checkpoint/restart *inside* the engine (invisible
            here beyond ``level_restarts``),
@@ -186,11 +208,14 @@ class ExecutionEngine:
                 f"(version {entry.version}): evicted or superseded by a "
                 f"mutation — re-fetch from the registry"
             )
+        # Only the default option surface leaves solo XBFS: no other
+        # tier honours a pinned strategy, parent arrays or a truncated
+        # run, and only such runs' levels are valid repair bases.
+        default_surface = all(q.options.coalescing_key() is not None for q in live)
         inj = self.fault_injector
         if inj is None:
             return self._run_engine(
-                entry, live, sources, batched, now_ms=now_ms,
-                registry=registry,
+                entry, live, sources, batched, default_surface, now_ms, registry
             )
 
         recovery = self.recovery
@@ -198,22 +223,11 @@ class ExecutionEngine:
             self._breaker_cooldown_left -= 1
             if self._breaker_cooldown_left == 0:
                 self._fault_streak = 0  # half-open: next dispatch probes
-            self.metrics.record_fallback()
-            self.tracer.event(
-                "recovery.serial_fallback",
-                graph=graph_key,
+            return self._serial_fallback(
+                entry, live, sources, graph_key, now_ms,
                 reason="breaker_open",
+                cooldown_left=self._breaker_cooldown_left,
             )
-            if self.audit.enabled:
-                self.audit.record(
-                    "routing",
-                    [q.qid for q in live],
-                    "serial",
-                    at_ms=now_ms,
-                    reason="breaker_open",
-                    cooldown_left=self._breaker_cooldown_left,
-                )
-            return self._run_serial(entry, live, sources)
 
         attempt = 0
         backoff_total = 0.0
@@ -223,8 +237,8 @@ class ExecutionEngine:
                 # slow (latency kinds scale the modelled elapsed).
                 fault_scale = inj.visit("service.worker", graph_key)
                 elapsed, sharing, levels_of, engine = self._run_engine(
-                    entry, live, sources, batched, now_ms=now_ms,
-                    registry=registry,
+                    entry, live, sources, batched, default_surface, now_ms,
+                    registry,
                 )
             except (DeviceFaultError, RecoveryExhaustedError) as exc:
                 attempt += 1
@@ -245,22 +259,11 @@ class ExecutionEngine:
                             f"retries and serial fallback is disabled: "
                             f"{exc}"
                         ) from exc
-                    self.metrics.record_fallback()
-                    self.tracer.event(
-                        "recovery.serial_fallback",
-                        graph=graph_key,
+                    return self._serial_fallback(
+                        entry, live, sources, graph_key, now_ms,
                         reason="retries_exhausted",
+                        attempts=attempt,
                     )
-                    if self.audit.enabled:
-                        self.audit.record(
-                            "routing",
-                            [q.qid for q in live],
-                            "serial",
-                            at_ms=now_ms,
-                            reason="retries_exhausted",
-                            attempts=attempt,
-                        )
-                    return self._run_serial(entry, live, sources)
                 self.metrics.record_retry()
                 self.tracer.event(
                     "recovery.dispatch_retry",
@@ -297,59 +300,113 @@ class ExecutionEngine:
             return "linalg_batch"
         return "concurrent"
 
-    def routes_linalg(self, entry: RegistryEntry, live, sources) -> bool:
-        """Batch-width routing policy: a same-graph dispatch runs as one
-        masked CSR×matrix product when the tier is enabled and the
-        distinct-source count reaches ``linalg_batch_threshold`` — or
-        exceeds the concurrent engine's 64-slot word outright, which no
-        other batched engine could serve. Solo-only option surfaces
-        (pinned strategy, parents, truncation) never route."""
-        threshold = self.linalg_batch_threshold
-        if threshold is None:
-            return False
+    def _pick(self, entry: RegistryEntry, sources, batched, default_surface):
+        """The tier for one dispatch (first match wins) and the inputs
+        behind the pick, for its ``routing`` audit record."""
+        footprint = entry.graph.memory_bytes
         k = len(sources)
-        if k < 2 or (k < threshold and k <= MAX_CONCURRENT):
-            return False
-        return all(q.options.coalescing_key() is not None for q in live)
+        size_cut = self.distributed_threshold_bytes
+        width_cut = self.linalg_batch_threshold
+        if (default_surface and self.num_gcds >= 2
+                and size_cut is not None and footprint > size_cut):
+            # Graph size dominates: a CSR that outgrows one GCD's
+            # residency also outgrows the single-GCD bitmap engine.
+            tier = "grid2d" if self.partition == "2d" else "multigcd"
+            return tier, dict(
+                footprint_bytes=footprint, distributed_threshold_bytes=size_cut,
+                num_gcds=self.num_gcds, partition=self.partition, batch=k,
+            )
+        if (default_surface and width_cut is not None and k >= 2
+                and (k >= width_cut or k > MAX_CONCURRENT)):
+            # Batch width: past the threshold — or past the concurrent
+            # engine's 64-slot word, which no other batched engine
+            # could serve — one masked CSR×matrix product.
+            return "linalg_batch", dict(
+                batch=k, linalg_batch_threshold=width_cut,
+                max_concurrent=MAX_CONCURRENT, footprint_bytes=footprint,
+            )
+        if batched:
+            return "concurrent", dict(batch=k, footprint_bytes=footprint)
+        return "solo", dict(batch=1, footprint_bytes=footprint)
 
-    def routes_distributed(self, entry: RegistryEntry, live) -> bool:
-        """Size-aware routing policy: a dispatch goes to the multi-GCD
-        pod when the graph's CSR footprint exceeds the single-GCD
-        residency threshold *and* every member query carries the
-        default option surface (the distributed engine honours neither
-        pinned strategies, parent arrays nor truncated runs — those
-        stay solo, whatever the size)."""
-        threshold = self.distributed_threshold_bytes
-        if threshold is None or self.num_gcds < 2:
-            return False
-        if entry.graph.memory_bytes <= threshold:
-            return False
-        return all(q.options.coalescing_key() is not None for q in live)
+    def _run_engine(self, entry: RegistryEntry, live, sources, batched,
+                    default_surface, now_ms, registry):
+        if default_surface:
+            repaired = self._maybe_repair(entry, live, sources, registry, now_ms)
+            if repaired is not None:
+                return repaired
+        tier, detail = self._pick(entry, sources, batched, default_surface)
+        engine = self._engine(entry, tier)
+        if tier == "solo":
+            opts = live[0].options
+            result = engine.run(
+                live[0].source,
+                force_strategy=opts.force_strategy,
+                max_levels=opts.max_levels,
+                record_parents=opts.record_parents,
+            )
+        elif tier in _POD_TIERS:
+            result = engine.run_batch(np.asarray(sources, dtype=np.int64))
+        else:
+            result = engine.run(np.asarray(sources, dtype=np.int64))
 
-    def _run_engine(self, entry: RegistryEntry, live, sources, batched, *,
-                    now_ms=0.0, registry=None):
-        repaired = self._maybe_repair(entry, live, sources, registry, now_ms)
-        if repaired is not None:
-            return repaired
-        elapsed, sharing, levels_of, engine = self._route(
-            entry, live, sources, batched, now_ms=now_ms
-        )
+        if result.level_restarts:
+            self.metrics.record_level_restarts(result.level_restarts)
+        if self.audit.enabled:
+            # One "routing" record per live query, carrying the inputs
+            # behind the tier pick, then the run's per-level decisions.
+            self.audit.record(
+                "routing", [q.qid for q in live], tier, at_ms=now_ms, **detail
+            )
+            self._audit_levels(tier, live, result, now_ms)
         # Cache the freshly-computed level arrays on the entry: they
-        # are the repair bases a future mutation relaxes from. Only
-        # default-option surfaces qualify (a truncated or pinned run's
-        # levels are not a valid basis).
-        if all(q.options.coalescing_key() is not None for q in live):
+        # are the repair bases a future mutation relaxes from.
+        if default_surface:
             for src in sources:
-                entry.store_levels(src, levels_of(src))
-        return elapsed, sharing, levels_of, engine
+                entry.store_levels(src, result.levels_of(src))
+        return result.elapsed_ms, result.sharing_factor, result.levels_of, tier
+
+    def _audit_levels(self, tier, live, result, now_ms):
+        """The ``direction`` records (and the pods' ``codec`` records)
+        of one run, for every live query of its dispatch."""
+        if tier not in _POD_TIERS:
+            # One shared level loop answered every query: each level's
+            # decision lands on all of them, level-major.
+            qids = [q.qid for q in live]
+            for level, dec in enumerate(result.decisions):
+                signals = {k: v for k, v in dec.signals if k != "level"}
+                self.audit.record(
+                    "direction", qids, dec.strategy, at_ms=now_ms,
+                    level=level, reason=dec.reason, **signals,
+                )
+            return
+        # A pod runs once per distinct source, and each query's chain
+        # shows the decisions of its own run.
+        run_of = {run.source: run for run in result.runs}
+        for q in live:
+            for rec in run_of[q.source].level_decisions:
+                detail = {k: v for k, v in rec.items()
+                          if k not in ("direction", "formats") and v is not None}
+                self.audit.record(
+                    "direction", q.qid, rec["direction"], at_ms=now_ms, **detail
+                )
+                formats = rec.get("formats") or {}
+                if sum(formats.values()):
+                    picks = " ".join(
+                        f"{f}:{n}" for f, n in sorted(formats.items()) if n
+                    )
+                    self.audit.record(
+                        "codec", q.qid, picks, at_ms=now_ms,
+                        level=rec["level"], comm_bytes=rec.get("comm_bytes", 0),
+                    )
 
     def _maybe_repair(self, entry: RegistryEntry, live, sources, registry,
                       now_ms):
         """Incremental-repair tier: serve a post-mutation dispatch by
         re-relaxing cached level bases instead of recomputing.
 
-        Eligible only when the graph has been mutated (version > 0),
-        every query carries the default option surface, every source
+        Tried only for the default option surface, and eligible only
+        when the graph has been mutated (version > 0), every source
         has a cached basis, the deltas since each basis are
         insert-only, and the cumulative insert batch stays under
         ``repair_max_fraction`` of the mutated graph's edges. Any
@@ -359,8 +416,6 @@ class ExecutionEngine:
         if registry is None or entry.version == 0:
             return None
         if self.repair_max_fraction <= 0:
-            return None
-        if not all(q.options.coalescing_key() is not None for q in live):
             return None
 
         max_inserts = self.repair_max_fraction * max(1, entry.graph.num_edges)
@@ -433,139 +488,8 @@ class ExecutionEngine:
         sharing = len(live) / len(sources) if sources else 1.0
         return elapsed, sharing, lambda s: by_source[s], "repair"
 
-    def _route(self, entry: RegistryEntry, live, sources, batched, *, now_ms=0.0):
-        if self.routes_distributed(entry, live):
-            # Graph size dominates: a CSR that outgrows one GCD's
-            # residency also outgrows the single-GCD bitmap engine.
-            result = self._run_distributed(entry, sources)
-            engine = "grid2d" if self.partition == "2d" else "multigcd"
-            if self.audit.enabled:
-                self._audit_routing(
-                    live, engine, now_ms,
-                    footprint_bytes=entry.graph.memory_bytes,
-                    distributed_threshold_bytes=self.distributed_threshold_bytes,
-                    num_gcds=self.num_gcds,
-                    partition=self.partition,
-                    batch=len(sources),
-                )
-                self._audit_distributed(live, result, now_ms)
-            return result.elapsed_ms, 1.0, result.levels_of, engine
-        if self.routes_linalg(entry, live, sources):
-            result = self._run_batch(LinAlgBatchBFS, "linalg_batch", entry, sources)
-            if result.level_restarts:
-                self.metrics.record_level_restarts(result.level_restarts)
-            if self.audit.enabled:
-                self._audit_routing(
-                    live, "linalg_batch", now_ms,
-                    batch=len(sources),
-                    linalg_batch_threshold=self.linalg_batch_threshold,
-                    max_concurrent=MAX_CONCURRENT,
-                    footprint_bytes=entry.graph.memory_bytes,
-                )
-                qids = [q.qid for q in live]
-                for level, dec in enumerate(result.decisions):
-                    signals = {k: v for k, v in dec.signals if k != "level"}
-                    self.audit.record(
-                        "direction",
-                        qids,
-                        dec.strategy,
-                        at_ms=now_ms,
-                        level=level,
-                        reason=dec.reason,
-                        **signals,
-                    )
-            return (
-                result.elapsed_ms,
-                result.sharing_factor,
-                result.levels_of,
-                "linalg_batch",
-            )
-        if batched:
-            result = self._run_batch(ConcurrentBFS, "concurrent", entry, sources)
-            if result.level_restarts:
-                self.metrics.record_level_restarts(result.level_restarts)
-            if self.audit.enabled:
-                self._audit_routing(
-                    live, "concurrent", now_ms,
-                    batch=len(sources),
-                    footprint_bytes=entry.graph.memory_bytes,
-                )
-            return (
-                result.elapsed_ms,
-                result.sharing_factor,
-                result.levels_of,
-                "concurrent",
-            )
-        solo = self._run_solo(entry, live[0])
-        if solo.level_restarts:
-            self.metrics.record_level_restarts(solo.level_restarts)
-        if self.audit.enabled:
-            self._audit_routing(
-                live, "solo", now_ms,
-                batch=1,
-                footprint_bytes=entry.graph.memory_bytes,
-            )
-            for level, dec in enumerate(solo.decisions):
-                signals = {k: v for k, v in dec.signals if k != "level"}
-                self.audit.record(
-                    "direction",
-                    live[0].qid,
-                    dec.strategy,
-                    at_ms=now_ms,
-                    level=level,
-                    reason=dec.reason,
-                    **signals,
-                )
-        return solo.elapsed_ms, 1.0, lambda _s: solo.levels, "solo"
-
-    # ------------------------------------------------------------------
-    def _audit_routing(self, live, engine, now_ms, **detail):
-        # One "routing" record per live query of the dispatch, carrying
-        # the footprint/threshold inputs behind the tier pick.
-        self.audit.record(
-            "routing",
-            [q.qid for q in live],
-            engine,
-            at_ms=now_ms,
-            **detail,
-        )
-
-    def _audit_distributed(self, live, batch_result, now_ms):
-        # Per-level direction + codec records for a pod dispatch:
-        # run_batch returns one run per distinct source, and each
-        # query's chain shows the decisions of its own run.
-        run_of = {run.source: run for run in batch_result.runs}
-        for q in live:
-            run = run_of.get(q.source)
-            if run is None:
-                continue
-            for entry_rec in run.level_decisions:
-                detail = {
-                    k: v
-                    for k, v in entry_rec.items()
-                    if k not in ("direction", "formats") and v is not None
-                }
-                self.audit.record(
-                    "direction",
-                    q.qid,
-                    entry_rec["direction"],
-                    at_ms=now_ms,
-                    **detail,
-                )
-                formats = entry_rec.get("formats") or {}
-                if sum(formats.values()):
-                    self.audit.record(
-                        "codec",
-                        q.qid,
-                        " ".join(
-                            f"{fmt}:{n}" for fmt, n in sorted(formats.items()) if n
-                        ),
-                        at_ms=now_ms,
-                        level=entry_rec["level"],
-                        comm_bytes=entry_rec.get("comm_bytes", 0),
-                    )
-
-    def _run_serial(self, entry: RegistryEntry, live: list[Query], sources):
+    def _serial_fallback(self, entry: RegistryEntry, live: list[Query],
+                         sources, graph_key, now_ms, *, reason, **detail):
         """Circuit-breaker fallback: queue-based CPU BFS per source.
 
         ``bfs_levels_reference`` is the same int32 oracle the test suite
@@ -576,6 +500,19 @@ class ExecutionEngine:
         """
         from repro.graph.stats import bfs_levels_reference
 
+        self.metrics.record_fallback()
+        self.tracer.event(
+            "recovery.serial_fallback", graph=graph_key, reason=reason
+        )
+        if self.audit.enabled:
+            self.audit.record(
+                "routing",
+                [q.qid for q in live],
+                "serial",
+                at_ms=now_ms,
+                reason=reason,
+                **detail,
+            )
         graph = entry.graph
         by_source: dict[int, "np.ndarray"] = {}
         serial_edges = 0
@@ -620,86 +557,23 @@ class ExecutionEngine:
             entry.engines[slot] = device
         return device
 
-    def _run_batch(self, engine_cls, slot_name: str, entry: RegistryEntry, sources):
-        """One bitmap multi-source run (``ConcurrentBFS`` or
-        ``LinAlgBatchBFS``) on the engine cached under ``slot_name``."""
-        slot = self._slot(entry, slot_name)
+    def _engine(self, entry: RegistryEntry, tier: str):
+        """The ``tier``'s engine on ``entry``, built from
+        :data:`_BUILDERS` once and cached in the entry's ``engines``
+        slot — so repeated dispatches pay engine construction (a pod's
+        partitioning included) exactly as often as they pay CSR
+        construction: on a cold or evicted graph only."""
+        slot = self._slot(entry, tier)
         engine = entry.engines.get(slot)
-        if engine is None:
-            engine = engine_cls(
+        if engine is None or (
+            tier in _POD_TIERS and engine.num_gcds != self.num_gcds
+        ):
+            engine = _BUILDERS[tier](
+                self,
                 entry.graph,
-                device=self._device_of(entry),
-                tracer=self.tracer,
-                injector=self.fault_injector,
-                recovery=self.recovery,
-            )
-            entry.engines[slot] = engine
-        return engine.run(np.asarray(sources, dtype=np.int64))
-
-    def _run_distributed(self, entry: RegistryEntry, sources: list[int]):
-        """Serve one routed dispatch on the multi-GCD pod.
-
-        The engine — and with it the partition (1D edge-balanced rows
-        or the 2D checkerboard grid) — is built once per registry entry
-        and cached in the ``engines`` slot, so repeated dispatches pay
-        the partitioning exactly as often as they pay CSR construction:
-        on a cold (or evicted) graph only. The 1D path keeps the naive
-        exchange (its routing fingerprint is committed); the 2D path is
-        new surface and ships with the compressed exchange codec and
-        comm/compute overlap on.
-        """
-        if self.partition == "2d":
-            from repro.multigcd.exchange import ExchangeCodec
-            from repro.multigcd.grid2d import Grid2dBFS
-
-            slot = self._slot(entry, "grid2d")
-            engine = entry.engines.get(slot)
-            if engine is None or engine.num_gcds != self.num_gcds:
-                engine = Grid2dBFS(
-                    entry.graph,
-                    self.num_gcds,
-                    device=self._device_of(entry),
-                    tracer=self.tracer,
-                    injector=self.fault_injector,
-                    codec=ExchangeCodec(),
-                    overlap=True,
-                )
-                entry.engines[slot] = engine
-            return engine.run_batch(np.asarray(sources, dtype=np.int64))
-
-        from repro.multigcd.distributed_bfs import MultiGcdBFS
-
-        slot = self._slot(entry, "multigcd")
-        engine = entry.engines.get(slot)
-        if engine is None or engine.num_gcds != self.num_gcds:
-            engine = MultiGcdBFS(
-                entry.graph,
-                self.num_gcds,
                 device=self._device_of(entry),
                 tracer=self.tracer,
                 injector=self.fault_injector,
             )
             entry.engines[slot] = engine
-        return engine.run_batch(np.asarray(sources, dtype=np.int64))
-
-    def _run_solo(self, entry: RegistryEntry, query: Query):
-        from repro.xbfs.driver import XBFS
-
-        slot = self._slot(entry, "solo")
-        engine = entry.engines.get(slot)
-        if engine is None:
-            engine = XBFS(
-                entry.graph,
-                device=self._device_of(entry),
-                tracer=self.tracer,
-                injector=self.fault_injector,
-                recovery=self.recovery,
-            )
-            entry.engines[slot] = engine
-        opts = query.options
-        return engine.run(
-            query.source,
-            force_strategy=opts.force_strategy,
-            max_levels=opts.max_levels,
-            record_parents=opts.record_parents,
-        )
+        return engine

@@ -98,9 +98,13 @@ class QueryOutcome:
     sharing_factor: float = 1.0
     #: Whether the graph came out of the registry cache.
     cache_hit: bool = False
-    #: Engine that served the dispatch: ``"solo"`` (XBFS),
-    #: ``"concurrent"`` (iBFS batch), ``"multigcd"`` (distributed pod)
-    #: or ``"serial"`` (circuit-breaker fallback).
+    #: Engine that served the dispatch, one of
+    #: :data:`~repro.service.metrics.ENGINE_NAMES`: ``"solo"`` (XBFS),
+    #: ``"concurrent"`` (iBFS batch), ``"linalg_batch"`` (bitmap
+    #: CSR×matrix batch), ``"multigcd"`` / ``"grid2d"`` (1D / 2D
+    #: distributed pod), ``"repair"`` (incremental repair of cached
+    #: levels after a mutation) or ``"serial"`` (circuit-breaker
+    #: fallback).
     engine: str = "solo"
     #: Edges a solo traversal from this source expands (Graph500 credit).
     traversed_edges: int = 0

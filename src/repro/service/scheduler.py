@@ -163,32 +163,6 @@ class CoalescingScheduler:
         self._batch_seq = 0
 
     # ------------------------------------------------------------------
-    # Execution-policy attributes live on the executor; mirror them so
-    # scheduler-level callers (and older call sites) keep one facade.
-    @property
-    def num_gcds(self) -> int:
-        return self.executor.num_gcds
-
-    @property
-    def distributed_threshold_bytes(self) -> int | None:
-        return self.executor.distributed_threshold_bytes
-
-    @property
-    def linalg_batch_threshold(self) -> int | None:
-        return self.executor.linalg_batch_threshold
-
-    @property
-    def partition(self) -> str:
-        return self.executor.partition
-
-    @property
-    def recovery(self):
-        return self.executor.recovery
-
-    @property
-    def scaled_cache(self) -> bool:
-        return self.executor.scaled_cache
-
     @property
     def queue_depth(self) -> int:
         return len(self._pending)

@@ -76,6 +76,17 @@ class XBFSResult:
         return int(np.count_nonzero(self.levels >= 0))
 
     @property
+    def sharing_factor(self) -> float:
+        """1.0: one traversal answers one source."""
+        return 1.0
+
+    def levels_of(self, source: int) -> np.ndarray:
+        """The level array of ``source``, which must be this run's."""
+        if source != self.source:
+            raise TraversalError(f"source {source} is not this run's source {self.source}")
+        return self.levels
+
+    @property
     def gteps(self) -> float:
         """Giga traversed edges per second, modeled time."""
         if self.elapsed_ms <= 0:

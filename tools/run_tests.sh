@@ -40,8 +40,10 @@
 #                                 # bounded-metrics sketch and health
 #                                 # planes: the obs-on/off differential
 #                                 # wall, the explain-chain contract,
-#                                 # the Prometheus scrape round-trip
-#                                 # and the enabled-obs overhead bench
+#                                 # the executor's per-tier audit and
+#                                 # direction-record contract, the
+#                                 # Prometheus scrape round-trip and
+#                                 # the enabled-obs overhead bench
 #   tools/run_tests.sh all        # everything: tier-1 + tier-2 + the
 #                                 # regression gate against the committed
 #                                 # baseline fingerprint
@@ -94,7 +96,8 @@ case "$tier" in
     python -m pytest benchmarks/bench_mutation.py -s "$@"
     ;;
   obs)
-    python -m pytest tests/obs tests/telemetry/test_prometheus_labels.py "$@"
+    python -m pytest tests/obs tests/service/test_execution.py \
+      tests/telemetry/test_prometheus_labels.py "$@"
     python -m pytest benchmarks/bench_obs_overhead.py -s "$@"
     ;;
   all)
