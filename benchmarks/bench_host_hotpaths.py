@@ -3,13 +3,14 @@ full-gather reference.
 
 Unlike the ``bench_table*``/``bench_fig*`` files (which regenerate the
 paper's *modelled* numbers), this bench measures the **host** Python
-that produces them, via :mod:`repro.perf`. It runs the same adaptive
-BFS twice — ``bottom_up_impl="reference"`` then ``"blocked"`` — on an
-R-MAT graph and compares the host seconds attributed to the bottom-up
-expand phases (``bu_probe`` + ``bu_proactive``), the exact code the
-blocked probe loop rewrites. The one-time transpose build is hoisted
-off the clock; the property suite guarantees both runs produce
-bit-identical results, so this is a pure like-for-like host timing.
+that produces them, on the host clock of a
+:class:`~repro.telemetry.tracer.Tracer`. It runs the same adaptive BFS
+twice — ``bottom_up_impl="reference"`` then ``"blocked"`` — on an
+R-MAT graph and compares the host seconds of the bottom-up
+``bfs.level`` spans, the levels whose expand the blocked probe loop
+rewrites. The one-time transpose build is hoisted off the clock; the
+property suite guarantees both runs produce bit-identical results, so
+this is a pure like-for-like host timing.
 
 Results land in ``BENCH_host_hotpaths.json`` at the repo root. The
 speedup threshold is *warn-only*: wall-clock numbers are
@@ -33,7 +34,8 @@ from pathlib import Path
 
 from repro.experiments.common import scaled_device
 from repro.graph.generators import rmat
-from repro.perf import HostProfiler
+from repro.telemetry import Tracer
+from repro.xbfs.classifier import BOTTOM_UP
 from repro.xbfs.driver import XBFS
 
 #: R-MAT scale / edge factor: hub-heavy and dense enough that the
@@ -48,22 +50,22 @@ _OUT = Path(__file__).resolve().parents[1] / "BENCH_host_hotpaths.json"
 
 
 def _expand_seconds(graph, impl: str) -> dict:
-    """Host seconds of the bottom-up expand phases for one impl."""
-    prof = HostProfiler()
-    engine = XBFS(graph, profiler=prof, bottom_up_impl=impl,
+    """Host seconds of the bottom-up ``bfs.level`` spans for one impl."""
+    tracer = Tracer()
+    engine = XBFS(graph, tracer=tracer, bottom_up_impl=impl,
                   device=scaled_device(graph))
     engine.reverse_graph  # build the transpose off the clock
     runs = [engine.run(s) for s in range(NUM_SOURCES)]
-    probe = prof.subtree_seconds("bottom_up/bu_probe")
-    proactive = prof.subtree_seconds("bottom_up/bu_proactive")
+    levels = [
+        s for s in tracer.spans_named("bfs.level")
+        if s.attrs["strategy"] == BOTTOM_UP
+    ]
     return {
         "impl": impl,
-        "probe_s": probe,
-        "proactive_s": proactive,
-        "expand_s": probe + proactive,
-        "bottom_up_levels": prof.counters.get("levels/bottom_up", 0),
+        "expand_s": sum(s.host_s for s in levels),
+        "level_s": [s.host_s for s in levels],
+        "bottom_up_levels": len(levels),
         "strategies": runs[-1].strategies,
-        "profile": prof.summary(),
     }
 
 
@@ -87,8 +89,9 @@ def run_host_hotpaths() -> dict:
         "threshold_warn_only": True,
         "threshold_met": speedup >= SPEEDUP_THRESHOLD,
         "note": (
-            "host wall-clock (time.perf_counter) — machine-dependent; "
-            "never compared by tools/check_regression.py"
+            "host wall-clock of the bottom-up bfs.level tracer spans "
+            "(time.perf_counter) — machine-dependent; never compared by "
+            "tools/check_regression.py"
         ),
     }
     _OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -100,12 +103,8 @@ def _render(report: dict) -> str:
     lines = [
         f"graph {report['graph']}  sources {report['num_sources']}  "
         f"bottom-up levels {blk['bottom_up_levels']}",
-        f"reference expand: {ref['expand_s'] * 1e3:8.2f} ms "
-        f"(probe {ref['probe_s'] * 1e3:.2f} + "
-        f"proactive {ref['proactive_s'] * 1e3:.2f})",
-        f"blocked expand:   {blk['expand_s'] * 1e3:8.2f} ms "
-        f"(probe {blk['probe_s'] * 1e3:.2f} + "
-        f"proactive {blk['proactive_s'] * 1e3:.2f})",
+        f"reference bottom-up: {ref['expand_s'] * 1e3:8.2f} ms",
+        f"blocked bottom-up:   {blk['expand_s'] * 1e3:8.2f} ms",
         f"speedup: {report['expand_speedup']:.2f}x "
         f"(threshold {report['speedup_threshold']:.1f}x, warn-only)",
         f"wrote {_OUT.name}",

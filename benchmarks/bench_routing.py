@@ -104,7 +104,6 @@ def run_routing_bench() -> list[dict]:
         report = service.replay(trace)
         busy_ms = sum(w["busy_ms"] for w in report.worker_stats)
         s = report.summary(label)
-        s.pop("host", None)
         s["num_gcds"] = num_gcds
         s["threshold_mb"] = threshold_mb if threshold_mb is not None else -1.0
         s["worker_busy_ms"] = busy_ms

@@ -63,7 +63,6 @@ from repro.xbfs import (
 )
 from repro.baselines import EnterpriseBFS, GunrockBFS, HierarchicalBFS, LinAlgBFS, SsspBFS
 from repro.multigcd import MultiGcdBFS
-from repro.perf import HostProfiler
 from repro.service import BFSService, GraphRegistry, Query, QueryOptions, ServiceReport
 from repro.telemetry import CounterRegistry, Tracer, write_chrome_trace
 
@@ -98,7 +97,6 @@ __all__ = [
     "MI250X_GCD",
     "P6000",
     "V100",
-    "HostProfiler",
     "XBFS",
     "XBFSResult",
     "BatchResult",

@@ -74,6 +74,7 @@ def parse_graph_spec(spec: str, *, scale_factor: int = 64, seed: int = 0) -> CSR
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.common import scaled_device
     from repro.metrics.tables import format_ratio
+    from repro.telemetry import Tracer
     from repro.xbfs.classifier import AdaptiveClassifier
     from repro.xbfs.driver import XBFS
 
@@ -84,21 +85,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.concurrent:
         return _run_concurrent(graph, args)
     device = scaled_device(graph) if args.scaled_cache else None
-    host_prof = None
-    tracer = None
-    if args.host_profile:
-        from repro.perf import HostProfiler
-        from repro.telemetry import Tracer
-
-        host_prof = HostProfiler()
-        tracer = Tracer()
+    tracer = Tracer() if args.host_profile else None
     engine = XBFS(
         graph,
         rearrange=args.rearrange,
         classifier=AdaptiveClassifier(alpha=args.alpha),
         **({"device": device} if device is not None else {}),
-        **({"profiler": host_prof} if host_prof is not None else {}),
-        **({"tracer": tracer} if tracer is not None else {}),
+        tracer=tracer,
     )
     sources = pick_sources(graph, args.sources, seed=args.seed + 1)
     batch = engine.run_many(sources, force_strategy=args.force)
@@ -116,54 +109,53 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"reached: {run.reached:,}/{graph.num_vertices:,}"
     )
     print(f"steady n-to-n: {batch.steady_gteps:.3f} GTEPS (modelled)")
-    if host_prof is not None:
-        print("host wall-clock profile (perf_counter, machine-dependent):")
-        print(host_prof.render())
     if tracer is not None:
-        _print_correlation(tracer, gcd_profiler=engine._gcd.profiler,
-                           host_profiler=host_prof)
+        # Correlate the run the lines above describe; its ``bfs.run``
+        # span has the same index as the run in ``batch.runs``.
+        index = next(i for i, r in enumerate(batch.runs) if r is run)
+        _print_correlation(tracer, run_index=index)
     if args.profile_csv:
         engine._gcd.profiler.to_csv(args.profile_csv)
         print(f"wrote kernel counters to {args.profile_csv}")
     return 0
 
 
-def _print_correlation(tracer, *, gcd_profiler=None, host_profiler=None) -> None:
-    """The per-level virtual/host table, read back through the registry."""
+def _print_correlation(tracer, *, run_index: int = -1) -> None:
+    """The per-level virtual/host table of one ``bfs.run`` span (by
+    index in run order; the last by default), read back through the
+    registry."""
     from repro.telemetry import CounterRegistry
 
     registry = CounterRegistry()
-    if gcd_profiler is not None:
-        registry.attach("gcd", gcd_profiler)
-    if host_profiler is not None:
-        registry.attach("host", host_profiler)
     registry.attach_tracer(tracer)
-    print("per-level virtual/host correlation (telemetry registry, last run):")
-    print(registry.render_correlation())
+    span = tracer.spans_named("bfs.run")[run_index]
+    source = span.attrs.get("source")
+    print(
+        f"per-level virtual/host correlation (telemetry registry, "
+        f"trace {span.trace_id}"
+        + (f", source {source}" if source is not None else "")
+        + "):"
+    )
+    print(registry.render_correlation(
+        registry.level_correlation(trace_id=span.trace_id)
+    ))
 
 
 def _run_concurrent(graph, args: argparse.Namespace) -> int:
     """``repro run --concurrent``: one iBFS-style shared traversal."""
     from repro.experiments.common import scaled_device
+    from repro.telemetry import Tracer
     from repro.xbfs.concurrent import ConcurrentBFS
 
     if args.force is not None:
         raise ReproError("--force cannot be combined with --concurrent "
                          "(the batched engine has no per-level strategies)")
     device = scaled_device(graph) if args.scaled_cache else None
-    host_prof = None
-    tracer = None
-    if args.host_profile:
-        from repro.perf import HostProfiler
-        from repro.telemetry import Tracer
-
-        host_prof = HostProfiler()
-        tracer = Tracer()
+    tracer = Tracer() if args.host_profile else None
     engine = ConcurrentBFS(
         graph,
         **({"device": device} if device is not None else {}),
-        **({"profiler": host_prof} if host_prof is not None else {}),
-        **({"tracer": tracer} if tracer is not None else {}),
+        tracer=tracer,
     )
     sources = pick_sources(graph, args.sources, seed=args.seed + 1)
     result = engine.run(sources)
@@ -178,12 +170,8 @@ def _run_concurrent(graph, args: argparse.Namespace) -> int:
         f"sharing factor: {result.sharing_factor:.2f}x"
     )
     print(f"aggregate: {result.gteps:.3f} GTEPS (modelled)")
-    if host_prof is not None:
-        print("host wall-clock profile (perf_counter, machine-dependent):")
-        print(host_prof.render())
     if tracer is not None:
-        _print_correlation(tracer, gcd_profiler=engine._gcd.profiler,
-                           host_profiler=host_prof)
+        _print_correlation(tracer)
     return 0
 
 
@@ -227,7 +215,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.jsonl:
         write_jsonl(tracer, args.jsonl)
         print(f"wrote JSONL span/event log to {args.jsonl}")
-    _print_correlation(tracer, gcd_profiler=engine._gcd.profiler)
+    _print_correlation(tracer)
     return 0
 
 
@@ -883,9 +871,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="keep the full 8 MiB L2 instead of scaling it "
                      "with the graph")
     run.add_argument("--host-profile", action="store_true",
-                     help="attach a repro.perf HostProfiler and print the "
-                          "host wall-clock attribution (machine-dependent, "
-                          "never part of the deterministic fingerprints)")
+                     help="trace the run and print its per-level host "
+                          "wall-clock next to the modelled time "
+                          "(machine-dependent, never part of the "
+                          "deterministic fingerprints)")
     run.add_argument("--profile-csv", default=None, metavar="PATH",
                      help="dump the per-kernel rocprofiler-style counters "
                      "of the last run to CSV")

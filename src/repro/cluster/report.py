@@ -14,7 +14,7 @@ scale-out story is judged on:
 Everything is virtual-time and deterministic, so
 :meth:`ClusterReport.summary` fingerprints the cluster layer the same
 way :class:`~repro.service.metrics.ServiceMetrics` fingerprints one
-service (nested machine-dependent ``host`` sections are dropped).
+service.
 """
 
 from __future__ import annotations
@@ -131,13 +131,11 @@ class ClusterReport:
             out[f"qos_{qos}_p50_ms"] = percentile(qlat, 50)
             out[f"qos_{qos}_p95_ms"] = percentile(qlat, 95)
             out[f"qos_{qos}_p99_ms"] = percentile(qlat, 99)
-        # Nested (non-fingerprinted) detail: per-replica summaries with
-        # their machine-dependent host sections dropped, the placement
-        # snapshot, per-tenant quota decisions.
+        # Nested (non-fingerprinted) detail: per-replica summaries, the
+        # placement snapshot, per-tenant quota decisions.
         per_replica = []
         for rep in self.replicas:
             rsum = rep["report"].summary(f"replica{rep['stats']['replica']}")
-            rsum.pop("host", None)
             rsum.update(rep["stats"])
             per_replica.append(rsum)
         out["per_replica"] = per_replica

@@ -3,14 +3,9 @@
 Everything here is computed from the virtual clock and the modelled
 kernel costs, so a replayed trace always yields identical numbers —
 which lets ``tools/check_regression.py`` fingerprint the serving layer
-exactly like the engines underneath it.
-
-The one exception is the *host* section: per-dispatch wall-clock
-seconds measured with ``time.perf_counter`` on the machine actually
-running the service. Those are machine-dependent by nature, so
-:meth:`ServiceMetrics.summary` nests them under a ``"host"`` dict whose
-values :func:`repro.metrics.results_io.diff_results` never compares
-(only top-level ints/floats enter the fingerprint).
+exactly like the engines underneath it. Host wall-clock time is not
+kept here: the ``service.dispatch`` span of a
+:class:`~repro.telemetry.tracer.Tracer` carries it.
 """
 
 from __future__ import annotations
@@ -68,9 +63,6 @@ class ServiceMetrics:
     rejected_by_tenant: dict[str, int] = field(default_factory=dict)
     first_arrival_ms: float | None = None
     last_finish_ms: float = 0.0
-    #: Host wall-clock seconds per dispatch (perf_counter; one entry
-    #: per engine run, machine-dependent — excluded from fingerprints).
-    host_dispatch_s: list[float] = field(default_factory=list)
     #: Dispatches per serving engine (``solo`` / ``concurrent`` /
     #: ``linalg_batch`` / ``multigcd`` / ``serial``) — the routing
     #: policy's observable.
@@ -99,7 +91,6 @@ class ServiceMetrics:
     latency_sketch: LatencySketch = field(default_factory=LatencySketch)
     sketch_by_qos: dict[str, LatencySketch] = field(default_factory=dict)
     recovery_sketch: LatencySketch = field(default_factory=LatencySketch)
-    host_sketch: LatencySketch = field(default_factory=LatencySketch)
     #: Served query count per QoS class (kept in both modes).
     served_by_qos: dict[str, int] = field(default_factory=dict)
     # Running totals that stand in for len()/sum() over the raw lists;
@@ -110,8 +101,6 @@ class ServiceMetrics:
     sharing_sum: float = 0.0
     latency_sum: float = 0.0
     recoveries_count: int = 0
-    host_dispatches: int = 0
-    host_total_s: float = 0.0
 
     # ------------------------------------------------------------------
     def record_outcome(self, outcome: QueryOutcome) -> None:
@@ -154,15 +143,6 @@ class ServiceMetrics:
         if self.exact_percentiles:
             self.batch_sizes.append(num_queries)
             self.sharing_factors.append(sharing_factor)
-
-    def record_host_dispatch(self, seconds: float) -> None:
-        """Record the host wall-clock cost of one dispatch."""
-        seconds = float(seconds)
-        self.host_dispatches += 1
-        self.host_total_s += seconds
-        self.host_sketch.record(seconds)
-        if self.exact_percentiles:
-            self.host_dispatch_s.append(seconds)
 
     def record_engine(self, engine: str) -> None:
         """Count one dispatch against the engine that served it."""
@@ -264,11 +244,6 @@ class ServiceMetrics:
             return percentile(self.recovery_ms, q)
         return self.recovery_sketch.percentile(q)
 
-    def host_percentile_ms(self, q: float) -> float:
-        if self.exact_percentiles:
-            return percentile(self.host_dispatch_s, q) * 1e3
-        return self.host_sketch.percentile(q) * 1e3
-
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Engine-routing snapshot: dispatch counts per serving engine
@@ -357,15 +332,6 @@ class ServiceMetrics:
         if registry_stats is not None:
             out["cache_hit_rate"] = registry_stats["hit_rate"]
             out["cache_evictions"] = registry_stats["evictions"]
-        # Machine-dependent wall-clock numbers ride in a nested dict so
-        # the deterministic fingerprint (top-level numerics only) never
-        # sees them.
-        out["host"] = {
-            "dispatches": self.host_dispatches,
-            "total_s": self.host_total_s,
-            "p50_ms": self.host_percentile_ms(50),
-            "p95_ms": self.host_percentile_ms(95),
-        }
         return out
 
     def render(self, *, registry_stats: dict | None = None) -> str:
@@ -413,14 +379,6 @@ class ServiceMetrics:
                 f"breaker_trips={s['breaker_trips']}  "
                 f"recovery p50 {s['recovery_p50_ms']:.3f} ms / "
                 f"p95 {s['recovery_p95_ms']:.3f} ms"
-            )
-        if self.host_dispatches:
-            h = s["host"]
-            lines.append(
-                f"host:       p50 {h['p50_ms']:.3f} ms  "
-                f"p95 {h['p95_ms']:.3f} ms wall-clock per dispatch "
-                f"({h['total_s'] * 1e3:.3f} ms total, "
-                f"{h['dispatches']} dispatches)"
             )
         if registry_stats is not None:
             lines.append(

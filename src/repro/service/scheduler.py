@@ -40,7 +40,6 @@ reproducible.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -341,10 +340,6 @@ class CoalescingScheduler:
         if not live:
             return
 
-        # Host wall-clock per dispatch (registry lookup/build + the
-        # actual engine run) — the machine-dependent complement of the
-        # virtual ``elapsed``; lands in metrics under the "host" section.
-        host_t0 = time.perf_counter()
         self._batch_seq += 1
         with self.tracer.span(
             "service.dispatch",
@@ -384,7 +379,6 @@ class CoalescingScheduler:
             )
             sp.set(engine=engine)
             self.metrics.record_engine(engine)
-            self.metrics.record_host_dispatch(time.perf_counter() - host_t0)
             if inj is not None:
                 self.metrics.sync_faults(inj.faults_injected)
 

@@ -3,9 +3,11 @@
 The paper's methodology *is* observability: its per-level rocprofiler
 counter study (Tables III–V, Fig 5) is what justifies the adaptive
 direction switch. This package turns that methodology into runtime
-infrastructure every layer emits into, instead of three silos
-(`repro.gcd.Profiler`, `repro.perf.HostProfiler`,
-`repro.service.ServiceMetrics`) that could not be correlated:
+infrastructure every layer emits into, instead of silos
+(`repro.gcd.Profiler`, `repro.service.ServiceMetrics`) that could not
+be correlated. The tracer's host clock is the package's only host
+timer: ``repro run --host-profile``, ``repro trace``, ``--trace-out``
+and the end-to-end harness all read host time from its spans.
 
 * :mod:`repro.telemetry.tracer`   — :class:`Tracer`: structured spans
   and point events with **dual clocks** (simulated virtual ms + host
@@ -15,7 +17,7 @@ infrastructure every layer emits into, instead of three silos
   zero-overhead disabled path (:data:`NULL_TRACER`).
 * :mod:`repro.telemetry.counters` — :class:`CounterRegistry`: one
   namespaced ``dotted.name -> number`` read API over the kernel
-  counters, host timers, serving aggregates and the tracer itself.
+  counters, serving aggregates and the tracer itself.
 * :mod:`repro.telemetry.export`   — JSONL event log, Chrome/Perfetto
   ``trace_event`` JSON, and a Prometheus-style text snapshot.
 * :mod:`repro.telemetry.stats`    — the shared :func:`percentile`

@@ -1,13 +1,15 @@
 """One namespaced read API over every counter surface in the package.
 
-The repo grew three siloed observability surfaces — the virtual-time
-kernel counters of :class:`repro.gcd.profiler.Profiler`, the host
-wall-clock scopes of :class:`repro.perf.HostProfiler`, and the serving
-aggregates of :class:`repro.service.metrics.ServiceMetrics`. A
-:class:`CounterRegistry` attaches any number of them under namespaces
-and flattens everything into one ``dotted.name -> number`` view, so
-regression gates, experiments and the Prometheus exporter consume a
-single source of truth instead of three bespoke summary shapes.
+The counter surfaces — the virtual-time kernel counters of
+:class:`repro.gcd.profiler.Profiler`, the serving aggregates of
+:class:`repro.service.metrics.ServiceMetrics` and the
+:class:`~repro.telemetry.tracer.Tracer` itself — each keep their own
+summary shape. A :class:`CounterRegistry` attaches any number of them
+under namespaces and flattens everything into one
+``dotted.name -> number`` view, so regression gates, experiments and
+the Prometheus exporter consume a single source of truth. Host
+wall-clock time is not a counter: it lives on the tracer's spans (see
+:meth:`CounterRegistry.level_correlation`).
 
 Keys are ``<namespace>.<metric>``; collection happens at
 :meth:`CounterRegistry.snapshot` time, so one registry can be read
@@ -50,22 +52,6 @@ def _collect_gcd_profiler(profiler) -> dict:
     return out
 
 
-def _collect_host_profiler(profiler) -> dict:
-    """Timer/counter scopes from :class:`repro.perf.HostProfiler`.
-
-    Wall-clock values are machine-dependent; they ride in the registry
-    like everything else and are excluded from fingerprints by *name*
-    (the regression gate hashes counter names, never host values).
-    """
-    out = {}
-    for key, stats in sorted(profiler.timers.items()):
-        out[f"timer.{key}.total_s"] = stats.total_s
-        out[f"timer.{key}.calls"] = stats.calls
-    for key, n in sorted(profiler.counters.items()):
-        out[f"counter.{key}"] = n
-    return out
-
-
 def _collect_service_metrics(metrics) -> dict:
     """Flattened :meth:`ServiceMetrics.summary` (minus the name)."""
     summary = metrics.summary("service")
@@ -104,8 +90,8 @@ class CounterRegistry:
 
         ``source`` may be a zero-argument callable returning a flat
         ``metric -> number`` dict, or one of the known surfaces
-        (gcd ``Profiler``, ``HostProfiler``, ``ServiceMetrics``,
-        ``Tracer``), which get the matching adapter.
+        (gcd ``Profiler``, ``ServiceMetrics``, ``Tracer``), which get
+        the matching adapter.
         """
         if not namespace or "." in namespace:
             raise ValueError(f"bad namespace {namespace!r} (no dots, non-empty)")
@@ -123,8 +109,6 @@ class CounterRegistry:
     def _adapter_for(self, source) -> Callable[[], dict]:
         if hasattr(source, "records") and hasattr(source, "per_kernel_totals"):
             return lambda: _collect_gcd_profiler(source)
-        if hasattr(source, "timers") and hasattr(source, "counters"):
-            return lambda: _collect_host_profiler(source)
         if hasattr(source, "record_outcome") and hasattr(source, "summary"):
             return lambda: _collect_service_metrics(source)
         if hasattr(source, "spans") and hasattr(source, "events"):

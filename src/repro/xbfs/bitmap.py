@@ -42,7 +42,6 @@ from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.classifier import Decision
 from repro.xbfs.common import gather_adjacency, replay_on_fault
@@ -351,13 +350,11 @@ class BitmapBatchEngine:
     engines over one simulated GCD.
 
     A subclass names itself (:attr:`ENGINE`, the tag on spans, launches
-    and errors; :attr:`TIMER`, the host-profiler timer around the
-    product) and implements :meth:`_plan` and :meth:`_charge`; its
+    and errors) and implements :meth:`_plan` and :meth:`_charge`; its
     ``run`` validates the batch and calls :meth:`_traverse`.
     """
 
     ENGINE = ""
-    TIMER = ""
 
     def __init__(
         self,
@@ -365,7 +362,6 @@ class BitmapBatchEngine:
         *,
         device: DeviceProfile = MI250X_GCD,
         config: ExecConfig | None = None,
-        profiler: HostProfiler | None = None,
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
@@ -373,7 +369,6 @@ class BitmapBatchEngine:
         self.graph = graph
         self.device = device
         self.config = config or ExecConfig()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Optional :class:`~repro.telemetry.tracer.Tracer`; runs emit
         #: ``bfs.run``/``bfs.level`` spans like the solo driver, tagged
         #: ``engine=ENGINE``.
@@ -447,7 +442,6 @@ class BitmapBatchEngine:
     ) -> BitmapBatchResult:
         graph = self.graph
         tracer = self.tracer
-        prof = self.profiler
         n = graph.num_vertices
         degs = graph.degrees
         full = full_row_mask(k)[np.newaxis, :]
@@ -482,16 +476,15 @@ class BitmapBatchEngine:
                 strategy=decision.strategy,
                 frontier=int(active.size),
             ):
-                with prof.timer(self.TIMER):
-                    if cand is None:
-                        fresh = push_product(graph, frontier, active) & missing
-                    else:
-                        fresh = np.zeros_like(frontier)
-                        fresh[cand] = (
-                            pull_product(graph.reverse(), frontier, cand)
-                            & missing[cand]
-                        )
-                    newly = occupied_rows(fresh)
+                if cand is None:
+                    fresh = push_product(graph, frontier, active) & missing
+                else:
+                    fresh = np.zeros_like(frontier)
+                    fresh[cand] = (
+                        pull_product(graph.reverse(), frontier, cand)
+                        & missing[cand]
+                    )
+                newly = occupied_rows(fresh)
 
                 def attempt() -> int:
                     examined = self._charge(
@@ -517,7 +510,6 @@ class BitmapBatchEngine:
             solo_edges += int((popcount_rows(frontier[active]) * degs[active]).sum())
             level_restarts += restarts
             decisions.append(decision)
-            prof.count(f"levels/{decision.strategy}")
             prev_active = int(active.size)
             frontier, active = fresh, newly
             level += 1

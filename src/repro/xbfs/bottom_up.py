@@ -50,7 +50,6 @@ from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.perf import NULL_PROFILER
 from repro.xbfs.common import (
     DEFAULT_PROBE_BLOCK,
     UNVISITED,
@@ -163,7 +162,6 @@ def run_level(
     impl: str = "blocked",
     probe_block: int = DEFAULT_PROBE_BLOCK,
     scratch: ScratchPool | None = None,
-    profiler=None,
 ) -> LevelResult:
     """Expand one level bottom-up.
 
@@ -178,18 +176,16 @@ def run_level(
 
     ``impl`` selects the host expand implementation (see module docs);
     both produce bit-identical results. ``scratch`` pools the per-level
-    temporaries across levels; ``profiler`` attributes host wall time.
+    temporaries across levels.
     """
     if impl not in IMPLS:
         raise TraversalError(f"unknown bottom-up impl {impl!r}; use one of {IMPLS}")
     if workload_balanced is None:
         workload_balanced = gcd.config.bottom_up_workload_balancing
     incoming = reverse_graph if reverse_graph is not None else graph
-    prof = profiler if profiler is not None else NULL_PROFILER
     if scratch is None:
         scratch = ScratchPool()
-    with prof.timer("bu_queue_gen"):
-        queue, records = _queue_generation(status, gcd, level, ratio)
+    queue, records = _queue_generation(status, gcd, level, ratio)
     u = int(queue.size)
     wf = gcd.device.wavefront_size
     line = gcd.device.cache_line_bytes
@@ -199,25 +195,22 @@ def run_level(
     # ------------------------------------------------------------------
     degs = incoming.degrees[queue]
     neighbors = None  # full gather exists only on the reference path
-    with prof.timer("bu_probe"):
-        if impl == "reference":
-            neighbors, _owner = gather_neighbors(incoming, queue)
-            match = status.levels[neighbors] == level
-            first = first_match_per_segment(match, degs)
-        else:
+    if impl == "reference":
+        neighbors, _owner = gather_neighbors(incoming, queue)
+        match = status.levels[neighbors] == level
+        first = first_match_per_segment(match, degs)
+    else:
 
-            def at_level(cols, _owners):
-                lv = np.take(
-                    status.levels, cols,
-                    out=scratch.take("bu_col_levels", cols.size, np.int32),
-                )
-                return np.equal(
-                    lv, level, out=scratch.take("bu_col_match", cols.size, bool)
-                )
-
-            first = blocked_first_match(
-                incoming, queue, at_level, block=probe_block, profiler=prof
+        def at_level(cols, _owners):
+            lv = np.take(
+                status.levels, cols,
+                out=scratch.take("bu_col_levels", cols.size, np.int32),
             )
+            return np.equal(
+                lv, level, out=scratch.take("bu_col_match", cols.size, bool)
+            )
+
+        first = blocked_first_match(incoming, queue, at_level, block=probe_block)
     found = first >= 0
     scan_len = np.where(found, first + 1, degs)
     if workload_balanced:
@@ -241,7 +234,7 @@ def run_level(
         # queue is sorted) was already level+1 when scanned.
         miss = ~found
         if miss.any():
-            with prof.timer("bu_proactive"), scratch.flagged_mask(
+            with scratch.flagged_mask(
                 "bu_promoted", status.num_vertices, promoted
             ) as promoted_mask:
                 if impl == "reference":
@@ -264,7 +257,6 @@ def run_level(
                         incoming, queue, promoted_earlier,
                         block=probe_block,
                         active=np.flatnonzero(miss),
-                        profiler=prof,
                     )
                     candidates = second >= 0
             proactive_vertices = queue[candidates]

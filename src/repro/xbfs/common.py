@@ -181,7 +181,6 @@ def blocked_first_match(
     *,
     block: int = DEFAULT_PROBE_BLOCK,
     active: np.ndarray | None = None,
-    profiler=None,
 ) -> np.ndarray:
     """Early-terminating first-match search over CSR adjacency, done in
     column blocks so host traffic tracks the *scan length*, not O(|E|).
@@ -209,9 +208,6 @@ def blocked_first_match(
     active:
         Optional segment indices to probe; others keep ``-1`` (the
         proactive second scan only re-walks the miss segments).
-    profiler:
-        Optional :class:`repro.perf.HostProfiler`; counts probe rounds
-        and gathered slots.
 
     Returns
     -------
@@ -234,8 +230,6 @@ def blocked_first_match(
         alive = np.asarray(active, dtype=np.int64)
         alive = alive[degs[alive] > 0]
     offset = 0
-    rounds = 0
-    gathered = 0
     while alive.size:
         width = np.minimum(degs[alive] - offset, block)
         total = int(width.sum())
@@ -248,14 +242,9 @@ def blocked_first_match(
         first = first_match_per_segment(match, width)
         hit = first >= 0
         out[alive[hit]] = offset + first[hit]
-        rounds += 1
-        gathered += total
         offset += block
         survivors = alive[~hit]
         alive = survivors[degs[survivors] > offset]
-    if profiler is not None:
-        profiler.count("probe_rounds", rounds)
-        profiler.count("probe_slots_gathered", gathered)
     return out
 
 

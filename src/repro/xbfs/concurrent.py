@@ -108,7 +108,6 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
     """Bit-parallel batched BFS over one simulated GCD."""
 
     ENGINE = "concurrent"
-    TIMER = "cb_expand"
 
     @property
     def warm_bytes(self) -> int:
@@ -134,7 +133,6 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
         pull_edges = int(self.graph.reverse().degrees[cand].sum())
         signals = (("push_edges", frontier_edges), ("pull_edges", pull_edges))
         if pull_edges < frontier_edges:
-            self.profiler.count("levels/concurrent_pull")
             return Decision(self.ENGINE, "pull scans fewer edges", signals), cand
         return Decision(self.ENGINE, "push scans fewer edges", signals), None
 

@@ -25,7 +25,6 @@ from repro.gcd.memory import seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.graph.rearrange import rearrange_by_degree
-from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs import bottom_up, scan_free, single_scan
 from repro.xbfs.classifier import (
@@ -157,10 +156,6 @@ class XBFS:
         the paper's preprocessing.
     proactive:
         Enable the bottom-up proactive next-level update.
-    profiler:
-        Optional :class:`repro.perf.HostProfiler` receiving host
-        wall-clock attribution (per strategy and per host kernel phase)
-        across every run of this engine.
     tracer:
         Optional :class:`repro.telemetry.tracer.Tracer`; each run
         becomes a ``bfs.run`` span containing per-level ``bfs.level``
@@ -196,7 +191,6 @@ class XBFS:
         classifier: AdaptiveClassifier | None = None,
         rearrange: bool = False,
         proactive: bool = True,
-        profiler: HostProfiler | None = None,
         tracer: Tracer | None = None,
         bottom_up_impl: str = "blocked",
         probe_block: int = DEFAULT_PROBE_BLOCK,
@@ -215,7 +209,6 @@ class XBFS:
         self.device = device
         self.classifier = classifier or AdaptiveClassifier()
         self.proactive = proactive
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.bottom_up_impl = bottom_up_impl
         self.probe_block = probe_block
@@ -354,7 +347,6 @@ class XBFS:
         decisions: list[Decision] = []
         level_results: list[LevelResult] = []
         level_restarts = init_restarts
-        prof = self.profiler
 
         # The frontier at level L+1 is exactly the vertices this level
         # promoted (``new_vertices``) plus the proactive carries from
@@ -390,59 +382,53 @@ class XBFS:
                 handoff_queue=handoff_queue, handoff_exact=handoff_exact,
             ):
                 if strategy == BOTTOM_UP:
-                    with prof.timer(BOTTOM_UP):
-                        result = bottom_up.run_level(
-                            graph,
-                            status,
-                            level,
-                            gcd,
-                            ratio=ratio,
-                            proactive=self.proactive,
-                            reverse_graph=self.reverse_graph,
-                            parents=parents,
-                            impl=self.bottom_up_impl,
-                            probe_block=self.probe_block,
-                            scratch=self._scratch,
-                            profiler=prof,
-                        )
+                    result = bottom_up.run_level(
+                        graph,
+                        status,
+                        level,
+                        gcd,
+                        ratio=ratio,
+                        proactive=self.proactive,
+                        reverse_graph=self.reverse_graph,
+                        parents=parents,
+                        impl=self.bottom_up_impl,
+                        probe_block=self.probe_block,
+                        scratch=self._scratch,
+                    )
                 elif strategy == SINGLE_SCAN:
                     reusable = (
                         handoff_queue
                         if (self.classifier.use_no_gen and force_strategy is None)
                         else None
                     )
-                    with prof.timer(SINGLE_SCAN):
-                        result = single_scan.run_level(
-                            graph,
-                            status,
-                            None,
-                            level,
-                            gcd,
-                            ratio=ratio,
-                            reusable_queue=reusable,
-                            queue_exact=handoff_exact,
-                            parents=parents,
-                            scratch=self._scratch,
-                            profiler=prof,
-                        )
+                    result = single_scan.run_level(
+                        graph,
+                        status,
+                        None,
+                        level,
+                        gcd,
+                        ratio=ratio,
+                        reusable_queue=reusable,
+                        queue_exact=handoff_exact,
+                        parents=parents,
+                        scratch=self._scratch,
+                    )
                 else:  # scan-free
-                    with prof.timer(SCAN_FREE):
-                        if handoff_queue is not None and handoff_exact:
-                            queue = handoff_queue
-                        else:
-                            # No usable queue (e.g. after single-scan): one
-                            # status sweep rebuilds it, then scan-free
-                            # self-sustains. The generation record lands in
-                            # the profiler via the shared kernel helper.
-                            queue, _gen_records = single_scan._queue_gen(
-                                status, level, gcd, ratio
-                            )
-                        result = scan_free.run_level(
-                            graph, status, queue, level, gcd, ratio=ratio,
-                            parents=parents,
-                            scratch=self._scratch,
-                            profiler=prof,
+                    if handoff_queue is not None and handoff_exact:
+                        queue = handoff_queue
+                    else:
+                        # No usable queue (e.g. after single-scan): one
+                        # status sweep rebuilds it, then scan-free
+                        # self-sustains. The generation record lands in
+                        # the profiler via the shared kernel helper.
+                        queue, _gen_records = single_scan._queue_gen(
+                            status, level, gcd, ratio
                         )
+                    result = scan_free.run_level(
+                        graph, status, queue, level, gcd, ratio=ratio,
+                        parents=parents,
+                        scratch=self._scratch,
+                    )
                 gcd.sync()
                 return result
 
@@ -461,7 +447,6 @@ class XBFS:
                         attempt_level, status, parents, level, gcd
                     )
                     level_restarts += restarts
-            prof.count("levels/" + strategy)
 
             strategies.append(strategy)
             decisions.append(decision)

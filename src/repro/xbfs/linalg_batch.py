@@ -49,7 +49,6 @@ from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.graph.csr import CSRGraph
-from repro.perf import HostProfiler
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import BOTTOM_UP, SINGLE_SCAN, AdaptiveClassifier, Decision
@@ -79,7 +78,6 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
     """Whole-batch BFS as masked Boolean CSR×matrix products."""
 
     ENGINE = "linalg_batch"
-    TIMER = "lab_level"
 
     def __init__(
         self,
@@ -89,7 +87,6 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
         config: ExecConfig | None = None,
         classifier: AdaptiveClassifier | None = None,
         direction: str = "auto",
-        profiler: HostProfiler | None = None,
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
@@ -99,8 +96,8 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
                 f"direction must be one of {_DIRECTIONS}, got {direction!r}"
             )
         super().__init__(
-            graph, device=device, config=config, profiler=profiler,
-            tracer=tracer, injector=injector, recovery=recovery,
+            graph, device=device, config=config, tracer=tracer,
+            injector=injector, recovery=recovery,
         )
         #: Per-level direction chooser; the α-threshold frontier-density
         #: signal is exactly the solo driver's (dense levels pull,

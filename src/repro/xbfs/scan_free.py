@@ -20,7 +20,6 @@ from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD, KernelSpec
 from repro.graph.csr import CSRGraph
-from repro.perf import NULL_PROFILER
 from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
@@ -94,7 +93,6 @@ def run_level(
     ratio: float = 0.0,
     parents: np.ndarray | None = None,
     scratch: ScratchPool | None = None,
-    profiler=None,
 ) -> LevelResult:
     """Expand one level scan-free.
 
@@ -102,9 +100,8 @@ def run_level(
     into concurrent launches (the CUDA design); with 1 stream it is one
     launch (the AMD consolidation). ``scratch`` is accepted for parity
     with the other strategies (the CAS path allocates only its winner
-    arrays); ``profiler`` attributes host wall time.
+    arrays).
     """
-    prof = profiler if profiler is not None else NULL_PROFILER
     frontier = np.asarray(frontier, dtype=np.int64)
     chunks = split_for_streams(graph, frontier, gcd.config.num_streams)
     records = []
@@ -112,10 +109,9 @@ def run_level(
     edges = 0
     if len(chunks) <= 1:
         chunk = chunks[0] if chunks else frontier
-        with prof.timer("sf_expand"):
-            streams, work, winners, e_f, items = _expand_chunk(
-                graph, status, chunk, level, gcd, parents
-            )
+        streams, work, winners, e_f, items = _expand_chunk(
+            graph, status, chunk, level, gcd, parents
+        )
         records.append(
             gcd.launch(
                 "sf_expand",
@@ -132,10 +128,9 @@ def run_level(
     else:
         specs = []
         for chunk in chunks:
-            with prof.timer("sf_expand"):
-                streams, work, winners, e_f, items = _expand_chunk(
-                    graph, status, chunk, level, gcd, parents
-                )
+            streams, work, winners, e_f, items = _expand_chunk(
+                graph, status, chunk, level, gcd, parents
+            )
             specs.append(
                 KernelSpec(
                     name="sf_expand",

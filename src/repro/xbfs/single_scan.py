@@ -31,7 +31,6 @@ from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD, KernelSpec
 from repro.graph.csr import CSRGraph
-from repro.perf import NULL_PROFILER
 from repro.xbfs.common import (
     UNVISITED,
     gather_neighbors,
@@ -152,16 +151,14 @@ def run_level(
     queue_exact: bool = False,
     parents: np.ndarray | None = None,
     scratch: ScratchPool | None = None,
-    profiler=None,
 ) -> LevelResult:
     """Expand one level with single-scan.
 
     ``frontier`` may be ``None`` when the caller wants the strategy to
     generate it (the normal mode, kernel A). ``reusable_queue`` engages
     the no-frontier-generation variant. ``scratch`` pools the per-level
-    gather buffers; ``profiler`` attributes host wall time.
+    gather buffers.
     """
-    prof = profiler if profiler is not None else NULL_PROFILER
     records = []
     filtered_from = 0
     if reusable_queue is not None:
@@ -173,8 +170,7 @@ def run_level(
             frontier = q[status.levels[q] == level]
             filtered_from = int(q.size)
     elif frontier is None:
-        with prof.timer("ss_queue_gen"):
-            frontier, records = _queue_gen(status, level, gcd, ratio)
+        frontier, records = _queue_gen(status, level, gcd, ratio)
     frontier = np.asarray(frontier, dtype=np.int64)
 
     chunks = split_for_streams(graph, frontier, gcd.config.num_streams)
@@ -182,11 +178,10 @@ def run_level(
     edges = 0
     if len(chunks) <= 1:
         chunk = chunks[0] if chunks else frontier
-        with prof.timer("ss_expand"):
-            streams, work, new_vertices, e_f, items = _expand_chunk(
-                graph, status, chunk, level, gcd, filtered_from=filtered_from,
-                parents=parents, scratch=scratch,
-            )
+        streams, work, new_vertices, e_f, items = _expand_chunk(
+            graph, status, chunk, level, gcd, filtered_from=filtered_from,
+            parents=parents, scratch=scratch,
+        )
         records.append(
             gcd.launch(
                 "ss_expand",
@@ -203,12 +198,11 @@ def run_level(
     else:
         specs = []
         for i, chunk in enumerate(chunks):
-            with prof.timer("ss_expand"):
-                streams, work, new_vertices, e_f, items = _expand_chunk(
-                    graph, status, chunk, level, gcd,
-                    filtered_from=filtered_from if i == 0 else 0,
-                    parents=parents, scratch=scratch,
-                )
+            streams, work, new_vertices, e_f, items = _expand_chunk(
+                graph, status, chunk, level, gcd,
+                filtered_from=filtered_from if i == 0 else 0,
+                parents=parents, scratch=scratch,
+            )
             specs.append(
                 KernelSpec(
                     name="ss_expand",

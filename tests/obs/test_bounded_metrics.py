@@ -38,8 +38,6 @@ def _drive(metrics: ServiceMetrics) -> None:
         )
         if i % 5 == 0:
             metrics.record_recovery(latency * 0.1)
-        if i % 7 == 0:
-            metrics.record_host_dispatch(latency * 1e-4)
 
 
 def test_bounded_mode_memory_is_o_buckets_over_50k_queries():
@@ -49,14 +47,12 @@ def test_bounded_mode_memory_is_o_buckets_over_50k_queries():
     assert bounded.latencies_ms == []
     assert bounded.latencies_by_qos == {}
     assert bounded.recovery_ms == []
-    assert bounded.host_dispatch_s == []
     assert bounded.served == NUM_QUERIES
     # The sketches hold the whole stream in a logarithmic bucket count.
     assert bounded.latency_sketch.count == NUM_QUERIES
     for sk in (
         bounded.latency_sketch,
         bounded.recovery_sketch,
-        bounded.host_sketch,
         *bounded.sketch_by_qos.values(),
     ):
         assert sk.num_buckets < 1500  # O(buckets), not O(50k samples)
@@ -78,9 +74,6 @@ def test_bounded_percentiles_match_exact_within_accuracy():
         assert b == pytest.approx(e, rel=0.02)
     assert bounded.recovery_percentile(95) == pytest.approx(
         exact.recovery_percentile(95), rel=0.02
-    )
-    assert bounded.host_percentile_ms(95) == pytest.approx(
-        exact.host_percentile_ms(95), rel=0.02
     )
     # Counter-derived aggregates are identical in both modes.
     bs, es = bounded.summary("m"), exact.summary("m")

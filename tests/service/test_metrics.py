@@ -89,31 +89,3 @@ class TestServiceMetrics:
         m.record_batch(1, 1.0)
         text = m.render()
         assert "p50" in text and "GTEPS" in text and "rejected" in text
-
-
-class TestHostDispatchMetrics:
-    def test_host_section_nested_and_excluded_from_diff(self):
-        m = ServiceMetrics()
-        m.record_outcome(outcome(0, 0.0, 1.0))
-        m.record_host_dispatch(0.010)
-        m.record_host_dispatch(0.030)
-        s = m.summary("svc")
-        host = s["host"]
-        assert host["dispatches"] == 2
-        assert host["total_s"] == pytest.approx(0.040)
-        assert host["p50_ms"] == pytest.approx(20.0)
-        assert host["p95_ms"] == pytest.approx(29.0)
-        # The nested dict never enters the numeric fingerprint diff.
-        from repro.metrics.results_io import diff_results
-
-        other = dict(s, host={"dispatches": 99, "total_s": 1e9,
-                              "p50_ms": 1e9, "p95_ms": 1e9})
-        assert diff_results([s], [other]) == []
-
-    def test_render_includes_host_line_only_when_sampled(self):
-        m = ServiceMetrics()
-        m.record_outcome(outcome(0, 0.0, 4.0))
-        assert "host:" not in m.render()
-        m.record_host_dispatch(0.002)
-        text = m.render()
-        assert "host:" in text and "wall-clock" in text

@@ -6,21 +6,10 @@ import pytest
 from repro.gcd.simulator import GCD
 from repro.gcd.memory import seq_read
 from repro.graph.generators import rmat
-from repro.perf import HostProfiler
 from repro.service.metrics import ServiceMetrics
+from repro.service.request import Query, QueryOutcome
 from repro.telemetry import CounterRegistry, Tracer
 from repro.xbfs.driver import XBFS
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def tick(self, seconds):
-        self.now += seconds
 
 
 def _one_launch_gcd() -> GCD:
@@ -51,31 +40,24 @@ class TestAdapters:
         assert snap["gcd.kernel.probe.runtime_ms"] > 0
         assert snap["gcd.level.0.kernels"] == 1
 
-    def test_host_profiler_counters(self):
-        clock = FakeClock()
-        prof = HostProfiler(clock=clock)
-        with prof.timer("expand"):
-            clock.tick(0.5)
-        prof.count("levels")
-        reg = CounterRegistry()
-        reg.attach("host", prof)
-        snap = reg.snapshot()
-        assert snap["host.timer.expand.total_s"] == pytest.approx(0.5)
-        assert snap["host.timer.expand.calls"] == 1
-        assert snap["host.counter.levels"] == 1
-
     def test_service_metrics_counters(self):
         metrics = ServiceMetrics()
         metrics.record_batch(4, 2.0)
         metrics.record_retry()
+        metrics.record_outcome(QueryOutcome(
+            query=Query(qid=0, graph="g", source=0, arrival_ms=0.0,
+                        tenant="acme"),
+            levels=None,
+            rejected="deadline",
+        ))
         reg = CounterRegistry()
         reg.attach("service", metrics)
         snap = reg.snapshot()
         assert snap["service.dispatches"] == 1
         assert snap["service.mean_batch_size"] == 4.0
         assert snap["service.retries"] == 1
-        # The nested host section flattens under dotted names.
-        assert "service.host.total_s" in snap
+        # Nested sections flatten under dotted names.
+        assert snap["service.per_tenant.acme.rejected"] == 1
         # The summary's name string is not a counter.
         assert "service.name" not in snap
 

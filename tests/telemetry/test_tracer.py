@@ -11,7 +11,9 @@ from repro.errors import RecoveryExhaustedError
 from repro.faults import FaultPlan, FaultRule
 from repro.graph.generators import rmat
 from repro.telemetry import NULL_TRACER, Tracer
+from repro.xbfs.concurrent import ConcurrentBFS
 from repro.xbfs.driver import XBFS
+from repro.xbfs.linalg_batch import LinAlgBatchBFS
 
 
 class FakeClock:
@@ -135,19 +137,27 @@ class TestExceptionSafety:
         assert inner.status == "error" and outer.status == "error"
         assert inner.attrs["error"] == "ValueError"
 
-    def test_exhausted_recovery_unwinds_the_engine_spans(self, tracer):
-        """A fault storm the checkpoint layer cannot absorb must leave
+    @pytest.mark.parametrize("engine, detail", [
+        (XBFS, "expand"),
+        (ConcurrentBFS, "cb_expand"),
+        (LinAlgBatchBFS, "lab_"),
+    ], ids=["XBFS", "ConcurrentBFS", "LinAlgBatchBFS"])
+    def test_exhausted_recovery_unwinds_the_engine_spans(
+        self, tracer, engine, detail
+    ):
+        """A fault storm the level-replay layer cannot absorb must leave
         the tracer stack empty, with the level span closed as error."""
-        # Fault only the traversal expands (detail filter skips the
-        # setup kernel) so the failure surfaces inside a level span.
+        # Fault only the traversal's level kernels (the detail filter
+        # skips XBFS's setup kernel) so the failure surfaces inside a
+        # level span.
         plan = FaultPlan(seed=7, rules=(
             FaultRule(site="gcd.launch", kind="kernel_launch",
-                      probability=1.0, detail="expand"),
+                      probability=1.0, detail=detail),
         ))
-        engine = XBFS(rmat(9, 8, seed=0), injector=plan.injector(),
-                      tracer=tracer)
+        bfs = engine(rmat(9, 8, seed=0), injector=plan.injector(),
+                     tracer=tracer)
         with pytest.raises(RecoveryExhaustedError):
-            engine.run(0)
+            bfs.run(0)
         assert tracer.open_depth == 0
         errored = [s for s in tracer.spans if s.status == "error"]
         assert {"bfs.level", "bfs.run"} <= {s.name for s in errored}

@@ -201,24 +201,53 @@ class TestProfileCsv:
         assert "init_status" in text
 
 
+_CORRELATION = "per-level virtual/host correlation"
+
+
+def _level_strategies(lines):
+    """``[(level, strategy), ...]`` from the rows of a per-level table
+    (the header line first), stopping at the first non-row line."""
+    rows = []
+    for line in lines[1:]:
+        fields = line.split()
+        if len(fields) < 2 or not fields[0].isdigit():
+            break
+        rows.append((int(fields[0]), fields[1]))
+    return rows
+
+
 class TestHostProfile:
     def test_run_host_profile_prints_attribution(self, capsys):
         rc = main(["run", "--graph", "rmat:9", "--sources", "2",
                    "--host-profile"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "host wall-clock profile" in out
-        assert "scope" in out and "total s" in out
+        assert _CORRELATION in out
+        assert "virtual ms" in out and "host ms" in out
 
     def test_concurrent_host_profile(self, capsys):
         rc = main(["run", "--graph", "rmat:9", "--sources", "4",
                    "--concurrent", "--host-profile"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "host wall-clock profile" in out
-        assert "cb_expand" in out
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if _CORRELATION in line)
+        rows = _level_strategies(lines[at + 1:])
+        assert rows and {strategy for _, strategy in rows} == {"concurrent"}
 
     def test_run_without_flag_prints_no_host_profile(self, capsys):
         rc = main(["run", "--graph", "rmat:9", "--sources", "1"])
         assert rc == 0
-        assert "host wall-clock profile" not in capsys.readouterr().out
+        assert _CORRELATION not in capsys.readouterr().out
+
+    def test_correlation_shows_the_traced_run(self, capsys):
+        """Both per-level tables describe the same run: the steady run
+        the ``--trace`` table and the depth line report, not the last
+        source's."""
+        rc = main(["run", "--graph", "rmat:12", "--sources", "4",
+                   "--trace", "--host-profile"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        traced = _level_strategies(lines[1:])
+        at = next(i for i, line in enumerate(lines) if _CORRELATION in line)
+        correlated = _level_strategies(lines[at + 1:])
+        assert traced and traced == correlated

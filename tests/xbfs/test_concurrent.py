@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import BatchSourceError, TraversalError
 from repro.graph.csr import CSRGraph
 from repro.graph.stats import bfs_levels_reference, pick_sources
-from repro.perf import HostProfiler
 from repro.xbfs.concurrent import (
     MAX_CONCURRENT,
     ConcurrentBFS,
@@ -158,10 +157,9 @@ def _batch_cases(draw):
 
 def _run_counting_pulls(graph, sources):
     """``(result, pull levels)`` of one batched run."""
-    prof = HostProfiler()
-    result = ConcurrentBFS(graph, profiler=prof).run(np.asarray(sources))
-    pulls = prof.counters.get("levels/concurrent_pull", 0)
-    assert prof.counters["levels/concurrent"] == result.depth
+    result = ConcurrentBFS(graph).run(np.asarray(sources))
+    assert len(result.decisions) == result.depth
+    pulls = sum(d.reason.startswith("pull") for d in result.decisions)
     return result, pulls
 
 
@@ -208,21 +206,17 @@ class TestPropertyEquivalence:
         (ConcurrentBFS takes the first 64 sources; LinAlgBatchBFS runs
         the whole batch in the drawn direction mode)."""
         graph, sources, direction = case
-        prof = HostProfiler()
         if engine == "concurrent":
             sources = sources[:MAX_CONCURRENT]
-            bfs = ConcurrentBFS(graph, profiler=prof)
+            bfs = ConcurrentBFS(graph)
         else:
-            bfs = LinAlgBatchBFS(graph, direction=direction, profiler=prof)
+            bfs = LinAlgBatchBFS(graph, direction=direction)
         result = bfs.run(np.asarray(sources))
         _assert_matches_oracle(
             graph, sources, result,
             union=engine == "concurrent" or direction == "push",
         )
         assert len(result.directions) == result.depth
-        assert sum(
-            prof.counters[f"levels/{d}"] for d in set(result.directions)
-        ) == result.depth
 
     def test_full_word_batch_on_directed_multigraph(self):
         rng = np.random.default_rng(5)

@@ -42,7 +42,6 @@ def run_matrix() -> list[dict]:
     summaries.append(run_routing_fingerprint())
     summaries.append(run_linalg_batch_fingerprint())
     summaries.append(run_exchange_plane_fingerprint())
-    summaries.append(run_perf_surface_fingerprint())
     summaries.append(run_faults_surface_fingerprint())
     summaries.append(run_chaos_fingerprint())
     summaries.append(run_telemetry_fingerprint())
@@ -52,44 +51,14 @@ def run_matrix() -> list[dict]:
     return summaries
 
 
-def run_perf_surface_fingerprint() -> dict:
-    """API-surface fingerprint of :mod:`repro.perf`.
-
-    Host wall-clock *measurements* are machine-dependent and must never
-    enter the numeric fingerprint, but the profiling *surface* the rest
-    of the package programs against should not drift silently. The
-    CRC32 of the exported names and their signatures is deterministic
-    across machines and changes exactly when the API does.
-    """
-    import inspect
-    import zlib
-
-    import repro.perf as perf
-
-    entries = []
-    for name in sorted(perf.__all__):
-        obj = getattr(perf, name)
-        entries.append(name)
-        if inspect.isclass(obj):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                entries.append(f"{name}.{attr}{inspect.signature(member)}")
-    blob = "\n".join(entries).encode()
-    return {
-        "name": "perf_surface",
-        "symbols": len(entries),
-        "surface_crc32": zlib.crc32(blob),
-    }
-
-
 def run_faults_surface_fingerprint() -> dict:
     """API-surface fingerprint of :mod:`repro.faults`.
 
     The fault plane is programmed against by the simulator, the
     drivers, the scheduler and the chaos suite; its public surface
-    drifting silently would strand committed fault plans. Same CRC32
-    scheme as the perf surface.
+    drifting silently would strand committed fault plans. The CRC32 of
+    the exported names and their signatures is deterministic across
+    machines and changes exactly when the API does.
     """
     import inspect
     import zlib
@@ -193,11 +162,7 @@ def run_service_fingerprint() -> dict:
     trace = synthetic_trace(
         list(sizes), sizes, num_queries=96, seed=23, burst=8, mean_gap_ms=1.0
     )
-    summary = service.replay(trace).summary("service")
-    # The nested host section is wall-clock (machine-dependent); drop it
-    # so the committed baseline stays byte-reproducible.
-    summary.pop("host", None)
-    return summary
+    return service.replay(trace).summary("service")
 
 
 def run_routing_fingerprint() -> dict:
@@ -226,7 +191,6 @@ def run_routing_fingerprint() -> dict:
     )
     report = service.replay(trace)
     summary = report.summary("routing")
-    summary.pop("host", None)
     routed = [o for o in report.served if o.engine == "multigcd"]
     assert routed, "routing fingerprint trace never reached the pod"
     import zlib
@@ -279,7 +243,6 @@ def run_linalg_batch_fingerprint() -> dict:
         t += 50.0
     report = service.replay(queries)
     summary = report.summary("linalg_batch")
-    summary.pop("host", None)
     routed = [o for o in report.served if o.engine == "linalg_batch"]
     assert routed, "linalg fingerprint trace never reached the bitmap tier"
     crc = 0
@@ -334,7 +297,7 @@ def run_exchange_plane_fingerprint() -> dict:
 
 def run_cluster_fingerprint() -> dict:
     """Cluster-layer fingerprint: the :mod:`repro.cluster` public
-    surface (same CRC32 scheme as the perf/faults surfaces) plus one
+    surface (same CRC32 scheme as the faults surface) plus one
     seeded multi-tenant replay through a 3-replica cluster with a
     replica-death storm. Placement, stealing, quota decisions, QoS
     tails and the recovery counters are all pure functions of the
@@ -397,7 +360,7 @@ def run_cluster_fingerprint() -> dict:
 
 def run_obs_fingerprint() -> dict:
     """Observability-plane fingerprint: the :mod:`repro.obs` public
-    surface (same CRC32 scheme as the perf/faults surfaces) plus one
+    surface (same CRC32 scheme as the faults surface) plus one
     seeded multi-tenant replay through a 2-replica cluster with the
     whole plane on — decision audit, SLO burn rules, bounded sketch
     metrics. The audit record counts per stage, the alert tally and

@@ -36,7 +36,6 @@ MODULES = [
     "repro.gcd.simulator",
     "repro.gcd.profiler",
     "repro.gcd.lane_interpreter",
-    "repro.perf",
     "repro.xbfs.status",
     "repro.xbfs.scratch",
     "repro.xbfs.frontier",

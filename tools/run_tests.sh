@@ -4,8 +4,12 @@
 #   tools/run_tests.sh            # tier-1: the fast suite (-m "not slow")
 #   tools/run_tests.sh tier1      # same
 #   tools/run_tests.sh tier2      # slow sweeps + the benchmark harness
-#   tools/run_tests.sh telemetry  # the observability suite + the
-#                                 # disabled-tracer overhead bench
+#   tools/run_tests.sh telemetry  # the observability suite, the
+#                                 # `repro run --host-profile` CLI
+#                                 # tests and the host hot-path bench
+#                                 # (both read the tracer's host
+#                                 # clock) + the disabled-tracer
+#                                 # overhead bench
 #   tools/run_tests.sh multigcd-service
 #                                 # the distributed engine + the serving
 #                                 # layer that routes onto it (engine
@@ -68,8 +72,9 @@ case "$tier" in
     python -m pytest benchmarks "$@"
     ;;
   telemetry)
-    python -m pytest tests/telemetry "$@"
-    python -m pytest benchmarks/bench_telemetry_overhead.py -s "$@"
+    python -m pytest tests/telemetry "tests/test_cli.py::TestHostProfile" "$@"
+    python -m pytest benchmarks/bench_telemetry_overhead.py \
+      benchmarks/bench_host_hotpaths.py -s "$@"
     ;;
   multigcd-service)
     python -m pytest tests/multigcd tests/service tests/xbfs/test_common.py \
