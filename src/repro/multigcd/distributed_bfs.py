@@ -43,6 +43,7 @@ naive exchange bit-for-bit as committed):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -170,13 +171,17 @@ class DistributedBatchResult:
         surfaces as the typed error instead of a replayed level."""
         return 0
 
+    @cached_property
+    def _slot_of(self) -> dict[int, int]:
+        return {s: i for i, s in enumerate(self.sources.tolist())}
+
     def levels_of(self, source: int) -> np.ndarray:
         """The level array of one batched ``source`` (equal to a solo
         run — distributed answers are bit-identical by contract)."""
-        hits = np.flatnonzero(self.sources == source)
-        if hits.size == 0:
+        slot = self._slot_of.get(source)
+        if slot is None:
             raise TraversalError(f"source {source} is not in this batch")
-        return self.runs[int(hits[0])].levels
+        return self.runs[slot].levels
 
 
 class MultiGcdBFS:

@@ -45,7 +45,7 @@ from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
 from repro.obs.audit import NULL_AUDIT
 from repro.service.metrics import ServiceMetrics
-from repro.service.registry import RegistryEntry
+from repro.service.registry import LEVEL_CACHE_SOURCES, RegistryEntry
 from repro.service.request import Query
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
@@ -360,9 +360,12 @@ class ExecutionEngine:
             )
             self._audit_levels(tier, live, result, now_ms)
         # Cache the freshly-computed level arrays on the entry: they
-        # are the repair bases a future mutation relaxes from.
+        # are the repair bases a future mutation relaxes from. Only the
+        # last LEVEL_CACHE_SOURCES stores would survive the entry's LRU;
+        # storing just those leaves the same contents, order and byte
+        # charges.
         if default_surface:
-            for src in sources:
+            for src in sources[-LEVEL_CACHE_SOURCES:]:
                 entry.store_levels(src, result.levels_of(src))
         return result.elapsed_ms, result.sharing_factor, result.levels_of, tier
 

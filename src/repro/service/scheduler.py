@@ -17,7 +17,9 @@ the executor's :attr:`~repro.service.execution.ExecutionEngine.batch_cap`
 when the linalg tier is enabled. Duplicate sources ride along for
 free: they map onto one status bit and share its level array.
 Singleton groups and solo-only options fall back to a plain
-:class:`~repro.xbfs.driver.XBFS` run.
+:class:`~repro.xbfs.driver.XBFS` run. The pending queue is indexed by
+``(graph, coalescing key)``, so admitting a query and forming its
+dispatch cost O(1) and O(group), whatever the queue depth.
 
 Dispatches land on the least-loaded of ``workers`` simulated GCDs
 (earliest ``busy_until``, ties to the lowest index), so the virtual
@@ -40,7 +42,10 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import (
     AdmissionError,
@@ -71,6 +76,96 @@ class WorkerState:
     busy_until_ms: float = 0.0
     dispatches: int = 0
     busy_ms: float = 0.0
+
+
+@dataclass
+class _Group:
+    """The pending queries of one ``(graph, coalescing key)``."""
+
+    #: ``(arrival seq, query)`` in arrival order.
+    members: deque = field(default_factory=deque)
+    #: Distinct sources among ``members`` (coalescable groups only).
+    sources: set = field(default_factory=set)
+
+
+class _PendingIndex:
+    """Admitted-but-undispatched queries in arrival order, indexed by
+    ``(graph, coalescing key)`` so every step of a dispatch walks one
+    group, never the whole queue.
+
+    Each query's coalescing key is computed once, on :meth:`push`.
+    Solo-only queries (key ``None``) share one group per graph but
+    leave it one at a time.
+    """
+
+    def __init__(self, max_batch: int) -> None:
+        self.max_batch = max_batch
+        #: seq -> (query, key), in arrival order.
+        self._order: OrderedDict[int, tuple[Query, tuple | None]] = OrderedDict()
+        #: graph -> key -> group.
+        self._groups: dict[str, dict[tuple | None, _Group]] = {}
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def push(self, query: Query) -> tuple | None:
+        """Queue ``query``; return its coalescing key."""
+        key = query.options.coalescing_key()
+        self._seq += 1
+        self._order[self._seq] = (query, key)
+        groups = self._groups.setdefault(query.graph, {})
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _Group()
+        group.members.append((self._seq, query))
+        if key is not None:
+            group.sources.add(query.source)
+        return key
+
+    def is_full(self, graph: str, key: tuple) -> bool:
+        """Whether the coalescable ``(graph, key)`` group holds
+        ``max_batch`` distinct sources."""
+        return len(self._groups[graph][key].sources) >= self.max_batch
+
+    def head(self, graph: str | None = None) -> tuple[Query, tuple | None] | None:
+        """The oldest pending query — on ``graph`` when given — and its
+        key, or ``None`` when there is none."""
+        if graph is None:
+            return next(iter(self._order.values()), None)
+        groups = self._groups.get(graph)
+        if not groups:
+            return None
+        key, group = min(groups.items(), key=lambda kv: kv[1].members[0][0])
+        return group.members[0][1], key
+
+    def take(self, graph: str, key: tuple | None) -> list[Query]:
+        """Remove and return one dispatch of the ``(graph, key)`` group:
+        its oldest query when solo-only, else the whole group in
+        arrival order. A coalescable group never holds more than
+        ``max_batch`` distinct sources: the scheduler dispatches it as
+        soon as :meth:`is_full`, and duplicates of its sources ride
+        along."""
+        groups = self._groups[graph]
+        if key is None:
+            solo = groups[None].members
+            taken = [solo.popleft()]
+            if not solo:
+                del groups[None]
+        else:
+            taken = groups.pop(key).members
+        if not groups:
+            del self._groups[graph]
+        for seq, _query in taken:
+            del self._order[seq]
+        return [query for _seq, query in taken]
+
+    def drain(self) -> list[Query]:
+        """Remove and return every pending query, in arrival order."""
+        pending = [q for q, _key in self._order.values()]
+        self._order.clear()
+        self._groups.clear()
+        return pending
 
 
 class CoalescingScheduler:
@@ -114,7 +209,6 @@ class CoalescingScheduler:
         self.workers = [WorkerState(i) for i in range(workers)]
         self.outcomes: list[QueryOutcome] = []
         self.now_ms = 0.0
-        self._pending: list[Query] = []
         #: Optional :class:`~repro.faults.injector.FaultInjector`;
         #: threaded into every engine the executor builds and visited
         #: at the service's own sites (queue, registry, worker).
@@ -158,6 +252,7 @@ class CoalescingScheduler:
                 f"engine's batch capacity), got {max_batch}"
             )
         self.max_batch = max_batch
+        self._pending = _PendingIndex(max_batch)
         #: Dispatches issued so far (batch id in traces).
         self._batch_seq = 0
 
@@ -173,8 +268,7 @@ class CoalescingScheduler:
         pulled back from the dead replica and re-dispatched to the
         survivors, so no admitted query is silently lost.
         """
-        pending, self._pending = self._pending, []
-        return pending
+        return self._pending.drain()
 
     def submit(self, query: Query) -> None:
         """Admit one query at its arrival stamp.
@@ -215,8 +309,10 @@ class CoalescingScheduler:
             self.metrics.record_outcome(outcome)
             self._observe_outcome(outcome, query.arrival_ms)
             raise
-        self._pending.append(query)
-        self._dispatch_full_groups(query)
+        key = self._pending.push(query)
+        # Dispatch early when the new arrival fills its group.
+        if key is not None and self._pending.is_full(query.graph, key):
+            self._dispatch_group(query.graph, key, query.arrival_ms)
 
     def apply_mutation(self, query: Query) -> None:
         """Apply one ``op="mutate"`` query as a barrier at its stamp.
@@ -241,14 +337,13 @@ class CoalescingScheduler:
             )
         self._advance(query.arrival_ms)
         self.now_ms = query.arrival_ms
-        # Barrier: flush every pending group on the mutated graph.
-        while True:
-            anchor = next(
-                (q for q in self._pending if q.graph == query.graph), None
+        # Barrier: flush every pending group on the mutated graph,
+        # oldest first.
+        while (head := self._pending.head(query.graph)) is not None:
+            anchor, key = head
+            self._dispatch_group(
+                query.graph, key, max(self.now_ms, anchor.arrival_ms)
             )
-            if anchor is None:
-                break
-            self._dispatch_group(anchor, max(self.now_ms, anchor.arrival_ms))
         entry = self.registry.mutate(query.graph, query.delta)
         version = self.registry.graph_version(query.graph)
         self.tracer.event(
@@ -272,53 +367,26 @@ class CoalescingScheduler:
 
     def run_until_idle(self) -> list[QueryOutcome]:
         """Flush every pending query and return all outcomes so far."""
-        while self._pending:
-            anchor = self._pending[0]
+        while (head := self._pending.head()) is not None:
+            anchor, key = head
             close = max(self.now_ms, anchor.arrival_ms)
-            self._dispatch_group(anchor, close)
+            self._dispatch_group(anchor.graph, key, close)
         return self.outcomes
 
     # ------------------------------------------------------------------
     def _advance(self, now: float) -> None:
         """Dispatch every group whose coalescing window closed by ``now``."""
-        while self._pending:
-            anchor = self._pending[0]
+        while (head := self._pending.head()) is not None:
+            anchor, key = head
             close = anchor.arrival_ms + self.window_ms
             if close > now:
                 break
-            self._dispatch_group(anchor, close)
-
-    def _dispatch_full_groups(self, query: Query) -> None:
-        """Dispatch early when the new arrival fills its group."""
-        members, key = self._group_of(query)
-        if key is None:
-            return
-        distinct = len({q.source for q in members})
-        if distinct >= self.max_batch:
-            self._dispatch_group(members[0], query.arrival_ms)
-
-    def _group_of(self, anchor: Query) -> tuple[list[Query], tuple | None]:
-        """Pending queries that may share ``anchor``'s dispatch, in
-        arrival order, capped at ``max_batch`` distinct sources."""
-        key = anchor.options.coalescing_key()
-        if key is None:
-            return [anchor], None
-        members: list[Query] = []
-        sources: set[int] = set()
-        for q in self._pending:
-            if q.graph != anchor.graph or q.options.coalescing_key() != key:
-                continue
-            if q.source not in sources and len(sources) >= self.max_batch:
-                continue
-            sources.add(q.source)
-            members.append(q)
-        return members, key
+            self._dispatch_group(anchor.graph, key, close)
 
     # ------------------------------------------------------------------
-    def _dispatch_group(self, anchor: Query, close_ms: float) -> None:
-        members, key = self._group_of(anchor)
-        pending_ids = {q.qid for q in members}
-        self._pending = [q for q in self._pending if q.qid not in pending_ids]
+    def _dispatch_group(self, graph: str, key: tuple | None,
+                        close_ms: float) -> None:
+        members = self._pending.take(graph, key)
 
         worker = min(self.workers, key=lambda w: (w.busy_until_ms, w.index))
         ready = max(close_ms, max(q.arrival_ms for q in members))
@@ -346,7 +414,7 @@ class CoalescingScheduler:
             at=start,
             track=f"{self.track_prefix}worker{worker.index}",
             batch=self._batch_seq,
-            graph=anchor.graph,
+            graph=graph,
             queries=len(live),
             worker=worker.index,
             tenant=",".join(sorted({q.tenant for q in live})),
@@ -357,14 +425,14 @@ class CoalescingScheduler:
                 # Eviction storm: warm graphs (and their engines) vanish
                 # before the lookup, so this dispatch may re-pay the
                 # build.
-                for event in inj.pulse("service.registry", anchor.graph):
+                for event in inj.pulse("service.registry", graph):
                     if event.kind == "evict_storm":
                         self.registry.evict(int(event.magnitude))
-            entry, hit = self.registry.get(anchor.graph)
+            entry, hit = self.registry.get(graph)
             build_ms = 0.0 if hit else entry.build_ms
             if not hit:
                 self.tracer.event(
-                    "registry.miss", graph=anchor.graph, build_ms=build_ms
+                    "registry.miss", graph=graph, build_ms=build_ms
                 )
             sources = list(dict.fromkeys(q.source for q in live))
             batched = key is not None and len(sources) > 1
@@ -374,7 +442,7 @@ class CoalescingScheduler:
             sp.advance_to(start + build_ms)
 
             elapsed, sharing, levels_of, engine = self.executor.run(
-                entry, live, sources, batched, graph_key=anchor.graph,
+                entry, live, sources, batched, graph_key=graph,
                 now_ms=start, registry=self.registry,
             )
             sp.set(engine=engine)
@@ -388,7 +456,10 @@ class CoalescingScheduler:
             worker.busy_ms += build_ms + elapsed
             worker.dispatches += 1
 
+            # Duplicate sources share one level array: count each
+            # distinct source's reached edges once.
             degrees = entry.graph.degrees
+            reached = {s: int(np.dot(levels_of(s) >= 0, degrees)) for s in sources}
             self.metrics.record_batch(len(live), sharing)
             for q in live:
                 levels = levels_of(q.source)
@@ -402,7 +473,7 @@ class CoalescingScheduler:
                     batch_sources=len(sources),
                     sharing_factor=sharing,
                     cache_hit=hit,
-                    traversed_edges=int(degrees[levels >= 0].sum()),
+                    traversed_edges=reached[q.source],
                     engine=engine,
                     graph_version=entry.version,
                 )

@@ -24,7 +24,7 @@ import pytest
 from repro.errors import GraphTooLargeError
 from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
-from repro.service.registry import GraphRegistry
+from repro.service.registry import LEVEL_CACHE_SOURCES, GraphRegistry
 
 #: Spec pool: small servable scales plus one spec that can never fit.
 SERVABLE = ("6", "7", "8", "9")
@@ -209,3 +209,66 @@ def test_rejections_do_not_depress_hit_rate():
     assert reg.hit_rate == pytest.approx(0.5)
     assert reg.rejections == 10
     assert reg.misses == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_level_cache_tail_store_matches_storing_every_source(seed):
+    """A dispatch wider than LEVEL_CACHE_SOURCES need store only its
+    last LEVEL_CACHE_SOURCES sources: against storing every source —
+    over a cache already holding some of them, with bases carried
+    across a mutation and a budget tight enough to shed — the cache,
+    its byte charges and the registry's evictions all come out the
+    same."""
+    rng = np.random.default_rng(seed)
+    spec, others = "9", ("6", "7", "8")
+    n = GRAPHS[spec].num_vertices
+    cached = rng.permutation(n)[: int(rng.integers(0, LEVEL_CACHE_SOURCES))]
+    width = int(rng.integers(LEVEL_CACHE_SOURCES + 1, 3 * LEVEL_CACHE_SOURCES))
+    # The dispatch re-stores some already-cached sources.
+    fresh = rng.permutation(np.setdiff1d(np.arange(n), cached))
+    overlap = cached[: int(rng.integers(0, cached.size + 1))]
+    sources = rng.permutation(
+        np.concatenate([overlap, fresh[: width - overlap.size]])
+    ).tolist()
+    levels = {s: rng.integers(-1, 9, n).astype(np.int32) for s in range(n)}
+    headroom = int(rng.integers(0, LEVEL_CACHE_SOURCES - cached.size))
+    delta = random_delta(GRAPHS[spec], num_inserts=3, seed=seed)
+
+    def dispatch(stored):
+        reg = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
+        for other in others:
+            reg.get(other)
+        entry, _ = reg.get(spec)
+        for s in cached.tolist():
+            entry.store_levels(s, levels[s])
+        # The mutated entry inherits the bases, stamped version 0.
+        entry = reg.mutate(spec, delta)
+        reg.memory_budget_bytes = reg.bytes_cached + headroom * 4 * n
+        deltas = []
+        charge = entry._on_bytes
+
+        def spy(e, d):
+            deltas.append(d)
+            charge(e, d)
+
+        entry._on_bytes = spy
+        for s in stored:
+            entry.store_levels(s, levels[s])
+        return reg, entry, deltas
+
+    reg_all, all_, deltas_all = dispatch(sources)
+    reg_tail, tail, deltas_tail = dispatch(sources[-LEVEL_CACHE_SOURCES:])
+
+    assert list(tail._levels) == list(all_._levels)
+    assert len(tail._levels) == LEVEL_CACHE_SOURCES
+    for src, (stamp, arr) in all_._levels.items():
+        tail_stamp, tail_arr = tail._levels[src]
+        assert tail_stamp == stamp
+        assert np.array_equal(tail_arr, arr)
+    assert {stamp for stamp, _ in tail._levels.values()} == {tail.version}
+    assert tail.level_bytes == all_.level_bytes
+    assert [d for d in deltas_tail if d] == [d for d in deltas_all if d]
+    assert reg_tail.bytes_cached == reg_all.bytes_cached
+    assert reg_tail.bytes_cached == reg_tail.recompute_bytes_cached()
+    assert reg_tail.evictions == reg_all.evictions > 0
+    assert reg_tail.keys() == reg_all.keys()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueueFullError, ServiceError
+from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.registry import GraphRegistry
@@ -285,3 +288,148 @@ class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ServiceError):
             make_scheduler(window_ms=-1.0)
+
+
+class LinearScanPending:
+    """The pending queue as one arrival-ordered list, grouped by a
+    linear scan that recomputes every query's coalescing key: the
+    reference the scheduler's indexed queue must reproduce."""
+
+    def __init__(self, max_batch):
+        self.max_batch = max_batch
+        self.queries = []
+
+    def __len__(self):
+        return len(self.queries)
+
+    def push(self, query):
+        self.queries.append(query)
+        return query.options.coalescing_key()
+
+    def _group_of(self, anchor):
+        key = anchor.options.coalescing_key()
+        if key is None:
+            return [anchor]
+        members, sources = [], set()
+        for q in self.queries:
+            if q.graph != anchor.graph or q.options.coalescing_key() != key:
+                continue
+            if q.source not in sources and len(sources) >= self.max_batch:
+                continue
+            sources.add(q.source)
+            members.append(q)
+        return members
+
+    def _first(self, graph, key):
+        return next(q for q in self.queries
+                    if q.graph == graph and q.options.coalescing_key() == key)
+
+    def is_full(self, graph, key):
+        members = self._group_of(self._first(graph, key))
+        return len({q.source for q in members}) >= self.max_batch
+
+    def head(self, graph=None):
+        q = next((q for q in self.queries if graph in (None, q.graph)), None)
+        return None if q is None else (q, q.options.coalescing_key())
+
+    def take(self, graph, key):
+        members = self._group_of(self._first(graph, key))
+        taken = {q.qid for q in members}
+        self.queries = [q for q in self.queries if q.qid not in taken]
+        return members
+
+    def drain(self):
+        pending, self.queries = self.queries, []
+        return pending
+
+
+#: Options that force a solo XBFS run, one per solo-only field.
+SOLO_ONLY = (
+    QueryOptions(force_strategy="bottom_up"),
+    QueryOptions(max_levels=2),
+    QueryOptions(record_parents=True),
+)
+
+_events = st.lists(
+    st.tuples(
+        st.sampled_from(["burst"] * 4 + ["mutate"] * 2 + ["take"]),
+        st.sampled_from([0.0, 0.5, 2.0, 4.0]),   # gap before it, ms
+        st.integers(0, 2),                       # graph index
+        st.lists(                                # (source, options)
+            st.tuples(st.integers(0, 5),
+                      st.sampled_from([None, None, None, *SOLO_ONLY])),
+            min_size=1, max_size=8,
+        ),
+        st.integers(0, 999),                     # mutation seed
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+
+def _concrete_trace(events, graphs):
+    """Stamp the drawn events: same-stamp bursts of queries and
+    mutations in non-decreasing time, each mutation an insert delta
+    against its graph's current version."""
+    current = {g: _builder(g) for g in graphs}
+    trace, t, qid = [], 0.0, 0
+    for kind, gap, g, burst, seed in events:
+        if kind == "take":
+            trace.append(None)
+            continue
+        t += gap
+        graph = graphs[g % len(graphs)]
+        if kind == "mutate":
+            delta = random_delta(current[graph], num_inserts=2, seed=seed)
+            current[graph] = apply_delta(current[graph], delta)
+            qid += 1
+            trace.append(Query(qid=qid, graph=graph, source=0, arrival_ms=t,
+                               op="mutate", delta=delta))
+            continue
+        for source, options in burst:
+            qid += 1
+            trace.append(Query(qid=qid, graph=graph, source=source,
+                               arrival_ms=t,
+                               options=options or QueryOptions()))
+    return trace
+
+
+def _replay(trace, pending_cls, **kwargs):
+    sched = make_scheduler(**kwargs)
+    if pending_cls is not None:
+        sched._pending = pending_cls(sched.max_batch)
+    taken, depths = [], []
+    for item in trace:
+        if item is None:
+            taken.append([q.qid for q in sched.take_pending()])
+        else:
+            sched.submit(item)
+        depths.append(sched.queue_depth)
+    dispatches = [
+        (o.query.qid, o.start_ms, o.engine, o.batch_sources)
+        for o in sched.run_until_idle()
+    ]
+    return dispatches, taken, depths
+
+
+class TestIndexedCoalescer:
+    @given(
+        events=_events,
+        num_graphs=st.integers(2, 3),
+        window_ms=st.sampled_from([0.0, 3.0]),
+        max_batch=st.integers(1, 4),
+        workers=st.integers(1, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_dispatches_match_linear_scan(
+        self, events, num_graphs, window_ms, max_batch, workers
+    ):
+        """Across graphs, windows, solo-only options, duplicate sources
+        past ``max_batch``, mutation barriers and ``take_pending``, the
+        indexed queue dispatches the same queries, in the same order,
+        at the same start, on the same engine as the linear scan."""
+        trace = _concrete_trace(events, ("6", "7", "8")[:num_graphs])
+        kwargs = dict(window_ms=window_ms, max_batch=max_batch, workers=workers)
+        assert _replay(trace, None, **kwargs) == _replay(
+            trace, LinearScanPending, **kwargs
+        )

@@ -113,6 +113,7 @@ class TestBitmapKernels:
             bm.counter_add(planes, bm.pack_rows(missing))
         got = bm.counter_levels(planes, 4, k, depth=depth)
         assert got.dtype == np.int32
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
 
@@ -175,6 +176,34 @@ class TestCorrectness:
         )
         with pytest.raises(TraversalError, match="not in this batch"):
             result.levels_of(5)
+
+
+class TestLevelLayout:
+    """Levels decode source-major: each source's row is one contiguous
+    run, at any batch width and on a vertex count that is no multiple
+    of the decode's transpose block."""
+
+    @pytest.fixture(scope="class")
+    def ragged_graph(self):
+        # The last 60 vertices have no edges, so some rows hold -1s.
+        n = 1100
+        rng = np.random.default_rng(4)
+        src = rng.integers(0, n - 60, 2500)
+        dst = rng.integers(0, n - 60, 2500)
+        return CSRGraph.from_edges(src, dst, n, symmetrize=True, name="ragged")
+
+    @pytest.mark.parametrize("k", [1, 8, 64, 65, 128, 1024])
+    def test_rows_contiguous_and_exact(self, ragged_graph, k):
+        n = ragged_graph.num_vertices
+        sources = np.random.default_rng(k).permutation(n)[:k]
+        result = LinAlgBatchBFS(ragged_graph).run(sources)
+        assert result.levels.shape == (k, n)
+        assert result.levels.flags.c_contiguous
+        assert n % bm._TRANSPOSE_ROWS != 0
+        for s in sources.tolist():
+            row = result.levels_of(s)
+            assert row.flags.c_contiguous
+            assert np.array_equal(row, bfs_levels_reference(ragged_graph, s)), s
 
 
 class TestValidation:

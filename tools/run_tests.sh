@@ -26,7 +26,9 @@
 #                                 # the shared bitmap level loop
 #                                 # (linalg batch and concurrent, with
 #                                 # the concurrent fault recovery), the
-#                                 # linalg routing contract and the
+#                                 # linalg routing contract, the
+#                                 # coalescing scheduler that sets
+#                                 # their batch width and the
 #                                 # batch-width bench between them
 #   tools/run_tests.sh multigcd-scaling
 #                                 # the exchange plane: codec property
@@ -86,7 +88,7 @@ case "$tier" in
     ;;
   linalg)
     python -m pytest tests/xbfs/test_linalg_batch.py tests/xbfs/test_concurrent.py \
-      tests/service/test_linalg_routing.py \
+      tests/service/test_linalg_routing.py tests/service/test_scheduler.py \
       "tests/faults/test_driver_recovery.py::TestConcurrentRecovery" "$@"
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
