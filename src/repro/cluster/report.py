@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.service.metrics import (
-    ENGINE_NAMES,
-    FINGERPRINT_ENGINE_NAMES,
-    percentile,
-)
+from repro.service.metrics import dispatch_counts, percentile
 from repro.service.request import QueryOutcome
 
 __all__ = ["ClusterReport"]
@@ -104,18 +100,7 @@ class ClusterReport:
             "p50_ms": percentile(lat, 50),
             "p95_ms": percentile(lat, 95),
             "p99_ms": percentile(lat, 99),
-            # The frozen engine tuple is zero-filled (fingerprint key
-            # set must not drift); later engines appear once they serve.
-            **{
-                f"dispatches_{engine}": engine_totals.get(engine, 0)
-                for engine in FINGERPRINT_ENGINE_NAMES
-            },
-            **{
-                f"dispatches_{engine}": engine_totals[engine]
-                for engine in ENGINE_NAMES
-                if engine not in FINGERPRINT_ENGINE_NAMES
-                and engine in engine_totals
-            },
+            **dispatch_counts(engine_totals),
             "makespan_ms": makespan,
             "cluster_gteps": (
                 edges / (makespan * 1e-3) / 1e9 if makespan > 0 else 0.0

@@ -67,14 +67,40 @@ from repro.xbfs.common import (
 )
 from repro.xbfs.concurrent import validate_batch_sources
 
-__all__ = ["MultiGcdBFS", "DistributedResult", "DistributedBatchResult"]
+__all__ = ["MultiGcdBFS", "PodEngine", "PodRunRates", "DistributedResult",
+           "DistributedBatchResult"]
 
 #: Bytes per exchanged frontier vertex id.
 _ID_BYTES = 4
 
 
+class PodRunRates:
+    """Rates both pods' per-run results derive from their totals.
+
+    Reads ``elapsed_ms``, ``comm_ms``, ``traversed_edges``,
+    ``bytes_exchanged`` and ``bytes_raw``.
+    """
+
+    @property
+    def gteps(self) -> float:
+        if self.elapsed_ms <= 0:
+            return 0.0
+        return self.traversed_edges / (self.elapsed_ms * 1e-3) / 1e9
+
+    @property
+    def comm_fraction(self) -> float:
+        return self.comm_ms / self.elapsed_ms if self.elapsed_ms > 0 else 0.0
+
+    @property
+    def compression_ratio(self) -> float:
+        """Raw over wire exchange bytes (1.0 when nothing shipped)."""
+        if self.bytes_exchanged <= 0:
+            return 1.0
+        return self.bytes_raw / self.bytes_exchanged
+
+
 @dataclass
-class DistributedResult:
+class DistributedResult(PodRunRates):
     """Outcome of one distributed BFS run."""
 
     source: int
@@ -98,23 +124,6 @@ class DistributedResult:
     #: choice with its ratio/alpha signals plus the codec's wire-format
     #: picks for that level. Purely descriptive.
     level_decisions: list = field(default_factory=list)
-
-    @property
-    def gteps(self) -> float:
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self.traversed_edges / (self.elapsed_ms * 1e-3) / 1e9
-
-    @property
-    def comm_fraction(self) -> float:
-        return self.comm_ms / self.elapsed_ms if self.elapsed_ms > 0 else 0.0
-
-    @property
-    def compression_ratio(self) -> float:
-        """Raw over wire exchange bytes (1.0 when nothing shipped)."""
-        if self.bytes_exchanged <= 0:
-            return 1.0
-        return self.bytes_raw / self.bytes_exchanged
 
 
 @dataclass
@@ -183,9 +192,91 @@ class DistributedBatchResult:
             raise TraversalError(f"source {source} is not in this batch")
         return self.runs[slot].levels
 
+    def audit_rows(self, live):
+        """Each query's audit rows, from the run of its own source.
 
-class MultiGcdBFS:
+        Rows are ``(stage, qid, decision, detail)``: a ``direction`` row
+        per level, plus a ``codec`` row naming the level's wire-format
+        picks when the exchange codec shipped messages.
+        """
+        for q in live:
+            for rec in self.runs[self._slot_of[q.source]].level_decisions:
+                detail = {k: v for k, v in rec.items()
+                          if k not in ("direction", "formats") and v is not None}
+                yield "direction", q.qid, rec["direction"], detail
+                formats = rec.get("formats") or {}
+                if sum(formats.values()):
+                    picks = " ".join(
+                        f"{f}:{n}" for f, n in sorted(formats.items()) if n
+                    )
+                    yield "codec", q.qid, picks, dict(
+                        level=rec["level"], comm_bytes=rec.get("comm_bytes", 0)
+                    )
+
+
+class PodEngine:
+    """The scaffold both multi-GCD pods share around their traversal.
+
+    The lazy pool of member GCDs (kept warm across runs), the traced
+    ``run``, the back-to-back batch and the warm footprint. A subclass
+    names itself in ``engine_name`` and supplies
+    ``_traverse(gcds, source)``.
+    """
+
+    #: Engine name on ``bfs.run`` spans and batch-validation errors.
+    engine_name: str
+    #: Member GCDs, built on the first run.
+    _gcds: list[GCD] | None = None
+
+    @property
+    def warm_bytes(self) -> int:
+        """Modelled warm footprint the registry charges for a cached
+        pod: its members' copies of the CSR (partition rows or
+        checkerboard tiles) plus ownership and frontier state."""
+        return self.graph.memory_bytes + 8 * self.graph.num_vertices
+
+    def run(self, source: int):
+        """One traversal from ``source`` on the warm member GCDs."""
+        if not 0 <= source < self.graph.num_vertices:
+            raise TraversalError(f"source {source} out of range")
+        if self._gcds is None:
+            self._gcds = [
+                GCD(self.device, self.config, injector=self.injector)
+                for _ in range(self.num_gcds)
+            ]
+        else:
+            for g in self._gcds:
+                g.reset(keep_warm=True)
+        with self.tracer.span(
+            "bfs.run", engine=self.engine_name, source=source, gcds=self.num_gcds
+        ):
+            return self._traverse(self._gcds, source)
+
+    def _run_batch(self, sources: np.ndarray) -> DistributedBatchResult:
+        """Serve a batch of sources back to back on this pod.
+
+        Each source runs a full bulk-synchronous traversal (there is no
+        bit-parallel sharing across a partitioned machine — the status
+        slices live on different GCDs), so the batch's modelled cost is
+        the sum of its member runs. Batches are validated up front with
+        a typed :class:`~repro.errors.BatchSourceError`; an injected
+        device or exchange fault fails the *whole* batch, which the
+        scheduler's dispatch-retry ladder replays. Each pod still
+        defines its own ``run_batch`` calling this one, because
+        ``benchmarks/e2e/layers.py`` times the method in each class's
+        own body.
+        """
+        sources = np.asarray(sources, dtype=np.int64).ravel()
+        validate_batch_sources(sources, self.graph.num_vertices, max_batch=None,
+                               engine=self.engine_name)
+        runs = [self.run(int(s)) for s in sources]
+        return DistributedBatchResult(sources=sources, runs=runs, num_gcds=self.num_gcds)
+
+
+class MultiGcdBFS(PodEngine):
     """Bulk-synchronous 1D-partitioned BFS across N simulated GCDs."""
+
+    engine_name = "multigcd"
 
     def __init__(
         self,
@@ -250,20 +341,12 @@ class MultiGcdBFS:
         #: Overlap each top-down level's exchange with its local expand
         #: (virtual-time accounting only — launch order is unchanged).
         self.overlap = overlap
-        self._gcds: list[GCD] | None = None
 
     def _exchange_scale(self, level: int) -> float:
         """Latency multiplier for one all-to-all (1.0 without faults)."""
         if self.injector is None:
             return 1.0
         return self.injector.visit("multigcd.exchange", f"level{level}")
-
-    @property
-    def warm_bytes(self) -> int:
-        """Modelled warm footprint the registry charges for a cached
-        engine: the per-GCD partition copies of the CSR plus the
-        ownership map and per-GCD frontier state."""
-        return self.graph.memory_bytes + 8 * self.graph.num_vertices
 
     # ------------------------------------------------------------------
     def _bottom_up_level(
@@ -386,48 +469,12 @@ class MultiGcdBFS:
         return kernel_ms, comm_ms, comm_bytes, raw_bytes, claim
 
     # ------------------------------------------------------------------
-    def run(self, source: int) -> DistributedResult:
-        graph = self.graph
-        part = self.partition
-        p = self.num_gcds
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcds is None:
-            self._gcds = [
-                GCD(self.device, self.config, injector=self.injector)
-                for _ in range(p)
-            ]
-        else:
-            for g in self._gcds:
-                g.reset(keep_warm=True)
-        gcds = self._gcds
-        with self.tracer.span(
-            "bfs.run", engine="multigcd", source=source, gcds=p
-        ):
-            return self._traverse(gcds, source)
-
     def run_batch(self, sources: np.ndarray) -> DistributedBatchResult:
         """Serve a batch of sources back to back on this pod.
 
-        The serving layer's entry point for routed dispatches: each
-        source runs a full bulk-synchronous traversal (there is no
-        bit-parallel sharing across a partitioned machine — the status
-        slices live on different GCDs), so the batch's modelled cost is
-        the sum of its member runs. Batches are validated up front with
-        a typed :class:`~repro.errors.BatchSourceError`; an injected
-        device or exchange fault surfaces as the typed error for the
-        *whole* batch, which the scheduler's dispatch-retry ladder
-        replays.
+        See :meth:`PodEngine._run_batch`.
         """
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(
-            sources, self.graph.num_vertices, max_batch=None,
-            engine="multigcd",
-        )
-        runs = [self.run(int(s)) for s in sources]
-        return DistributedBatchResult(
-            sources=sources, runs=runs, num_gcds=self.num_gcds
-        )
+        return self._run_batch(sources)
 
     def _traverse(self, gcds: list[GCD], source: int) -> DistributedResult:
         graph = self.graph

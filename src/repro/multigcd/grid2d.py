@@ -37,14 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import PartitionError, TraversalError
+from repro.errors import PartitionError
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.distributed_bfs import DistributedBatchResult
+from repro.multigcd.distributed_bfs import DistributedBatchResult, PodEngine, PodRunRates
 from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.common import (
@@ -52,19 +52,19 @@ from repro.xbfs.common import (
     segment_lines_touched,
     unique_vertices,
 )
-from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS", "Grid2dResult"]
 
 
 @dataclass
-class Grid2dResult:
+class Grid2dResult(PodRunRates):
     """Outcome of one 2D-partitioned BFS run.
 
-    Exposes the same surface the serving layer reads off
+    Exposes the same surface as
     :class:`~repro.multigcd.distributed_bfs.DistributedResult`
-    (``bytes_exchanged``, ``traversed_edges``, ``comm_fraction``,
-    ``gteps``…), so routed dispatches and
+    (``bytes_exchanged``, ``traversed_edges`` and the
+    :class:`~repro.multigcd.distributed_bfs.PodRunRates`), so routed
+    dispatches and
     :class:`~repro.multigcd.distributed_bfs.DistributedBatchResult`
     treat the two engines interchangeably.
     """
@@ -97,16 +97,6 @@ class Grid2dResult:
     _traversed: int = 0
 
     @property
-    def gteps(self) -> float:
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self._traversed / (self.elapsed_ms * 1e-3) / 1e9
-
-    @property
-    def comm_fraction(self) -> float:
-        return self.comm_ms / self.elapsed_ms if self.elapsed_ms > 0 else 0.0
-
-    @property
     def bytes_exchanged(self) -> int:
         """Total wire bytes (both collective phases)."""
         return self.allgather_bytes + self.reduce_bytes
@@ -114,13 +104,6 @@ class Grid2dResult:
     @property
     def traversed_edges(self) -> int:
         return self._traversed
-
-    @property
-    def compression_ratio(self) -> float:
-        """Raw over wire exchange bytes (1.0 when nothing shipped)."""
-        if self.bytes_exchanged <= 0:
-            return 1.0
-        return self.bytes_raw / self.bytes_exchanged
 
 
 def _square_grid(p: int) -> tuple[int, int]:
@@ -131,7 +114,7 @@ def _square_grid(p: int) -> tuple[int, int]:
     return r, p // r
 
 
-class Grid2dBFS:
+class Grid2dBFS(PodEngine):
     """Bulk-synchronous BFS on an R×C GCD grid.
 
     Vertices are split into C column blocks (frontier ownership) and R
@@ -139,6 +122,8 @@ class Grid2dBFS:
     row block i's vertices to column block j's vertices. ``num_gcds``
     must factor into a grid (a square count is ideal).
     """
+
+    engine_name = "grid2d"
 
     def __init__(
         self,
@@ -181,14 +166,6 @@ class Grid2dBFS:
         #: Overlap the row reduce-scatter with tile expansion
         #: (accounting only — launch order is unchanged).
         self.overlap = overlap
-        self._gcds: list[GCD] | None = None
-
-    @property
-    def warm_bytes(self) -> int:
-        """Modelled warm footprint the registry charges for a cached
-        engine: the checkerboard tile copies of the CSR plus per-block
-        frontier state along both grid dimensions."""
-        return self.graph.memory_bytes + 8 * self.graph.num_vertices
 
     # ------------------------------------------------------------------
     def _subcomm_cost(self, peers: int, bytes_per_peer: float) -> float:
@@ -245,43 +222,12 @@ class Grid2dBFS:
         return joined.astype(np.int64), wire, raw, float(worst)
 
     # ------------------------------------------------------------------
-    def run(self, source: int) -> Grid2dResult:
-        graph = self.graph
-        n = graph.num_vertices
-        if not 0 <= source < n:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcds is None:
-            self._gcds = [
-                GCD(self.device, self.config, injector=self.injector)
-                for _ in range(self.num_gcds)
-            ]
-        else:
-            for g in self._gcds:
-                g.reset(keep_warm=True)
-        gcds = self._gcds
-        with self.tracer.span(
-            "bfs.run", engine="grid2d", source=source, gcds=self.num_gcds
-        ):
-            return self._traverse(gcds, source)
-
     def run_batch(self, sources: np.ndarray) -> DistributedBatchResult:
         """Serve a batch of sources back to back on this grid.
 
-        Mirrors :meth:`MultiGcdBFS.run_batch
-        <repro.multigcd.distributed_bfs.MultiGcdBFS.run_batch>`: each
-        source is a full bulk-synchronous traversal, batch cost is the
-        sum of member runs, validation raises the typed
-        :class:`~repro.errors.BatchSourceError`, and an injected fault
-        fails the whole batch for the dispatch-retry ladder to replay.
+        See :meth:`~repro.multigcd.distributed_bfs.PodEngine._run_batch`.
         """
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(
-            sources, self.graph.num_vertices, max_batch=None, engine="grid2d"
-        )
-        runs = [self.run(int(s)) for s in sources]
-        return DistributedBatchResult(
-            sources=sources, runs=runs, num_gcds=self.num_gcds
-        )
+        return self._run_batch(sources)
 
     def _traverse(self, gcds: list[GCD], source: int) -> Grid2dResult:
         graph = self.graph

@@ -1,11 +1,12 @@
-"""The execution engine: one dispatch → one (recovered) engine run.
+"""The execution engine: one dispatch → one (recovered) tier run.
 
 This module is the *execution* third of the serving stack's
 placement / dispatch / execution split (placement:
 :mod:`repro.cluster.placement`; dispatch — queueing, coalescing,
 worker slots, deadlines: :mod:`repro.service.scheduler`).
 
-Every dispatch takes one path through :class:`ExecutionEngine`:
+Seven tiers serve dispatches, each one row of :data:`_TIERS`. Every
+dispatch takes one path through :class:`ExecutionEngine`:
 
 1. **repair** — on a mutated graph, re-relax cached level bases when
    the deltas since them allow it;
@@ -15,20 +16,24 @@ Every dispatch takes one path through :class:`ExecutionEngine`:
    batch reaches ``linalg_batch_threshold`` distinct sources or
    outgrows the 64-slot concurrent word; ``concurrent`` for any other
    coalesced batch; ``solo`` XBFS for the rest;
-3. **table** — build the tier's engine from :data:`_BUILDERS` once per
-   registry entry, cached in its version-stamped ``engines`` slot;
-4. **post-run** — every engine result has one serving surface
+3. **table** — build the tier's engine from its row once per registry
+   entry, cached in its version-stamped ``engines`` slot, and call it;
+4. **post-run** — every tier's result has one surface
    (``elapsed_ms``, ``sharing_factor``, ``levels_of(source)``,
-   ``level_restarts``), so one block records restarts, writes the
-   routing and per-level decision audit records and stores the levels
-   as repair bases.
+   ``level_restarts``, ``audit_rows(live)``), so one block serves all
+   seven: it records restarts, writes the tier's ``routing`` or
+   ``repair`` record and the rows the result renders for its levels,
+   stores the levels as repair bases and builds the :class:`Dispatch`.
 
-Around that path runs the recovery ladder (see :meth:`ExecutionEngine.run`).
-The executor holds no queue and no clock — the scheduler hands it a
-ready batch and charges whatever virtual elapsed time it returns.
+The breaker's ``serial`` fallback runs the oracle and joins at step 4.
+Around the path runs the recovery ladder (see
+:meth:`ExecutionEngine.run`). The executor holds no queue and no clock.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +59,7 @@ from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.repair import REPAIR_BASE_MS, repair_levels
 
 __all__ = [
+    "Dispatch",
     "ExecutionEngine",
     "SERIAL_FALLBACK_MS_PER_MEDGE",
     "DEFAULT_REPAIR_MAX_FRACTION",
@@ -70,25 +76,116 @@ SERIAL_FALLBACK_MS_PER_MEDGE = 50.0
 #: over most of the graph, so the dispatch recomputes instead.
 DEFAULT_REPAIR_MAX_FRACTION = 0.05
 
-#: Tiers served by a multi-GCD pod: one ``run_batch`` traverses the
-#: sources back to back, and a cached pod is rebuilt when the
-#: executor's ``num_gcds`` no longer matches it.
-_POD_TIERS = ("multigcd", "grid2d")
 
-#: Tier -> engine constructor, called as ``build(executor, graph,
-#: device=, tracer=, injector=)``. The single-GCD engines checkpoint
-#: under the executor's recovery policy. The 1D pod keeps the naive
-#: exchange (its routing fingerprint is committed); the 2D grid ships
-#: with the compressed exchange codec and comm/compute overlap on.
-_BUILDERS = {
-    "solo": lambda ex, g, **kw: XBFS(g, recovery=ex.recovery, **kw),
-    "concurrent": lambda ex, g, **kw: ConcurrentBFS(g, recovery=ex.recovery, **kw),
-    "linalg_batch": lambda ex, g, **kw: LinAlgBatchBFS(g, recovery=ex.recovery, **kw),
-    "multigcd": lambda ex, g, **kw: MultiGcdBFS(g, ex.num_gcds, **kw),
-    "grid2d": lambda ex, g, **kw: Grid2dBFS(
-        g, ex.num_gcds, codec=ExchangeCodec(), overlap=True, **kw
+class Dispatch(NamedTuple):
+    """What :meth:`ExecutionEngine.run` returns for one dispatch."""
+
+    elapsed_ms: float
+    sharing_factor: float
+    levels_of: Callable[[int], np.ndarray]
+    #: The tier that served it (a key of :data:`_TIERS`).
+    engine: str
+
+
+@dataclass
+class _LevelArrays:
+    """Result of the tiers the executor serves itself, one distinct
+    source at a time (repair, serial): nothing is shared and there are
+    no per-level decisions to audit."""
+
+    levels: dict[int, np.ndarray]
+    elapsed_ms: float
+    sharing_factor: float = 1.0
+    level_restarts: int = 0
+
+    def levels_of(self, source: int) -> np.ndarray:
+        return self.levels[source]
+
+    def audit_rows(self, live) -> tuple:
+        return ()
+
+
+class _Tier(NamedTuple):
+    """One row of :data:`_TIERS`. ``build(executor, graph, device=,
+    tracer=, injector=)`` makes the engine cached on the registry entry
+    and ``call(engine, live, sources)`` runs it; both are None for the
+    tiers the executor serves itself. A ``pod`` is rebuilt when the
+    executor's ``num_gcds`` no longer matches it."""
+
+    #: Audit stage of the tier's one record per live query.
+    stage: str = "routing"
+    build: Callable | None = None
+    call: Callable | None = None
+    pod: bool = False
+
+
+def _run_solo(engine, live, sources):
+    opts = live[0].options
+    return engine.run(live[0].source, force_strategy=opts.force_strategy,
+                      max_levels=opts.max_levels, record_parents=opts.record_parents)
+
+
+def _run_batch(engine, live, sources):
+    return engine.run(np.asarray(sources, dtype=np.int64))
+
+
+def _run_pod(engine, live, sources):
+    return engine.run_batch(np.asarray(sources, dtype=np.int64))
+
+
+#: Tier -> row. The single-GCD engines checkpoint under the executor's
+#: recovery policy. The 1D pod keeps the naive exchange (its routing
+#: fingerprint is committed); the 2D grid ships with the compressed
+#: exchange codec and comm/compute overlap on.
+_TIERS = {
+    "solo": _Tier(
+        build=lambda ex, g, **kw: XBFS(g, recovery=ex.recovery, **kw),
+        call=_run_solo,
     ),
+    "concurrent": _Tier(
+        build=lambda ex, g, **kw: ConcurrentBFS(g, recovery=ex.recovery, **kw),
+        call=_run_batch,
+    ),
+    "linalg_batch": _Tier(
+        build=lambda ex, g, **kw: LinAlgBatchBFS(g, recovery=ex.recovery, **kw),
+        call=_run_batch,
+    ),
+    "multigcd": _Tier(
+        build=lambda ex, g, **kw: MultiGcdBFS(g, ex.num_gcds, **kw),
+        call=_run_pod, pod=True,
+    ),
+    "grid2d": _Tier(
+        build=lambda ex, g, **kw: Grid2dBFS(
+            g, ex.num_gcds, codec=ExchangeCodec(), overlap=True, **kw
+        ),
+        call=_run_pod, pod=True,
+    ),
+    "repair": _Tier(stage="repair"),
+    "serial": _Tier(),
 }
+
+
+def _repair(entry, plans) -> tuple[_LevelArrays, dict]:
+    """Serve the repair gate's ``(source, basis, inserts)`` plans:
+    re-relax each stale basis; copy out each one already exact for
+    this version (a level-cache hit, charged only the copy-out)."""
+    levels: dict[int, np.ndarray] = {}
+    elapsed = 0.0
+    relaxed = affected = 0
+    for src, basis, inserts in plans:
+        if inserts:
+            res = repair_levels(entry.graph, basis, inserts)
+            levels[src] = res.levels
+            elapsed += res.elapsed_ms
+            relaxed += res.relaxed_edges
+            affected += res.affected_vertices
+        else:
+            levels[src] = np.array(basis, dtype=np.int32, copy=True)
+            elapsed += REPAIR_BASE_MS
+    return _LevelArrays(levels, elapsed), dict(
+        version=entry.version, sources=len(plans), relaxed_edges=relaxed,
+        affected_vertices=affected,
+    )
 
 
 class ExecutionEngine:
@@ -175,7 +272,7 @@ class ExecutionEngine:
         graph_key: str,
         now_ms: float = 0.0,
         registry=None,
-    ):
+    ) -> Dispatch:
         """Run the engine for one dispatch, recovering from injected
         faults.
 
@@ -189,9 +286,11 @@ class ExecutionEngine:
         incremental-repair tier on mutated graphs; without it every
         post-mutation dispatch recomputes.
 
-        Returns ``(elapsed_ms, sharing_factor, levels_of, engine)``.
-        One attempt is repair, else picker → engine table → post-run
-        (see the module docstring). Around it runs the ladder:
+        Returns a :class:`Dispatch` — a named tuple, so ``out[3]`` is
+        the serving tier's name. An attempt is repair, else picker →
+        tier table; a successful one ends in the post-run block every
+        tier shares (see the module docstring). Around it runs the
+        ladder:
 
         1. per-level checkpoint/restart *inside* the engine (invisible
            here beyond ``level_restarts``),
@@ -213,11 +312,6 @@ class ExecutionEngine:
         # run, and only such runs' levels are valid repair bases.
         default_surface = all(q.options.coalescing_key() is not None for q in live)
         inj = self.fault_injector
-        if inj is None:
-            return self._run_engine(
-                entry, live, sources, batched, default_surface, now_ms, registry
-            )
-
         recovery = self.recovery
         if self._breaker_cooldown_left > 0:
             self._breaker_cooldown_left -= 1
@@ -235,11 +329,15 @@ class ExecutionEngine:
             try:
                 # The worker itself may fault (raising kinds) or run
                 # slow (latency kinds scale the modelled elapsed).
-                fault_scale = inj.visit("service.worker", graph_key)
-                elapsed, sharing, levels_of, engine = self._run_engine(
-                    entry, live, sources, batched, default_surface, now_ms,
-                    registry,
-                )
+                fault_scale = 1.0 if inj is None else inj.visit("service.worker", graph_key)
+                plans = self._repair_plans(entry, live, sources, default_surface,
+                                           registry, now_ms)
+                if plans is not None:
+                    tier = "repair"
+                    result, detail = _repair(entry, plans)
+                else:
+                    tier, detail = self._pick(entry, sources, batched, default_surface)
+                    result = _TIERS[tier].call(self._engine(entry, tier), live, sources)
             except (DeviceFaultError, RecoveryExhaustedError) as exc:
                 attempt += 1
                 if attempt > recovery.max_dispatch_retries:
@@ -276,12 +374,9 @@ class ExecutionEngine:
                 self._fault_streak = 0
                 if attempt > 0 or backoff_total > 0.0:
                     self.metrics.record_recovery(backoff_total)
-                return (
-                    elapsed * fault_scale + backoff_total,
-                    sharing,
-                    levels_of,
-                    engine,
-                )
+                return self._finish(entry, live, sources, now_ms, tier, detail,
+                                    result, store=default_surface,
+                                    fault_scale=fault_scale, backoff_ms=backoff_total)
 
     # ------------------------------------------------------------------
     @property
@@ -329,84 +424,41 @@ class ExecutionEngine:
             return "concurrent", dict(batch=k, footprint_bytes=footprint)
         return "solo", dict(batch=1, footprint_bytes=footprint)
 
-    def _run_engine(self, entry: RegistryEntry, live, sources, batched,
-                    default_surface, now_ms, registry):
-        if default_surface:
-            repaired = self._maybe_repair(entry, live, sources, registry, now_ms)
-            if repaired is not None:
-                return repaired
-        tier, detail = self._pick(entry, sources, batched, default_surface)
-        engine = self._engine(entry, tier)
-        if tier == "solo":
-            opts = live[0].options
-            result = engine.run(
-                live[0].source,
-                force_strategy=opts.force_strategy,
-                max_levels=opts.max_levels,
-                record_parents=opts.record_parents,
-            )
-        elif tier in _POD_TIERS:
-            result = engine.run_batch(np.asarray(sources, dtype=np.int64))
-        else:
-            result = engine.run(np.asarray(sources, dtype=np.int64))
-
+    def _finish(self, entry: RegistryEntry, live, sources, now_ms, tier,
+                detail, result, *, store, fault_scale=1.0,
+                backoff_ms=0.0) -> Dispatch:
+        """The post-run block all seven tiers share; ``store`` keeps the
+        levels as repair bases."""
         if result.level_restarts:
             self.metrics.record_level_restarts(result.level_restarts)
         if self.audit.enabled:
-            # One "routing" record per live query, carrying the inputs
-            # behind the tier pick, then the run's per-level decisions.
-            self.audit.record(
-                "routing", [q.qid for q in live], tier, at_ms=now_ms, **detail
-            )
-            self._audit_levels(tier, live, result, now_ms)
-        # Cache the freshly-computed level arrays on the entry: they
-        # are the repair bases a future mutation relaxes from. Only the
-        # last LEVEL_CACHE_SOURCES stores would survive the entry's LRU;
+            # One tier record per live query, carrying the inputs behind
+            # it, then the rows the result renders for its own levels.
+            self.audit.record(_TIERS[tier].stage, [q.qid for q in live], tier,
+                              at_ms=now_ms, **detail)
+            for stage, qids, decision, rec in result.audit_rows(live):
+                self.audit.record(stage, qids, decision, at_ms=now_ms, **rec)
+        # Cache the level arrays on the entry: they are the repair bases
+        # a future mutation relaxes from. Only the last
+        # LEVEL_CACHE_SOURCES stores would survive the entry's LRU;
         # storing just those leaves the same contents, order and byte
         # charges.
-        if default_surface:
+        if store:
             for src in sources[-LEVEL_CACHE_SOURCES:]:
                 entry.store_levels(src, result.levels_of(src))
-        return result.elapsed_ms, result.sharing_factor, result.levels_of, tier
+        return Dispatch(
+            result.elapsed_ms * fault_scale + backoff_ms,
+            result.sharing_factor,
+            result.levels_of,
+            tier,
+        )
 
-    def _audit_levels(self, tier, live, result, now_ms):
-        """The ``direction`` records (and the pods' ``codec`` records)
-        of one run, for every live query of its dispatch."""
-        if tier not in _POD_TIERS:
-            # One shared level loop answered every query: each level's
-            # decision lands on all of them, level-major.
-            qids = [q.qid for q in live]
-            for level, dec in enumerate(result.decisions):
-                signals = {k: v for k, v in dec.signals if k != "level"}
-                self.audit.record(
-                    "direction", qids, dec.strategy, at_ms=now_ms,
-                    level=level, reason=dec.reason, **signals,
-                )
-            return
-        # A pod runs once per distinct source, and each query's chain
-        # shows the decisions of its own run.
-        run_of = {run.source: run for run in result.runs}
-        for q in live:
-            for rec in run_of[q.source].level_decisions:
-                detail = {k: v for k, v in rec.items()
-                          if k not in ("direction", "formats") and v is not None}
-                self.audit.record(
-                    "direction", q.qid, rec["direction"], at_ms=now_ms, **detail
-                )
-                formats = rec.get("formats") or {}
-                if sum(formats.values()):
-                    picks = " ".join(
-                        f"{f}:{n}" for f, n in sorted(formats.items()) if n
-                    )
-                    self.audit.record(
-                        "codec", q.qid, picks, at_ms=now_ms,
-                        level=rec["level"], comm_bytes=rec.get("comm_bytes", 0),
-                    )
-
-    def _maybe_repair(self, entry: RegistryEntry, live, sources, registry,
-                      now_ms):
-        """Incremental-repair tier: serve a post-mutation dispatch by
-        re-relaxing cached level bases instead of recomputing.
+    def _repair_plans(self, entry: RegistryEntry, live, sources,
+                      default_surface, registry, now_ms):
+        """The incremental-repair gate: one ``(source, basis, inserts)``
+        plan per source when a post-mutation dispatch can be served by
+        re-relaxing cached level bases instead of recomputing, else
+        None.
 
         Tried only for the default option surface, and eligible only
         when the graph has been mutated (version > 0), every source
@@ -416,7 +468,7 @@ class ExecutionEngine:
         declined gate (on a mutated graph) lands one ``repair`` audit
         record explaining why the dispatch recomputed.
         """
-        if registry is None or entry.version == 0:
+        if not default_surface or registry is None or entry.version == 0:
             return None
         if self.repair_max_fraction <= 0:
             return None
@@ -439,100 +491,50 @@ class ExecutionEngine:
                 break
             inserts = tuple(e for d in deltas for e in d.inserts)
             if len(inserts) > max_inserts:
-                declined = {
-                    "reason": "delta_too_large",
-                    "source": src,
-                    "inserts": len(inserts),
-                    "max_inserts": int(max_inserts),
-                }
+                declined = {"reason": "delta_too_large", "source": src,
+                            "inserts": len(inserts), "max_inserts": int(max_inserts)}
                 break
             plans.append((src, basis, inserts))
-        if declined is not None:
-            if self.audit.enabled:
-                self.audit.record(
-                    "repair",
-                    [q.qid for q in live],
-                    "recompute",
-                    at_ms=now_ms,
-                    version=entry.version,
-                    **declined,
-                )
-            return None
-
-        by_source: dict[int, "np.ndarray"] = {}
-        elapsed = 0.0
-        relaxed = 0
-        affected = 0
-        for src, basis, inserts in plans:
-            if inserts:
-                res = repair_levels(entry.graph, basis, inserts)
-                levels = res.levels
-                elapsed += res.elapsed_ms
-                relaxed += res.relaxed_edges
-                affected += res.affected_vertices
-            else:
-                # Basis already exact for this version: a level-cache
-                # hit; charge only the copy-out.
-                levels = np.array(basis, dtype=np.int32, copy=True)
-                elapsed += REPAIR_BASE_MS
-            entry.store_levels(src, levels)  # re-stamp at current version
-            by_source[src] = levels
+        if declined is None:
+            return plans
         if self.audit.enabled:
-            self.audit.record(
-                "repair",
-                [q.qid for q in live],
-                "repair",
-                at_ms=now_ms,
-                version=entry.version,
-                sources=len(sources),
-                relaxed_edges=relaxed,
-                affected_vertices=affected,
-            )
-        sharing = len(live) / len(sources) if sources else 1.0
-        return elapsed, sharing, lambda s: by_source[s], "repair"
+            self.audit.record("repair", [q.qid for q in live], "recompute",
+                              at_ms=now_ms, version=entry.version, **declined)
+        return None
 
     def _serial_fallback(self, entry: RegistryEntry, live: list[Query],
-                         sources, graph_key, now_ms, *, reason, **detail):
+                         sources, graph_key, now_ms, *, reason,
+                         **detail) -> Dispatch:
         """Circuit-breaker fallback: queue-based CPU BFS per source.
 
         ``bfs_levels_reference`` is the same int32 oracle the test suite
         checks every engine against, so the answers stay bit-identical;
         only the modelled cost degrades. Runs outside the injector's
         reach — the whole point is an execution plane faults can't
-        touch.
+        touch. It stores no repair bases.
         """
         from repro.graph.stats import bfs_levels_reference
 
         self.metrics.record_fallback()
-        self.tracer.event(
-            "recovery.serial_fallback", graph=graph_key, reason=reason
-        )
-        if self.audit.enabled:
-            self.audit.record(
-                "routing",
-                [q.qid for q in live],
-                "serial",
-                at_ms=now_ms,
-                reason=reason,
-                **detail,
-            )
+        self.tracer.event("recovery.serial_fallback", graph=graph_key, reason=reason)
         graph = entry.graph
-        by_source: dict[int, "np.ndarray"] = {}
+        answers: dict[int, "np.ndarray"] = {}
         serial_edges = 0
+        max_levels = live[0].options.max_levels if len(sources) == 1 else None
         for src in sources:
             levels = bfs_levels_reference(graph, src)
-            max_levels = None
-            if len(sources) == 1:
-                max_levels = live[0].options.max_levels
             if max_levels is not None:
                 # The engine stops expanding once ``level`` reaches
                 # ``max_levels``: vertices at levels 0..max_levels stay.
                 levels = levels.copy()
                 levels[levels > max_levels] = -1
-            by_source[src] = levels
+            answers[src] = levels
             serial_edges += int(graph.degrees[levels >= 0].sum())
         elapsed = serial_edges / 1e6 * SERIAL_FALLBACK_MS_PER_MEDGE
-        return elapsed, 1.0, lambda s: by_source[s], "serial"
+        return self._finish(
+            entry, live, sources, now_ms, "serial", dict(reason=reason, **detail),
+            _LevelArrays(answers, elapsed), store=False,
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -561,22 +563,16 @@ class ExecutionEngine:
         return device
 
     def _engine(self, entry: RegistryEntry, tier: str):
-        """The ``tier``'s engine on ``entry``, built from
-        :data:`_BUILDERS` once and cached in the entry's ``engines``
+        """The ``tier``'s engine on ``entry``, built from its
+        :data:`_TIERS` row once and cached in the entry's ``engines``
         slot — so repeated dispatches pay engine construction (a pod's
         partitioning included) exactly as often as they pay CSR
         construction: on a cold or evicted graph only."""
+        row = _TIERS[tier]
         slot = self._slot(entry, tier)
         engine = entry.engines.get(slot)
-        if engine is None or (
-            tier in _POD_TIERS and engine.num_gcds != self.num_gcds
-        ):
-            engine = _BUILDERS[tier](
-                self,
-                entry.graph,
-                device=self._device_of(entry),
-                tracer=self.tracer,
-                injector=self.fault_injector,
-            )
+        if engine is None or (row.pod and engine.num_gcds != self.num_gcds):
+            engine = row.build(self, entry.graph, device=self._device_of(entry),
+                               tracer=self.tracer, injector=self.fault_injector)
             entry.engines[slot] = engine
         return engine

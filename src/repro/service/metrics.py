@@ -21,6 +21,7 @@ __all__ = [
     "ServiceMetrics",
     "ENGINE_NAMES",
     "FINGERPRINT_ENGINE_NAMES",
+    "dispatch_counts",
     "merge_latency_sketches",
     "percentile",
 ]
@@ -41,6 +42,22 @@ ENGINE_NAMES = (
 FINGERPRINT_ENGINE_NAMES = (
     "solo", "concurrent", "linalg_batch", "multigcd", "serial",
 )
+
+
+def dispatch_counts(
+    counts: dict[str, int], zero_filled: tuple = FINGERPRINT_ENGINE_NAMES
+) -> dict[str, int]:
+    """The ``dispatches_<engine>`` keys of a report from per-engine
+    dispatch ``counts``: every ``zero_filled`` engine (by default the
+    frozen fingerprint tuple, so a fingerprint's key set cannot drift),
+    then each other engine once it has served a dispatch."""
+    out = {f"dispatches_{e}": counts.get(e, 0) for e in zero_filled}
+    out.update(
+        (f"dispatches_{e}", counts[e])
+        for e in ENGINE_NAMES
+        if e not in zero_filled and e in counts
+    )
+    return out
 
 
 @dataclass
@@ -249,13 +266,7 @@ class ServiceMetrics:
         """Engine-routing snapshot: dispatch counts per serving engine
         (every known engine present, zero when unused) plus the
         dispatch total. JSON-able and deterministic under replay."""
-        out = {
-            f"dispatches_{engine}": self.engine_dispatches.get(engine, 0)
-            for engine in ENGINE_NAMES
-        }
-        for engine in sorted(self.engine_dispatches):
-            if engine not in ENGINE_NAMES:
-                out[f"dispatches_{engine}"] = self.engine_dispatches[engine]
+        out = dispatch_counts(self.engine_dispatches, ENGINE_NAMES)
         out["dispatches"] = self.dispatches
         out["engine_dispatches"] = dict(self.engine_dispatches)
         return out
@@ -278,18 +289,8 @@ class ServiceMetrics:
             "dispatches": self.dispatches,
             # Per-engine dispatch counts sit at the top level so the
             # routing policy itself is fingerprinted by
-            # tools/check_regression.py. Engines outside the frozen
-            # tuple only appear once they have served a dispatch.
-            **{
-                f"dispatches_{engine}": self.engine_dispatches.get(engine, 0)
-                for engine in FINGERPRINT_ENGINE_NAMES
-            },
-            **{
-                f"dispatches_{engine}": self.engine_dispatches[engine]
-                for engine in ENGINE_NAMES
-                if engine not in FINGERPRINT_ENGINE_NAMES
-                and engine in self.engine_dispatches
-            },
+            # tools/check_regression.py.
+            **dispatch_counts(self.engine_dispatches),
             "mean_batch_size": self.mean_batch_size,
             "mean_sharing_factor": self.mean_sharing_factor,
             "makespan_ms": self.makespan_ms,

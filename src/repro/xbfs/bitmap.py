@@ -44,7 +44,7 @@ from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.classifier import Decision
+from repro.xbfs.classifier import Decision, DecisionAudit
 from repro.xbfs.common import gather_adjacency, replay_on_fault
 
 __all__ = [
@@ -306,7 +306,7 @@ def counter_levels(
 
 
 @dataclass
-class BitmapBatchResult:
+class BitmapBatchResult(DecisionAudit):
     """Outcome of one multi-source run on the bitmap level loop."""
 
     sources: np.ndarray

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 from repro.errors import TraversalError
 
-__all__ = ["AdaptiveClassifier", "Decision", "SCAN_FREE", "SINGLE_SCAN", "BOTTOM_UP"]
+__all__ = ["AdaptiveClassifier", "Decision", "DecisionAudit",
+           "SCAN_FREE", "SINGLE_SCAN", "BOTTOM_UP"]
 
 SCAN_FREE = "scan_free"
 SINGLE_SCAN = "single_scan"
@@ -41,6 +42,26 @@ class Decision:
     strategy: str
     reason: str
     signals: tuple = ()
+
+
+class DecisionAudit:
+    """Audit rows of a run whose one level loop answered every query.
+
+    Mixed into the results of solo XBFS and the bitmap batch engines,
+    whose per-level :class:`Decision` list is ``self.decisions``.
+    """
+
+    def audit_rows(self, live):
+        """The run's per-level ``direction`` audit rows.
+
+        Rows are ``(stage, qids, decision, detail)``; each level's row
+        lands on every query in ``live``, level-major.
+        """
+        qids = [q.qid for q in live]
+        for level, dec in enumerate(self.decisions):
+            signals = {k: v for k, v in dec.signals if k != "level"}
+            detail = dict(level=level, reason=dec.reason, **signals)
+            yield "direction", qids, dec.strategy, detail
 
 
 @dataclass(frozen=True)

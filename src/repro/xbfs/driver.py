@@ -33,6 +33,7 @@ from repro.xbfs.classifier import (
     SINGLE_SCAN,
     AdaptiveClassifier,
     Decision,
+    DecisionAudit,
 )
 from repro.xbfs.common import DEFAULT_PROBE_BLOCK, replay_on_fault
 from repro.xbfs.level import LevelResult
@@ -43,7 +44,7 @@ __all__ = ["XBFS", "XBFSResult", "BatchResult"]
 
 
 @dataclass
-class XBFSResult:
+class XBFSResult(DecisionAudit):
     """Outcome of one BFS run."""
 
     source: int

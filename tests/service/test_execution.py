@@ -9,6 +9,9 @@ query naming the tier. The direction-audit cases pin that every live
 query gets the per-level decisions of the run that answered it.
 """
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -53,12 +56,12 @@ def _repair(**kw):
     return svc, audit, _submit(svc, (7, 7), at_ms=101.0, first_qid=2)
 
 
-def _serial(**kw):
+def _serial(first=BATCH, **kw):
     # Every worker visit faults and nothing is retried: the first
     # dispatch exhausts its retries, the second finds the breaker open.
     plan = FaultPlan(seed=0, rules=(FaultRule(site="service.worker", kind="kernel_launch"),))
     recovery = RecoveryPolicy(max_dispatch_retries=0, breaker_threshold=1, breaker_cooldown=4)
-    svc, audit, qids = _dispatch(BATCH, fault_plan=plan, recovery=recovery, **kw)
+    svc, audit, qids = _dispatch(first, fault_plan=plan, recovery=recovery, **kw)
     return svc, audit, qids + _submit(svc, (5, 6), at_ms=100.0, first_qid=len(qids))
 
 
@@ -132,6 +135,29 @@ def test_level_restarts_match_engine_results(tier, monkeypatch):
     assert svc.metrics.level_restarts == restarts
 
 
+#: Tier -> a scenario whose first dispatch serves two queries from one
+#: source, ``(7, 7)``.
+DUPLICATE_SOURCE = {
+    "solo": lambda: _dispatch((7, 7)),
+    "multigcd": lambda: _dispatch((7, 7), distributed_threshold_mb=0.0),
+    "repair": _repair,
+    "serial": lambda: _serial(first=(7, 7)),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(DUPLICATE_SOURCE))
+def test_duplicate_source_sharing_matches_across_tiers(tier):
+    # Every tier measures sharing over distinct sources: two queries
+    # answered by one traversal (or one repair) of one source share
+    # nothing beyond what a solo run does.
+    svc, _, qids = DUPLICATE_SOURCE[tier]()
+    outcomes = {o.query.qid: o for o in svc.drain()}
+    first = [outcomes[q] for q in qids if outcomes[q].query.source == 7]
+    assert len(first) == 2
+    assert {o.engine for o in first} == {tier}
+    assert [o.sharing_factor for o in first] == [1.0, 1.0]
+
+
 class TestDirectionAudit:
     """Shared level loops audit each level's decision for every live
     query, level-major: the concurrent batch and the duplicate-source
@@ -149,3 +175,38 @@ class TestDirectionAudit:
                for r in audit.records if r.stage == "direction"]
         assert got == [(level, qid, s)
                        for level, s in enumerate(strategies) for qid in qids]
+
+
+def _stream_crc(audit) -> int:
+    """CRC-32 of a full audit stream: each record's stage, qid,
+    decision, ``at_ms`` and sorted detail, in append order."""
+    crc = 0
+    for r in audit.records:
+        line = json.dumps([r.stage, r.qid, r.decision, r.at_ms, r.detail],
+                          sort_keys=True, default=lambda v: v.item())
+        crc = zlib.crc32(line.encode() + b"\n", crc)
+    return crc
+
+
+#: Scenario -> CRC-32 of its full audit stream. Any change to a tier's
+#: records, their order or their detail fails here. ``solo`` is the
+#: shared-source dispatch (``SHARED``); ``solo_single`` is one query on
+#: its own.
+AUDIT_STREAM_CRC = {
+    "solo_single": 4020160044,
+    "solo": 3226017865,
+    "concurrent": 2548327276,
+    "linalg_batch": 1791815166,
+    "multigcd": 3420722781,
+    "grid2d": 1086079460,
+    "repair": 4235518290,
+    "serial": 3216692618,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_STREAM_CRC))
+def test_audit_stream_is_pinned(name):
+    scenario = (lambda: _dispatch((5,))) if name == "solo_single" else SCENARIOS[name]
+    svc, audit, _ = scenario()
+    svc.drain()
+    assert _stream_crc(audit) == AUDIT_STREAM_CRC[name]

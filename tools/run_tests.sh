@@ -47,7 +47,9 @@
 #                                 # planes: the obs-on/off differential
 #                                 # wall, the explain-chain contract,
 #                                 # the executor's per-tier audit and
-#                                 # direction-record contract, the
+#                                 # direction-record contract with its
+#                                 # pinned audit streams, the e2e
+#                                 # harness's layer hooks, the
 #                                 # Prometheus scrape round-trip and
 #                                 # the enabled-obs overhead bench
 #   tools/run_tests.sh all        # everything: tier-1 + tier-2 + the
@@ -104,7 +106,7 @@ case "$tier" in
     ;;
   obs)
     python -m pytest tests/obs tests/service/test_execution.py \
-      tests/telemetry/test_prometheus_labels.py "$@"
+      tests/telemetry/test_prometheus_labels.py tests/test_e2e_hooks.py "$@"
     python -m pytest benchmarks/bench_obs_overhead.py -s "$@"
     ;;
   all)
