@@ -1,12 +1,13 @@
-"""Multi-GCD extension: 1D-partitioned distributed BFS over several
-simulated GCDs with an α–β interconnect model (the paper's Graph500
-motivation carried one step further)."""
+"""Multi-GCD extension: 1D- and 2D-partitioned distributed BFS over
+several simulated GCDs with an α–β interconnect model (the paper's
+Graph500 motivation carried one step further); a batch of sources is
+one bit-parallel traversal of the pod."""
 
 from repro.multigcd.comm import INFINITY_FABRIC, SLINGSHOT, InterconnectModel
 from repro.multigcd.distributed_bfs import (
-    DistributedBatchResult,
     DistributedResult,
     MultiGcdBFS,
+    PodBatchResult,
 )
 from repro.multigcd.exchange import (
     FORMAT_BITMAP,
@@ -36,7 +37,7 @@ __all__ = [
     "Grid2dBFS",
     "Grid2dResult",
     "DistributedResult",
-    "DistributedBatchResult",
+    "PodBatchResult",
     "Partition1D",
     "partition_by_edges",
     "partition_by_vertices",

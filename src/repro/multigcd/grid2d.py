@@ -17,17 +17,22 @@ than all P peers — the classic volume argument (O(|V|/√P) words per
 GCD per level instead of O(|V|)).
 
 Functionally the engine is exact (validated against the oracle); the
-cost model charges each phase on its sub-communicator. As of the
-exchange-plane work the engine is a full routing citizen: it takes the
+cost model charges each phase on its sub-communicator. It takes the
 :class:`~repro.multigcd.exchange.ExchangeCodec` (per-block-message
 bitmap/sparse selection, with frontier and discovery sets round-tripped
 through ``decode`` so the codec provably cannot change the answer),
 comm/compute ``overlap`` (the reduce-scatter of early discovery bits
 hides behind the remaining tile expansion; the allgather stays
 sequential — tiles consume it), a :class:`~repro.telemetry.tracer`
-(pre-finished ``dist.level`` spans, ``strategy="grid2d"``), the
-``multigcd.exchange`` fault site on both collective phases, and a
-``run_batch`` entry point for the serving dispatcher.
+(pre-finished ``dist.level`` spans, ``strategy="grid2d"``), and the
+``multigcd.exchange`` fault site on both collective phases.
+
+:meth:`Grid2dBFS.run_batch`, the serving dispatcher's entry point, runs
+the same three phases on the bitmap level loop
+(:class:`~repro.xbfs.bitmap.BitmapBatchEngine`), every source at once:
+the collectives carry (vertices × sources/64) bitmap rows — each block
+whole, or its occupied rows' ids through the codec plus their words —
+and a faulted level replays after every member quiesces.
 """
 
 from __future__ import annotations
@@ -37,21 +42,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import PartitionError
+from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.distributed_bfs import DistributedBatchResult, PodEngine, PodRunRates
+from repro.multigcd.distributed_bfs import (
+    TOP_DOWN,
+    PodBatchResult,
+    PodEngine,
+    PodRunRates,
+)
 from repro.multigcd.exchange import ExchangeCodec
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
+from repro.xbfs import bitmap as bm
+from repro.xbfs.classifier import Decision
 from repro.xbfs.common import (
     gather_neighbors,
     segment_lines_touched,
     unique_vertices,
 )
+from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS", "Grid2dResult"]
 
@@ -63,10 +76,8 @@ class Grid2dResult(PodRunRates):
     Exposes the same surface as
     :class:`~repro.multigcd.distributed_bfs.DistributedResult`
     (``bytes_exchanged``, ``traversed_edges`` and the
-    :class:`~repro.multigcd.distributed_bfs.PodRunRates`), so routed
-    dispatches and
-    :class:`~repro.multigcd.distributed_bfs.DistributedBatchResult`
-    treat the two engines interchangeably.
+    :class:`~repro.multigcd.distributed_bfs.PodRunRates`), so callers
+    treat the two engines' runs interchangeably.
     """
 
     source: int
@@ -123,7 +134,13 @@ class Grid2dBFS(PodEngine):
     must factor into a grid (a square count is ideal).
     """
 
-    engine_name = "grid2d"
+    ENGINE = "grid2d"
+
+    #: Why every level is top-down, on each level's audit row.
+    _REASON = (
+        "2D tiles consume the column allgather; both collectives are "
+        "bitmap-width-bounded"
+    )
 
     def __init__(
         self,
@@ -135,37 +152,25 @@ class Grid2dBFS(PodEngine):
         interconnect: InterconnectModel = INFINITY_FABRIC,
         tracer: Tracer | None = None,
         injector=None,
+        recovery: RecoveryPolicy | None = None,
         codec: ExchangeCodec | None = None,
         overlap: bool = False,
     ) -> None:
-        if num_gcds < 1:
-            raise PartitionError(f"num_gcds must be >= 1, got {num_gcds}")
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
-        self.interconnect = interconnect
+        # The ``multigcd.exchange`` fault site covers both collective
+        # phases (detail ``level<k>.allgather`` /
+        # ``level<k>.reduce_scatter``); ``overlap`` hides the row
+        # reduce-scatter behind tile expansion.
+        super().__init__(
+            graph, num_gcds, device=device, config=config,
+            interconnect=interconnect, tracer=tracer, injector=injector,
+            recovery=recovery, codec=codec, overlap=overlap,
+        )
         self.rows, self.cols = _square_grid(num_gcds)
-        self.num_gcds = num_gcds
         n = graph.num_vertices
         #: Vertex block boundaries along each grid dimension.
         self.row_bounds = np.linspace(0, n, self.rows + 1).astype(np.int64)
         self.col_bounds = np.linspace(0, n, self.cols + 1).astype(np.int64)
-        #: Optional :class:`~repro.faults.injector.FaultInjector`;
-        #: member GCDs share it, and the ``multigcd.exchange`` site
-        #: covers both collective phases (detail
-        #: ``level<k>.allgather`` / ``level<k>.reduce_scatter``).
-        self.injector = injector
-        #: Optional tracer; levels are pre-finished ``dist.level``
-        #: spans carrying the kernel/comm split, tagged
-        #: ``strategy="grid2d"``.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if injector is not None and self.tracer.enabled:
-            injector.bind_tracer(self.tracer)
-        #: Optional exchange codec shared by every block message.
-        self.codec = codec
-        #: Overlap the row reduce-scatter with tile expansion
-        #: (accounting only — launch order is unchanged).
-        self.overlap = overlap
+        self._block_deg: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _subcomm_cost(self, peers: int, bytes_per_peer: float) -> float:
@@ -183,12 +188,14 @@ class Grid2dBFS(PodEngine):
         return self.injector.visit("multigcd.exchange", f"level{level}.{phase}")
 
     def _block_exchange(
-        self, vertices: np.ndarray, bounds: np.ndarray, fan: int
+        self, vertices: np.ndarray, bounds: np.ndarray, fan: int,
+        row_bytes: int = 0,
     ) -> tuple[np.ndarray, int, int, float]:
         """Run one codec-compressed block collective.
 
         Splits ``vertices`` into the blocks delimited by ``bounds``,
-        encodes each block's message, ships ``fan`` copies of it (the
+        encodes each block's message (plus ``row_bytes`` of bitmap
+        words per vertex for a batch), ships ``fan`` copies of it (the
         sub-communicator's peer-pair count), and rebuilds the vertex
         set from the *decoded* messages. Returns
         ``(vertices_roundtripped, wire_bytes, raw_bytes, slowest_ms)``
@@ -207,11 +214,12 @@ class Grid2dBFS(PodEngine):
                 continue
             decoded: np.ndarray | None = None
             per_msg = 0
+            words = int(mine.size) * row_bytes
             for _ in range(fan):
                 msg = codec.encode(mine, lo, hi)
-                per_msg = msg.wire_bytes
-                wire += msg.wire_bytes
-                raw += msg.raw_bytes
+                per_msg = msg.wire_bytes + words
+                wire += per_msg
+                raw += msg.raw_bytes + words
                 if decoded is None:
                     decoded = codec.decode(msg)
             worst = max(worst, per_msg)
@@ -222,14 +230,130 @@ class Grid2dBFS(PodEngine):
         return joined.astype(np.int64), wire, raw, float(worst)
 
     # ------------------------------------------------------------------
-    def run_batch(self, sources: np.ndarray) -> DistributedBatchResult:
-        """Serve a batch of sources back to back on this grid.
+    def run_batch(self, sources: np.ndarray) -> PodBatchResult:
+        """One bit-parallel traversal of a batch of distinct sources.
 
-        See :meth:`~repro.multigcd.distributed_bfs.PodEngine._run_batch`.
-        """
-        return self._run_batch(sources)
+        See the module docstring. Batches are validated up front with a
+        typed :class:`~repro.errors.BatchSourceError`."""
+        sources = np.asarray(sources, dtype=np.int64).ravel()
+        validate_batch_sources(sources, self.graph.num_vertices, max_batch=None,
+                               engine=self.ENGINE)
+        return self._traverse(sources)
 
-    def _traverse(self, gcds: list[GCD], source: int) -> Grid2dResult:
+    def _plan(self, level, active, frontier_edges, missing, prev_active, prev):
+        return Decision(TOP_DOWN, self._REASON, (("frontier", int(active.size)),)), None
+
+    def _block_degrees(self) -> np.ndarray:
+        """``(vertices, rows)``: each vertex's out-edges into each row
+        block, counted once per engine."""
+        if self._block_deg is None:
+            graph = self.graph
+            n = graph.num_vertices
+            src = np.repeat(np.arange(n), graph.degrees)
+            block = np.searchsorted(self.row_bounds, graph.col_indices, side="right") - 1
+            self._block_deg = np.bincount(
+                src * self.rows + block, minlength=n * self.rows
+            ).reshape(n, self.rows)
+        return self._block_deg
+
+    def _product(self, frontier, active, cand, missing):
+        """The three phases' host side: the column allgather of the
+        frontier rows, one product over the rows received, with its
+        edges binned per tile, and the row reduce-scatter of the rows it
+        filled.
+
+        Without a codec each collective ships whole bitmap blocks; with
+        one, a block's occupied rows go through the codec and the
+        product reads only rows that were decoded."""
+        graph = self.graph
+        n = graph.num_vertices
+        row_bytes = 8 * frontier.shape[1]
+        before = self._format_counts()
+        ag_fan = self.rows * (self.rows - 1)
+        rs_fan = self.cols * (self.cols - 1)
+        # Phase 1: the column allgather of frontier rows.
+        if self.codec is None:
+            ag_worst = -(-n // self.cols) * row_bytes
+            ag_wire = ag_raw = ag_worst * ag_fan * self.cols
+            seen, rows = frontier, active
+        else:
+            rows, ag_wire, ag_raw, ag_worst = self._block_exchange(
+                active, self.col_bounds, ag_fan, row_bytes
+            )
+            seen = np.zeros_like(frontier)
+            seen[rows] = frontier[rows]
+        # Phase 2: the tiles' product over the received rows (the host
+        # pulls when that scans fewer edges). edges[r, i] counts the
+        # out-edges of rows[r] landing in row block i, the edges of
+        # tile (i, column block of rows[r]).
+        pull, pull_edges = bm.pull_candidates(graph, missing)
+        if pull_edges >= int(graph.degrees[rows].sum()):
+            pull = None
+        filled = super()._product(seen, rows, pull, missing)
+        edges = self._block_degrees()[rows]
+        col_block = np.searchsorted(self.col_bounds, rows, side="right") - 1
+        # Phase 3: the row reduce-scatter of the rows filled.
+        if self.codec is None:
+            rs_worst = -(-n // self.rows) * row_bytes
+            rs_wire = rs_raw = rs_worst * rs_fan * self.rows
+            fresh = filled
+        else:
+            got, rs_wire, rs_raw, rs_worst = self._block_exchange(
+                bm.occupied_rows(filled), self.row_bounds, rs_fan, row_bytes
+            )
+            fresh = np.zeros_like(frontier)
+            fresh[got] = filled[got]
+        self._pod.exchange = (rows, edges, col_block, ag_worst, rs_worst)
+        self._pod.record(ag_wire + rs_wire, ag_raw + rs_raw,
+                         self._formats_since(before))
+        return fresh
+
+    def _charge(self, pod, level, active, frontier_edges, cand, fresh, newly):
+        """Every tile's expand, then the two collectives: the
+        allgather before the tiles, the reduce-scatter hideable behind
+        them under ``overlap``."""
+        graph = self.graph
+        n = graph.num_vertices
+        words = fresh.shape[1]
+        line = self.device.cache_line_bytes
+        rows, edges, col_block, ag_worst, rs_worst = pod.exchange
+        ag_ms = self._subcomm_cost(self.rows, ag_worst) * self._exchange_scale(
+            level, "allgather"
+        )
+        for i in range(self.rows):
+            for j in range(self.cols):
+                local = (col_block == j) & (edges[:, i] > 0)
+                e_tile = int(edges[local, i].sum())
+                if e_tile == 0:
+                    continue
+                mine = rows[local]
+                adj_lines = segment_lines_touched(
+                    graph.row_offsets[mine], graph.degrees[mine],
+                    element_bytes=4, line_bytes=line,
+                )
+                pod.gcds[i * self.cols + j].launch(
+                    "g2d_tile_expand",
+                    strategy=self.ENGINE,
+                    level=level,
+                    streams=[
+                        seq_read("frontier_bitmap", -(-n // self.cols) * words, 8),
+                        rand_read("beg_pos", 2 * int(mine.size), 2 * int(mine.size), 8),
+                        segmented_read("tile_cols", e_tile, adj_lines, 4),
+                        rand_write("discovery_bitmap", e_tile * words,
+                                   -(-n // self.rows) * words, 8),
+                    ],
+                    work=ComputeWork(flat_ops=float((e_tile + mine.size) * words)),
+                    work_items=int(mine.size),
+                )
+        tile_ms = pod.step()
+        rs_ms = self._subcomm_cost(self.cols, rs_worst) * self._exchange_scale(
+            level, "reduce_scatter"
+        )
+        self._settle(pod, level, int(active.size), tile_ms, ag_ms + rs_ms,
+                     hideable_ms=rs_ms, direction=TOP_DOWN)
+        return frontier_edges
+
+    def _traverse_source(self, gcds: list[GCD], source: int) -> Grid2dResult:
         graph = self.graph
         n = graph.num_vertices
         tracer = self.tracer
@@ -244,20 +368,12 @@ class Grid2dBFS(PodEngine):
         overlap_saved = 0.0
         per_level: list[int] = []
         per_level_raw: list[int] = []
-        formats_before = (
-            self.codec.counters() if self.codec is not None else None
-        )
+        formats_before = self._format_counts()
         line = self.device.cache_line_bytes
         level_decisions: list[dict] = []
 
-        def _fmt_counts():
-            if self.codec is None:
-                return None
-            c = self.codec.counters()
-            return (c["messages_sparse"], c["messages_bitmap"])
-
         while frontier.size:
-            fmt_before = _fmt_counts()
+            fmt_before = self._format_counts()
             # Phase 1: column allgather of frontier bits — every tile
             # column shares the frontier slice of its vertex block.
             ag_fan = self.rows * (self.rows - 1)
@@ -380,38 +496,20 @@ class Grid2dBFS(PodEngine):
                 **extra,
             )
 
-            fmt_after = _fmt_counts()
             level_decisions.append(
                 {
                     "level": level,
-                    "direction": "top_down",
-                    "reason": (
-                        "2D tiles consume the column allgather; both "
-                        "collectives are bitmap-width-bounded"
-                    ),
+                    "direction": TOP_DOWN,
+                    "reason": self._REASON,
                     "frontier": int(frontier.size),
                     "comm_bytes": ag_bytes + rs_bytes,
-                    "formats": (
-                        {
-                            "sparse": fmt_after[0] - fmt_before[0],
-                            "bitmap": fmt_after[1] - fmt_before[1],
-                        }
-                        if fmt_before is not None
-                        else {}
-                    ),
+                    "formats": self._formats_since(fmt_before),
                 }
             )
             levels[discovered] = level + 1
             frontier = discovered
             level += 1
 
-        formats: dict[str, int] = {}
-        if formats_before is not None:
-            after = self.codec.counters()
-            formats = {
-                fmt: after[f"messages_{fmt}"] - formats_before[f"messages_{fmt}"]
-                for fmt in ("sparse", "bitmap")
-            }
         reached = levels >= 0
         result = Grid2dResult(
             source=source,
@@ -425,7 +523,7 @@ class Grid2dBFS(PodEngine):
             per_level_comm_bytes=per_level,
             bytes_raw=raw_total,
             per_level_raw_bytes=per_level_raw,
-            exchange_formats=formats,
+            exchange_formats=self._formats_since(formats_before),
             overlap_saved_ms=overlap_saved,
             level_decisions=level_decisions,
         )

@@ -133,10 +133,10 @@ def _run_pod(engine, live, sources):
     return engine.run_batch(np.asarray(sources, dtype=np.int64))
 
 
-#: Tier -> row. The single-GCD engines checkpoint under the executor's
-#: recovery policy. The 1D pod keeps the naive exchange (its routing
-#: fingerprint is committed); the 2D grid ships with the compressed
-#: exchange codec and comm/compute overlap on.
+#: Tier -> row. Every engine replays faulted levels under the
+#: executor's recovery policy. The 1D pod keeps the naive exchange; the
+#: 2D grid ships with the compressed exchange codec and comm/compute
+#: overlap on.
 _TIERS = {
     "solo": _Tier(
         build=lambda ex, g, **kw: XBFS(g, recovery=ex.recovery, **kw),
@@ -151,12 +151,13 @@ _TIERS = {
         call=_run_batch,
     ),
     "multigcd": _Tier(
-        build=lambda ex, g, **kw: MultiGcdBFS(g, ex.num_gcds, **kw),
+        build=lambda ex, g, **kw: MultiGcdBFS(g, ex.num_gcds, recovery=ex.recovery, **kw),
         call=_run_pod, pod=True,
     ),
     "grid2d": _Tier(
         build=lambda ex, g, **kw: Grid2dBFS(
-            g, ex.num_gcds, codec=ExchangeCodec(), overlap=True, **kw
+            g, ex.num_gcds, recovery=ex.recovery, codec=ExchangeCodec(), overlap=True,
+            **kw,
         ),
         call=_run_pod, pod=True,
     ),

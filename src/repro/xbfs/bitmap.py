@@ -16,17 +16,20 @@ product, the segment-OR pull gather, the ``¬visited`` mask, the
 pack/unpack conversions, and the bit-sliced level counter that tracks
 every pair's BFS level in packed planes.
 
-It also holds the one level loop both multi-source engines run
+It also holds the one level loop every multi-source engine runs
 (:class:`BitmapBatchEngine`): the 64-source
-:class:`~repro.xbfs.concurrent.ConcurrentBFS` and the up-to-1024-source
-:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS`. The loop owns the
-frontier/visited bitmaps, the counter planes, the ``bfs.level`` spans,
-the host product and the fault replay, and returns one
-:class:`BitmapBatchResult`. An engine supplies only a per-level *plan*
-(which host product, under which strategy label) and a per-level
-*charge* (the modelled launches). A level is committed — counters,
-visited, edge totals — only after its launches sync, so an injected
-device fault leaves nothing to roll back: the charge is replayed under
+:class:`~repro.xbfs.concurrent.ConcurrentBFS`, the up-to-1024-source
+:class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS`, and the batches of
+both multi-GCD pods (:mod:`repro.multigcd`). The loop owns the
+frontier/visited bitmaps, the counter planes, the ``bfs.level`` spans
+and the fault replay, and returns one :class:`BitmapBatchResult`. An
+engine supplies a per-level *plan* (which host product, under which
+strategy label) and a per-level *charge* (the modelled launches); a pod
+also supplies its device (its member GCDs as one bulk-synchronous
+clock), its host product (built from what crosses its wire) and its
+result type. A level is committed — counters, visited, edge totals —
+only after its launches sync, so an injected device fault leaves
+nothing to roll back: the charge is replayed under
 :func:`~repro.xbfs.common.replay_on_fault`.
 """
 
@@ -57,6 +60,7 @@ __all__ = [
     "segment_or_rows",
     "push_product",
     "pull_product",
+    "pull_candidates",
     "fresh_mask",
     "occupied_rows",
     "popcount_rows",
@@ -179,6 +183,15 @@ def pull_product(
     return segment_or_rows(
         frontier[gather_adjacency(reverse, cand)], reverse.degrees[cand]
     )
+
+
+def pull_candidates(graph: CSRGraph, missing: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows a pull product gathers, and the in-edges it scans.
+
+    The rows are every row of ``missing`` (``¬visited``) with a bit
+    set."""
+    cand = occupied_rows(missing)
+    return cand, int(graph.reverse().degrees[cand].sum())
 
 
 def fresh_mask(incoming: np.ndarray, visited: np.ndarray) -> np.ndarray:
@@ -367,11 +380,13 @@ class BitmapBatchResult(DecisionAudit):
 
 class BitmapBatchEngine:
     """Construction and level loop shared by the bitmap multi-source
-    engines over one simulated GCD.
+    engines.
 
     A subclass names itself (:attr:`ENGINE`, the tag on spans, launches
     and errors) and implements :meth:`_plan` and :meth:`_charge`; its
-    ``run`` validates the batch and calls :meth:`_traverse`.
+    entry point validates the batch and calls :meth:`_traverse`. The
+    device (one simulated GCD), the host product and the result type
+    are hooks too (:meth:`_device`, :meth:`_product`, :meth:`_result`).
     """
 
     ENGINE = ""
@@ -421,7 +436,7 @@ class BitmapBatchEngine:
 
     def _charge(
         self,
-        gcd: GCD,
+        gcd,
         level: int,
         active: np.ndarray,
         frontier_edges: int,
@@ -429,14 +444,20 @@ class BitmapBatchEngine:
         fresh: np.ndarray,
         newly: np.ndarray,
     ) -> int:
-        """Issue one level's modelled launches; return the edges they
-        examined. ``fresh`` is the level's discoveries and ``newly``
-        its occupied rows. Replayed as a whole on a device fault, so
-        it must not mutate traversal state."""
+        """Issue one level's modelled launches on ``gcd`` (the run's
+        device); return the edges they examined. ``fresh`` is the
+        level's discoveries and ``newly`` its occupied rows. Replayed as
+        a whole on a device fault, so it must not mutate traversal
+        state."""
         raise NotImplementedError
 
-    def _traverse(self, sources: np.ndarray) -> BitmapBatchResult:
-        """Run the level loop from validated, distinct ``sources``."""
+    def _device(self):
+        """The device a run drives, reset for the run, and whether the
+        run pays its first-launch warm-up.
+
+        One simulated GCD here, kept warm across runs; it is anything
+        with ``elapsed_ms``, ``sync()`` and ``quiesce()`` (a pod drives
+        its member GCDs as one bulk-synchronous device)."""
         if self._gcd is None:
             self._gcd = GCD(
                 self.device,
@@ -446,8 +467,33 @@ class BitmapBatchEngine:
             )
         else:
             self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
-        paid_warmup = not gcd._warm
+        return self._gcd, not self._gcd._warm
+
+    def _product(
+        self,
+        frontier: np.ndarray,
+        active: np.ndarray,
+        cand: np.ndarray | None,
+        missing: np.ndarray,
+    ) -> np.ndarray:
+        """One level's discoveries ``(Aᵀ · F) ⊙ ¬visited``: the push
+        product along the ``active`` rows' out-edges, or (``cand`` set)
+        the pull product on rows ``cand``."""
+        if cand is None:
+            return push_product(self.graph, frontier, active) & missing
+        fresh = np.zeros_like(frontier)
+        fresh[cand] = (
+            pull_product(self.graph.reverse(), frontier, cand) & missing[cand]
+        )
+        return fresh
+
+    def _result(self, **fields) -> BitmapBatchResult:
+        """The run's result from the loop's ``fields``."""
+        return BitmapBatchResult(**fields)
+
+    def _traverse(self, sources: np.ndarray) -> BitmapBatchResult:
+        """Run the level loop from validated, distinct ``sources``."""
+        gcd, paid_warmup = self._device()
         k = int(sources.size)
         with self.tracer.span(
             "bfs.run",
@@ -458,7 +504,7 @@ class BitmapBatchEngine:
             return self._levels(gcd, sources, k, paid_warmup=paid_warmup)
 
     def _levels(
-        self, gcd: GCD, sources: np.ndarray, k: int, *, paid_warmup: bool
+        self, gcd, sources: np.ndarray, k: int, *, paid_warmup: bool
     ) -> BitmapBatchResult:
         graph = self.graph
         tracer = self.tracer
@@ -496,14 +542,7 @@ class BitmapBatchEngine:
                 strategy=decision.strategy,
                 frontier=int(active.size),
             ):
-                if cand is None:
-                    fresh = push_product(graph, frontier, active) & missing
-                else:
-                    fresh = np.zeros_like(frontier)
-                    fresh[cand] = (
-                        pull_product(graph.reverse(), frontier, cand)
-                        & missing[cand]
-                    )
+                fresh = self._product(frontier, active, cand, missing)
                 newly = occupied_rows(fresh)
 
                 def attempt() -> int:
@@ -534,7 +573,7 @@ class BitmapBatchEngine:
             frontier, active = fresh, newly
             level += 1
 
-        return BitmapBatchResult(
+        return self._result(
             sources=sources,
             levels=counter_levels(planes, n, k, depth=level),
             elapsed_ms=gcd.elapsed_ms,

@@ -63,8 +63,8 @@ def validate_batch_sources(
     wrong-cost answer), and an out-of-range source would index the
     status planes out of bounds. Both raise
     :class:`~repro.errors.BatchSourceError` before any modelled cost is
-    charged. ``max_batch=None`` skips the capacity check (engines that
-    serve sources back to back have no slot limit).
+    charged. ``max_batch=None`` skips the capacity check (the multi-GCD
+    pods' bitmaps grow a word per 64 sources, with no slot limit).
     """
     k = int(sources.size)
     if k < 1 or (max_batch is not None and k > max_batch):
@@ -129,8 +129,7 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
         frontier rows along their ``frontier_edges`` out-edges; pull
         OR-gathers the in-edges of every vertex some source has not
         reached yet."""
-        cand = bm.occupied_rows(missing)
-        pull_edges = int(self.graph.reverse().degrees[cand].sum())
+        cand, pull_edges = bm.pull_candidates(self.graph, missing)
         signals = (("push_edges", frontier_edges), ("pull_edges", pull_edges))
         if pull_edges < frontier_edges:
             return Decision(self.ENGINE, "pull scans fewer edges", signals), cand

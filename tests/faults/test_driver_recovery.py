@@ -139,3 +139,19 @@ class TestMultiGcdFaults:
         engine = MultiGcdBFS(fig1_graph, 2, injector=plan.injector())
         with pytest.raises(DeviceFaultError):
             engine.run(0)
+
+    def test_batch_replays_faulted_levels(self, small_rmat):
+        """A batch commits each level only after every member syncs, so
+        sync-time memory corruption replays the level instead of
+        failing the batch."""
+        sources = np.array([0, 3, 17, 42], dtype=np.int64)
+        clean = MultiGcdBFS(small_rmat, 4).run_batch(sources)
+        plan = _bounded_plan(kind="memory_corruption", triggers=4, site="gcd.sync")
+        engine = MultiGcdBFS(small_rmat, 4, injector=plan.injector(),
+                             recovery=RecoveryPolicy(max_level_restarts=8))
+        batch = engine.run_batch(sources)
+        assert batch.level_restarts > 0
+        for s in sources.tolist():
+            assert np.array_equal(batch.levels_of(s), bfs_levels_reference(small_rmat, s))
+        # Every replay is paid for on the pod clock.
+        assert batch.elapsed_ms > clean.elapsed_ms

@@ -141,12 +141,51 @@ class TestBatchSurface:
     def test_batch_members_equal_solo_runs(self, oracle):
         engine = Grid2dBFS(SEEDED["rmat10"], 4, codec=ExchangeCodec())
         sources = np.array(sources_for(SEEDED["rmat10"], 5, seed=5))
+        engine.run(0)  # warm the members, as the batch below finds them
+        solo = [engine.run(int(s)) for s in sources]
         batch = engine.run_batch(sources)
-        assert batch.elapsed_ms == pytest.approx(
-            sum(r.elapsed_ms for r in batch.runs)
-        )
+        # One bit-parallel traversal: cheaper than the runs back to back.
+        assert batch.elapsed_ms < sum(r.elapsed_ms for r in solo)
         for s in sources:
             assert np.array_equal(batch.levels_of(int(s)), oracle("rmat10", int(s)))
+
+
+#: Pod batch entry points: both decompositions, and the 1D pod with
+#: its bottom-up levels switched on.
+BATCH_ENGINES = {
+    "1d": lambda graph, p, kw: MultiGcdBFS(graph, p, **kw),
+    "1d-alpha": lambda graph, p, kw: MultiGcdBFS(graph, p, direction_alpha=0.05, **kw),
+    "2d": lambda graph, p, kw: Grid2dBFS(graph, p, **kw),
+}
+
+
+class TestBatchWall:
+    """A batch is one bit-parallel traversal of the pod; every source's
+    levels must still equal solo ``XBFS``, whatever the decomposition,
+    direction rule, codec mode or overlap setting."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("engine", sorted(BATCH_ENGINES))
+    def test_batch_levels_equal_solo(self, oracle, name, config, engine):
+        graph = ALL_GRAPHS[name]
+        pod = BATCH_ENGINES[engine](graph, min(4, graph.num_vertices), CONFIGS[config])
+        sources = np.array(sources_for(graph, 6, seed=7))
+        batch = pod.run_batch(sources)
+        for s in sources.tolist():
+            assert np.array_equal(batch.levels_of(s), oracle(name, s)), (
+                f"{engine}/{name}/{config} diverged from solo XBFS at source {s}"
+            )
+
+    @pytest.mark.parametrize("engine", sorted(BATCH_ENGINES))
+    def test_multi_word_batch(self, oracle, engine):
+        # 100 sources span two bitmap words per row.
+        graph = SEEDED["rmat10"]
+        sources = np.random.default_rng(8).choice(graph.num_vertices, 100, replace=False)
+        pod = BATCH_ENGINES[engine](graph, 4, {"codec": ExchangeCodec()})
+        batch = pod.run_batch(sources)
+        for s in sources.tolist():
+            assert np.array_equal(batch.levels_of(s), oracle("rmat10", s))
 
 
 class TestUnderFaultPlans:
@@ -222,3 +261,14 @@ def test_property_grid2d_equals_solo_and_1d(case, config):
     one_d = MultiGcdBFS(graph, p).run(source)
     assert np.array_equal(two_d.levels, oracle)
     assert np.array_equal(one_d.levels, oracle)
+
+
+@given(random_graph_and_sources(), st.sampled_from(sorted(CONFIGS)),
+       st.sampled_from(sorted(BATCH_ENGINES)))
+@settings(max_examples=40, deadline=None)
+def test_property_pod_batches_equal_solo(case, config, engine):
+    graph, source, p = case
+    sources = np.unique([source, 0, graph.num_vertices - 1])
+    batch = BATCH_ENGINES[engine](graph, p, CONFIGS[config]).run_batch(sources)
+    for s in sources.tolist():
+        assert np.array_equal(batch.levels_of(s), XBFS(graph).run(s).levels)

@@ -303,20 +303,26 @@ class TestRunBatch:
                 batch.levels_of(s), bfs_levels_reference(small_rmat, s)
             )
 
-    def test_batch_cost_is_sum_of_member_runs(self, small_rmat):
+    def test_batch_costs_less_than_its_solo_runs(self, small_rmat):
+        # One bit-parallel traversal serves every source: for k >= 2 it
+        # costs less than the sources' solo runs back to back.
         engine = MultiGcdBFS(small_rmat, 2)
         sources = np.array([1, 9], dtype=np.int64)
+        engine.run(0)  # warm the members, as the batch below finds them
+        solo = [engine.run(int(s)) for s in sources]
         batch = engine.run_batch(sources)
-        assert batch.elapsed_ms == pytest.approx(
-            sum(r.elapsed_ms for r in batch.runs)
-        )
-        assert batch.bytes_exchanged == sum(
-            r.bytes_exchanged for r in batch.runs
-        )
-        assert batch.traversed_edges == sum(
-            r.traversed_edges for r in batch.runs
-        )
+        assert batch.elapsed_ms < sum(r.elapsed_ms for r in solo)
+        assert batch.traversed_edges == sum(r.traversed_edges for r in solo)
+        assert batch.sharing_factor >= 1.0
         assert batch.comm_ms + batch.compute_ms <= batch.elapsed_ms + 1e-9
+
+    def test_straggler_slows_the_batch_not_its_answers(self, social_graph):
+        # Each level waits for the slowest member, times its factor.
+        sources = np.array([0, 1, 2], dtype=np.int64)
+        base = MultiGcdBFS(social_graph, 4).run_batch(sources)
+        slow = MultiGcdBFS(social_graph, 4, straggler_slowdown={0: 4.0}).run_batch(sources)
+        assert base.compute_ms < slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
+        assert np.array_equal(slow.levels, base.levels)
 
     def test_batch_validation_is_typed(self, small_rmat):
         from repro.errors import BatchSourceError

@@ -52,13 +52,18 @@ class TestBooksBalance:
         assert over.elapsed_ms <= over.comm_ms + over.compute_ms
         assert 0 <= over.comm_fraction <= 1
 
-    def test_batch_sums_saved(self):
-        engine = MultiGcdBFS(GRAPH, 4, codec=ExchangeCodec(), overlap=True)
-        batch = engine.run_batch(np.array([SOURCE, 3, 17]))
-        assert batch.overlap_saved_ms == pytest.approx(
-            sum(r.overlap_saved_ms for r in batch.runs)
+    @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
+    def test_batch_books_balance(self, engine_cls):
+        sources = np.array([SOURCE, 3, 17])
+        base = engine_cls(GRAPH, 4, codec=ExchangeCodec()).run_batch(sources)
+        over = engine_cls(GRAPH, 4, codec=ExchangeCodec(), overlap=True).run_batch(sources)
+        assert over.overlap_saved_ms > 0
+        assert over.elapsed_ms + over.overlap_saved_ms == pytest.approx(
+            base.elapsed_ms, rel=1e-12
         )
-        assert batch.overlap_saved_ms > 0
+        assert over.comm_ms == base.comm_ms
+        assert over.compute_ms == base.compute_ms
+        assert np.array_equal(over.levels, base.levels)
 
 
 class TestPerLevelSpans:

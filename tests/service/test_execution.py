@@ -18,6 +18,7 @@ import pytest
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
 from repro.graph.delta import random_delta
 from repro.graph.stats import bfs_levels_reference
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.obs import AuditLog
 from repro.service import ENGINE_NAMES, BFSService, Query
 from repro.xbfs.concurrent import ConcurrentBFS
@@ -78,21 +79,28 @@ SCENARIOS = {
     "serial": _serial,
 }
 
-#: The single-GCD engines that checkpoint and replay faulted levels.
-CHECKPOINTING = {"solo": XBFS, "concurrent": ConcurrentBFS, "linalg_batch": LinAlgBatchBFS}
+#: The engines that replay faulted levels, with the entry point the
+#: executor calls on each.
+CHECKPOINTING = {
+    "solo": (XBFS, "run"),
+    "concurrent": (ConcurrentBFS, "run"),
+    "linalg_batch": (LinAlgBatchBFS, "run"),
+    "multigcd": (MultiGcdBFS, "run_batch"),
+    "grid2d": (Grid2dBFS, "run_batch"),
+}
 
 
-def _spy_runs(monkeypatch, cls):
-    """Record every result ``cls.run`` returns."""
+def _spy_runs(monkeypatch, cls, attr):
+    """Record every result ``cls.<attr>`` returns."""
     results = []
-    original = cls.run
+    original = getattr(cls, attr)
 
     def run(self, *args, **kwargs):
         out = original(self, *args, **kwargs)
         results.append(out)
         return out
 
-    monkeypatch.setattr(cls, "run", run)
+    monkeypatch.setattr(cls, attr, run)
     return results
 
 
@@ -122,7 +130,7 @@ def test_tier_contract(tier):
 
 @pytest.mark.parametrize("tier", sorted(CHECKPOINTING))
 def test_level_restarts_match_engine_results(tier, monkeypatch):
-    results = _spy_runs(monkeypatch, CHECKPOINTING[tier])
+    results = _spy_runs(monkeypatch, *CHECKPOINTING[tier])
     plan = FaultPlan(seed=1, rules=(
         FaultRule(site="gcd.sync", kind="memory_corruption", probability=0.2,
                   max_triggers=4),
@@ -165,7 +173,7 @@ class TestDirectionAudit:
 
     @pytest.mark.parametrize("tier", sorted(CHECKPOINTING))
     def test_every_live_query_gets_its_runs_decisions(self, tier, monkeypatch):
-        results = _spy_runs(monkeypatch, CHECKPOINTING[tier])
+        results = _spy_runs(monkeypatch, *CHECKPOINTING[tier])
         svc, audit, qids = SCENARIOS[tier]()
         svc.drain()
         (result,) = results
@@ -197,8 +205,8 @@ AUDIT_STREAM_CRC = {
     "solo": 3226017865,
     "concurrent": 2548327276,
     "linalg_batch": 1791815166,
-    "multigcd": 3420722781,
-    "grid2d": 1086079460,
+    "multigcd": 614097002,
+    "grid2d": 874444889,
     "repair": 4235518290,
     "serial": 3216692618,
 }

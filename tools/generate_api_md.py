@@ -10,9 +10,11 @@ markdown reference. Deterministic; re-run after API changes:
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import repro
 
@@ -116,6 +118,39 @@ def signature_of(obj) -> str:
         return ""
 
 
+#: The address in a default ``repr`` (``<... at 0x7f2bb8d84e00>``).
+_ADDRESS = re.compile(r" at 0x[0-9a-f]+")
+
+
+def render(value) -> str:
+    """A constant's value as API.md shows it.
+
+    Its ``repr``, unless that carries a memory address (which would
+    change on every run): then functions and classes render by
+    qualified name, other objects by type, and containers and
+    dataclasses item by item.
+    """
+    text = repr(value)
+    if not _ADDRESS.search(text):
+        return text
+    if inspect.isroutine(value) or inspect.isclass(value):
+        return value.__qualname__
+    if dataclasses.is_dataclass(value):
+        fields = ", ".join(
+            f"{f.name}={render(getattr(value, f.name))}"
+            for f in dataclasses.fields(value) if f.repr
+        )
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{render(k)}: {render(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(render(v) for v in value) + "]"
+    if isinstance(value, tuple):
+        items = [render(v) for v in value]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return f"<{type(value).__qualname__}>"
+
+
 def describe(module, name: str) -> str | None:
     obj = getattr(module, name, None)
     if obj is None:
@@ -136,7 +171,7 @@ def describe(module, name: str) -> str | None:
         return "\n".join(lines)
     if callable(obj):
         return f"- `{name}{signature_of(obj)}` — {first_line(obj)}"
-    return f"- `{name}` = `{obj!r}`" if not inspect.ismodule(obj) else None
+    return f"- `{name}` = `{render(obj)}`" if not inspect.ismodule(obj) else None
 
 
 def main() -> None:

@@ -16,8 +16,10 @@
 #                                 # routing, registry accounting, the
 #                                 # routing differential contract), the
 #                                 # shared kernel helpers whose frontier
-#                                 # claim the pod dedups with, and
-#                                 # incremental repair, which uses it too
+#                                 # claim the pod dedups with,
+#                                 # incremental repair, which uses it
+#                                 # too, the pod's fault replay and the
+#                                 # e2e harness's hooks on its batches
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing) + the
@@ -82,7 +84,8 @@ case "$tier" in
     ;;
   multigcd-service)
     python -m pytest tests/multigcd tests/service tests/xbfs/test_common.py \
-      tests/xbfs/test_repair.py -m "not slow" "$@"
+      tests/xbfs/test_repair.py tests/test_e2e_hooks.py \
+      "tests/faults/test_driver_recovery.py::TestMultiGcdFaults" -m "not slow" "$@"
     ;;
   cluster)
     python -m pytest tests/cluster "$@"
