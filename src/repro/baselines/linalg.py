@@ -38,7 +38,7 @@ from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, se
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs import bitmap as bm
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
+from repro.xbfs.common import segment_lines_touched
 from repro.baselines.base import BaselineBatch, BaselineResult
 
 __all__ = ["LinAlgBFS"]
@@ -86,10 +86,8 @@ class LinAlgBFS:
             idx = bm.occupied_rows(frontier)
             e_f = int(graph.degrees[idx].sum())
             # SpMV: y = Aᵀ · frontier over the Boolean semiring — the
-            # k = 1 scatter-OR product from the shared bitmap kernels.
-            neighbors, owner = gather_neighbors(graph, idx)
-            incoming = np.zeros_like(visited)
-            bm.scatter_or_rows(incoming, neighbors, frontier[idx][owner])
+            # k = 1 push product from the shared bitmap kernels.
+            incoming = bm.push_product(graph, frontier, idx)
             adj_lines = segment_lines_touched(
                 graph.row_offsets[idx], graph.degrees[idx],
                 element_bytes=4, line_bytes=line,

@@ -95,10 +95,6 @@ __all__ = ["MultiGcdBFS", "PodEngine", "PodRunRates", "DistributedResult",
 #: Bytes per exchanged frontier vertex id.
 _ID_BYTES = 4
 
-#: In-edges per block of the 1D pod's host pull: bounds the gather's
-#: temporaries.
-_PULL_BLOCK = 1 << 16
-
 #: Per-level direction labels of the pods.
 TOP_DOWN = "top_down"
 BOTTOM_UP = "bottom_up"
@@ -634,23 +630,13 @@ class MultiGcdBFS(PodEngine):
 
     def _pull_by_member(self, frontier, cand, missing) -> np.ndarray:
         """The pull product on rows ``cand``, split by the member owning
-        each in-neighbour: ``(len(cand), num_gcds, words)`` new bits.
-
-        Gathered in blocks of about :data:`_PULL_BLOCK` in-edges, one
-        segment per candidate row and owner."""
-        rev = self.graph.reverse()
-        runs = self._in_edges_by_owner()[cand]
-        shape = (cand.size, self.num_gcds, frontier.shape[1])
-        parts = np.empty(shape, dtype=frontier.dtype)
-        upto = np.cumsum(runs.sum(axis=1))
-        total = int(upto[-1]) if upto.size else 0
-        cuts = np.searchsorted(upto, np.arange(_PULL_BLOCK, total, _PULL_BLOCK)).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, cand.size]):
-            vals = frontier[gather_adjacency(rev, cand[lo:hi])]
-            parts[lo:hi] = bm.segment_or_rows(vals, runs[lo:hi].ravel()).reshape(
-                (hi - lo,) + shape[1:]
-            )
-        parts &= missing[cand][:, np.newaxis]
+        each in-neighbour: ``(len(cand), num_gcds, words)`` new bits
+        (:func:`~repro.xbfs.bitmap.pull_runs`, one run per candidate
+        row and owner)."""
+        parts = bm.pull_runs(
+            self.graph.reverse(), frontier, cand, self._in_edges_by_owner()[cand]
+        )
+        parts &= np.take(missing, cand, axis=0)[:, np.newaxis]
         return parts
 
     def _product(self, frontier, active, cand, missing):
@@ -688,10 +674,10 @@ class MultiGcdBFS(PodEngine):
                 if parts is None:
                     filled = bm.push_product(graph, frontier, mine) & missing
                     rows = bm.occupied_rows(filled)
-                    words = filled[rows]
+                    words = np.take(filled, rows, axis=0)
                 else:
                     hit = bm.occupied_rows(parts[:, g])
-                    rows, words = pull[hit], parts[hit, g]
+                    rows, words = pull[hit], np.take(parts[:, g], hit, axis=0)
                 found[g] = rows.size
                 dest = np.searchsorted(rows, bounds)
                 for d in range(p):

@@ -281,7 +281,7 @@ class Grid2dBFS(PodEngine):
                 active, self.col_bounds, ag_fan, row_bytes
             )
             seen = np.zeros_like(frontier)
-            seen[rows] = frontier[rows]
+            seen[rows] = np.take(frontier, rows, axis=0)
         # Phase 2: the tiles' product over the received rows (the host
         # pulls when that scans fewer edges). edges[r, i] counts the
         # out-edges of rows[r] landing in row block i, the edges of
@@ -302,7 +302,7 @@ class Grid2dBFS(PodEngine):
                 bm.occupied_rows(filled), self.row_bounds, rs_fan, row_bytes
             )
             fresh = np.zeros_like(frontier)
-            fresh[got] = filled[got]
+            fresh[got] = np.take(filled, got, axis=0)
         self._pod.exchange = (rows, edges, col_block, ag_worst, rs_worst)
         self._pod.record(ag_wire + rs_wire, ag_raw + rs_raw,
                          self._formats_since(before))

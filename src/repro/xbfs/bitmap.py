@@ -16,6 +16,15 @@ product, the segment-OR pull gather, the ``¬visited`` mask, the
 pack/unpack conversions, and the bit-sliced level counter that tracks
 every pair's BFS level in packed planes.
 
+The products are laid out for the host's memory system. Bitmap rows
+are picked with ``np.take(..., axis=0)``: a fancy index on a matrix
+only a few words wide goes through numpy's general indexing path, about
+10x slower at two words. The pull runs in blocks of about 2^16
+gathered words, so each block's frontier rows stay in cache while
+they are reduced. When its candidates hold most of the in-edges, it
+reads contiguous ranges of the reverse CSR instead of building an edge
+list. The push scatters word by word on narrow bitmaps.
+
 It also holds the one level loop every multi-source engine runs
 (:class:`BitmapBatchEngine`): the 64-source
 :class:`~repro.xbfs.concurrent.ConcurrentBFS`, the up-to-1024-source
@@ -60,6 +69,7 @@ __all__ = [
     "segment_or_rows",
     "push_product",
     "pull_product",
+    "pull_runs",
     "pull_candidates",
     "fresh_mask",
     "occupied_rows",
@@ -83,6 +93,13 @@ _ONE = np.uint64(1)
 #: scattered across the source-major rows (a whole-matrix strided copy
 #: is about four times slower at 32k vertices x 128 sources).
 _TRANSPOSE_ROWS = 512
+
+#: Gathered bitmap words per block of :func:`pull_runs` (512 KiB of
+#: frontier rows, about an L2's worth).
+_BLOCK_WORDS = 1 << 16
+
+#: Widest bitmap :func:`scatter_or_rows` scatters word by word.
+_WORD_SCATTER_MAX = 3
 
 
 def words_for(num_sources: int) -> int:
@@ -135,8 +152,18 @@ def scatter_or_rows(
     neighbour endpoints of the frontier's adjacency, ``values`` the
     frontier words of the edge's owner. One call is the whole
     ``Aᵀ · F`` column scatter for a level.
+
+    Up to :data:`_WORD_SCATTER_MAX` words the scatter runs word by
+    word, a 1-D ``np.bitwise_or.at`` per word column: ``ufunc.at``
+    costs less per element on 1-D operands (about 0.6x the 2-D call's
+    time at two words). From about four words the one 2-D call, which
+    moves a whole row per index, is faster.
     """
-    np.bitwise_or.at(dest, rows, values)
+    if dest.shape[1] > _WORD_SCATTER_MAX:
+        np.bitwise_or.at(dest, rows, values)
+        return
+    for w in range(dest.shape[1]):
+        np.bitwise_or.at(dest[:, w], rows, values[:, w])
 
 
 def segment_or_rows(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -162,12 +189,17 @@ def push_product(
     """Push product ``Aᵀ · F``: scatter-OR along the frontier's out-edges.
 
     Every occupied row ``active`` ORs its frontier words into its
-    out-neighbours' rows."""
+    out-neighbours' rows. The rows are picked with ``np.take``: a
+    fancy index on the ``(vertices, words)`` bitmap copies row by row
+    through numpy's general indexing path, several times slower than
+    ``take``'s contiguous row copies at a few words per row."""
     incoming = np.zeros_like(frontier)
     scatter_or_rows(
         incoming,
         gather_adjacency(graph, active),
-        np.repeat(frontier[active], graph.degrees[active], axis=0),
+        np.repeat(
+            np.take(frontier, active, axis=0), graph.degrees[active], axis=0
+        ),
     )
     return incoming
 
@@ -179,10 +211,75 @@ def pull_product(
 
     Each candidate OR-reduces its in-neighbours' frontier words
     (``reverse`` is the transpose graph); row *i* of the result belongs
-    to ``cand[i]``."""
-    return segment_or_rows(
-        frontier[gather_adjacency(reverse, cand)], reverse.degrees[cand]
-    )
+    to ``cand[i]``.
+
+    This is :func:`pull_runs` with one run per row: it gathers in
+    cache-sized blocks, and when the candidates hold at least half the
+    in-edges it reads the reverse CSR as contiguous ranges instead of
+    building an edge list."""
+    lengths = reverse.degrees[cand]
+    return pull_runs(reverse, frontier, cand, lengths[:, np.newaxis])[:, 0]
+
+
+def pull_runs(
+    reverse: CSRGraph, frontier: np.ndarray, cand: np.ndarray, runs: np.ndarray
+) -> np.ndarray:
+    """The pull product on rows ``cand``, one OR per run of in-edges.
+
+    ``runs`` is ``(len(cand), m)``: row *i*'s in-edges, in reverse-CSR
+    order, split into *m* consecutive runs (a pod splits them by the
+    member owning each in-neighbour). The result is
+    ``(len(cand), m, words)``, one OR-reduced frontier row per run.
+    ``cand`` must be sorted and distinct.
+
+    Two gathers, both in blocks of about :data:`_BLOCK_WORDS` gathered
+    words, so a block's frontier rows stay in cache while
+    ``reduceat`` folds them (the temporaries of a whole-level gather
+    reach ~100 MB at 16 words on rmat:15):
+
+    * **dense** — when the candidates hold at least half the reverse
+      in-edges, each block is one contiguous slice of
+      ``reverse.col_indices``, from the block's first candidate up to
+      the next block's. The in-edges of the rows between candidates
+      reduce into a discarded extra run per row. No edge index list is
+      built;
+    * **sparse** — otherwise, each block gathers only its candidates'
+      adjacency (:func:`~repro.xbfs.common.gather_adjacency`).
+
+    The frontier rows are picked with ``np.take`` (see
+    :func:`push_product`).
+    """
+    cand = np.asarray(cand, dtype=np.int64)
+    runs = np.asarray(runs, dtype=np.int64)
+    words = frontier.shape[1]
+    m = runs.shape[1]
+    out = np.zeros((cand.size, m, words), dtype=_WORD)
+    lengths = runs.sum(axis=1)
+    total = int(lengths.sum())
+    if total == 0:
+        return out
+    dense = 2 * total >= reverse.num_edges
+    if dense:
+        # One pass from the first candidate's in-edges to the last's:
+        # row i's extra run holds the rows up to the next candidate.
+        starts = reverse.row_offsets[cand]
+        bounds = np.append(starts, starts[-1] + lengths[-1])
+        runs = np.column_stack([runs, np.diff(bounds) - lengths])
+    ends = np.cumsum(runs.sum(axis=1))
+    step = max(1, _BLOCK_WORDS // words)
+    cuts = np.searchsorted(ends, np.arange(step, int(ends[-1]), step)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, cand.size]):
+        if lo == hi:
+            continue
+        if dense:
+            cols = reverse.col_indices[bounds[lo]:bounds[hi]]
+        else:
+            cols = gather_adjacency(reverse, cand[lo:hi])
+        block = segment_or_rows(
+            np.take(frontier, cols, axis=0), runs[lo:hi].ravel()
+        ).reshape(hi - lo, -1, words)
+        out[lo:hi] = block[:, :m]
+    return out
 
 
 def pull_candidates(graph: CSRGraph, missing: np.ndarray) -> tuple[np.ndarray, int]:
@@ -482,9 +579,9 @@ class BitmapBatchEngine:
         if cand is None:
             return push_product(self.graph, frontier, active) & missing
         fresh = np.zeros_like(frontier)
-        fresh[cand] = (
-            pull_product(self.graph.reverse(), frontier, cand) & missing[cand]
-        )
+        fresh[cand] = pull_product(
+            self.graph.reverse(), frontier, cand
+        ) & np.take(missing, cand, axis=0)
         return fresh
 
     def _result(self, **fields) -> BitmapBatchResult:
@@ -566,7 +663,9 @@ class BitmapBatchEngine:
             counter_add(planes, missing)
             visited |= fresh
             union_edges += examined
-            solo_edges += int((popcount_rows(frontier[active]) * degs[active]).sum())
+            solo_edges += int(
+                (popcount_rows(np.take(frontier, active, axis=0)) * degs[active]).sum()
+            )
             level_restarts += restarts
             decisions.append(decision)
             prev_active = int(active.size)

@@ -18,8 +18,10 @@
 #                                 # shared kernel helpers whose frontier
 #                                 # claim the pod dedups with,
 #                                 # incremental repair, which uses it
-#                                 # too, the pod's fault replay and the
-#                                 # e2e harness's hooks on its batches
+#                                 # too, the pod's fault replay, the
+#                                 # pod's per-member host pull against
+#                                 # a naive OR and the e2e harness's
+#                                 # hooks on its batches
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing) + the
@@ -28,6 +30,8 @@
 #                                 # the shared bitmap level loop
 #                                 # (linalg batch and concurrent, with
 #                                 # the concurrent fault recovery), the
+#                                 # push/pull host products against a
+#                                 # naive per-row OR, the
 #                                 # linalg routing contract, the
 #                                 # coalescing scheduler that sets
 #                                 # their batch width and the
@@ -85,6 +89,7 @@ case "$tier" in
   multigcd-service)
     python -m pytest tests/multigcd tests/service tests/xbfs/test_common.py \
       tests/xbfs/test_repair.py tests/test_e2e_hooks.py \
+      "tests/xbfs/test_bitmap_products.py::TestPodPullByMember" \
       "tests/faults/test_driver_recovery.py::TestMultiGcdFaults" -m "not slow" "$@"
     ;;
   cluster)
@@ -93,7 +98,8 @@ case "$tier" in
     ;;
   linalg)
     python -m pytest tests/xbfs/test_linalg_batch.py tests/xbfs/test_concurrent.py \
-      tests/service/test_linalg_routing.py tests/service/test_scheduler.py \
+      tests/xbfs/test_bitmap_products.py tests/service/test_linalg_routing.py \
+      tests/service/test_scheduler.py \
       "tests/faults/test_driver_recovery.py::TestConcurrentRecovery" "$@"
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
