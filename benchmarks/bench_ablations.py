@@ -156,16 +156,16 @@ def test_ablation_concurrent_batch(benchmark, scale):
 
 
 def test_multigcd_strong_scaling(benchmark, scale):
-    """Distributed BFS across 1..8 simulated GCDs."""
+    """Distributed BFS across 1..8 simulated GCDs (one-source batches)."""
     graph, device, sources = _study(scale)
-    source = int(sources[0])
+    batch = [int(sources[0])]
 
     def run():
         rows = []
         for p in (1, 2, 4, 8):
             engine = MultiGcdBFS(graph, p, device=device)
-            engine.run(source)          # warm-up
-            result = engine.run(source)
+            engine.run_batch(batch)  # warm-up
+            result = engine.run_batch(batch)
             rows.append(
                 (p, result.elapsed_ms, result.comm_fraction, result.gteps)
             )

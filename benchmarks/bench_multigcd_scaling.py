@@ -19,9 +19,10 @@ Four configs per point:
 
 Reported per point: elapsed/comm/compute, wire vs raw exchange bytes
 (whole-run and densest-level compression), overlap efficiency (the
-fraction of exchange latency hidden), and GTEPS. Every config must
-stay bit-identical to solo XBFS — the plane changes cost, never
-answers.
+fraction of exchange latency hidden), and GTEPS. Each point is a
+one-source batch (``run_batch([source])``), the per-vertex BFS whose
+shipped rows cost only their ids. Every config must stay bit-identical
+to solo XBFS — the plane changes cost, never answers.
 
 Results land in ``BENCH_multigcd_scaling.json`` at the repo root.
 
@@ -85,10 +86,10 @@ def _engine(cls, graph, num_gcds: int, opts: dict):
 
 def _point(regime: str, config: str, scale: int, num_gcds: int,
            result, oracle_crc: int) -> dict:
-    per_wire = result.per_level_comm_bytes
-    per_raw = result.per_level_raw_bytes
     peak = max(
-        (r / w for r, w in zip(per_raw, per_wire) if w > 0), default=1.0
+        (r / w for r, w in zip(result.level_raw_bytes, result.level_comm_bytes)
+         if w > 0),
+        default=1.0,
     )
     return {
         "name": f"{regime}-{config}-p{num_gcds}",
@@ -111,7 +112,7 @@ def _point(regime: str, config: str, scale: int, num_gcds: int,
         ),
         "gteps": result.gteps,
         "bit_identical": int(
-            levels_fingerprint(result.levels) == oracle_crc
+            levels_fingerprint(result.levels[0]) == oracle_crc
         ),
     }
 
@@ -123,10 +124,11 @@ def run_scaling_bench() -> list[dict]:
     for regime, scale, p in sweep:
         graph, source = _graph(scale)
         oracle_crc = levels_fingerprint(XBFS(graph).run(source).levels)
+        batch = np.array([source])
         for config, cls, opts in CONFIGS:
             engine = _engine(cls, graph, p, opts)
-            engine.run(source)  # warm-up: first launch charges init
-            result = engine.run(source)  # steady state (warm dies)
+            engine.run_batch(batch)  # warm-up: first launch charges init
+            result = engine.run_batch(batch)  # steady state (warm dies)
             rows.append(_point(regime, config, scale, p, result, oracle_crc))
     save_results(rows, _OUT)
     return rows

@@ -5,7 +5,9 @@ The paper positions its single-GCD result as "the basis for distributed
 BFS on AMD GPUs" — Frontier's Graph500 entry uses 9,248 nodes x 8 GCDs.
 This example runs the 1D-partitioned bulk-synchronous extension over
 1..8 simulated GCDs, once over intra-node Infinity Fabric and once over
-inter-node Slingshot, and reports where the time goes.
+inter-node Slingshot, and reports where the time goes. Each traversal
+is a one-source batch: the pods serve any number of sources as one
+bit-parallel traversal.
 
 Run:  python examples/multi_gcd_scaling.py
 """
@@ -20,7 +22,7 @@ from repro.multigcd import INFINITY_FABRIC, SLINGSHOT, Grid2dBFS, TwoTierInterco
 def main() -> None:
     graph = rmat(16, 16, seed=0)
     device = scaled_device(graph)
-    source = int(pick_sources(graph, 1, seed=1)[0])
+    batch = pick_sources(graph, 1, seed=1)
     print(f"Graph: {graph}\n")
 
     for label, interconnect in [
@@ -32,8 +34,8 @@ def main() -> None:
             engine = MultiGcdBFS(
                 graph, p, device=device, interconnect=interconnect
             )
-            engine.run(source)          # warm-up
-            result = engine.run(source)  # steady
+            engine.run_batch(batch)  # warm-up
+            result = engine.run_batch(batch)  # steady
             rows.append(
                 [
                     p,
@@ -58,7 +60,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("Decomposition study at 16 GCDs (2 Frontier nodes):")
     rows = []
-    src16 = source
     for label, factory in [
         ("1D row partition", lambda: MultiGcdBFS(
             graph, 16, device=device, interconnect=TwoTierInterconnect())),
@@ -69,13 +70,10 @@ def main() -> None:
             graph, 16, device=device, interconnect=TwoTierInterconnect())),
     ]:
         engine = factory()
-        engine.run(src16)          # warm-up
-        r = engine.run(src16)      # steady
-        comm_bytes = getattr(r, "bytes_exchanged", None)
-        if comm_bytes is None:
-            comm_bytes = r.allgather_bytes + r.reduce_bytes
-        rows.append([label, f"{r.elapsed_ms:.3f}",
-                     f"{r.comm_fraction * 100:.1f}%", f"{comm_bytes / 1024:.0f}"])
+        engine.run_batch(batch)  # warm-up
+        r = engine.run_batch(batch)  # steady
+        rows.append([label, f"{r.elapsed_ms:.3f}", f"{r.comm_fraction * 100:.1f}%",
+                     f"{r.bytes_exchanged / 1024:.0f}"])
     print(render_table(["Decomposition", "total ms", "comm %", "KB moved"], rows))
     print()
 

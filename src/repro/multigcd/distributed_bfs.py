@@ -24,23 +24,19 @@ as :class:`~repro.xbfs.concurrent.ConcurrentBFS` decides — with one
 pull split by the member owning each in-edge; the modelled charge is
 the top-down one either way.
 
-:meth:`MultiGcdBFS.run` traverses one source the per-vertex way. Per
-level, on every GCD: expand the locally-owned slice of the frontier
-(one top-down kernel, costed by the same substrate XBFS uses), claim
-the unvisited neighbours with a |V| flag scan
-(:func:`~repro.xbfs.common.unique_vertices`), bucket them by owner,
-all-to-all, then owners claim the merged discoveries the same way and
-update their status slice. Claims are ascending and owned ranges
-contiguous, so each per-owner bucket is a ``searchsorted`` slice.
-Its levels are bulk-synchronous the same way, but it has no checkpoint
-layer: an injected device fault surfaces as the typed error.
+A one-source batch is the per-vertex BFS: its row carries a single
+bit, which the row id already implies. So a row shipped by id costs
+only its id, and an uncompressed block of rows ships as a bitmap of
+``ceil(rows / 8)`` bytes (:meth:`PodEngine._row_bytes`); wider batches
+pay 8 B per word of every row.
 
 With ``direction_alpha`` set, peak levels run *bottom-up* the way
-distributed Graph500 codes do: every GCD first contributes its owned
-slice of the frontier bitmap to an allgather (a fixed-size exchange
-instead of a frontier-proportional one), then scans its own unvisited
-vertices' incoming edges against the replicated bitmap — discoveries
-are locally owned by construction, so no second exchange is needed.
+distributed Graph500 codes do: every GCD first ships its owned
+frontier rows to every peer (an allgather — without a codec the whole
+row block, a fixed-size exchange instead of a frontier-proportional
+one), then pulls its own unvisited rows' in-edges against the
+replicated rows; discoveries are locally owned by construction, so no
+second exchange is needed.
 
 Two scalability levers are opt-in (both default off, keeping the
 naive exchange bit-for-bit as committed):
@@ -48,8 +44,8 @@ naive exchange bit-for-bit as committed):
 * ``codec`` — an :class:`~repro.multigcd.exchange.ExchangeCodec` that
   compresses every peer-to-peer message, choosing per message between
   the sparse id-list and a bitmap over the receiver's owned range (a
-  batch's message encodes its row ids that way; the row words ride
-  along). Ids that cross the wire are round-tripped through the codec
+  message encodes its row ids that way; the row words ride along).
+  Ids that cross the wire are round-tripped through the codec
   (``decode(encode(...))``), so a codec can change modelled bytes and
   exchange time but never the level array.
 * ``overlap`` — charge each top-down level's exchange and its local
@@ -62,98 +58,35 @@ naive exchange bit-for-bit as committed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PartitionError, TraversalError
+from repro.errors import PartitionError
 from repro.faults.recovery import RecoveryPolicy
-from repro.gcd.atomics import AtomicStats
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.exchange import ExchangeCodec, sparse_bytes
+from repro.multigcd.exchange import ID_BYTES, ExchangeCodec, bitmap_bytes, sparse_bytes
 from repro.multigcd.partition import Partition1D, partition_by_edges
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.common import (
-    first_match_per_segment,
-    gather_adjacency,
-    segment_lines_touched,
-    unique_vertices,
-    wavefront_serialized_steps,
-)
+from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
-__all__ = ["MultiGcdBFS", "PodEngine", "PodRunRates", "DistributedResult",
-           "PodBatchResult"]
-
-#: Bytes per exchanged frontier vertex id.
-_ID_BYTES = 4
+__all__ = ["MultiGcdBFS", "PodEngine", "PodBatchResult"]
 
 #: Per-level direction labels of the pods.
 TOP_DOWN = "top_down"
 BOTTOM_UP = "bottom_up"
 
 
-class PodRunRates:
-    """Rates both pods' results derive from their totals.
-
-    Reads ``elapsed_ms``, ``comm_ms``, ``traversed_edges``,
-    ``bytes_exchanged`` and ``bytes_raw``.
-    """
-
-    @property
-    def gteps(self) -> float:
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self.traversed_edges / (self.elapsed_ms * 1e-3) / 1e9
-
-    @property
-    def comm_fraction(self) -> float:
-        return self.comm_ms / self.elapsed_ms if self.elapsed_ms > 0 else 0.0
-
-    @property
-    def compression_ratio(self) -> float:
-        """Raw over wire exchange bytes (1.0 when nothing shipped)."""
-        if self.bytes_exchanged <= 0:
-            return 1.0
-        return self.bytes_raw / self.bytes_exchanged
-
-
 @dataclass
-class DistributedResult(PodRunRates):
-    """Outcome of one distributed BFS run."""
-
-    source: int
-    levels: np.ndarray
-    elapsed_ms: float
-    comm_ms: float
-    compute_ms: float
-    bytes_exchanged: int
-    traversed_edges: int
-    num_gcds: int
-    per_level_comm_bytes: list[int] = field(default_factory=list)
-    #: What the uncompressed id-list exchange would have shipped
-    #: (equals ``bytes_exchanged`` when no codec is attached).
-    bytes_raw: int = 0
-    per_level_raw_bytes: list[int] = field(default_factory=list)
-    #: Wire messages per format for this run (empty without a codec).
-    exchange_formats: dict[str, int] = field(default_factory=dict)
-    #: Virtual time hidden by comm/compute overlap (0 without overlap).
-    overlap_saved_ms: float = 0.0
-    #: Per-level decision records for the audit plane: the direction
-    #: choice with its ratio/alpha signals plus the codec's wire-format
-    #: picks for that level. Purely descriptive.
-    level_decisions: list = field(default_factory=list)
-
-
-@dataclass
-class PodBatchResult(PodRunRates, bm.BitmapBatchResult):
+class PodBatchResult(bm.BitmapBatchResult):
     """Outcome of one bit-parallel pod batch.
 
     Every source traverses at once across the member GCDs, on the pod's
@@ -170,10 +103,23 @@ class PodBatchResult(PodRunRates, bm.BitmapBatchResult):
     #: Virtual time hidden by comm/compute overlap (0 without overlap).
     overlap_saved_ms: float = 0.0
     num_gcds: int = 1
-    #: Per level: the exchange's wire bytes, and the codec's messages
-    #: per wire format (empty without a codec).
+    #: Per level: the exchange's wire and uncompressed bytes, and the
+    #: codec's messages per wire format (empty without a codec).
     level_comm_bytes: tuple = ()
+    level_raw_bytes: tuple = ()
     level_formats: tuple = ()
+
+    @property
+    def comm_fraction(self) -> float:
+        """Exchange time over elapsed time."""
+        return self.comm_ms / self.elapsed_ms if self.elapsed_ms > 0 else 0.0
+
+    @property
+    def compression_ratio(self) -> float:
+        """Raw over wire exchange bytes (1.0 when nothing shipped)."""
+        if self.bytes_exchanged <= 0:
+            return 1.0
+        return self.bytes_raw / self.bytes_exchanged
 
     def audit_rows(self, live):
         """Per level: a ``direction`` row, then any ``codec`` row.
@@ -214,6 +160,7 @@ class _BulkSyncPod:
         self.bytes_wire = 0
         self.bytes_raw = 0
         self.level_bytes: list[int] = []
+        self.level_raw: list[int] = []
         self.level_formats: list[dict] = []
         #: The current level's exchange plan, from the engine's host
         #: product to its charge.
@@ -250,18 +197,19 @@ class _BulkSyncPod:
         self.bytes_wire += wire
         self.bytes_raw += raw
         self.level_bytes.append(wire)
+        self.level_raw.append(raw)
         self.level_formats.append(formats)
 
 
 class PodEngine(bm.BitmapBatchEngine):
     """What both multi-GCD pods share around their traversals.
 
-    The lazy pool of member GCDs (kept warm across runs), the traced
-    per-vertex ``run``, the bitmap level loop's device and result for
-    ``run_batch``, the codec's per-level format counts and the warm
-    footprint. A subclass names itself in ``ENGINE`` and supplies
-    ``_traverse_source(gcds, source)`` plus the level loop's plan,
-    host product and charge. Each pod defines its own ``run_batch``,
+    The lazy pool of member GCDs (kept warm across runs), the bitmap
+    level loop's device and result, the wire cost of shipped rows
+    (:meth:`_row_bytes`), the codec's per-level format counts and the
+    warm footprint. A subclass names itself in ``ENGINE`` and supplies
+    the level loop's plan, host product and charge. Each pod defines
+    its own ``run_batch`` (a one-source batch is the per-vertex BFS),
     because ``benchmarks/e2e/layers.py`` times the method in each
     class's own body.
     """
@@ -289,10 +237,10 @@ class PodEngine(bm.BitmapBatchEngine):
         # ``multigcd.exchange`` site lets plans degrade (or fault) the
         # interconnect itself. ``tracer`` gets ``bfs.run`` spans and
         # pre-finished ``dist.level`` spans carrying each level's
-        # kernel/comm split (a batch's sit inside its ``bfs.level``
-        # spans); member-GCD kernels stay untraced because they run
-        # *in parallel* — flattening them onto the single cursor
-        # timeline would misstate the bulk-synchronous overlap.
+        # kernel/comm split, inside the ``bfs.level`` spans; member-GCD
+        # kernels stay untraced because they run *in parallel* —
+        # flattening them onto the single cursor timeline would
+        # misstate the bulk-synchronous overlap.
         super().__init__(graph, device=device, config=config, tracer=tracer,
                          injector=injector, recovery=recovery)
         self.num_gcds = num_gcds
@@ -307,8 +255,9 @@ class PodEngine(bm.BitmapBatchEngine):
         self.overlap = overlap
         #: Member GCDs, built on the first run.
         self._gcds: list[GCD] | None = None
-        #: The books of the batch in flight.
+        #: The books of the batch in flight, and its source count.
         self._pod: _BulkSyncPod | None = None
+        self._width = 0
 
     @property
     def warm_bytes(self) -> int:
@@ -329,15 +278,9 @@ class PodEngine(bm.BitmapBatchEngine):
                 g.reset(keep_warm=True)
         return self._gcds
 
-    def run(self, source: int):
-        """One traversal from ``source`` on the warm member GCDs."""
-        if not 0 <= source < self.graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
-        gcds = self._members()
-        with self.tracer.span(
-            "bfs.run", engine=self.ENGINE, source=source, gcds=self.num_gcds
-        ):
-            return self._traverse_source(gcds, source)
+    def _traverse(self, sources: np.ndarray) -> PodBatchResult:
+        self._width = int(sources.size)
+        return super()._traverse(sources)
 
     def _device(self):
         gcds = self._members()
@@ -355,6 +298,7 @@ class PodEngine(bm.BitmapBatchEngine):
             overlap_saved_ms=pod.saved_ms,
             num_gcds=self.num_gcds,
             level_comm_bytes=tuple(pod.level_bytes),
+            level_raw_bytes=tuple(pod.level_raw),
             level_formats=tuple(pod.level_formats),
         )
 
@@ -394,11 +338,20 @@ class PodEngine(bm.BitmapBatchEngine):
         after = self._format_counts()
         return {"sparse": after[0] - before[0], "bitmap": after[1] - before[1]}
 
-    def _ship(self, rows: np.ndarray, lo: int, hi: int, row_bytes: int):
+    def _row_bytes(self, rows: int, *, block: bool = False) -> int:
+        """Wire bytes of the words of ``rows`` bitmap rows: 8 per word
+        of each row. A one-source batch's row is a single bit that its
+        id implies, so beside its id it costs nothing, and a whole
+        uncompressed ``block`` of rows ships as their bitmap."""
+        if self._width > 1:
+            return rows * 8 * bm.words_for(self._width)
+        return bitmap_bytes(rows) if block else 0
+
+    def _ship(self, rows: np.ndarray, lo: int, hi: int):
         """One message of bitmap rows to the owner of ``[lo, hi)``: the
-        row ids (encoded when a codec is attached) plus ``row_bytes``
-        of words per row. Returns ``(ids as received, wire, raw)``."""
-        words = int(rows.size) * row_bytes
+        row ids (encoded when a codec is attached) plus the rows' words
+        (:meth:`_row_bytes`). Returns ``(ids as received, wire, raw)``."""
+        words = self._row_bytes(int(rows.size))
         if self.codec is None:
             raw = sparse_bytes(rows.size) + words
             return rows, raw, raw
@@ -459,126 +412,6 @@ class MultiGcdBFS(PodEngine):
         if self.injector is None:
             return 1.0
         return self.injector.visit("multigcd.exchange", f"level{level}")
-
-    # ------------------------------------------------------------------
-    def _bottom_up_level(
-        self,
-        gcds: list[GCD],
-        levels: np.ndarray,
-        frontier: np.ndarray,
-        level: int,
-    ) -> tuple[float, float, int, int, np.ndarray]:
-        """One distributed bottom-up level.
-
-        Phase 1: allgather the frontier bitmap — every GCD ships its
-        owned slice (|owned|/8 bytes) to every peer; with a codec
-        attached each slice message is encoded instead (sparse on
-        near-empty slices), and the replicated bitmap is rebuilt from
-        the *decoded* messages. Phase 2: each GCD scans its owned
-        unvisited vertices' incoming edges against the replicated
-        bitmap with early termination; discoveries are owned locally,
-        so there is no discovery exchange.
-
-        Returns (kernel_ms, comm_ms, comm_bytes, raw_bytes,
-        claimed_vertices); ``frontier`` and the claim are ascending.
-        """
-        graph = self.graph
-        incoming = graph.reverse()
-        part = self.partition
-        p = self.num_gcds
-        line = self.device.cache_line_bytes
-        wf = self.device.wavefront_size
-
-        # Phase 1: bitmap allgather.
-        bytes_matrix = np.zeros((p, p), dtype=np.int64)
-        in_frontier = np.zeros(graph.num_vertices, dtype=bool)
-        raw_bytes = 0
-        if self.codec is None:
-            for g in range(p):
-                lo, hi = part.owned_range(g)
-                slice_bytes = -(-(hi - lo) // 8)
-                bytes_matrix[g, :] = slice_bytes
-                np.fill_diagonal(bytes_matrix, 0)
-            in_frontier[frontier] = True
-            raw_bytes = int(bytes_matrix.sum())
-        else:
-            cut = np.searchsorted(frontier, part.boundaries)
-            for g in range(p):
-                lo, hi = part.owned_range(g)
-                mine = frontier[cut[g]:cut[g + 1]]
-                if p == 1:
-                    in_frontier[mine] = True
-                    continue
-                # The allgather ships the same encoded slice to every
-                # peer; one round-trip feeds the replicated bitmap.
-                decoded: np.ndarray | None = None
-                for d in range(p):
-                    if d == g:
-                        continue
-                    msg = self.codec.encode(mine, lo, hi)
-                    bytes_matrix[g, d] = msg.wire_bytes
-                    raw_bytes += msg.raw_bytes
-                    if decoded is None:
-                        decoded = self.codec.decode(msg)
-                in_frontier[decoded] = True
-        comm_ms = self.interconnect.alltoall_ms(bytes_matrix)
-        comm_ms *= self._exchange_scale(level)
-        comm_bytes = int(bytes_matrix.sum())
-
-        # Phase 2: local bottom-up expands.
-        kernel_ms = 0.0
-        claimed: list[np.ndarray] = []
-        for g in range(p):
-            lo, hi = part.owned_range(g)
-            local_unvisited = (lo + np.flatnonzero(levels[lo:hi] == -1)).astype(
-                np.int64
-            )
-            before = gcds[g].elapsed_ms
-            if local_unvisited.size:
-                degs = incoming.degrees[local_unvisited]
-                nbrs = gather_adjacency(incoming, local_unvisited)
-                match = in_frontier[nbrs]
-                first = first_match_per_segment(match, degs)
-                found = first >= 0
-                scan_len = np.where(found, first + 1, degs)
-                edges = int(scan_len.sum())
-                adj_lines = segment_lines_touched(
-                    incoming.row_offsets[local_unvisited], scan_len,
-                    element_bytes=4, line_bytes=line,
-                )
-                gcds[g].launch(
-                    "dist_bu_expand",
-                    strategy="multigcd",
-                    level=level,
-                    streams=[
-                        seq_read("status", hi - lo, 4),
-                        segmented_read("adj_list", edges, adj_lines, 4),
-                        rand_read(
-                            "frontier_bitmap",
-                            edges,
-                            -(-graph.num_vertices // 8),
-                            1,
-                        ),
-                        rand_write("status", int(found.sum()), int(found.sum()), 4),
-                    ],
-                    work=ComputeWork(
-                        flat_ops=float(local_unvisited.size),
-                        divergent_probes=float(
-                            wavefront_serialized_steps(scan_len, wf)
-                        ),
-                    ),
-                    work_items=int(local_unvisited.size),
-                    bottom_up=True,
-                )
-                gcds[g].sync()
-                claimed.append(local_unvisited[found])
-            factor = self.straggler_slowdown.get(g, 1.0)
-            kernel_ms = max(kernel_ms, (gcds[g].elapsed_ms - before) * factor)
-
-        claim = (
-            np.concatenate(claimed) if claimed else np.zeros(0, dtype=np.int64)
-        )
-        return kernel_ms, comm_ms, comm_bytes, raw_bytes, claim
 
     # ------------------------------------------------------------------
     def run_batch(self, sources: np.ndarray) -> PodBatchResult:
@@ -650,7 +483,6 @@ class MultiGcdBFS(PodEngine):
         graph = self.graph
         p = self.num_gcds
         bounds = self.partition.boundaries
-        row_bytes = 8 * frontier.shape[1]
         before = self._format_counts()
         wire = np.zeros((p, p), dtype=np.int64)
         raw = 0
@@ -684,7 +516,7 @@ class MultiGcdBFS(PodEngine):
                     ids = rows[dest[d]:dest[d + 1]]
                     if d != g and ids.size:
                         lo, hi = self.partition.owned_range(d)
-                        ids, wire[g, d], r = self._ship(ids, lo, hi, row_bytes)
+                        ids, wire[g, d], r = self._ship(ids, lo, hi)
                         raw += r
                         received[d] += ids.size
                     fresh[ids] |= words[dest[d]:dest[d + 1]]
@@ -698,11 +530,11 @@ class MultiGcdBFS(PodEngine):
                     if d == g:
                         continue
                     if self.codec is None:
-                        wire[g, d] = r = (hi - lo) * row_bytes
+                        wire[g, d] = r = self._row_bytes(hi - lo, block=True)
                     else:
                         # Every peer receives the same message; a
                         # decoded copy feeds the replicated rows.
-                        ids, wire[g, d], r = self._ship(rows, lo, hi, row_bytes)
+                        ids, wire[g, d], r = self._ship(rows, lo, hi)
                     raw += r
                 if self.codec is not None:
                     seen[ids] = frontier[ids]
@@ -725,7 +557,7 @@ class MultiGcdBFS(PodEngine):
         n = graph.num_vertices
         words = fresh.shape[1]
         line = self.device.cache_line_bytes
-        msg_row = _ID_BYTES + 8 * words
+        msg_row = ID_BYTES + 8 * words
         if cand is None:
             cut, found, received, wire = pod.exchange
             examined = frontier_edges
@@ -794,266 +626,3 @@ class MultiGcdBFS(PodEngine):
                      hideable_ms=comm_ms if cand is None else 0.0,
                      direction=TOP_DOWN if cand is None else BOTTOM_UP)
         return examined
-
-    def _traverse_source(self, gcds: list[GCD], source: int) -> DistributedResult:
-        graph = self.graph
-        part = self.partition
-        p = self.num_gcds
-        tracer = self.tracer
-
-        levels = np.full(graph.num_vertices, -1, dtype=np.int32)
-        levels[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        elapsed = 0.0
-        comm_total = 0.0
-        compute_total = 0.0
-        bytes_total = 0
-        raw_total = 0
-        overlap_saved = 0.0
-        per_level_bytes: list[int] = []
-        per_level_raw: list[int] = []
-        formats_before = self._format_counts()
-        line = self.device.cache_line_bytes
-        wf = self.device.wavefront_size
-        level_decisions: list[dict] = []
-
-        while frontier.size:
-            frontier_edges = int(graph.degrees[frontier].sum())
-            ratio = frontier_edges / max(1, graph.num_edges)
-            fmt_before = self._format_counts()
-            if (
-                self.direction_alpha is not None
-                and ratio > self.direction_alpha
-            ):
-                bu_ms, bu_comm_ms, bu_bytes, bu_raw, claim = (
-                    self._bottom_up_level(gcds, levels, frontier, level)
-                )
-                per_level_bytes.append(bu_bytes)
-                per_level_raw.append(bu_raw)
-                bytes_total += bu_bytes
-                raw_total += bu_raw
-                comm_total += bu_comm_ms
-                compute_total += bu_ms
-                # Bottom-up stays sequential even under ``overlap``:
-                # the scan consumes the allgathered bitmap, so the
-                # exchange cannot hide behind it.
-                elapsed += bu_ms + bu_comm_ms
-                extra = (
-                    {"comm_raw_bytes": bu_raw} if self.codec is not None else {}
-                )
-                tracer.complete(
-                    "dist.level",
-                    duration_ms=bu_ms + bu_comm_ms,
-                    level=level,
-                    strategy="multigcd",
-                    direction="bottom_up",
-                    kernel_ms=bu_ms,
-                    comm_ms=bu_comm_ms,
-                    comm_bytes=bu_bytes,
-                    frontier=int(frontier.size),
-                    **extra,
-                )
-                level_decisions.append(
-                    {
-                        "level": level,
-                        "direction": "bottom_up",
-                        "reason": (
-                            f"ratio {ratio:.3g} > direction_alpha "
-                            f"{self.direction_alpha:g}"
-                        ),
-                        "ratio": ratio,
-                        "alpha": self.direction_alpha,
-                        "frontier": int(frontier.size),
-                        "comm_bytes": bu_bytes,
-                        "formats": self._formats_since(fmt_before),
-                    }
-                )
-                levels[claim] = level + 1
-                frontier = claim
-                level += 1
-                continue
-            cut = np.searchsorted(frontier, part.boundaries)
-            level_kernel_ms = 0.0
-            level_raw = 0
-            bytes_matrix = np.zeros((p, p), dtype=np.int64)
-            discoveries: list[np.ndarray] = []
-            for g in range(p):
-                local = frontier[cut[g]:cut[g + 1]]
-                before = gcds[g].elapsed_ms
-                if local.size:
-                    neighbors = gather_adjacency(graph, local)
-                    e_f = int(neighbors.size)
-                    fresh = unique_vertices(
-                        neighbors, graph.num_vertices, levels
-                    )
-                    adj_lines = segment_lines_touched(
-                        graph.row_offsets[local], graph.degrees[local],
-                        element_bytes=4, line_bytes=line,
-                    )
-                    append_ops = -(-int(fresh.size) // wf) if fresh.size else 0
-                    gcds[g].launch(
-                        "dist_expand",
-                        strategy="multigcd",
-                        level=level,
-                        streams=[
-                            seq_read("frontier", int(local.size), 4),
-                            rand_read("beg_pos", 2 * int(local.size), 2 * int(local.size), 8),
-                            segmented_read("adj_list", e_f, adj_lines, 4),
-                            rand_read("status", e_f, graph.num_vertices, 4),
-                            seq_write("send_buffers", int(fresh.size), _ID_BYTES),
-                        ],
-                        work=ComputeWork(
-                            flat_ops=float(e_f + local.size),
-                            atomics=AtomicStats(
-                                operations=append_ops,
-                                conflicts=max(0, append_ops - 1),
-                                distinct_addresses=min(p, append_ops) if append_ops else 0,
-                            ),
-                        ),
-                        work_items=int(local.size),
-                    )
-                    gcds[g].sync()
-                    dest = np.searchsorted(fresh, part.boundaries)
-                    if self.codec is None:
-                        bytes_matrix[g, :] = np.diff(dest) * _ID_BYTES
-                        discoveries.append(fresh)
-                    else:
-                        # Encode one message per remote owner; locally
-                        # owned discoveries never touch the wire.
-                        # Remote discoveries feed the claim through a
-                        # decode round-trip, so the codec provably
-                        # cannot change the answer.
-                        for d in range(p):
-                            mine = fresh[dest[d]:dest[d + 1]]
-                            if d == g:
-                                discoveries.append(mine)
-                                continue
-                            if not mine.size:
-                                continue
-                            d_lo, d_hi = part.owned_range(d)
-                            msg = self.codec.encode(mine, d_lo, d_hi)
-                            bytes_matrix[g, d] = msg.wire_bytes
-                            level_raw += msg.raw_bytes
-                            discoveries.append(self.codec.decode(msg))
-                factor = self.straggler_slowdown.get(g, 1.0)
-                level_kernel_ms = max(
-                    level_kernel_ms, (gcds[g].elapsed_ms - before) * factor
-                )
-
-            comm_ms = self.interconnect.alltoall_ms(bytes_matrix)
-            comm_ms *= self._exchange_scale(level)
-            level_bytes = int(bytes_matrix.sum() - np.trace(bytes_matrix))
-            if self.codec is None:
-                level_raw = level_bytes
-            per_level_bytes.append(level_bytes)
-            per_level_raw.append(level_raw)
-            bytes_total += level_bytes
-            raw_total += level_raw
-            comm_total += comm_ms
-            compute_total += level_kernel_ms
-            if self.overlap:
-                # Pipelined exchange: sub-frontier buckets ship while
-                # the remaining expand work runs, so the level's
-                # expand+exchange interval is the longer of the two.
-                saved_ms = min(level_kernel_ms, comm_ms)
-                overlap_saved += saved_ms
-                elapsed += max(level_kernel_ms, comm_ms)
-            else:
-                saved_ms = 0.0
-                elapsed += level_kernel_ms + comm_ms
-
-            # Every GCD holding part of the (non-empty) frontier keeps
-            # its own discoveries, so there is always one to merge.
-            claim = unique_vertices(
-                np.concatenate(discoveries), graph.num_vertices, levels
-            )
-            # Owners claim their discoveries: a small scatter on each GCD.
-            update_ms = 0.0
-            if claim.size:
-                cut = np.searchsorted(claim, part.boundaries)
-                for g in range(p):
-                    mine = claim[cut[g]:cut[g + 1]]
-                    if not mine.size:
-                        continue
-                    before = gcds[g].elapsed_ms
-                    gcds[g].launch(
-                        "dist_update",
-                        strategy="multigcd",
-                        level=level,
-                        streams=[
-                            seq_read("recv_buffers", int(mine.size), _ID_BYTES),
-                            rand_write("status", int(mine.size), int(mine.size), 4),
-                        ],
-                        work=ComputeWork(flat_ops=float(mine.size)),
-                        work_items=int(mine.size),
-                    )
-                    gcds[g].sync()
-                    factor = self.straggler_slowdown.get(g, 1.0)
-                    update_ms = max(
-                        update_ms, (gcds[g].elapsed_ms - before) * factor
-                    )
-                compute_total += update_ms
-                elapsed += update_ms
-            extra = {}
-            if self.codec is not None:
-                extra["comm_raw_bytes"] = level_raw
-            if self.overlap:
-                extra["overlap_saved_ms"] = saved_ms
-            duration_ms = (
-                max(level_kernel_ms, comm_ms) + update_ms
-                if self.overlap
-                else level_kernel_ms + comm_ms + update_ms
-            )
-            tracer.complete(
-                "dist.level",
-                duration_ms=duration_ms,
-                level=level,
-                strategy="multigcd",
-                direction="top_down",
-                kernel_ms=level_kernel_ms + update_ms,
-                comm_ms=comm_ms,
-                comm_bytes=level_bytes,
-                frontier=int(frontier.size),
-                **extra,
-            )
-            level_decisions.append(
-                {
-                    "level": level,
-                    "direction": "top_down",
-                    "reason": (
-                        "direction switching disabled"
-                        if self.direction_alpha is None
-                        else (
-                            f"ratio {ratio:.3g} <= direction_alpha "
-                            f"{self.direction_alpha:g}"
-                        )
-                    ),
-                    "ratio": ratio,
-                    "alpha": self.direction_alpha,
-                    "frontier": int(frontier.size),
-                    "comm_bytes": level_bytes,
-                    "formats": self._formats_since(fmt_before),
-                }
-            )
-            levels[claim] = level + 1
-            frontier = claim
-            level += 1
-
-        reached = levels >= 0
-        return DistributedResult(
-            source=source,
-            levels=levels,
-            elapsed_ms=elapsed,
-            comm_ms=comm_total,
-            compute_ms=compute_total,
-            bytes_exchanged=bytes_total,
-            traversed_edges=int(graph.degrees[reached].sum()),
-            num_gcds=p,
-            per_level_comm_bytes=per_level_bytes,
-            bytes_raw=raw_total,
-            per_level_raw_bytes=per_level_raw,
-            exchange_formats=self._formats_since(formats_before),
-            overlap_saved_ms=overlap_saved,
-            level_decisions=level_decisions,
-        )

@@ -16,29 +16,31 @@ Communication involves only the √P-sized processor rows/columns rather
 than all P peers — the classic volume argument (O(|V|/√P) words per
 GCD per level instead of O(|V|)).
 
+:meth:`Grid2dBFS.run_batch` runs the three phases on the bitmap level
+loop (:class:`~repro.xbfs.bitmap.BitmapBatchEngine`), every source at
+once: the collectives carry (vertices × sources/64) bitmap rows — each
+block whole, or its occupied rows' ids through the codec plus their
+words — and a faulted level replays after every member quiesces. A
+one-source batch is the per-vertex BFS: its rows' words are the bits
+their ids imply, so a whole block ships as a ``ceil(rows / 8)``-byte
+bitmap and a coded row costs only its id
+(:meth:`~repro.multigcd.distributed_bfs.PodEngine._row_bytes`).
+
 Functionally the engine is exact (validated against the oracle); the
 cost model charges each phase on its sub-communicator. It takes the
 :class:`~repro.multigcd.exchange.ExchangeCodec` (per-block-message
-bitmap/sparse selection, with frontier and discovery sets round-tripped
+bitmap/sparse selection, with frontier and discovery rows round-tripped
 through ``decode`` so the codec provably cannot change the answer),
-comm/compute ``overlap`` (the reduce-scatter of early discovery bits
+comm/compute ``overlap`` (the reduce-scatter of early discovery rows
 hides behind the remaining tile expansion; the allgather stays
 sequential — tiles consume it), a :class:`~repro.telemetry.tracer`
 (pre-finished ``dist.level`` spans, ``strategy="grid2d"``), and the
 ``multigcd.exchange`` fault site on both collective phases.
-
-:meth:`Grid2dBFS.run_batch`, the serving dispatcher's entry point, runs
-the same three phases on the bitmap level loop
-(:class:`~repro.xbfs.bitmap.BitmapBatchEngine`), every source at once:
-the collectives carry (vertices × sources/64) bitmap rows — each block
-whole, or its occupied rows' ids through the codec plus their words —
-and a faulted level replays after every member quiesces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,75 +48,17 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
-from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.distributed_bfs import (
-    TOP_DOWN,
-    PodBatchResult,
-    PodEngine,
-    PodRunRates,
-)
+from repro.multigcd.distributed_bfs import TOP_DOWN, PodBatchResult, PodEngine
 from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.common import (
-    gather_neighbors,
-    segment_lines_touched,
-    unique_vertices,
-)
+from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
-__all__ = ["Grid2dBFS", "Grid2dResult"]
-
-
-@dataclass
-class Grid2dResult(PodRunRates):
-    """Outcome of one 2D-partitioned BFS run.
-
-    Exposes the same surface as
-    :class:`~repro.multigcd.distributed_bfs.DistributedResult`
-    (``bytes_exchanged``, ``traversed_edges`` and the
-    :class:`~repro.multigcd.distributed_bfs.PodRunRates`), so callers
-    treat the two engines' runs interchangeably.
-    """
-
-    source: int
-    levels: np.ndarray
-    elapsed_ms: float
-    comm_ms: float
-    compute_ms: float
-    #: Bytes moved by the column allgathers.
-    allgather_bytes: int
-    #: Bytes moved by the row reduce-scatters.
-    reduce_bytes: int
-    grid: tuple[int, int]
-    per_level_comm_bytes: list[int] = field(default_factory=list)
-    #: What the uncompressed id-list exchange would have shipped
-    #: (equals ``bytes_exchanged`` when no codec is attached).
-    bytes_raw: int = 0
-    per_level_raw_bytes: list[int] = field(default_factory=list)
-    #: Wire messages per format for this run (empty without a codec).
-    exchange_formats: dict[str, int] = field(default_factory=dict)
-    #: Virtual time hidden by comm/compute overlap (0 without overlap).
-    overlap_saved_ms: float = 0.0
-    #: Per-level decision records for the audit plane: the 2D engine is
-    #: always top-down (both collectives are bitmap-width-bounded), so
-    #: each entry explains the collective pair plus the codec's
-    #: wire-format picks for that level.
-    level_decisions: list = field(default_factory=list)
-
-    _traversed: int = 0
-
-    @property
-    def bytes_exchanged(self) -> int:
-        """Total wire bytes (both collective phases)."""
-        return self.allgather_bytes + self.reduce_bytes
-
-    @property
-    def traversed_edges(self) -> int:
-        return self._traversed
+__all__ = ["Grid2dBFS"]
 
 
 def _square_grid(p: int) -> tuple[int, int]:
@@ -189,13 +133,12 @@ class Grid2dBFS(PodEngine):
 
     def _block_exchange(
         self, vertices: np.ndarray, bounds: np.ndarray, fan: int,
-        row_bytes: int = 0,
     ) -> tuple[np.ndarray, int, int, float]:
         """Run one codec-compressed block collective.
 
         Splits ``vertices`` into the blocks delimited by ``bounds``,
-        encodes each block's message (plus ``row_bytes`` of bitmap
-        words per vertex for a batch), ships ``fan`` copies of it (the
+        encodes each block's message (plus its rows' words,
+        :meth:`~PodEngine._row_bytes`), ships ``fan`` copies of it (the
         sub-communicator's peer-pair count), and rebuilds the vertex
         set from the *decoded* messages. Returns
         ``(vertices_roundtripped, wire_bytes, raw_bytes, slowest_ms)``
@@ -214,7 +157,7 @@ class Grid2dBFS(PodEngine):
                 continue
             decoded: np.ndarray | None = None
             per_msg = 0
-            words = int(mine.size) * row_bytes
+            words = self._row_bytes(int(mine.size))
             for _ in range(fan):
                 msg = codec.encode(mine, lo, hi)
                 per_msg = msg.wire_bytes + words
@@ -267,18 +210,17 @@ class Grid2dBFS(PodEngine):
         product reads only rows that were decoded."""
         graph = self.graph
         n = graph.num_vertices
-        row_bytes = 8 * frontier.shape[1]
         before = self._format_counts()
         ag_fan = self.rows * (self.rows - 1)
         rs_fan = self.cols * (self.cols - 1)
         # Phase 1: the column allgather of frontier rows.
         if self.codec is None:
-            ag_worst = -(-n // self.cols) * row_bytes
+            ag_worst = self._row_bytes(-(-n // self.cols), block=True)
             ag_wire = ag_raw = ag_worst * ag_fan * self.cols
             seen, rows = frontier, active
         else:
             rows, ag_wire, ag_raw, ag_worst = self._block_exchange(
-                active, self.col_bounds, ag_fan, row_bytes
+                active, self.col_bounds, ag_fan
             )
             seen = np.zeros_like(frontier)
             seen[rows] = np.take(frontier, rows, axis=0)
@@ -294,12 +236,12 @@ class Grid2dBFS(PodEngine):
         col_block = np.searchsorted(self.col_bounds, rows, side="right") - 1
         # Phase 3: the row reduce-scatter of the rows filled.
         if self.codec is None:
-            rs_worst = -(-n // self.rows) * row_bytes
+            rs_worst = self._row_bytes(-(-n // self.rows), block=True)
             rs_wire = rs_raw = rs_worst * rs_fan * self.rows
             fresh = filled
         else:
             got, rs_wire, rs_raw, rs_worst = self._block_exchange(
-                bm.occupied_rows(filled), self.row_bounds, rs_fan, row_bytes
+                bm.occupied_rows(filled), self.row_bounds, rs_fan
             )
             fresh = np.zeros_like(frontier)
             fresh[got] = np.take(filled, got, axis=0)
@@ -352,180 +294,3 @@ class Grid2dBFS(PodEngine):
         self._settle(pod, level, int(active.size), tile_ms, ag_ms + rs_ms,
                      hideable_ms=rs_ms, direction=TOP_DOWN)
         return frontier_edges
-
-    def _traverse_source(self, gcds: list[GCD], source: int) -> Grid2dResult:
-        graph = self.graph
-        n = graph.num_vertices
-        tracer = self.tracer
-
-        levels = np.full(n, -1, dtype=np.int32)
-        levels[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        elapsed = comm_total = compute_total = 0.0
-        allgather_bytes = reduce_bytes = 0
-        raw_total = 0
-        overlap_saved = 0.0
-        per_level: list[int] = []
-        per_level_raw: list[int] = []
-        formats_before = self._format_counts()
-        line = self.device.cache_line_bytes
-        level_decisions: list[dict] = []
-
-        while frontier.size:
-            fmt_before = self._format_counts()
-            # Phase 1: column allgather of frontier bits — every tile
-            # column shares the frontier slice of its vertex block.
-            ag_fan = self.rows * (self.rows - 1)
-            if self.codec is None:
-                slice_bits = -(-n // self.cols) // 8
-                ag_ms = self._subcomm_cost(self.rows, slice_bits)
-                ag_bytes = slice_bits * ag_fan * self.cols
-                ag_raw = ag_bytes
-            else:
-                slice_bits = -(-n // self.cols) // 8
-                frontier, ag_bytes, ag_raw, worst = self._block_exchange(
-                    frontier, self.col_bounds, ag_fan
-                )
-                ag_ms = self._subcomm_cost(self.rows, worst)
-            ag_ms *= self._exchange_scale(level, "allgather")
-            allgather_bytes += ag_bytes
-
-            # Phase 2: local tile expansion. Tile (i, j) expands the
-            # frontier vertices in column block j whose out-edges land
-            # in row block i; we charge each tile its share of the
-            # frontier's adjacency.
-            neighbors, owner = gather_neighbors(graph, frontier)
-            discovered = unique_vertices(neighbors, n, levels)
-            tile_ms = 0.0
-            col_of_frontier = np.searchsorted(
-                self.col_bounds, frontier, side="right"
-            ) - 1
-            row_of_neighbor = np.searchsorted(
-                self.row_bounds, neighbors, side="right"
-            ) - 1
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    g = i * self.cols + j
-                    in_tile = (row_of_neighbor == i) & (
-                        col_of_frontier[owner] == j
-                    )
-                    e_tile = int(np.count_nonzero(in_tile))
-                    if e_tile == 0:
-                        continue
-                    local_frontier = unique_vertices(frontier[owner[in_tile]], n)
-                    before = gcds[g].elapsed_ms
-                    adj_lines = segment_lines_touched(
-                        graph.row_offsets[local_frontier],
-                        graph.degrees[local_frontier],
-                        element_bytes=4,
-                        line_bytes=line,
-                    )
-                    gcds[g].launch(
-                        "g2d_tile_expand",
-                        strategy="grid2d",
-                        level=level,
-                        streams=[
-                            seq_read("frontier_bits", slice_bits, 1),
-                            rand_read(
-                                "beg_pos",
-                                2 * int(local_frontier.size),
-                                2 * int(local_frontier.size),
-                                8,
-                            ),
-                            segmented_read("tile_cols", e_tile, adj_lines, 4),
-                            rand_write(
-                                "discovery_bits", e_tile, -(-n // self.rows) // 8, 1
-                            ),
-                        ],
-                        work=ComputeWork(flat_ops=float(e_tile + local_frontier.size)),
-                        work_items=int(local_frontier.size),
-                    )
-                    gcds[g].sync()
-                    tile_ms = max(tile_ms, gcds[g].elapsed_ms - before)
-
-            # Phase 3: row reduce-scatter of discovery bits to owners.
-            rs_fan = self.cols * (self.cols - 1)
-            if self.codec is None:
-                row_bits = -(-n // self.rows) // 8
-                rs_ms = self._subcomm_cost(self.cols, row_bits)
-                rs_bytes = row_bits * rs_fan * self.rows
-                rs_raw = rs_bytes
-            else:
-                discovered, rs_bytes, rs_raw, worst = self._block_exchange(
-                    discovered, self.row_bounds, rs_fan
-                )
-                rs_ms = self._subcomm_cost(self.cols, worst)
-            rs_ms *= self._exchange_scale(level, "reduce_scatter")
-            reduce_bytes += rs_bytes
-
-            comm_ms = ag_ms + rs_ms
-            comm_total += comm_ms
-            compute_total += tile_ms
-            if self.overlap:
-                # The allgather gates the tiles, but the reduce-scatter
-                # of early discovery bits hides behind the remaining
-                # tile expansion.
-                saved_ms = min(tile_ms, rs_ms)
-                overlap_saved += saved_ms
-                level_ms = ag_ms + max(tile_ms, rs_ms)
-            else:
-                saved_ms = 0.0
-                level_ms = ag_ms + tile_ms + rs_ms
-            elapsed += level_ms
-            level_raw = ag_raw + rs_raw
-            per_level.append(ag_bytes + rs_bytes)
-            per_level_raw.append(level_raw)
-            raw_total += level_raw
-
-            extra = {}
-            if self.codec is not None:
-                extra["comm_raw_bytes"] = level_raw
-            if self.overlap:
-                extra["overlap_saved_ms"] = saved_ms
-            tracer.complete(
-                "dist.level",
-                duration_ms=level_ms,
-                level=level,
-                strategy="grid2d",
-                direction="top_down",
-                kernel_ms=tile_ms,
-                comm_ms=comm_ms,
-                comm_bytes=ag_bytes + rs_bytes,
-                frontier=int(frontier.size),
-                **extra,
-            )
-
-            level_decisions.append(
-                {
-                    "level": level,
-                    "direction": TOP_DOWN,
-                    "reason": self._REASON,
-                    "frontier": int(frontier.size),
-                    "comm_bytes": ag_bytes + rs_bytes,
-                    "formats": self._formats_since(fmt_before),
-                }
-            )
-            levels[discovered] = level + 1
-            frontier = discovered
-            level += 1
-
-        reached = levels >= 0
-        result = Grid2dResult(
-            source=source,
-            levels=levels,
-            elapsed_ms=elapsed,
-            comm_ms=comm_total,
-            compute_ms=compute_total,
-            allgather_bytes=allgather_bytes,
-            reduce_bytes=reduce_bytes,
-            grid=(self.rows, self.cols),
-            per_level_comm_bytes=per_level,
-            bytes_raw=raw_total,
-            per_level_raw_bytes=per_level_raw,
-            exchange_formats=self._formats_since(formats_before),
-            overlap_saved_ms=overlap_saved,
-            level_decisions=level_decisions,
-        )
-        result._traversed = int(graph.degrees[reached].sum())
-        return result

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeviceFaultError, RecoveryExhaustedError
+from repro.errors import RecoveryExhaustedError
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
 from repro.graph.stats import bfs_levels_reference
-from repro.multigcd.distributed_bfs import MultiGcdBFS
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.xbfs.concurrent import ConcurrentBFS
 from repro.xbfs.driver import XBFS
 
@@ -120,25 +120,39 @@ class TestConcurrentRecovery:
 class TestMultiGcdFaults:
     def test_exchange_latency_degrades_comm_only(self, small_rmat):
         source = int(np.argmax(small_rmat.degrees))
-        clean = MultiGcdBFS(small_rmat, 4).run(source)
+        clean = MultiGcdBFS(small_rmat, 4).run_batch([source])
         plan = FaultPlan(seed=3, rules=(
             FaultRule(site="multigcd.exchange", kind="latency",
                       magnitude=5.0),
         ))
-        slow = MultiGcdBFS(small_rmat, 4, injector=plan.injector()).run(source)
+        slow = MultiGcdBFS(small_rmat, 4, injector=plan.injector()).run_batch([source])
         assert np.array_equal(slow.levels, clean.levels)
         assert slow.comm_ms == pytest.approx(5.0 * clean.comm_ms)
         assert slow.compute_ms == pytest.approx(clean.compute_ms)
 
-    def test_device_fault_surfaces_typed(self, fig1_graph):
-        """MultiGcdBFS has no checkpoint layer: a hard device fault
-        must surface as the typed error, never as wrong levels."""
+    @pytest.mark.parametrize("pod", [MultiGcdBFS, Grid2dBFS])
+    def test_one_source_replays_faulted_levels(self, small_rmat, pod):
+        """A one-source batch is the per-vertex traversal, and it
+        replays a level whose members' sync reports corruption."""
+        source = int(np.argmax(small_rmat.degrees))
+        plan = _bounded_plan(kind="memory_corruption", triggers=4, site="gcd.sync")
+        engine = pod(small_rmat, 4, injector=plan.injector(),
+                     recovery=RecoveryPolicy(max_level_restarts=8))
+        result = engine.run_batch([source])
+        assert result.level_restarts > 0
+        assert np.array_equal(result.levels[0],
+                              bfs_levels_reference(small_rmat, source))
+
+    @pytest.mark.parametrize("pod", [MultiGcdBFS, Grid2dBFS])
+    def test_endless_device_fault_surfaces_typed(self, fig1_graph, pod):
+        """A fault on every launch outlasts the restart budget: the
+        typed error, never wrong levels."""
         plan = FaultPlan(seed=0, rules=(
             FaultRule(site="gcd.launch", kind="kernel_launch"),
         ))
-        engine = MultiGcdBFS(fig1_graph, 2, injector=plan.injector())
-        with pytest.raises(DeviceFaultError):
-            engine.run(0)
+        engine = pod(fig1_graph, 2, injector=plan.injector())
+        with pytest.raises(RecoveryExhaustedError):
+            engine.run_batch([0])
 
     def test_batch_replays_faulted_levels(self, small_rmat):
         """A batch commits each level only after every member syncs, so

@@ -36,11 +36,12 @@ class TestCrossEngineAgreement:
             EnterpriseBFS(graph),
             HierarchicalBFS(graph),
             SsspBFS(graph),
-            MultiGcdBFS(graph, 4),
         ]
         for engine in engines:
             result = engine.run(source)
             assert np.array_equal(result.levels, reference), type(engine).__name__
+        pod = MultiGcdBFS(graph, 4).run_batch([source])
+        assert np.array_equal(pod.levels[0], reference)
 
     @pytest.mark.parametrize("key", ["LJ", "DB"])
     def test_engines_agree_on_dataset_stand_ins(self, key):

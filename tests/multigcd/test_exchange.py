@@ -5,7 +5,7 @@ format it picks, ``decode(encode(v)) == v``, so attaching a codec to a
 distributed engine can change modelled bytes and exchange time but
 never a level array. These tests pin that contract down for arbitrary
 frontiers and owned ranges, plus the cost-model boundary the format
-choice hinges on.
+choice hinges on, and the pods' one-source wire rule.
 """
 
 import numpy as np
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.multigcd import MultiGcdBFS
+from repro.graph.generators import rmat
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.multigcd.comm import INFINITY_FABRIC, SLINGSHOT
 from repro.multigcd.exchange import (
     FORMAT_BITMAP,
@@ -162,6 +163,46 @@ class TestCounters:
         assert snap["exchange.bytes_saved"] > 0
 
 
+class TestOneSourceRule:
+    """A one-source batch's row is one bit its id implies: a shipped
+    row costs only its id and an uncompressed block its bitmap, so the
+    pods ship exactly the per-vertex exchange. Pinned on the
+    exchange-plane fingerprint's graph, codec and overlap on."""
+
+    GRAPH = rmat(12, 8, seed=2)
+
+    @pytest.mark.parametrize("pod, gcds, pinned", [
+        (MultiGcdBFS, 4, (3174, 18432, 18, 18)),
+        (Grid2dBFS, 9, (18780, 142968, 108, 108)),
+    ], ids=["1d", "2d"])
+    def test_one_source_ships_ids_only(self, pod, gcds, pinned):
+        r = pod(self.GRAPH, gcds, codec=ExchangeCodec(), overlap=True).run_batch([0])
+        messages = [sum(f[fmt] for f in r.level_formats)
+                    for fmt in (FORMAT_SPARSE, FORMAT_BITMAP)]
+        assert (r.bytes_exchanged, r.bytes_raw, *messages) == pinned
+        assert sum(r.level_raw_bytes) == r.bytes_raw
+        assert np.array_equal(r.levels[0], XBFS(self.GRAPH).run(0).levels)
+
+    @pytest.mark.parametrize("pod, kw, wire", [
+        (MultiGcdBFS, {"direction_alpha": 0.05}, 5424),
+        (Grid2dBFS, {}, 12288),
+    ], ids=["1d-bottom-up", "2d"])
+    def test_one_source_block_is_its_bitmap(self, pod, kw, wire):
+        """Without a codec a whole block ships: ceil(rows / 8) bytes."""
+        r = pod(self.GRAPH, 4, **kw).run_batch([0])
+        assert r.bytes_exchanged == r.bytes_raw == wire
+
+    @pytest.mark.parametrize("pod, gcds, raw", [
+        (MultiGcdBFS, 4, 81732),
+        (Grid2dBFS, 9, 615024),
+    ], ids=["1d", "2d"])
+    def test_two_sources_ship_their_words(self, pod, gcds, raw):
+        """The rule fires only at one source: from two on, each row's
+        8-byte word rides along as before."""
+        r = pod(self.GRAPH, gcds, codec=ExchangeCodec(), overlap=True).run_batch([0, 1])
+        assert r.bytes_raw == raw
+
+
 @st.composite
 def graph_and_source(draw):
     n = draw(st.integers(min_value=2, max_value=40))
@@ -187,10 +228,10 @@ def test_codec_format_choice_never_changes_levels(case, mode):
     graph, source = case
     oracle = XBFS(graph).run(source).levels
     p = min(4, graph.num_vertices)
-    naive = MultiGcdBFS(graph, p).run(source)
-    coded = MultiGcdBFS(graph, p, codec=ExchangeCodec(mode=mode)).run(source)
-    assert np.array_equal(naive.levels, oracle)
-    assert np.array_equal(coded.levels, oracle)
+    naive = MultiGcdBFS(graph, p).run_batch([source])
+    coded = MultiGcdBFS(graph, p, codec=ExchangeCodec(mode=mode)).run_batch([source])
+    assert np.array_equal(naive.levels[0], oracle)
+    assert np.array_equal(coded.levels[0], oracle)
     # The codec changes bytes/time accounting only, never the answer
     # or the kernel-side cost.
     assert coded.compute_ms == naive.compute_ms

@@ -1,4 +1,5 @@
-"""Tests for the 2D (checkerboard) partitioned BFS."""
+"""Tests for the 2D (checkerboard) partitioned BFS; a one-source
+batch (``run_batch([s])``) is the per-vertex traversal."""
 
 import numpy as np
 import pytest
@@ -26,22 +27,22 @@ class TestCorrectness:
     @pytest.mark.parametrize("num_gcds", [1, 4, 8, 16])
     def test_matches_oracle(self, small_rmat, num_gcds):
         source = int(np.argmax(small_rmat.degrees))
-        result = Grid2dBFS(small_rmat, num_gcds).run(source)
+        result = Grid2dBFS(small_rmat, num_gcds).run_batch([source])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(small_rmat, source)
+            result.levels[0], bfs_levels_reference(small_rmat, source)
         )
 
     def test_disconnected(self, disconnected_graph):
-        result = Grid2dBFS(disconnected_graph, 4).run(0)
+        result = Grid2dBFS(disconnected_graph, 4).run_batch([0])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(disconnected_graph, 0)
+            result.levels[0], bfs_levels_reference(disconnected_graph, 0)
         )
 
     def test_validation(self, small_rmat):
         with pytest.raises(PartitionError):
             Grid2dBFS(small_rmat, 0)
         with pytest.raises(TraversalError):
-            Grid2dBFS(small_rmat, 4).run(-1)
+            Grid2dBFS(small_rmat, 4).run_batch([-1])
 
 
 class TestCommunicationShape:
@@ -52,34 +53,31 @@ class TestCommunicationShape:
         from repro.multigcd import MultiGcdBFS
 
         source = int(np.argmax(social_graph.degrees))
-        one_d = MultiGcdBFS(social_graph, 16).run(source)
-        two_d = Grid2dBFS(social_graph, 16).run(source)
+        one_d = MultiGcdBFS(social_graph, 16).run_batch([source])
+        two_d = Grid2dBFS(social_graph, 16).run_batch([source])
         assert np.array_equal(one_d.levels, two_d.levels)
-        assert (
-            two_d.allgather_bytes + two_d.reduce_bytes
-            < 4 * one_d.bytes_exchanged
-        )
+        assert two_d.bytes_exchanged < 4 * one_d.bytes_exchanged
 
     def test_grid_shape_recorded(self, small_rmat):
-        result = Grid2dBFS(small_rmat, 8).run(0)
-        assert result.grid == (2, 4)
+        engine = Grid2dBFS(small_rmat, 8)
+        assert (engine.rows, engine.cols) == (2, 4)
+        assert engine.run_batch([0]).num_gcds == 8
 
     def test_single_gcd_no_comm(self, small_rmat):
-        result = Grid2dBFS(small_rmat, 1).run(0)
+        result = Grid2dBFS(small_rmat, 1).run_batch([0])
         assert result.comm_ms == 0.0
-        assert result.allgather_bytes == 0
+        assert result.bytes_exchanged == 0
 
     def test_per_level_bytes_recorded(self, small_rmat):
         source = int(np.argmax(small_rmat.degrees))
-        result = Grid2dBFS(small_rmat, 4).run(source)
+        result = Grid2dBFS(small_rmat, 4).run_batch([source])
         depth = int(result.levels.max()) + 1
-        assert len(result.per_level_comm_bytes) == depth
-        assert sum(result.per_level_comm_bytes) == (
-            result.allgather_bytes + result.reduce_bytes
-        )
+        assert len(result.level_comm_bytes) == depth
+        assert sum(result.level_comm_bytes) == result.bytes_exchanged
+        assert sum(result.level_raw_bytes) == result.bytes_raw
 
     def test_gteps_positive(self, small_rmat):
         source = int(np.argmax(small_rmat.degrees))
         eng = Grid2dBFS(small_rmat, 4)
-        eng.run(source)
-        assert eng.run(source).gteps > 0
+        eng.run_batch([source])
+        assert eng.run_batch([source]).gteps > 0

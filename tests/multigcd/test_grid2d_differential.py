@@ -6,7 +6,8 @@ mode, overlap setting or fault plan, its levels must be bit-identical
 to solo ``XBFS`` — and, transitively, to the 1D ``MultiGcdBFS`` —
 across seeded random graphs and every degenerate shape the partition
 math could stumble on (disconnected forests, a single vertex, a star,
-a zero-edge graph).
+a zero-edge graph). A one-source batch (``run_batch([s])``) is the
+per-vertex traversal.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BatchSourceError, DeviceFaultError
+from repro.errors import BatchSourceError, RecoveryExhaustedError
 from repro.faults import FaultPlan, FaultRule
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import chung_lu_power_law, rmat
@@ -85,8 +86,8 @@ class TestAgainstSoloXbfs:
         graph = ALL_GRAPHS[name]
         engine = Grid2dBFS(graph, min(4, graph.num_vertices), **CONFIGS[config])
         for source in sources_for(graph, 3, seed=1):
-            r = engine.run(source)
-            assert np.array_equal(r.levels, oracle(name, source)), (
+            r = engine.run_batch([source])
+            assert np.array_equal(r.levels[0], oracle(name, source)), (
                 f"{name}/{config} diverged from solo XBFS at source {source}"
             )
             assert r.elapsed_ms >= 0 and 0 <= r.comm_fraction <= 1
@@ -99,7 +100,7 @@ class TestAgainstSoloXbfs:
         assert engine.rows * engine.cols == num_gcds
         for source in sources_for(SEEDED["rmat10"], 4, seed=2):
             assert np.array_equal(
-                engine.run(source).levels, oracle("rmat10", source)
+                engine.run_batch([source]).levels[0], oracle("rmat10", source)
             )
 
 
@@ -114,7 +115,7 @@ class TestAgainstOneDPod:
         one_d = MultiGcdBFS(graph, p, codec=ExchangeCodec(), overlap=True)
         two_d = Grid2dBFS(graph, p, codec=ExchangeCodec(), overlap=True)
         for source in sources_for(graph, 3, seed=3):
-            a, b = one_d.run(source), two_d.run(source)
+            a, b = one_d.run_batch([source]), two_d.run_batch([source])
             assert np.array_equal(a.levels, b.levels), (
                 f"1D and 2D disagree on {name} source {source}"
             )
@@ -141,8 +142,8 @@ class TestBatchSurface:
     def test_batch_members_equal_solo_runs(self, oracle):
         engine = Grid2dBFS(SEEDED["rmat10"], 4, codec=ExchangeCodec())
         sources = np.array(sources_for(SEEDED["rmat10"], 5, seed=5))
-        engine.run(0)  # warm the members, as the batch below finds them
-        solo = [engine.run(int(s)) for s in sources]
+        engine.run_batch([0])  # warm the members, as the batch below finds them
+        solo = [engine.run_batch([s]) for s in sources]
         batch = engine.run_batch(sources)
         # One bit-parallel traversal: cheaper than the runs back to back.
         assert batch.elapsed_ms < sum(r.elapsed_ms for r in solo)
@@ -205,22 +206,30 @@ class TestUnderFaultPlans:
             )
             clean = Grid2dBFS(graph, 4, **CONFIGS[config])
             for source in sources_for(graph, 2, seed=6):
-                f, c = faulty.run(source), clean.run(source)
-                assert np.array_equal(f.levels, oracle(name, source))
+                f, c = faulty.run_batch([source]), clean.run_batch([source])
+                assert np.array_equal(f.levels[0], oracle(name, source))
                 assert f.comm_ms >= c.comm_ms
                 assert f.compute_ms == c.compute_ms
 
-    def test_raising_fault_is_typed_never_wrong(self):
+    def test_raising_fault_replays_never_wrong(self):
         plan = FaultPlan(seed=5, name="g2d-abort", rules=(
             FaultRule(site="multigcd.exchange", kind="memory_corruption",
                       probability=1.0, max_triggers=1),
         ))
         engine = Grid2dBFS(SEEDED["rmat9"], 4, injector=plan.injector())
-        with pytest.raises(DeviceFaultError):
-            engine.run(0)
-        # Past the trigger budget the same engine serves clean answers.
-        r = engine.run(0)
-        assert np.array_equal(r.levels, XBFS(SEEDED["rmat9"]).run(0).levels)
+        # The faulted level replays after every member quiesces.
+        r = engine.run_batch([0])
+        assert r.level_restarts == 1
+        assert np.array_equal(r.levels[0], XBFS(SEEDED["rmat9"]).run(0).levels)
+
+    def test_endless_fault_is_typed_never_wrong(self):
+        plan = FaultPlan(seed=5, name="g2d-abort", rules=(
+            FaultRule(site="multigcd.exchange", kind="memory_corruption",
+                      probability=1.0),
+        ))
+        engine = Grid2dBFS(SEEDED["rmat9"], 4, injector=plan.injector())
+        with pytest.raises(RecoveryExhaustedError):
+            engine.run_batch([0])
 
     def test_fault_sequence_is_deterministic(self):
         def comm_trace():
@@ -229,7 +238,7 @@ class TestUnderFaultPlans:
                 SEEDED["rmat9"], 4, injector=plan.injector(),
                 codec=ExchangeCodec(), overlap=True,
             )
-            return [engine.run(s).comm_ms for s in (0, 3, 17)]
+            return [engine.run_batch([s]).comm_ms for s in (0, 3, 17)]
 
         assert comm_trace() == comm_trace()
 
@@ -257,10 +266,10 @@ def random_graph_and_sources(draw):
 def test_property_grid2d_equals_solo_and_1d(case, config):
     graph, source, p = case
     oracle = XBFS(graph).run(source).levels
-    two_d = Grid2dBFS(graph, p, **CONFIGS[config]).run(source)
-    one_d = MultiGcdBFS(graph, p).run(source)
-    assert np.array_equal(two_d.levels, oracle)
-    assert np.array_equal(one_d.levels, oracle)
+    two_d = Grid2dBFS(graph, p, **CONFIGS[config]).run_batch([source])
+    one_d = MultiGcdBFS(graph, p).run_batch([source])
+    assert np.array_equal(two_d.levels[0], oracle)
+    assert np.array_equal(one_d.levels[0], oracle)
 
 
 @given(random_graph_and_sources(), st.sampled_from(sorted(CONFIGS)),

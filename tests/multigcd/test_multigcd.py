@@ -102,52 +102,53 @@ class TestDistributedBFS:
     @pytest.mark.parametrize("num_gcds", [1, 2, 3, 8])
     def test_matches_oracle(self, small_rmat, num_gcds):
         source = int(np.argmax(small_rmat.degrees))
-        result = MultiGcdBFS(small_rmat, num_gcds).run(source)
+        result = MultiGcdBFS(small_rmat, num_gcds).run_batch([source])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(small_rmat, source)
+            result.levels[0], bfs_levels_reference(small_rmat, source)
         )
         assert result.num_gcds == num_gcds
 
     def test_disconnected(self, disconnected_graph):
-        result = MultiGcdBFS(disconnected_graph, 2).run(0)
+        result = MultiGcdBFS(disconnected_graph, 2).run_batch([0])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(disconnected_graph, 0)
+            result.levels[0], bfs_levels_reference(disconnected_graph, 0)
         )
 
     def test_comm_grows_with_parts(self, social_graph):
         source = int(np.argmax(social_graph.degrees))
-        res2 = MultiGcdBFS(social_graph, 2).run(source)
-        res8 = MultiGcdBFS(social_graph, 8).run(source)
+        res2 = MultiGcdBFS(social_graph, 2).run_batch([source])
+        res8 = MultiGcdBFS(social_graph, 8).run_batch([source])
         assert res8.bytes_exchanged >= res2.bytes_exchanged
         assert res8.comm_ms > 0
 
     def test_single_gcd_no_comm(self, small_rmat):
-        result = MultiGcdBFS(small_rmat, 1).run(0)
+        result = MultiGcdBFS(small_rmat, 1).run_batch([0])
         assert result.bytes_exchanged == 0
         assert result.comm_ms == 0.0
 
     def test_per_level_bytes_sum(self, social_graph):
         source = int(np.argmax(social_graph.degrees))
-        result = MultiGcdBFS(social_graph, 4).run(source)
-        assert sum(result.per_level_comm_bytes) == result.bytes_exchanged
+        result = MultiGcdBFS(social_graph, 4).run_batch([source])
+        assert sum(result.level_comm_bytes) == result.bytes_exchanged
+        assert sum(result.level_raw_bytes) == result.bytes_raw
 
     def test_comm_fraction_bounded(self, social_graph):
-        result = MultiGcdBFS(social_graph, 4).run(
-            int(np.argmax(social_graph.degrees))
+        result = MultiGcdBFS(social_graph, 4).run_batch(
+            [int(np.argmax(social_graph.degrees))]
         )
         assert 0.0 <= result.comm_fraction < 1.0
 
     def test_slower_interconnect_more_comm_time(self, social_graph):
         source = int(np.argmax(social_graph.degrees))
-        fab = MultiGcdBFS(social_graph, 4, interconnect=INFINITY_FABRIC).run(source)
-        ss = MultiGcdBFS(social_graph, 4, interconnect=SLINGSHOT).run(source)
+        fab = MultiGcdBFS(social_graph, 4, interconnect=INFINITY_FABRIC).run_batch([source])
+        ss = MultiGcdBFS(social_graph, 4, interconnect=SLINGSHOT).run_batch([source])
         assert ss.comm_ms > fab.comm_ms
         assert np.array_equal(fab.levels, ss.levels)
 
     def test_custom_partition(self, small_rmat):
         part = partition_by_vertices(small_rmat, 2)
-        result = MultiGcdBFS(small_rmat, 2, partition=part).run(0)
-        assert np.array_equal(result.levels, bfs_levels_reference(small_rmat, 0))
+        result = MultiGcdBFS(small_rmat, 2, partition=part).run_batch([0])
+        assert np.array_equal(result.levels[0], bfs_levels_reference(small_rmat, 0))
 
     def test_partition_mismatch(self, small_rmat, fig1_graph):
         part = partition_by_vertices(fig1_graph, 2)
@@ -161,8 +162,8 @@ class TestDistributedBFS:
     def test_gteps_positive(self, small_rmat):
         source = int(np.argmax(small_rmat.degrees))
         eng = MultiGcdBFS(small_rmat, 2)
-        eng.run(source)          # warm-up
-        steady = eng.run(source)
+        eng.run_batch([source])  # warm-up
+        steady = eng.run_batch([source])
         assert steady.gteps > 0
 
 
@@ -173,9 +174,9 @@ class TestDirectionOptimized:
         from repro.graph.stats import bfs_levels_reference
 
         source = int(np.argmax(small_rmat.degrees))
-        result = MultiGcdBFS(small_rmat, 4, direction_alpha=0.1).run(source)
+        result = MultiGcdBFS(small_rmat, 4, direction_alpha=0.1).run_batch([source])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(small_rmat, source)
+            result.levels[0], bfs_levels_reference(small_rmat, source)
         )
 
     def test_correctness_directed(self):
@@ -184,9 +185,9 @@ class TestDirectionOptimized:
 
         graph = rmat(9, 6, seed=4, symmetrize=False)
         source = int(np.argmax(graph.degrees))
-        result = MultiGcdBFS(graph, 3, direction_alpha=0.1).run(source)
+        result = MultiGcdBFS(graph, 3, direction_alpha=0.1).run_batch([source])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(graph, source)
+            result.levels[0], bfs_levels_reference(graph, source)
         )
 
     def test_less_communication_at_peak(self, social_graph):
@@ -194,11 +195,11 @@ class TestDirectionOptimized:
         levels it undercuts the frontier-proportional all-to-all."""
         source = int(np.argmax(social_graph.degrees))
         td = MultiGcdBFS(social_graph, 4)
-        td.run(source)
-        plain = td.run(source)
+        td.run_batch([source])
+        plain = td.run_batch([source])
         do = MultiGcdBFS(social_graph, 4, direction_alpha=0.1)
-        do.run(source)
-        optimized = do.run(source)
+        do.run_batch([source])
+        optimized = do.run_batch([source])
         assert optimized.bytes_exchanged < plain.bytes_exchanged
         assert np.array_equal(optimized.levels, plain.levels)
 
@@ -208,37 +209,40 @@ class TestDirectionOptimized:
 
         dev = scaled_device(social_graph)
         td = MultiGcdBFS(social_graph, 4, device=dev)
-        td.run(source)
+        td.run_batch([source])
         do = MultiGcdBFS(social_graph, 4, device=dev, direction_alpha=0.1)
-        do.run(source)
-        assert do.run(source).elapsed_ms < td.run(source).elapsed_ms
+        do.run_batch([source])
+        assert do.run_batch([source]).elapsed_ms < td.run_batch([source]).elapsed_ms
 
     @pytest.mark.parametrize("codec, pinned", [
-        (False, (40.126093197318, 0.01602672, 1888, 1888,
+        (False, (20.1041290749517, 0.01602672, 1888, 1888,
                  [1108, 390, 390, 0], {})),
-        (True, (40.126073217318, 0.016006740000000002, 889, 10408,
+        (True, (20.1041090949517, 0.016006740000000002, 889, 10408,
                 [109, 390, 390, 0], {"sparse": 0, "bitmap": 27})),
     ], ids=["raw", "codec"])
     def test_mixed_direction_run_is_pinned(self, small_rmat, codec, pinned):
-        """Exact modelled cost, bytes and wire formats of one pod run
-        whose peak levels go bottom-up. No regression fingerprint
+        """Exact modelled cost, bytes and wire formats of a one-source
+        pod batch whose peak levels go bottom-up. No regression fingerprint
         covers this path, so host-side rewrites of either level kind
         must leave every number here unchanged."""
         source = int(np.argmax(small_rmat.degrees))
         result = MultiGcdBFS(
             small_rmat, 4, direction_alpha=0.05,
             codec=ExchangeCodec() if codec else None,
-        ).run(source)
-        assert [d["direction"] for d in result.level_decisions] == [
+        ).run_batch([source])
+        assert result.directions == (
             "top_down", "bottom_up", "bottom_up", "top_down",
-        ]
-        assert np.array_equal(
-            result.levels, bfs_levels_reference(small_rmat, source)
         )
+        assert np.array_equal(
+            result.levels[0], bfs_levels_reference(small_rmat, source)
+        )
+        formats = {}
+        for level in result.level_formats:
+            for fmt, n in level.items():
+                formats[fmt] = formats.get(fmt, 0) + n
         assert (
             result.elapsed_ms, result.comm_ms, result.bytes_exchanged,
-            result.bytes_raw, result.per_level_comm_bytes,
-            result.exchange_formats,
+            result.bytes_raw, list(result.level_comm_bytes), formats,
         ) == pinned
 
     def test_alpha_validation(self, small_rmat):
@@ -251,8 +255,8 @@ class TestDirectionOptimized:
         """ratio can never exceed 1, so alpha=1 degenerates to pure
         top-down with identical byte counts."""
         source = int(np.argmax(small_rmat.degrees))
-        plain = MultiGcdBFS(small_rmat, 2).run(source)
-        never = MultiGcdBFS(small_rmat, 2, direction_alpha=1.0).run(source)
+        plain = MultiGcdBFS(small_rmat, 2).run_batch([source])
+        never = MultiGcdBFS(small_rmat, 2, direction_alpha=1.0).run_batch([source])
         assert never.bytes_exchanged == plain.bytes_exchanged
 
 
@@ -262,13 +266,13 @@ class TestStraggler:
     def test_one_straggler_slows_whole_run(self, social_graph):
         source = int(np.argmax(social_graph.degrees))
         healthy = MultiGcdBFS(social_graph, 4)
-        healthy.run(source)
-        base = healthy.run(source)
+        healthy.run_batch([source])
+        base = healthy.run_batch([source])
         degraded = MultiGcdBFS(
             social_graph, 4, straggler_slowdown={2: 4.0}
         )
-        degraded.run(source)
-        slow = degraded.run(source)
+        degraded.run_batch([source])
+        slow = degraded.run_batch([source])
         assert slow.elapsed_ms > base.elapsed_ms
         assert np.array_equal(slow.levels, base.levels)
 
@@ -276,11 +280,11 @@ class TestStraggler:
         """One 4x straggler cannot slow compute more than 4x."""
         source = int(np.argmax(social_graph.degrees))
         healthy = MultiGcdBFS(social_graph, 4)
-        healthy.run(source)
-        base = healthy.run(source)
+        healthy.run_batch([source])
+        base = healthy.run_batch([source])
         degraded = MultiGcdBFS(social_graph, 4, straggler_slowdown={0: 4.0})
-        degraded.run(source)
-        slow = degraded.run(source)
+        degraded.run_batch([source])
+        slow = degraded.run_batch([source])
         assert slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
 
     def test_validation(self, small_rmat):
@@ -308,8 +312,8 @@ class TestRunBatch:
         # costs less than the sources' solo runs back to back.
         engine = MultiGcdBFS(small_rmat, 2)
         sources = np.array([1, 9], dtype=np.int64)
-        engine.run(0)  # warm the members, as the batch below finds them
-        solo = [engine.run(int(s)) for s in sources]
+        engine.run_batch([0])  # warm the members, as the batch below finds them
+        solo = [engine.run_batch([int(s)]) for s in sources]
         batch = engine.run_batch(sources)
         assert batch.elapsed_ms < sum(r.elapsed_ms for r in solo)
         assert batch.traversed_edges == sum(r.traversed_edges for r in solo)

@@ -62,9 +62,9 @@ class TestMultiNodeBFS:
         engine = MultiGcdBFS(
             small_rmat, 16, interconnect=TwoTierInterconnect()
         )
-        result = engine.run(source)
+        result = engine.run_batch([source])
         assert np.array_equal(
-            result.levels, bfs_levels_reference(small_rmat, source)
+            result.levels[0], bfs_levels_reference(small_rmat, source)
         )
 
     def test_crossing_nodes_costs_more(self, social_graph):
@@ -74,10 +74,10 @@ class TestMultiNodeBFS:
         two_nodes = MultiGcdBFS(
             social_graph, 16,
             interconnect=TwoTierInterconnect(gcds_per_node=8),
-        ).run(source)
+        ).run_batch([source])
         one_node = MultiGcdBFS(
             social_graph, 16,
             interconnect=TwoTierInterconnect(gcds_per_node=16),
-        ).run(source)
+        ).run_batch([source])
         assert two_nodes.comm_ms > one_node.comm_ms
         assert np.array_equal(two_nodes.levels, one_node.levels)

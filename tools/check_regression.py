@@ -269,27 +269,31 @@ def run_exchange_plane_fingerprint() -> dict:
     from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
 
     graph = rmat(12, 8, seed=2)
-    source = 0
+    source = np.array([0])
     one_d = MultiGcdBFS(
         graph, 4, codec=ExchangeCodec(), overlap=True
-    ).run(source)
+    ).run_batch(source)
     two_d = Grid2dBFS(
         graph, 9, codec=ExchangeCodec(), overlap=True
-    ).run(source)
+    ).run_batch(source)
     assert np.array_equal(one_d.levels, two_d.levels)
+
+    def messages(result, fmt: str) -> int:
+        return sum(f[fmt] for f in result.level_formats)
+
     return {
         "name": "exchange_plane",
-        "levels_crc32": levels_fingerprint(one_d.levels),
+        "levels_crc32": levels_fingerprint(one_d.levels[0]),
         "1d_bytes_wire": one_d.bytes_exchanged,
         "1d_bytes_raw": one_d.bytes_raw,
-        "1d_messages_sparse": one_d.exchange_formats["sparse"],
-        "1d_messages_bitmap": one_d.exchange_formats["bitmap"],
+        "1d_messages_sparse": messages(one_d, "sparse"),
+        "1d_messages_bitmap": messages(one_d, "bitmap"),
         "1d_elapsed_ms": one_d.elapsed_ms,
         "1d_overlap_saved_ms": one_d.overlap_saved_ms,
         "2d_bytes_wire": two_d.bytes_exchanged,
         "2d_bytes_raw": two_d.bytes_raw,
-        "2d_messages_sparse": two_d.exchange_formats["sparse"],
-        "2d_messages_bitmap": two_d.exchange_formats["bitmap"],
+        "2d_messages_sparse": messages(two_d, "sparse"),
+        "2d_messages_bitmap": messages(two_d, "bitmap"),
         "2d_elapsed_ms": two_d.elapsed_ms,
         "2d_overlap_saved_ms": two_d.overlap_saved_ms,
     }

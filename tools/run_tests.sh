@@ -37,11 +37,14 @@
 #                                 # their batch width and the
 #                                 # batch-width bench between them
 #   tools/run_tests.sh multigcd-scaling
-#                                 # the exchange plane: codec property
-#                                 # tests, overlap accounting, the 2D
-#                                 # grid differential wall, partition
-#                                 # routing and the 2->64 GCD scaling
-#                                 # bench
+#                                 # the exchange plane: both pods'
+#                                 # unit tests, codec property tests,
+#                                 # overlap accounting, the 2D grid
+#                                 # differential wall, partition
+#                                 # routing, the 2->64 GCD scaling
+#                                 # bench and the 1->8 GCD strong-
+#                                 # scaling ablation with its
+#                                 # comm-fraction gate
 #   tools/run_tests.sh mutation   # the dynamic-graph tier: edge
 #                                 # deltas, versioned registry
 #                                 # mutation, incremental BFS repair,
@@ -104,9 +107,11 @@ case "$tier" in
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
   multigcd-scaling)
-    python -m pytest tests/multigcd/test_exchange.py tests/multigcd/test_overlap.py \
+    python -m pytest tests/multigcd/test_multigcd.py tests/multigcd/test_grid2d.py \
+      tests/multigcd/test_exchange.py tests/multigcd/test_overlap.py \
       tests/multigcd/test_grid2d_differential.py tests/service/test_partition_routing.py "$@"
-    python -m pytest benchmarks/bench_multigcd_scaling.py -s "$@"
+    python -m pytest benchmarks/bench_multigcd_scaling.py \
+      benchmarks/bench_ablations.py::test_multigcd_strong_scaling -s "$@"
     ;;
   mutation)
     python -m pytest tests/graph/test_delta.py tests/xbfs/test_repair.py \
