@@ -17,7 +17,17 @@ one R-MAT graph through both paths and reports:
 * host throughput in sources/s and modelled GTEPS;
 * a bit-identical check of every source's level array across paths.
 
-Results land in ``BENCH_linalg_batch.json`` at the repo root.
+It also records the modelled grid (:func:`modelled_grid`): warm
+modelled ms of ConcurrentBFS, LinAlgBatchBFS and a 4-GCD
+``MultiGcdBFS`` pod on rmat:12/14/15/16 at k = 1, 8, 64 and 256
+sources, drawn with ``np.random.default_rng(3)`` from the vertices
+with out-edges. The no-cliff gate (:func:`cliffs`) asserts that no
+engine's modelled ms per source rises with k on any graph: every
+engine charges the same streams for the same host work, so a wider
+batch only shares more.
+
+Results land in ``BENCH_linalg_batch.json`` at the repo root: one row
+per batch width, then one per grid cell.
 
 Run standalone::
 
@@ -35,10 +45,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cli import parse_graph_spec
 from repro.graph.generators import rmat
 from repro.graph.stats import pick_sources
 from repro.metrics.results_io import save_results
 from repro.metrics.tables import render_table
+from repro.multigcd.distributed_bfs import MultiGcdBFS
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
 
@@ -47,6 +59,11 @@ EDGE_FACTOR = 8
 WIDTHS = (64, 128, 256, 512)
 REPEATS = 3
 SEED = 17
+
+#: The modelled grid: graph scales, batch widths and the pod's GCDs.
+GRID_SCALES = (12, 14, 15, 16)
+GRID_WIDTHS = (1, 8, 64, 256)
+GRID_GCDS = 4
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_linalg_batch.json"
 
@@ -69,6 +86,53 @@ def _concurrent_chunks(engine: ConcurrentBFS, sources: np.ndarray):
     for start in range(0, sources.size, MAX_CONCURRENT):
         results.append(engine.run(sources[start:start + MAX_CONCURRENT]))
     return results
+
+
+def modelled_grid(scales=GRID_SCALES, widths=GRID_WIDTHS) -> list[dict]:
+    """Warm modelled ms of each engine per (graph, k) cell.
+
+    Each cell is a second run on a warm engine at the default device
+    and config; ConcurrentBFS sits out cells over its 64-source cap."""
+    cells = []
+    for scale in scales:
+        graph = parse_graph_spec(f"rmat:{scale}")
+        pool = np.flatnonzero(graph.degrees)
+        sources = np.random.default_rng(3).choice(pool, max(widths), replace=False)
+        engines = {
+            "concurrent": ConcurrentBFS(graph).run,
+            "linalg": LinAlgBatchBFS(graph).run,
+            "pod": MultiGcdBFS(graph, GRID_GCDS).run_batch,
+        }
+        for k in widths:
+            cell = {"name": f"rmat:{scale}/k{k}", "graph": f"rmat:{scale}", "sources": k}
+            for name, run in engines.items():
+                if name == "concurrent" and k > MAX_CONCURRENT:
+                    continue
+                run(sources[:k])
+                cell[f"modelled_ms_{name}"] = run(sources[:k]).elapsed_ms
+            cells.append(cell)
+    return cells
+
+
+def cliffs(cells: list[dict]) -> list[str]:
+    """Every (engine, graph, k) whose modelled ms per source is higher
+    than at the next narrower width."""
+    found = []
+    last: dict[tuple[str, str], tuple[int, float]] = {}
+    for cell in cells:
+        for key, ms in cell.items():
+            if not key.startswith("modelled_ms_"):
+                continue
+            engine = key[len("modelled_ms_"):]
+            per_source = ms / cell["sources"]
+            prev = last.get((engine, cell["graph"]))
+            if prev is not None and per_source > prev[1]:
+                found.append(
+                    f"{engine} on {cell['graph']}: {prev[1]:.5f} ms/source at "
+                    f"k={prev[0]} -> {per_source:.5f} at k={cell['sources']}"
+                )
+            last[(engine, cell["graph"])] = (cell["sources"], per_source)
+    return found
 
 
 def run_linalg_bench() -> list[dict]:
@@ -112,8 +176,14 @@ def run_linalg_bench() -> list[dict]:
             "directions_push": res_la.directions.count("la_push"),
             "bit_identical": int(identical),
         })
-    save_results(summaries, _OUT)
     return summaries
+
+
+def run_all() -> tuple[list[dict], list[dict]]:
+    """The batch-width rows and the modelled grid, saved together."""
+    summaries, cells = run_linalg_bench(), modelled_grid()
+    save_results(summaries + cells, _OUT)
+    return summaries, cells
 
 
 def _render(summaries: list[dict]) -> str:
@@ -141,11 +211,28 @@ def _render(summaries: list[dict]) -> str:
     )
 
 
+def _render_grid(cells: list[dict]) -> str:
+    engines = ("concurrent", "linalg", "pod")
+    rows = [
+        [c["graph"], c["sources"]]
+        + [f"{c[f'modelled_ms_{e}']:.3f}" if f"modelled_ms_{e}" in c else "—"
+           for e in engines]
+        for c in cells
+    ]
+    return render_table(
+        ["graph", "k", *engines], rows,
+        title=f"modelled ms, warm (pod: {GRID_GCDS} GCDs)",
+    )
+
+
 def test_linalg_batch_bench():
-    summaries = run_linalg_bench()
+    summaries, cells = run_all()
     print()
     print(_render(summaries))
+    print(_render_grid(cells))
     print(f"wrote {_OUT.name}")
+    # No engine's modelled ms per source may rise with the batch width.
+    assert not cliffs(cells), cliffs(cells)
     # Answers must agree bit-for-bit at every width...
     assert all(s["bit_identical"] for s in summaries)
     by_width = {s["sources"]: s for s in summaries}
@@ -158,12 +245,15 @@ def test_linalg_batch_bench():
 
 
 def main() -> int:
-    summaries = run_linalg_bench()
+    summaries, cells = run_all()
     print(_render(summaries))
+    print(_render_grid(cells))
     print(f"wrote {_OUT.name}")
+    for cliff in cliffs(cells):
+        print(f"CLIFF: {cliff}")
     ok = all(s["bit_identical"] for s in summaries) and all(
         s["host_speedup"] > 1.0 for s in summaries if s["sources"] >= 256
-    )
+    ) and not cliffs(cells)
     return 0 if ok else 1
 
 

@@ -27,8 +27,9 @@ the top-down one either way.
 A one-source batch is the per-vertex BFS: its row carries a single
 bit, which the row id already implies. So a row shipped by id costs
 only its id, and an uncompressed block of rows ships as a bitmap of
-``ceil(rows / 8)`` bytes (:meth:`PodEngine._row_bytes`); wider batches
-pay 8 B per word of every row.
+``ceil(rows / 8)`` bytes (:func:`~repro.xbfs.bitmap.row_bytes`, which
+also prices what member launches read back); wider batches pay 8 B per
+word of every row.
 
 With ``direction_alpha`` set, peak levels run *bottom-up* the way
 distributed Graph500 codes do: every GCD first ships its owned
@@ -65,17 +66,15 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
+from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.exchange import ID_BYTES, ExchangeCodec, bitmap_bytes, sparse_bytes
+from repro.multigcd.exchange import ExchangeCodec, sparse_bytes
 from repro.multigcd.partition import Partition1D, partition_by_edges
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["MultiGcdBFS", "PodEngine", "PodBatchResult"]
@@ -205,10 +204,10 @@ class PodEngine(bm.BitmapBatchEngine):
     """What both multi-GCD pods share around their traversals.
 
     The lazy pool of member GCDs (kept warm across runs), the bitmap
-    level loop's device and result, the wire cost of shipped rows
-    (:meth:`_row_bytes`), the codec's per-level format counts and the
-    warm footprint. A subclass names itself in ``ENGINE`` and supplies
-    the level loop's plan, host product and charge. Each pod defines
+    level loop's device and result, shipping rows (:meth:`_ship`),
+    the codec's per-level format counts and the warm footprint. A
+    subclass names itself in ``ENGINE`` and supplies the level loop's
+    plan, host product and charge. Each pod defines
     its own ``run_batch`` (a one-source batch is the per-vertex BFS),
     because ``benchmarks/e2e/layers.py`` times the method in each
     class's own body.
@@ -255,9 +254,8 @@ class PodEngine(bm.BitmapBatchEngine):
         self.overlap = overlap
         #: Member GCDs, built on the first run.
         self._gcds: list[GCD] | None = None
-        #: The books of the batch in flight, and its source count.
+        #: The books of the batch in flight.
         self._pod: _BulkSyncPod | None = None
-        self._width = 0
 
     @property
     def warm_bytes(self) -> int:
@@ -277,10 +275,6 @@ class PodEngine(bm.BitmapBatchEngine):
             for g in self._gcds:
                 g.reset(keep_warm=True)
         return self._gcds
-
-    def _traverse(self, sources: np.ndarray) -> PodBatchResult:
-        self._width = int(sources.size)
-        return super()._traverse(sources)
 
     def _device(self):
         gcds = self._members()
@@ -338,20 +332,12 @@ class PodEngine(bm.BitmapBatchEngine):
         after = self._format_counts()
         return {"sparse": after[0] - before[0], "bitmap": after[1] - before[1]}
 
-    def _row_bytes(self, rows: int, *, block: bool = False) -> int:
-        """Wire bytes of the words of ``rows`` bitmap rows: 8 per word
-        of each row. A one-source batch's row is a single bit that its
-        id implies, so beside its id it costs nothing, and a whole
-        uncompressed ``block`` of rows ships as their bitmap."""
-        if self._width > 1:
-            return rows * 8 * bm.words_for(self._width)
-        return bitmap_bytes(rows) if block else 0
-
     def _ship(self, rows: np.ndarray, lo: int, hi: int):
         """One message of bitmap rows to the owner of ``[lo, hi)``: the
         row ids (encoded when a codec is attached) plus the rows' words
-        (:meth:`_row_bytes`). Returns ``(ids as received, wire, raw)``."""
-        words = self._row_bytes(int(rows.size))
+        (:func:`~repro.xbfs.bitmap.row_bytes`). Returns ``(ids as
+        received, wire, raw)``."""
+        words = bm.row_bytes(int(rows.size), self._width)
         if self.codec is None:
             raw = sparse_bytes(rows.size) + words
             return rows, raw, raw
@@ -485,7 +471,7 @@ class MultiGcdBFS(PodEngine):
         bounds = self.partition.boundaries
         before = self._format_counts()
         wire = np.zeros((p, p), dtype=np.int64)
-        raw = 0
+        raw = np.zeros((p, p), dtype=np.int64)
         cut = np.searchsorted(active, bounds)
         if cand is None:
             # The host pulls instead when that scans fewer edges, one
@@ -497,8 +483,6 @@ class MultiGcdBFS(PodEngine):
                 else None
             )
             fresh = np.zeros_like(frontier)
-            found = np.zeros(p, dtype=np.int64)
-            received = np.zeros(p, dtype=np.int64)
             for g in range(p):
                 mine = active[cut[g]:cut[g + 1]]
                 if not mine.size:
@@ -510,17 +494,13 @@ class MultiGcdBFS(PodEngine):
                 else:
                     hit = bm.occupied_rows(parts[:, g])
                     rows, words = pull[hit], np.take(parts[:, g], hit, axis=0)
-                found[g] = rows.size
                 dest = np.searchsorted(rows, bounds)
                 for d in range(p):
                     ids = rows[dest[d]:dest[d + 1]]
                     if d != g and ids.size:
                         lo, hi = self.partition.owned_range(d)
-                        ids, wire[g, d], r = self._ship(ids, lo, hi)
-                        raw += r
-                        received[d] += ids.size
+                        ids, wire[g, d], raw[g, d] = self._ship(ids, lo, hi)
                     fresh[ids] |= words[dest[d]:dest[d + 1]]
-            plan = (cut, found, received, wire)
         else:
             seen = frontier if self.codec is None else np.zeros_like(frontier)
             for g in range(p):
@@ -530,96 +510,51 @@ class MultiGcdBFS(PodEngine):
                     if d == g:
                         continue
                     if self.codec is None:
-                        wire[g, d] = r = self._row_bytes(hi - lo, block=True)
+                        wire[g, d] = raw[g, d] = bm.row_bytes(
+                            hi - lo, self._width, block=True
+                        )
                     else:
                         # Every peer receives the same message; a
                         # decoded copy feeds the replicated rows.
-                        ids, wire[g, d], r = self._ship(rows, lo, hi)
-                    raw += r
+                        ids, wire[g, d], raw[g, d] = self._ship(rows, lo, hi)
                 if self.codec is not None:
                     seen[ids] = frontier[ids]
             fresh = super()._product(seen, active, cand, missing)
-            plan = (np.searchsorted(cand, bounds), wire)
-        self._pod.exchange = plan
-        self._pod.record(int(wire.sum()), raw, self._formats_since(before))
+        self._pod.exchange = (wire, raw)
+        self._pod.record(int(wire.sum()), int(raw.sum()),
+                         self._formats_since(before))
         return fresh
 
-    def _charge(self, pod, level, active, frontier_edges, cand, fresh, newly):
-        """Each member's launch, then the exchange.
+    def _charge(self, pod, level, active, cand, fresh, newly):
+        """One launch per member, then the exchange.
 
-        Top-down, a member expands its frontier rows (read-modify-OR of
-        the destination rows' words, like the bitmap push) and merges
-        the rows other members sent it; the exchange may hide behind
-        the launches under ``overlap``. Bottom-up, a member gathers its
-        own candidates' in-edges against the allgathered rows, after
-        the allgather."""
-        graph = self.graph
-        n = graph.num_vertices
-        words = fresh.shape[1]
-        line = self.device.cache_line_bytes
-        msg_row = ID_BYTES + 8 * words
-        if cand is None:
-            cut, found, received, wire = pod.exchange
-            examined = frontier_edges
-            for g, gcd in enumerate(pod.gcds):
-                mine = active[cut[g]:cut[g + 1]]
-                a, r = int(mine.size), int(received[g])
-                if not a and not r:
-                    continue
-                e = int(graph.degrees[mine].sum())
-                adj_lines = segment_lines_touched(
-                    graph.row_offsets[mine], graph.degrees[mine],
-                    element_bytes=4, line_bytes=line,
-                )
-                gcd.launch(
-                    "dist_bm_expand",
-                    strategy=self.ENGINE,
-                    level=level,
-                    streams=[
-                        seq_read("frontier_bitmap", a * words, 8),
-                        rand_read("beg_pos", 2 * a, 2 * a, 8),
-                        segmented_read("adj_list", e, adj_lines, 4),
-                        rand_read("bit_status", e * words, n * words, 8),
-                        rand_write("bit_status", int(found[g]) * words,
-                                   int(found[g]) * words, 8),
-                        seq_read("recv_buffers", r, msg_row),
-                        rand_write("bit_status", r * words, r * words, 8),
-                    ],
-                    work=ComputeWork(flat_ops=float((e + a + r) * words)),
-                    work_items=a + r,
-                )
-        else:
-            cut, wire = pod.exchange
-            rev = graph.reverse()
-            found = np.diff(np.searchsorted(newly, self.partition.boundaries))
-            examined = 0
-            for g, gcd in enumerate(pod.gcds):
-                mine = cand[cut[g]:cut[g + 1]]
-                if not mine.size:
-                    continue
-                c, f = int(mine.size), int(found[g])
-                e = int(rev.degrees[mine].sum())
-                examined += e
-                lo, hi = self.partition.owned_range(g)
-                adj_lines = segment_lines_touched(
-                    rev.row_offsets[mine], rev.degrees[mine],
-                    element_bytes=4, line_bytes=line,
-                )
-                gcd.launch(
-                    "dist_bm_pull",
-                    strategy=self.ENGINE,
-                    level=level,
-                    streams=[
-                        seq_read("visited_bitmap", (hi - lo) * words, 8),
-                        rand_read("beg_pos", 2 * c, 2 * c, 8),
-                        segmented_read("col_idx_rev", e, adj_lines, 4),
-                        rand_read("frontier_bitmap", e * words, n * words, 8),
-                        rand_write("bit_status", f * words, f * words, 8),
-                    ],
-                    work=ComputeWork(flat_ops=float((e + c) * words)),
-                    work_items=c,
-                    bottom_up=True,
-                )
+        Each member's launch
+        (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`) runs the
+        level's product on its own rows — top-down, a push of its
+        frontier rows; bottom-up, a pull of its candidates masked by
+        its owned block — writes the output of the discovered rows it
+        owns, and reads every message it received this level. The
+        top-down exchange may hide behind the launches under
+        ``overlap``; bottom-up, the allgather comes first."""
+        wire, raw = pod.exchange
+        bounds = self.partition.boundaries
+        rows = active if cand is None else cand
+        cut = np.searchsorted(rows, bounds)
+        own = np.searchsorted(newly, bounds)
+        recv = raw.sum(axis=0)
+        examined = 0
+        for g, gcd in enumerate(pod.gcds):
+            mine, out = rows[cut[g]:cut[g + 1]], newly[own[g]:own[g + 1]]
+            if not (mine.size or out.size or recv[g]):
+                continue
+            examined += self._launch(
+                gcd,
+                "dist_bm_expand" if cand is None else "dist_bm_pull",
+                level, mine, fresh, out,
+                pull=cand is not None,
+                span=None if cand is None else int(bounds[g + 1] - bounds[g]),
+                recv_bytes=int(recv[g]),
+            )
         kernel_ms = pod.step()
         comm_ms = self.interconnect.alltoall_ms(wire) * self._exchange_scale(level)
         self._settle(pod, level, int(active.size), kernel_ms, comm_ms,

@@ -24,7 +24,8 @@ words — and a faulted level replays after every member quiesces. A
 one-source batch is the per-vertex BFS: its rows' words are the bits
 their ids imply, so a whole block ships as a ``ceil(rows / 8)``-byte
 bitmap and a coded row costs only its id
-(:meth:`~repro.multigcd.distributed_bfs.PodEngine._row_bytes`).
+(:func:`~repro.xbfs.bitmap.row_bytes`). Each tile's launch reads the
+block messages it received under the same rule.
 
 Functionally the engine is exact (validated against the oracle); the
 cost model charges each phase on its sub-communicator. It takes the
@@ -46,8 +47,7 @@ import numpy as np
 
 from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
+from repro.gcd.kernel import ExecConfig
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.distributed_bfs import TOP_DOWN, PodBatchResult, PodEngine
@@ -55,7 +55,6 @@ from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS"]
@@ -114,7 +113,10 @@ class Grid2dBFS(PodEngine):
         #: Vertex block boundaries along each grid dimension.
         self.row_bounds = np.linspace(0, n, self.rows + 1).astype(np.int64)
         self.col_bounds = np.linspace(0, n, self.cols + 1).astype(np.int64)
-        self._block_deg: np.ndarray | None = None
+        #: Discovery ownership after the reduce-scatter: GCD (i, j)
+        #: owns the (i·C + j)-th of P equal slices, inside row block i.
+        self.owner_bounds = np.linspace(0, n, num_gcds + 1).astype(np.int64)
+        self._tile_runs: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def _subcomm_cost(self, peers: int, bytes_per_peer: float) -> float:
@@ -133,22 +135,24 @@ class Grid2dBFS(PodEngine):
 
     def _block_exchange(
         self, vertices: np.ndarray, bounds: np.ndarray, fan: int,
-    ) -> tuple[np.ndarray, int, int, float]:
+    ) -> tuple[np.ndarray, int, float, np.ndarray]:
         """Run one codec-compressed block collective.
 
         Splits ``vertices`` into the blocks delimited by ``bounds``,
         encodes each block's message (plus its rows' words,
-        :meth:`~PodEngine._row_bytes`), ships ``fan`` copies of it (the
-        sub-communicator's peer-pair count), and rebuilds the vertex
-        set from the *decoded* messages. Returns
-        ``(vertices_roundtripped, wire_bytes, raw_bytes, slowest_ms)``
-        where ``slowest_ms`` is the busiest block's modelled message
-        size (the concurrent sub-communicators run in parallel).
+        :func:`~repro.xbfs.bitmap.row_bytes`), ships ``fan`` copies of
+        it (the sub-communicator's peer-pair count), and rebuilds the
+        vertex set from the *decoded* messages. Returns
+        ``(vertices_roundtripped, wire_bytes, slowest, raw)``:
+        ``slowest`` is the busiest block's modelled message size (the
+        concurrent sub-communicators run in parallel) and ``raw[b]``
+        block *b*'s message uncompressed.
         """
         codec = self.codec
         pieces: list[np.ndarray] = []
-        wire = raw = 0
+        wire = 0
         worst = 0
+        raw = np.zeros(len(bounds) - 1, dtype=np.int64)
         for b in range(len(bounds) - 1):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
             mine = vertices[(vertices >= lo) & (vertices < hi)]
@@ -157,20 +161,20 @@ class Grid2dBFS(PodEngine):
                 continue
             decoded: np.ndarray | None = None
             per_msg = 0
-            words = self._row_bytes(int(mine.size))
+            words = bm.row_bytes(int(mine.size), self._width)
             for _ in range(fan):
                 msg = codec.encode(mine, lo, hi)
                 per_msg = msg.wire_bytes + words
                 wire += per_msg
-                raw += msg.raw_bytes + words
                 if decoded is None:
                     decoded = codec.decode(msg)
+            raw[b] = msg.raw_bytes + words
             worst = max(worst, per_msg)
             pieces.append(decoded)
         joined = (
             np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
         )
-        return joined.astype(np.int64), wire, raw, float(worst)
+        return joined.astype(np.int64), wire, float(worst), raw
 
     # ------------------------------------------------------------------
     def run_batch(self, sources: np.ndarray) -> PodBatchResult:
@@ -186,18 +190,22 @@ class Grid2dBFS(PodEngine):
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):
         return Decision(TOP_DOWN, self._REASON, (("frontier", int(active.size)),)), None
 
-    def _block_degrees(self) -> np.ndarray:
-        """``(vertices, rows)``: each vertex's out-edges into each row
-        block, counted once per engine."""
-        if self._block_deg is None:
+    def _tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vertices, rows)`` twice, counted once per engine: each
+        vertex's out-edges into each row block, and where in
+        ``col_indices`` that run of them starts (a block's edges are
+        one run of a sorted adjacency list)."""
+        if self._tile_runs is None:
             graph = self.graph
             n = graph.num_vertices
             src = np.repeat(np.arange(n), graph.degrees)
             block = np.searchsorted(self.row_bounds, graph.col_indices, side="right") - 1
-            self._block_deg = np.bincount(
+            deg = np.bincount(
                 src * self.rows + block, minlength=n * self.rows
             ).reshape(n, self.rows)
-        return self._block_deg
+            first = graph.row_offsets[:-1, np.newaxis] + np.cumsum(deg, axis=1) - deg
+            self._tile_runs = (deg, first)
+        return self._tile_runs
 
     def _product(self, frontier, active, cand, missing):
         """The three phases' host side: the column allgather of the
@@ -215,11 +223,12 @@ class Grid2dBFS(PodEngine):
         rs_fan = self.cols * (self.cols - 1)
         # Phase 1: the column allgather of frontier rows.
         if self.codec is None:
-            ag_worst = self._row_bytes(-(-n // self.cols), block=True)
-            ag_wire = ag_raw = ag_worst * ag_fan * self.cols
+            ag_worst = bm.row_bytes(-(-n // self.cols), self._width, block=True)
+            ag_wire = ag_worst * ag_fan * self.cols
+            ag_raw = np.full(self.cols, ag_worst, dtype=np.int64)
             seen, rows = frontier, active
         else:
-            rows, ag_wire, ag_raw, ag_worst = self._block_exchange(
+            rows, ag_wire, ag_worst, ag_raw = self._block_exchange(
                 active, self.col_bounds, ag_fan
             )
             seen = np.zeros_like(frontier)
@@ -227,65 +236,63 @@ class Grid2dBFS(PodEngine):
         # Phase 2: the tiles' product over the received rows (the host
         # pulls when that scans fewer edges). edges[r, i] counts the
         # out-edges of rows[r] landing in row block i, the edges of
-        # tile (i, column block of rows[r]).
+        # tile (i, column block of rows[r]), and starts[r, i] is where
+        # they start.
         pull, pull_edges = bm.pull_candidates(graph, missing)
         if pull_edges >= int(graph.degrees[rows].sum()):
             pull = None
         filled = super()._product(seen, rows, pull, missing)
-        edges = self._block_degrees()[rows]
-        col_block = np.searchsorted(self.col_bounds, rows, side="right") - 1
+        deg, first = self._tiles()
         # Phase 3: the row reduce-scatter of the rows filled.
         if self.codec is None:
-            rs_worst = self._row_bytes(-(-n // self.rows), block=True)
-            rs_wire = rs_raw = rs_worst * rs_fan * self.rows
+            rs_worst = bm.row_bytes(-(-n // self.rows), self._width, block=True)
+            rs_wire = rs_worst * rs_fan * self.rows
+            rs_raw = np.full(self.rows, rs_worst, dtype=np.int64)
             fresh = filled
         else:
-            got, rs_wire, rs_raw, rs_worst = self._block_exchange(
+            got, rs_wire, rs_worst, rs_raw = self._block_exchange(
                 bm.occupied_rows(filled), self.row_bounds, rs_fan
             )
             fresh = np.zeros_like(frontier)
             fresh[got] = np.take(filled, got, axis=0)
-        self._pod.exchange = (rows, edges, col_block, ag_worst, rs_worst)
-        self._pod.record(ag_wire + rs_wire, ag_raw + rs_raw,
-                         self._formats_since(before))
+        # Tile (i, j) receives R - 1 messages of column block j and
+        # C - 1 of row block i.
+        recv = (self.rows - 1) * ag_raw + (self.cols - 1) * rs_raw[:, np.newaxis]
+        self._pod.exchange = (rows, deg[rows], first[rows], ag_worst, rs_worst, recv)
+        raw = int(ag_fan * ag_raw.sum() + rs_fan * rs_raw.sum())
+        self._pod.record(ag_wire + rs_wire, raw, self._formats_since(before))
         return fresh
 
-    def _charge(self, pod, level, active, frontier_edges, cand, fresh, newly):
-        """Every tile's expand, then the two collectives: the
+    def _charge(self, pod, level, active, cand, fresh, newly):
+        """Every tile's launch, then the two collectives: the
         allgather before the tiles, the reduce-scatter hideable behind
-        them under ``overlap``."""
-        graph = self.graph
-        n = graph.num_vertices
-        words = fresh.shape[1]
-        line = self.device.cache_line_bytes
-        rows, edges, col_block, ag_worst, rs_worst = pod.exchange
+        them under ``overlap``.
+
+        Tile (i, j)'s launch
+        (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`) pushes
+        column block j's frontier rows along their edges into row block
+        i, masked by row block i's status words; writes the output of
+        the discovered rows it owns after the reduce-scatter; and reads
+        every message it received."""
+        rows, edges, first, ag_worst, rs_worst, recv = pod.exchange
         ag_ms = self._subcomm_cost(self.rows, ag_worst) * self._exchange_scale(
             level, "allgather"
         )
+        col_block = np.searchsorted(self.col_bounds, rows, side="right") - 1
+        own = np.searchsorted(newly, self.owner_bounds)
+        examined = 0
         for i in range(self.rows):
             for j in range(self.cols):
+                g = i * self.cols + j
                 local = (col_block == j) & (edges[:, i] > 0)
-                e_tile = int(edges[local, i].sum())
-                if e_tile == 0:
+                mine, out = rows[local], newly[own[g]:own[g + 1]]
+                if not (mine.size or out.size or recv[i, j]):
                     continue
-                mine = rows[local]
-                adj_lines = segment_lines_touched(
-                    graph.row_offsets[mine], graph.degrees[mine],
-                    element_bytes=4, line_bytes=line,
-                )
-                pod.gcds[i * self.cols + j].launch(
-                    "g2d_tile_expand",
-                    strategy=self.ENGINE,
-                    level=level,
-                    streams=[
-                        seq_read("frontier_bitmap", -(-n // self.cols) * words, 8),
-                        rand_read("beg_pos", 2 * int(mine.size), 2 * int(mine.size), 8),
-                        segmented_read("tile_cols", e_tile, adj_lines, 4),
-                        rand_write("discovery_bitmap", e_tile * words,
-                                   -(-n // self.rows) * words, 8),
-                    ],
-                    work=ComputeWork(flat_ops=float((e_tile + mine.size) * words)),
-                    work_items=int(mine.size),
+                examined += self._launch(
+                    pod.gcds[g], "g2d_tile_expand", level, mine, fresh, out,
+                    span=int(self.row_bounds[i + 1] - self.row_bounds[i]),
+                    runs=(first[local, i], edges[local, i]),
+                    recv_bytes=int(recv[i, j]),
                 )
         tile_ms = pod.step()
         rs_ms = self._subcomm_cost(self.cols, rs_worst) * self._exchange_scale(
@@ -293,4 +300,4 @@ class Grid2dBFS(PodEngine):
         )
         self._settle(pod, level, int(active.size), tile_ms, ag_ms + rs_ms,
                      hideable_ms=rs_ms, direction=TOP_DOWN)
-        return frontier_edges
+        return examined

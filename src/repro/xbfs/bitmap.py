@@ -33,7 +33,8 @@ both multi-GCD pods (:mod:`repro.multigcd`). The loop owns the
 frontier/visited bitmaps, the counter planes, the ``bfs.level`` spans
 and the fault replay, and returns one :class:`BitmapBatchResult`. An
 engine supplies a per-level *plan* (which host product, under which
-strategy label) and a per-level *charge* (the modelled launches); a pod
+strategy label) and a per-level *charge*, whose launches the one
+helper :meth:`BitmapBatchEngine._launch` builds (MODEL.md §6). A pod
 also supplies its device (its member GCDs as one bulk-synchronous
 clock), its host product (built from what crosses its wire) and its
 result type. A level is committed — counters, visited, edge totals —
@@ -52,16 +53,18 @@ import numpy as np
 from repro.errors import TraversalError
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ExecConfig
+from repro.gcd.kernel import ComputeWork, ExecConfig
+from repro.gcd.memory import AccessStream, Pattern, rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.classifier import Decision, DecisionAudit
-from repro.xbfs.common import gather_adjacency, replay_on_fault
+from repro.xbfs.common import gather_adjacency, replay_on_fault, segment_lines_touched
 
 __all__ = [
     "WORD_BITS",
     "words_for",
+    "row_bytes",
     "make_bitmap",
     "set_source_bits",
     "full_row_mask",
@@ -109,6 +112,17 @@ def words_for(num_sources: int) -> int:
             f"a bitmap needs at least one source, got {num_sources}"
         )
     return (num_sources + WORD_BITS - 1) // WORD_BITS
+
+
+def row_bytes(rows: int, width: int, *, block: bool = False) -> int:
+    """Bytes of ``rows`` bitmap rows of a ``width``-source batch in a
+    message, the pods' wire and receive buffers alike: 8 per word of
+    each row. A one-source row is one bit that its id implies, so it
+    costs nothing beside its id, and a whole uncompressed ``block`` of
+    rows ships as their bitmap, ``ceil(rows / 8)`` bytes."""
+    if width > 1:
+        return rows * 8 * words_for(width)
+    return -(-rows // 8) if block else 0
 
 
 def make_bitmap(num_vertices: int, num_sources: int) -> np.ndarray:
@@ -512,6 +526,8 @@ class BitmapBatchEngine:
             injector.bind_tracer(self.tracer)
         self.recovery = recovery or DEFAULT_RECOVERY
         self._gcd: GCD | None = None
+        #: Sources in the run in flight.
+        self._width = 0
 
     def _plan(
         self,
@@ -536,17 +552,89 @@ class BitmapBatchEngine:
         gcd,
         level: int,
         active: np.ndarray,
-        frontier_edges: int,
         cand: np.ndarray | None,
         fresh: np.ndarray,
         newly: np.ndarray,
     ) -> int:
-        """Issue one level's modelled launches on ``gcd`` (the run's
-        device); return the edges they examined. ``fresh`` is the
-        level's discoveries and ``newly`` its occupied rows. Replayed as
-        a whole on a device fault, so it must not mutate traversal
-        state."""
+        """Issue one level's launches on ``gcd`` (the run's device)
+        through :meth:`_launch`; return the edges they examined.
+        ``cand`` is the plan's, ``fresh`` the level's discoveries and
+        ``newly`` its occupied rows. Replayed as a whole on a device
+        fault, so it must not mutate traversal state."""
         raise NotImplementedError
+
+    def _launch(
+        self,
+        gcd,
+        name: str,
+        level: int,
+        rows: np.ndarray,
+        fresh: np.ndarray,
+        newly: np.ndarray,
+        *,
+        pull: bool = False,
+        span: int | None = None,
+        runs: tuple[np.ndarray, np.ndarray] | None = None,
+        recv_bytes: int = 0,
+    ) -> int:
+        """Issue launch ``name`` on ``gcd`` for one level; return the
+        edges it examined. Every bitmap engine and pod member builds
+        its launches here (MODEL.md §6).
+
+        Push expands the frontier ``rows`` along their out-edges and
+        probes each destination's status words, which fuses in the
+        ⊙¬visited mask; pull scans the visited words of ``span`` rows
+        (default: every vertex) and gathers the frontier words of the
+        candidate ``rows``' in-edges. ``runs`` is the ``(starts,
+        lengths)`` of adjacency scanned per row (default: whole rows).
+        The same launch writes the output of the ``newly`` rows: their
+        status and next-frontier words, and their new levels as one run
+        of popcount × 4 B each in a vertex-major matrix with one int32
+        slot per source. A pod member also reads ``recv_bytes`` of
+        receive buffers (:func:`row_bytes`)."""
+        csr = self.graph.reverse() if pull else self.graph
+        n = self.graph.num_vertices
+        words = fresh.shape[1]
+        line = self.device.cache_line_bytes
+        span = n if span is None else span
+        starts, lengths = runs or (csr.row_offsets[rows], csr.degrees[rows])
+        edges = int(lengths.sum())
+        r, f = int(rows.size), int(newly.size)
+        counts = popcount_rows(np.take(fresh, newly, axis=0))
+        if pull:
+            first = seq_read("visited_bitmap", span * words, 8)
+            last = rand_read("frontier_bitmap", edges * words, n * words, 8)
+        else:
+            first = seq_read("frontier_bitmap", r * words, 8)
+            last = rand_read("bit_status", edges * words, span * words, 8)
+        gcd.launch(
+            name,
+            strategy=self.ENGINE,
+            level=level,
+            streams=[
+                first,
+                rand_read("beg_pos", 2 * r, 2 * r, 8),
+                segmented_read(
+                    "col_idx_rev" if pull else "col_idx", edges,
+                    segment_lines_touched(starts, lengths, element_bytes=4, line_bytes=line),
+                ),
+                last,
+                rand_write("bit_status", f * words, f * words, 8),
+                seq_write("next_frontier", f * words, 8),
+                AccessStream(
+                    "levels", 4, int(counts.sum()), int(counts.sum()),
+                    Pattern.SEQUENTIAL, is_write=True,
+                    exact_lines=segment_lines_touched(
+                        newly * self._width, counts, element_bytes=4, line_bytes=line
+                    ),
+                ),
+                seq_read("recv_buffers", recv_bytes, 1),
+            ],
+            work=ComputeWork(flat_ops=float((edges + r) * words)),
+            work_items=r,
+            bottom_up=pull,
+        )
+        return edges
 
     def _device(self):
         """The device a run drives, reset for the run, and whether the
@@ -590,8 +678,8 @@ class BitmapBatchEngine:
 
     def _traverse(self, sources: np.ndarray) -> BitmapBatchResult:
         """Run the level loop from validated, distinct ``sources``."""
+        k = self._width = int(sources.size)
         gcd, paid_warmup = self._device()
-        k = int(sources.size)
         with self.tracer.span(
             "bfs.run",
             clock=lambda: gcd.elapsed_ms,
@@ -643,9 +731,7 @@ class BitmapBatchEngine:
                 newly = occupied_rows(fresh)
 
                 def attempt() -> int:
-                    examined = self._charge(
-                        gcd, level, active, frontier_edges, cand, fresh, newly
-                    )
+                    examined = self._charge(gcd, level, active, cand, fresh, newly)
                     gcd.sync()
                     return examined
 

@@ -13,13 +13,16 @@ On the host the status words are one-word rows of the
 :mod:`repro.xbfs.bitmap` frontier matrix, and a run is the bitmap
 engines' shared level loop (:class:`~repro.xbfs.bitmap.BitmapBatchEngine`,
 which also owns the commit-after-sync fault replay). What is this
-engine's own is the per-level plan and charge. The plan runs whichever
-product scans fewer edges: push (scatter-OR along the frontier's
-out-edges) or pull (OR-gather over the in-edges of every vertex some
-source has not reached, via the graph's memoized
+engine's own is the per-level plan and the name of its launch. The
+plan runs whichever product scans fewer edges: push (scatter-OR along
+the frontier's out-edges) or pull (OR-gather over the in-edges of
+every vertex some source has not reached, via the graph's memoized
 :meth:`~repro.graph.csr.CSRGraph.reverse`). The charge is one modelled
-``cb_expand`` launch, the top-down iBFS kernel whichever product ran:
-its cost is computed from the frontier and its discoveries only.
+``cb_expand`` launch, the top-down iBFS kernel whichever product ran,
+built by the loop's one launch helper
+(:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`): the push
+expand with the ⊙¬visited mask fused into its per-edge status probe,
+then the level's output (next-frontier rows and the level matrix).
 
 This is the library's optional extension of the paper's n-to-n
 measurement loop; :class:`ConcurrentBFS` produces per-source level
@@ -32,11 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BatchSourceError
-from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.common import segment_lines_touched
 
 __all__ = [
     "ConcurrentBFS",
@@ -135,30 +135,9 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
             return Decision(self.ENGINE, "pull scans fewer edges", signals), cand
         return Decision(self.ENGINE, "push scans fewer edges", signals), None
 
-    def _charge(self, gcd, level, active, frontier_edges, cand, fresh, newly):
+    def _charge(self, gcd, level, active, cand, fresh, newly):
         """The top-down iBFS expand whichever product ran on the host:
-        its cost depends only on the frontier and on what it
-        discovered."""
-        graph = self.graph
-        adj_lines = segment_lines_touched(
-            graph.row_offsets[active], graph.degrees[active],
-            element_bytes=4, line_bytes=gcd.device.cache_line_bytes,
-        )
-        gcd.launch(
-            "cb_expand",
-            strategy=self.ENGINE,
-            level=level,
-            streams=[
-                seq_read("frontier", int(active.size), 8),
-                rand_read("beg_pos", 2 * int(active.size), 2 * int(active.size), 8),
-                segmented_read("adj_list", frontier_edges, adj_lines, 4),
-                # 8-byte bit-status words, read per edge, OR-written
-                # per fresh discovery.
-                rand_read("bit_status", frontier_edges, graph.num_vertices, 8),
-                rand_write("bit_status", int(newly.size), int(newly.size), 8),
-                seq_write("next_frontier", int(newly.size), 8),
-            ],
-            work=ComputeWork(flat_ops=float(frontier_edges + active.size)),
-            work_items=int(active.size),
-        )
-        return frontier_edges
+        one ``cb_expand`` push launch over the frontier rows
+        (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`), its
+        cost computed from the frontier and its discoveries only."""
+        return self._launch(gcd, "cb_expand", level, active, fresh, newly)

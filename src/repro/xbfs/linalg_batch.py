@@ -32,8 +32,13 @@ The level loop itself — bitmaps, counter planes, spans, the host
 product and the commit-after-sync fault replay — is the one both
 bitmap engines share (:class:`~repro.xbfs.bitmap.BitmapBatchEngine`).
 This engine supplies the per-level plan (the classifier's direction,
-recorded as a :class:`~repro.xbfs.classifier.Decision`) and the charge
-(the word-wide push or pull launch plus the masked assign).
+recorded as a :class:`~repro.xbfs.classifier.Decision`) and the charge:
+one word-wide push or pull launch per level, built by the loop's one
+launch helper (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`),
+which also writes the level's output — the next-frontier rows and one
+run of new levels per discovered row. Every bitmap engine and both
+pods charge that same output, so the batch width no longer buys a
+second full-bitmap pass per level.
 
 Answers are bit-identical to a solo :class:`~repro.xbfs.driver.XBFS`
 run per source — property-tested, including under fault plans.
@@ -46,13 +51,11 @@ import numpy as np
 from repro.errors import TraversalError
 from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.kernel import ExecConfig
 from repro.graph.csr import CSRGraph
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import BOTTOM_UP, SINGLE_SCAN, AdaptiveClassifier, Decision
-from repro.xbfs.common import segment_lines_touched
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = [
@@ -158,78 +161,18 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
             return decision, bm.occupied_rows(missing)
         return decision, None
 
-    def _charge(self, gcd, level, active, frontier_edges, cand, fresh, newly):
-        """The word-wide product launch, then the masked assign.
+    def _charge(self, gcd, level, active, cand, fresh, newly):
+        """One word-wide launch per level in the plan's direction
+        (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`), which
+        also writes the level's output.
 
-        Push is an SpMM over the occupied rows' adjacency, so its cost
-        tracks the union frontier's edges. Pull is a masked gather over
-        the candidates' in-edges. The mask is the saving: rows already
-        visited by every source drop out of the candidate set entirely,
-        so peak levels touch the *unvisited remainder*'s adjacency
-        instead of the union frontier's — the same asymmetry XBFS's
-        bottom-up switch buys.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        words = fresh.shape[1]
-        line = gcd.device.cache_line_bytes
-        fresh_words = int(newly.size) * words
+        Push is an SpMM whose cost tracks the union frontier's edges.
+        Pull is a masked gather over the candidates' in-edges: rows
+        every source has visited drop out, so peak levels touch the
+        *unvisited remainder*'s adjacency — the asymmetry XBFS's
+        bottom-up switch buys."""
         if cand is None:
-            examined, rows = frontier_edges, active
-            adj_lines = segment_lines_touched(
-                graph.row_offsets[active], graph.degrees[active],
-                element_bytes=4, line_bytes=line,
-            )
-            name = "lab_spmm_push"
-            streams = [
-                # The frontier operand: the occupied rows' words.
-                seq_read("frontier_bitmap", int(active.size) * words, 8),
-                rand_read("beg_pos", 2 * int(active.size), 2 * int(active.size), 8),
-                segmented_read("col_idx", examined, adj_lines, 4),
-                # Semiring accumulate: read-modify-OR of the destination
-                # rows' words, one row per gathered edge.
-                rand_read("bit_status", examined * words, n * words, 8),
-                rand_write("bit_status", fresh_words, fresh_words, 8),
-            ]
-        else:
-            rev = graph.reverse()
-            examined, rows = int(rev.degrees[cand].sum()), cand
-            adj_lines = segment_lines_touched(
-                rev.row_offsets[cand], rev.degrees[cand],
-                element_bytes=4, line_bytes=line,
-            )
-            name = "lab_pull_gather"
-            streams = [
-                # Candidate scan: the visited plane read once, sequentially.
-                seq_read("visited_bitmap", n * words, 8),
-                rand_read("beg_pos", 2 * int(cand.size), 2 * int(cand.size), 8),
-                segmented_read("col_idx_rev", examined, adj_lines, 4),
-                # The frontier operand, gathered per reverse edge.
-                rand_read("frontier_bitmap", examined * words, n * words, 8),
-                rand_write("bit_status", fresh_words, fresh_words, 8),
-            ]
-        gcd.launch(
-            name,
-            strategy=self.ENGINE,
-            level=level,
-            streams=streams,
-            work=ComputeWork(flat_ops=float((examined + rows.size) * words)),
-            work_items=int(rows.size),
+            return self._launch(gcd, "lab_spmm_push", level, active, fresh, newly)
+        return self._launch(
+            gcd, "lab_pull_gather", level, cand, fresh, newly, pull=True
         )
-        # The ⊙ ¬visited mask plus the level write-back, charged like
-        # the baseline's ``la_mask_assign`` but word-wide.
-        assignments = int(np.bitwise_count(fresh).sum())
-        gcd.launch(
-            "lab_mask_assign",
-            strategy=self.ENGINE,
-            level=level,
-            streams=[
-                seq_read("y_bitmap", n * words, 8),
-                seq_read("visited_bitmap", n * words, 8),
-                seq_write("frontier_bitmap", n * words, 8),
-                rand_write("levels", assignments, assignments, 4),
-            ],
-            work=ComputeWork(flat_ops=float(2 * n * words)),
-            work_items=n,
-        )
-        return examined

@@ -215,9 +215,9 @@ class TestDirectionOptimized:
         assert do.run_batch([source]).elapsed_ms < td.run_batch([source]).elapsed_ms
 
     @pytest.mark.parametrize("codec, pinned", [
-        (False, (20.1041290749517, 0.01602672, 1888, 1888,
+        (False, (20.10414499313151, 0.01602672, 1888, 1888,
                  [1108, 390, 390, 0], {})),
-        (True, (20.1041090949517, 0.016006740000000002, 889, 10408,
+        (True, (20.104126613131506, 0.016006740000000002, 889, 10408,
                 [109, 390, 390, 0], {"sparse": 0, "bitmap": 27})),
     ], ids=["raw", "codec"])
     def test_mixed_direction_run_is_pinned(self, small_rmat, codec, pinned):

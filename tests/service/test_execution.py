@@ -203,10 +203,10 @@ def _stream_crc(audit) -> int:
 AUDIT_STREAM_CRC = {
     "solo_single": 4020160044,
     "solo": 3226017865,
-    "concurrent": 2548327276,
-    "linalg_batch": 1791815166,
-    "multigcd": 614097002,
-    "grid2d": 874444889,
+    "concurrent": 1434615996,
+    "linalg_batch": 3920881180,
+    "multigcd": 3055126233,
+    "grid2d": 974993448,
     "repair": 4235518290,
     "serial": 3216692618,
 }

@@ -279,23 +279,21 @@ class TestFaultRecovery:
         assert a.elapsed_ms == b.elapsed_ms
 
     @pytest.mark.parametrize("engine, k, direction, plan, pinned, faulted", [
-        ("concurrent", 8, None, _bounded_plan(), (3, 20.180538544737857),
+        ("concurrent", 8, None, _bounded_plan(), (3, 20.18072294473785),
          ["cb_expand"] * 3),
-        ("linalg_batch", 100, "auto", _bounded_plan(triggers=6, seed=5),
-         (6, 20.272179009776202),
-         ["lab_spmm_push"] * 2 + ["lab_mask_assign"] + ["lab_spmm_push"] * 3),
-        ("linalg_batch", 100, "pull", _bounded_plan(triggers=6, seed=5),
-         (6, 20.272179592304067),
-         ["lab_pull_gather"] * 2 + ["lab_mask_assign"] + ["lab_pull_gather"] * 3),
+        ("linalg_batch", 100, "auto", _bounded_plan(triggers=6, seed=6),
+         (6, 20.2294248188703), ["lab_spmm_push"] * 6),
+        ("linalg_batch", 100, "pull", _bounded_plan(triggers=6, seed=6),
+         (6, 20.229525209770706), ["lab_pull_gather"] * 6),
     ], ids=["concurrent", "linalg-auto", "linalg-pull"])
     def test_modelled_cost_under_faults_is_pinned(
         self, small_rmat, engine, k, direction, plan, pinned, faulted
     ):
         """Exact ``(level_restarts, elapsed_ms)`` of one seeded faulted
         run per bitmap engine, and the launches the faults hit. The
-        replayed charge must keep the launch order (``cb_expand`` →
-        sync; push/pull gather → ``lab_mask_assign`` → sync) that fixes
-        which visit each fault lands on."""
+        replayed charge must keep one launch per level (``cb_expand``
+        or the push/pull gather, then sync), which fixes which visit
+        each fault lands on."""
         injector = plan.injector()
         if engine == "concurrent":
             bfs = ConcurrentBFS(small_rmat, injector=injector)

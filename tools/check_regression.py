@@ -9,6 +9,10 @@ on drift — wire it into CI to catch accidental model changes.
 Usage:
     python tools/check_regression.py record baseline.json
     python tools/check_regression.py check  baseline.json [tolerance]
+
+``check`` fails on any metric that moved by more than ``tolerance``
+(default 2%) and lists every metric that moved by less, so a move under
+the gate is still seen.
 """
 
 from __future__ import annotations
@@ -539,17 +543,27 @@ def main() -> int:
         print(f"recorded {len(summaries)} fingerprints to {path}")
         return 0
     baseline = load_results(path)
-    drifts = diff_results(baseline, summaries, tolerance=tolerance)
+    moved = diff_results(baseline, summaries, tolerance=0.0)
+    drifts = [d for d in moved if abs(d.relative) > tolerance]
+    within = [d for d in moved if abs(d.relative) <= tolerance]
+    if within:
+        # Moves under the gate still pass, but never silently.
+        print(f"moved within {tolerance:.0%}:")
+        _print_drifts(within)
     if not drifts:
         print(f"no drift beyond {tolerance:.0%} against {path}")
         return 0
     print(f"DRIFT beyond {tolerance:.0%}:")
+    _print_drifts(drifts)
+    return 1
+
+
+def _print_drifts(drifts) -> None:
     for d in drifts:
         print(
             f"  {d.name}.{d.metric}: {d.baseline:.6g} -> {d.candidate:.6g} "
-            f"({d.relative:+.1%})"
+            f"({d.relative:+.3%})"
         )
-    return 1
 
 
 if __name__ == "__main__":

@@ -31,14 +31,22 @@
 #                                 # (linalg batch and concurrent, with
 #                                 # the concurrent fault recovery), the
 #                                 # push/pull host products against a
-#                                 # naive per-row OR, the
+#                                 # naive per-row OR, the charge
+#                                 # vocabulary (every engine's streams
+#                                 # against the host counts, and the
+#                                 # no-cliff gate's tier-1 copy), the
 #                                 # linalg routing contract, the
 #                                 # coalescing scheduler that sets
 #                                 # their batch width and the
-#                                 # batch-width bench between them
+#                                 # batch-width bench between them,
+#                                 # with its modelled grid and no-cliff
+#                                 # gate
 #   tools/run_tests.sh multigcd-scaling
 #                                 # the exchange plane: both pods'
-#                                 # unit tests, codec property tests,
+#                                 # unit tests, the charge vocabulary
+#                                 # (pod members' launches and receive
+#                                 # buffers against the exchange
+#                                 # books), codec property tests,
 #                                 # overlap accounting, the 2D grid
 #                                 # differential wall, partition
 #                                 # routing, the 2->64 GCD scaling
@@ -101,14 +109,15 @@ case "$tier" in
     ;;
   linalg)
     python -m pytest tests/xbfs/test_linalg_batch.py tests/xbfs/test_concurrent.py \
-      tests/xbfs/test_bitmap_products.py tests/service/test_linalg_routing.py \
+      tests/xbfs/test_bitmap_products.py tests/xbfs/test_charge_vocabulary.py \
+      tests/service/test_linalg_routing.py \
       tests/service/test_scheduler.py \
       "tests/faults/test_driver_recovery.py::TestConcurrentRecovery" "$@"
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
   multigcd-scaling)
     python -m pytest tests/multigcd/test_multigcd.py tests/multigcd/test_grid2d.py \
-      tests/multigcd/test_exchange.py tests/multigcd/test_overlap.py \
+      tests/xbfs/test_charge_vocabulary.py tests/multigcd/test_exchange.py tests/multigcd/test_overlap.py \
       tests/multigcd/test_grid2d_differential.py tests/service/test_partition_routing.py "$@"
     python -m pytest benchmarks/bench_multigcd_scaling.py \
       benchmarks/bench_ablations.py::test_multigcd_strong_scaling -s "$@"
