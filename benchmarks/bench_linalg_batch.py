@@ -57,7 +57,7 @@ from repro.xbfs.linalg_batch import LinAlgBatchBFS
 SCALE = 13
 EDGE_FACTOR = 8
 WIDTHS = (64, 128, 256, 512)
-REPEATS = 3
+REPEATS = 7
 SEED = 17
 
 #: The modelled grid: graph scales, batch widths and the pod's GCDs.

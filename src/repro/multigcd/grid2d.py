@@ -116,7 +116,7 @@ class Grid2dBFS(PodEngine):
         #: Discovery ownership after the reduce-scatter: GCD (i, j)
         #: owns the (i·C + j)-th of P equal slices, inside row block i.
         self.owner_bounds = np.linspace(0, n, num_gcds + 1).astype(np.int64)
-        self._tile_runs: tuple[np.ndarray, np.ndarray] | None = None
+        self._tile_degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _subcomm_cost(self, peers: int, bytes_per_peer: float) -> float:
@@ -190,22 +190,18 @@ class Grid2dBFS(PodEngine):
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):
         return Decision(TOP_DOWN, self._REASON, (("frontier", int(active.size)),)), None
 
-    def _tiles(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(vertices, rows)`` twice, counted once per engine: each
-        vertex's out-edges into each row block, and where in
-        ``col_indices`` that run of them starts (a block's edges are
-        one run of a sorted adjacency list)."""
-        if self._tile_runs is None:
+    def _tiles(self) -> np.ndarray:
+        """``(vertices, rows)``, counted once per engine: each vertex's
+        out-edges into each row block."""
+        if self._tile_degrees is None:
             graph = self.graph
             n = graph.num_vertices
             src = np.repeat(np.arange(n), graph.degrees)
             block = np.searchsorted(self.row_bounds, graph.col_indices, side="right") - 1
-            deg = np.bincount(
+            self._tile_degrees = np.bincount(
                 src * self.rows + block, minlength=n * self.rows
             ).reshape(n, self.rows)
-            first = graph.row_offsets[:-1, np.newaxis] + np.cumsum(deg, axis=1) - deg
-            self._tile_runs = (deg, first)
-        return self._tile_runs
+        return self._tile_degrees
 
     def _product(self, frontier, active, cand, missing):
         """The three phases' host side: the column allgather of the
@@ -234,15 +230,17 @@ class Grid2dBFS(PodEngine):
             seen = np.zeros_like(frontier)
             seen[rows] = np.take(frontier, rows, axis=0)
         # Phase 2: the tiles' product over the received rows (the host
-        # pulls when that scans fewer edges). edges[r, i] counts the
+        # pulls when that scans fewer edges). deg[r, i] counts the
         # out-edges of rows[r] landing in row block i, the edges of
-        # tile (i, column block of rows[r]), and starts[r, i] is where
-        # they start.
+        # tile (i, column block of rows[r]), and first[r, i] is where
+        # they start: a block's edges are charged as one run of the
+        # row's adjacency list, which they are when it is sorted by id.
         pull, pull_edges = bm.pull_candidates(graph, missing)
         if pull_edges >= int(graph.degrees[rows].sum()):
             pull = None
         filled = super()._product(seen, rows, pull, missing)
-        deg, first = self._tiles()
+        deg = self._tiles()[rows]
+        first = graph.row_offsets[rows, np.newaxis] + np.cumsum(deg, axis=1) - deg
         # Phase 3: the row reduce-scatter of the rows filled.
         if self.codec is None:
             rs_worst = bm.row_bytes(-(-n // self.rows), self._width, block=True)
@@ -258,7 +256,7 @@ class Grid2dBFS(PodEngine):
         # Tile (i, j) receives R - 1 messages of column block j and
         # C - 1 of row block i.
         recv = (self.rows - 1) * ag_raw + (self.cols - 1) * rs_raw[:, np.newaxis]
-        self._pod.exchange = (rows, deg[rows], first[rows], ag_worst, rs_worst, recv)
+        self._pod.exchange = (rows, deg, first, ag_worst, rs_worst, recv)
         raw = int(ag_fan * ag_raw.sum() + rs_fan * rs_raw.sum())
         self._pod.record(ag_wire + rs_wire, raw, self._formats_since(before))
         return fresh
