@@ -79,24 +79,25 @@ class ClusterReport:
         served = self.served
         lat = sorted(self.latency_of(o) for o in served)
         by_qos = self.latencies_by_qos()
-        rejected = {"queue_full": 0, "deadline": 0, "quota": 0}
-        for o in self.rejections:
-            rejected[o.rejected] = rejected.get(o.rejected, 0) + 1
+        metrics = [rep["report"].metrics for rep in self.replicas]
         edges = sum(o.traversed_edges for o in served)
         t0 = min(self.arrival0.values()) if self.arrival0 else 0.0
         t1 = max((o.finish_ms for o in served), default=t0)
         makespan = max(0.0, t1 - t0)
         engine_totals: dict[str, int] = {}
-        for rep in self.replicas:
-            for eng, n in rep["report"].metrics.engine_dispatches.items():
+        for m in metrics:
+            for eng, n in m.engine_dispatches.items():
                 engine_totals[eng] = engine_totals.get(eng, 0) + n
         out: dict = {
             "name": name,
             "replicas": len(self.replicas),
             "queries_served": len(served),
-            "rejected_queue_full": rejected["queue_full"],
-            "rejected_deadline": rejected["deadline"],
-            "rejected_quota": rejected["quota"],
+            # Replica rejections are folds of each replica's metrics;
+            # quota rejections happen at the front door, before any
+            # replica sees the query.
+            "rejected_queue_full": sum(m.rejected_queue_full for m in metrics),
+            "rejected_deadline": sum(m.rejected_deadline for m in metrics),
+            "rejected_quota": self.quota_stats["rejected"],
             "p50_ms": percentile(lat, 50),
             "p95_ms": percentile(lat, 95),
             "p99_ms": percentile(lat, 99),

@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import AdmissionError, ClusterError, QuotaExceededError
 from repro.faults.plan import FaultPlan
-from repro.obs.audit import NULL_AUDIT
+from repro.obs.stream import DecisionStream
 from repro.service.request import Query, QueryOutcome
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.cluster.placement import PlacementMap
@@ -92,12 +92,6 @@ class ClusterRouter:
                 f"steal_threshold must be >= 1 or None, got {steal_threshold}"
             )
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Decision-audit log shared by the front door and every
-        #: replica's admission/scheduler/executor (observer-only).
-        self.audit = audit if audit is not None else NULL_AUDIT
-        #: Optional :class:`~repro.obs.slo.SloEngine`; replicas feed it
-        #: per terminal outcome, the front door on quota rejections.
-        self.slo = slo
         self.fault_plan = fault_plan
         self.fault_injector = (
             fault_plan.injector() if fault_plan is not None else None
@@ -162,18 +156,17 @@ class ClusterRouter:
         #: Front-door rejections (quota) — replica-level rejections live
         #: in each replica's own outcome log.
         self.rejected_outcomes: list[QueryOutcome] = []
+        #: The front door's decisions — quota rejections, placements,
+        #: steals, replica deaths and revivals — folded into the audit
+        #: log and SLO engine it shares with every replica, the tracer
+        #: and :meth:`counters`.
+        self.stream = DecisionStream(audit=audit, slo=slo, tracer=self.tracer,
+                                     outcomes=self.rejected_outcomes)
         #: Original arrival per qid: re-dispatched queries are
         #: re-stamped on their new replica, but cluster-level latency
         #: is still charged from the client's true arrival.
         self._arrival0: dict[int, float] = {}
         self.now_ms = 0.0
-        # --- cluster counters (all deterministic) ---
-        self.steals = 0
-        self.deaths = 0
-        self.revivals = 0
-        self.suppressed_deaths = 0
-        self.redispatched = 0
-        self.replaced_graphs = 0
 
     # ------------------------------------------------------------------
     @property
@@ -217,31 +210,9 @@ class ClusterRouter:
         self._arrival0.setdefault(query.qid, query.arrival_ms)
 
         if not self.quotas.admit(query.tenant, query.arrival_ms):
-            outcome = QueryOutcome(query=query, levels=None, rejected="quota")
-            self.rejected_outcomes.append(outcome)
-            if self.audit.enabled:
-                self.audit.record(
-                    "admission",
-                    query.qid,
-                    "rejected:quota",
-                    at_ms=query.arrival_ms,
-                    tenant=query.tenant,
-                    tokens=self.quotas.tokens(query.tenant),
-                )
-            if self.slo is not None and self.slo.enabled:
-                self.slo.observe(
-                    at_ms=query.arrival_ms,
-                    latency_ms=0.0,
-                    served=False,
-                    qos=query.qos,
-                    tenant=query.tenant,
-                    qid=query.qid,
-                )
-            self.tracer.event(
-                "cluster.quota_reject",
-                tenant=query.tenant,
-                qos=query.qos,
-                qid=query.qid,
+            self.stream.quota_reject(
+                QueryOutcome(query=query, levels=None, rejected="quota"),
+                self.quotas.tokens(query.tenant),
             )
             raise QuotaExceededError(
                 f"query {query.qid}: tenant {query.tenant!r} over quota "
@@ -308,10 +279,7 @@ class ClusterRouter:
             if not r.alive and r.revive_at_ms is not None and r.revive_at_ms <= now:
                 r.revive(now)
                 self.placement.add_replica(r.rid)
-                self.revivals += 1
-                self.tracer.event(
-                    "cluster.replica_revive", replica=r.rid, at_ms=now
-                )
+                self.stream.revival(r.rid, now)
         if self.fault_injector is None:
             return
         for r in self.replicas:
@@ -325,12 +293,8 @@ class ClusterRouter:
 
     def _kill_replica(self, replica: Replica, now: float, *, restart_ms: float) -> None:
         if len(self.live_replicas) <= 1:
-            self.suppressed_deaths += 1
-            self.tracer.event(
-                "cluster.death_suppressed", replica=replica.rid, at_ms=now
-            )
+            self.stream.suppressed_death(replica.rid, now)
             return
-        self.deaths += 1
         with self.tracer.span(
             "cluster.recovery",
             at=now,
@@ -342,14 +306,7 @@ class ClusterRouter:
             orphans = self.placement.remove_replica(replica.rid)
             for spec in orphans:
                 self.placement.place(spec)
-            self.replaced_graphs += len(orphans)
-            self.tracer.event(
-                "cluster.replica_death",
-                replica=replica.rid,
-                graphs_replaced=len(orphans),
-                pending_redispatched=len(pending),
-                restart_ms=restart_ms,
-            )
+            self.stream.death(replica.rid, len(orphans), len(pending), restart_ms)
             # Re-dispatch in-flight work to the survivors. Queries are
             # re-stamped to the death instant (their queueing starts
             # over); cluster-level latency still runs from _arrival0.
@@ -358,7 +315,6 @@ class ClusterRouter:
                 rid = self.placement.owner_of(q2.graph)
                 if rid is None:
                     rid, _ = self.placement.place(q2.graph)
-                self.redispatched += 1
                 try:
                     self._forward(q2, rid, redispatch=True)
                 except AdmissionError:
@@ -384,13 +340,7 @@ class ClusterRouter:
         # Validate endpoints once at the front door so a bad delta is
         # one typed error, not a per-replica divergence.
         query.delta.validate(self.num_vertices_of(query.graph))
-        self.tracer.event(
-            "cluster.mutate",
-            graph=query.graph,
-            qid=query.qid,
-            inserts=query.delta.num_inserts,
-            deletes=query.delta.num_deletes,
-        )
+        self.stream.broadcast(query)
         for r in self.replicas:
             if r.alive:
                 r.scheduler.apply_mutation(query)
@@ -401,15 +351,7 @@ class ClusterRouter:
         """Owning replica for ``query``, possibly stolen when hot."""
         rid, _ = self.placement.place(query.graph)
         owner = self.replicas[rid]
-        if self.audit.enabled:
-            self.audit.record(
-                "placement",
-                query.qid,
-                f"replica{rid}",
-                at_ms=query.arrival_ms,
-                graph=query.graph,
-                owner_depth=owner.queue_depth,
-            )
+        self.stream.placement(query, rid, owner.queue_depth)
         if self.steal_threshold is not None:
             live = self.live_replicas
             if len(live) > 1:
@@ -419,26 +361,8 @@ class ClusterRouter:
                     and owner.queue_depth
                     >= least.queue_depth + self.steal_threshold
                 ):
-                    self.steals += 1
-                    self.tracer.event(
-                        "cluster.steal",
-                        graph=query.graph,
-                        owner=rid,
-                        thief=least.rid,
-                        owner_depth=owner.queue_depth,
-                        thief_depth=least.queue_depth,
-                    )
-                    if self.audit.enabled:
-                        self.audit.record(
-                            "steal",
-                            query.qid,
-                            f"replica{least.rid}",
-                            at_ms=query.arrival_ms,
-                            owner=rid,
-                            owner_depth=owner.queue_depth,
-                            thief_depth=least.queue_depth,
-                            steal_threshold=self.steal_threshold,
-                        )
+                    self.stream.steal(query, rid, least.rid, owner.queue_depth,
+                                      least.queue_depth, self.steal_threshold)
                     return least.rid
         return rid
 
@@ -492,16 +416,13 @@ class ClusterRouter:
 
     # ------------------------------------------------------------------
     def counters(self) -> dict:
-        """Cluster-level counters (JSON-able, deterministic)."""
-        return {
-            "steals": self.steals,
-            "deaths": self.deaths,
-            "revivals": self.revivals,
-            "suppressed_deaths": self.suppressed_deaths,
-            "redispatched_queries": self.redispatched,
-            "replaced_graphs": self.replaced_graphs,
-            "placement_overrides": self.placement.overrides,
-        }
+        """Cluster-level counters (JSON-able, deterministic): the front
+        door's stream tallies plus the placement overrides."""
+        names = ("steals", "deaths", "revivals", "suppressed_deaths",
+                 "redispatched_queries", "replaced_graphs")
+        out = {name: self.stream.counts[name] for name in names}
+        out["placement_overrides"] = self.placement.overrides
+        return out
 
     def report(self) -> ClusterReport:
         fault_stats = None
@@ -518,5 +439,5 @@ class ClusterRouter:
             quota_stats=self.quotas.stats(),
             fault_stats=fault_stats,
             arrival0=dict(self._arrival0),
-            slo_status=self.slo.status() if self.slo is not None else None,
+            slo_status=None if self.stream.slo is None else self.stream.slo.status(),
         )

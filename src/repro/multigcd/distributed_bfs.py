@@ -525,7 +525,7 @@ class MultiGcdBFS(PodEngine):
                          self._formats_since(before))
         return fresh
 
-    def _charge(self, pod, level, active, cand, fresh, newly):
+    def _charge(self, pod, level, active, cand, fresh, newly, counts):
         """One launch per member, then the exchange.
 
         Each member's launch
@@ -544,13 +544,13 @@ class MultiGcdBFS(PodEngine):
         recv = raw.sum(axis=0)
         examined = 0
         for g, gcd in enumerate(pod.gcds):
-            mine, out = rows[cut[g]:cut[g + 1]], newly[own[g]:own[g + 1]]
-            if not (mine.size or out.size or recv[g]):
+            mine, lo, hi = rows[cut[g]:cut[g + 1]], own[g], own[g + 1]
+            if not (mine.size or hi > lo or recv[g]):
                 continue
             examined += self._launch(
                 gcd,
                 "dist_bm_expand" if cand is None else "dist_bm_pull",
-                level, mine, fresh, out,
+                level, mine, fresh, newly[lo:hi], counts[lo:hi],
                 pull=cand is not None,
                 span=None if cand is None else int(bounds[g + 1] - bounds[g]),
                 recv_bytes=int(recv[g]),

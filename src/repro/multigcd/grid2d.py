@@ -261,7 +261,7 @@ class Grid2dBFS(PodEngine):
         self._pod.record(ag_wire + rs_wire, raw, self._formats_since(before))
         return fresh
 
-    def _charge(self, pod, level, active, cand, fresh, newly):
+    def _charge(self, pod, level, active, cand, fresh, newly, counts):
         """Every tile's launch, then the two collectives: the
         allgather before the tiles, the reduce-scatter hideable behind
         them under ``overlap``.
@@ -283,11 +283,12 @@ class Grid2dBFS(PodEngine):
             for j in range(self.cols):
                 g = i * self.cols + j
                 local = (col_block == j) & (edges[:, i] > 0)
-                mine, out = rows[local], newly[own[g]:own[g + 1]]
-                if not (mine.size or out.size or recv[i, j]):
+                mine, lo, hi = rows[local], own[g], own[g + 1]
+                if not (mine.size or hi > lo or recv[i, j]):
                     continue
                 examined += self._launch(
-                    pod.gcds[g], "g2d_tile_expand", level, mine, fresh, out,
+                    pod.gcds[g], "g2d_tile_expand", level, mine, fresh, newly[lo:hi],
+                    counts[lo:hi],
                     span=int(self.row_bounds[i + 1] - self.row_bounds[i]),
                     runs=(first[local, i], edges[local, i]),
                     recv_bytes=int(recv[i, j]),

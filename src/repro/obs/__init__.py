@@ -1,6 +1,8 @@
 """repro.obs — operator-facing observability on top of repro.telemetry.
 
-Four pieces, all observers of the deterministic serving stack:
+Every serving decision is emitted once into a
+:class:`~repro.obs.stream.DecisionStream`; metrics, audit rows, SLO
+state and trace events are folds over it, so they cannot disagree:
 
 * bounded-memory streaming metrics —
   :class:`repro.telemetry.sketch.LatencySketch` behind
@@ -10,9 +12,9 @@ Four pieces, all observers of the deterministic serving stack:
 * a decision-audit "explain" plane keyed by query id
   (:mod:`repro.obs.audit`, rendered by ``repro explain``);
 * live cluster health snapshots (:mod:`repro.obs.health`,
-  rendered by ``repro top``).
+  rendered by ``repro top``), which read the folds.
 
-The hard invariant across all four: enabling them never changes a
+The hard invariant across all of them: enabling them never changes a
 level array or the kernel launch stream.
 """
 
@@ -31,6 +33,7 @@ from repro.obs.slo import (
     SloSpec,
     parse_slo_spec,
 )
+from repro.obs.stream import DecisionStream
 from repro.telemetry.sketch import LatencySketch
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "AuditRecord",
     "BurnRule",
     "DEFAULT_BURN_RULES",
+    "DecisionStream",
     "LatencySketch",
     "NULL_AUDIT",
     "STAGES",

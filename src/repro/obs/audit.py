@@ -4,11 +4,12 @@ Every consequential decision the serving stack makes about a query —
 the admission verdict, the placement (and any steal) on the cluster
 ring, the engine routing tier (with the footprint and threshold inputs
 that drove it), each per-level push/pull direction switch (with the
-classifier signal values), and the exchange-codec wire-format picks —
-appends one structured :class:`AuditRecord` keyed by query id.
+classifier signal values), the exchange-codec wire-format picks and the
+outcome — is emitted once into the
+:class:`~repro.obs.stream.DecisionStream`, which folds it into one
+structured :class:`AuditRecord` per query id.
 
-The log is a pure *observer*: recording is append-only bookkeeping on
-the side of the control path, it never reads back into any decision,
+The fold is observation only: it never reads back into any decision,
 never touches an RNG, and never charges virtual time — so enabling it
 cannot change a level array or the kernel launch stream (the
 differential tests in ``tests/obs`` pin this).

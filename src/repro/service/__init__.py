@@ -28,6 +28,11 @@ async backends, multi-GCD serving) plugs into:
 * :mod:`repro.service.runtime`   — :class:`BFSService`, the facade
   wiring all of the above together.
 
+The admission controller, scheduler and executor never write a metric,
+audit row, SLO window or trace event themselves: each decision is one
+event on their :class:`~repro.obs.stream.DecisionStream`, and every
+sink is a fold over it.
+
 Everything is synchronous and deterministic: time is *virtual* (query
 arrival stamps plus modelled kernel costs), so a replayed trace always
 produces bit-identical levels and identical latency statistics. That

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DeadlineExceededError, QueueFullError
-from repro.obs.audit import NULL_AUDIT
+from repro.obs.stream import DecisionStream
 from repro.service.request import Query
 
 __all__ = ["AdmissionPolicy", "AdmissionController"]
@@ -48,19 +48,18 @@ class AdmissionPolicy:
 
 
 class AdmissionController:
-    """Applies an :class:`AdmissionPolicy` and counts its decisions.
+    """Applies an :class:`AdmissionPolicy`; emits each verdict once.
 
-    ``audit`` (default :data:`~repro.obs.audit.NULL_AUDIT`) receives
-    one ``admission`` record per verdict with the inputs that drove it
-    — observer-only, never part of the decision.
+    Every verdict is one ``admission`` event on :attr:`stream`, carrying
+    the inputs that drove it. The stream tallies verdicts in
+    ``stream.counts`` and, when ``audit`` (default
+    :data:`~repro.obs.audit.NULL_AUDIT`) is enabled, folds each into one
+    ``admission`` audit row — observer-only, never part of the decision.
     """
 
     def __init__(self, policy: AdmissionPolicy | None = None, *, audit=None) -> None:
         self.policy = policy or AdmissionPolicy()
-        self.audit = audit if audit is not None else NULL_AUDIT
-        self.admitted = 0
-        self.rejected_queue_full = 0
-        self.rejected_deadline = 0
+        self.stream = DecisionStream(audit=audit)
 
     def deadline_of(self, query: Query) -> float | None:
         """The query's effective deadline (its own, else the default)."""
@@ -72,43 +71,23 @@ class AdmissionController:
         """Gate one submission against the current queue depth and an
         already-expired deadline (a non-positive budget at arrival)."""
         deadline = self.deadline_of(query)
+        limit = self.policy.max_queue_depth
         if deadline is not None and deadline <= 0:
-            self.rejected_deadline += 1
-            self.audit.record(
-                "admission",
-                query.qid,
-                "rejected:deadline",
-                at_ms=query.arrival_ms,
-                deadline_ms=deadline,
-            )
+            self.stream.admission(query, "rejected:deadline", query.arrival_ms,
+                                  deadline_ms=deadline)
             raise DeadlineExceededError(
                 f"query {query.qid} rejected at admission: deadline "
                 f"{deadline:.3f} ms already elapsed on arrival"
             )
-        if queue_depth >= self.policy.max_queue_depth:
-            self.rejected_queue_full += 1
-            self.audit.record(
-                "admission",
-                query.qid,
-                "rejected:queue_full",
-                at_ms=query.arrival_ms,
-                queue_depth=queue_depth,
-                limit=self.policy.max_queue_depth,
-            )
+        if queue_depth >= limit:
+            self.stream.admission(query, "rejected:queue_full", query.arrival_ms,
+                                  queue_depth=queue_depth, limit=limit)
             raise QueueFullError(
                 f"query {query.qid} rejected: queue depth "
-                f"{queue_depth} >= limit {self.policy.max_queue_depth}"
+                f"{queue_depth} >= limit {limit}"
             )
-        self.admitted += 1
-        self.audit.record(
-            "admission",
-            query.qid,
-            "admitted",
-            at_ms=query.arrival_ms,
-            queue_depth=queue_depth,
-            limit=self.policy.max_queue_depth,
-            deadline_ms=deadline,
-        )
+        self.stream.admission(query, "admitted", query.arrival_ms,
+                              queue_depth=queue_depth, limit=limit, deadline_ms=deadline)
 
     def check_deadline(self, query: Query, start_ms: float) -> None:
         """Reject a query whose dispatch slot already misses its
@@ -118,23 +97,9 @@ class AdmissionController:
             return
         wait = start_ms - query.arrival_ms
         if wait > deadline:
-            self.rejected_deadline += 1
-            self.audit.record(
-                "admission",
-                query.qid,
-                "rejected:deadline_at_dispatch",
-                at_ms=start_ms,
-                wait_ms=wait,
-                deadline_ms=deadline,
-            )
+            self.stream.admission(query, "rejected:deadline_at_dispatch", start_ms,
+                                  wait_ms=wait, deadline_ms=deadline)
             raise DeadlineExceededError(
                 f"query {query.qid} waited {wait:.3f} ms "
                 f"> deadline {deadline:.3f} ms"
             )
-
-    def stats(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_deadline": self.rejected_deadline,
-        }

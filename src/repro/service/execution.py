@@ -21,13 +21,16 @@ dispatch takes one path through :class:`ExecutionEngine`:
 4. **post-run** — every tier's result has one surface
    (``elapsed_ms``, ``sharing_factor``, ``levels_of(source)``,
    ``level_restarts``, ``audit_rows(live)``), so one block serves all
-   seven: it records restarts, writes the tier's ``routing`` or
-   ``repair`` record and the rows the result renders for its levels,
-   stores the levels as repair bases and builds the :class:`Dispatch`.
+   seven: it emits one ``tier_run`` event (restarts, the tier's
+   ``routing`` or ``repair`` record and the rows the result renders for
+   its levels), stores the levels as repair bases and builds the
+   :class:`Dispatch`.
 
 The breaker's ``serial`` fallback runs the oracle and joins at step 4.
 Around the path runs the recovery ladder (see
-:meth:`ExecutionEngine.run`). The executor holds no queue and no clock.
+:meth:`ExecutionEngine.run`); each retry, breaker trip and fallback is
+one event on the executor's :class:`~repro.obs.stream.DecisionStream`.
+The executor holds no queue and no clock.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.gcd.device import MI250X_GCD
 from repro.multigcd.distributed_bfs import MultiGcdBFS
 from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
-from repro.obs.audit import NULL_AUDIT
+from repro.obs.stream import DecisionStream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import LEVEL_CACHE_SOURCES, RegistryEntry
 from repro.service.request import Query
@@ -231,7 +234,6 @@ class ExecutionEngine:
                 f"linalg_batch_threshold must be in 2..{MAX_LINALG_BATCH}, "
                 f"got {linalg_batch_threshold}"
             )
-        self.metrics = metrics or ServiceMetrics()
         self.scaled_cache = scaled_cache
         #: Pod width of the distributed engine (2/4/8 model one, two or
         #: four MI250X cards' worth of GCDs).
@@ -250,8 +252,10 @@ class ExecutionEngine:
         self.fault_injector = fault_injector
         self.recovery = recovery or DEFAULT_RECOVERY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Decision-audit log (observer-only; NULL_AUDIT = disabled).
-        self.audit = audit if audit is not None else NULL_AUDIT
+        #: Routing, repair and recovery decisions, folded into the
+        #: metrics, the audit log and the tracer.
+        self.stream = DecisionStream(metrics=metrics or ServiceMetrics(),
+                                     audit=audit, tracer=self.tracer)
         #: Consecutive dispatches that exhausted their retries.
         self._fault_streak = 0
         #: Dispatches the open circuit breaker still routes serially.
@@ -344,13 +348,8 @@ class ExecutionEngine:
                 if attempt > recovery.max_dispatch_retries:
                     self._fault_streak += 1
                     if self._fault_streak >= recovery.breaker_threshold:
-                        self.metrics.record_breaker_trip()
                         self._breaker_cooldown_left = recovery.breaker_cooldown
-                        self.tracer.event(
-                            "recovery.breaker_trip",
-                            graph=graph_key,
-                            streak=self._fault_streak,
-                        )
+                        self.stream.breaker_trip(graph_key, self._fault_streak)
                     if not recovery.serial_fallback:
                         raise RecoveryExhaustedError(
                             f"dispatch on {graph_key!r} still faulting "
@@ -363,18 +362,12 @@ class ExecutionEngine:
                         reason="retries_exhausted",
                         attempts=attempt,
                     )
-                self.metrics.record_retry()
-                self.tracer.event(
-                    "recovery.dispatch_retry",
-                    graph=graph_key,
-                    attempt=attempt,
-                    backoff_ms=recovery.backoff_ms(attempt),
-                )
+                self.stream.retry(graph_key, attempt, recovery.backoff_ms(attempt))
                 backoff_total += recovery.backoff_ms(attempt)
             else:
                 self._fault_streak = 0
                 if attempt > 0 or backoff_total > 0.0:
-                    self.metrics.record_recovery(backoff_total)
+                    self.stream.recovered(backoff_total)
                 return self._finish(entry, live, sources, now_ms, tier, detail,
                                     result, store=default_surface,
                                     fault_scale=fault_scale, backoff_ms=backoff_total)
@@ -430,15 +423,7 @@ class ExecutionEngine:
                 backoff_ms=0.0) -> Dispatch:
         """The post-run block all seven tiers share; ``store`` keeps the
         levels as repair bases."""
-        if result.level_restarts:
-            self.metrics.record_level_restarts(result.level_restarts)
-        if self.audit.enabled:
-            # One tier record per live query, carrying the inputs behind
-            # it, then the rows the result renders for its own levels.
-            self.audit.record(_TIERS[tier].stage, [q.qid for q in live], tier,
-                              at_ms=now_ms, **detail)
-            for stage, qids, decision, rec in result.audit_rows(live):
-                self.audit.record(stage, qids, decision, at_ms=now_ms, **rec)
+        self.stream.tier_run(live, tier, _TIERS[tier].stage, detail, result, now_ms)
         # Cache the level arrays on the entry: they are the repair bases
         # a future mutation relaxes from. Only the last
         # LEVEL_CACHE_SOURCES stores would survive the entry's LRU;
@@ -498,9 +483,7 @@ class ExecutionEngine:
             plans.append((src, basis, inserts))
         if declined is None:
             return plans
-        if self.audit.enabled:
-            self.audit.record("repair", [q.qid for q in live], "recompute",
-                              at_ms=now_ms, version=entry.version, **declined)
+        self.stream.repair_declined(live, now_ms, version=entry.version, **declined)
         return None
 
     def _serial_fallback(self, entry: RegistryEntry, live: list[Query],
@@ -516,8 +499,7 @@ class ExecutionEngine:
         """
         from repro.graph.stats import bfs_levels_reference
 
-        self.metrics.record_fallback()
-        self.tracer.event("recovery.serial_fallback", graph=graph_key, reason=reason)
+        self.stream.fallback(graph_key, reason)
         graph = entry.graph
         answers: dict[int, "np.ndarray"] = {}
         serial_edges = 0

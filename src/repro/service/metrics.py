@@ -62,7 +62,9 @@ def dispatch_counts(
 
 @dataclass
 class ServiceMetrics:
-    """Accumulates per-query outcomes into a serving summary."""
+    """Accumulates per-query outcomes into a serving summary: one fold
+    of a :class:`~repro.obs.stream.DecisionStream`, its only writer in
+    the serving stack."""
 
     latencies_ms: list[float] = field(default_factory=list)
     #: One entry per *dispatch* (batch or solo run).
@@ -160,27 +162,6 @@ class ServiceMetrics:
         if self.exact_percentiles:
             self.batch_sizes.append(num_queries)
             self.sharing_factors.append(sharing_factor)
-
-    def record_engine(self, engine: str) -> None:
-        """Count one dispatch against the engine that served it."""
-        self.engine_dispatches[engine] = (
-            self.engine_dispatches.get(engine, 0) + 1
-        )
-
-    def record_retry(self) -> None:
-        """One dispatch retry after a device fault."""
-        self.retries += 1
-
-    def record_fallback(self) -> None:
-        """One dispatch served by the serial baseline engine."""
-        self.fallbacks += 1
-
-    def record_breaker_trip(self) -> None:
-        self.breaker_trips += 1
-
-    def record_level_restarts(self, n: int) -> None:
-        """Checkpoint replays an engine performed inside one dispatch."""
-        self.level_restarts += int(n)
 
     def record_recovery(self, virtual_ms: float) -> None:
         """Total virtual recovery delay of one recovered dispatch."""

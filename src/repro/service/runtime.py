@@ -126,11 +126,9 @@ class BFSService:
                 seed=seed,
             )
         self.registry = registry
-        #: Decision-audit log shared by admission / scheduler /
-        #: executor (observer-only; ``None`` disables).
+        #: The obs sinks the admission controller, scheduler and executor
+        #: fold their decisions into (``None`` disables each).
         self.audit = audit
-        #: Optional :class:`~repro.obs.slo.SloEngine` observing every
-        #: terminal outcome.
         self.slo = slo
         self.admission = AdmissionController(
             AdmissionPolicy(
@@ -218,7 +216,7 @@ class BFSService:
     def report(self) -> ServiceReport:
         fault_stats = None
         if self.fault_injector is not None:
-            self.metrics.sync_faults(self.fault_injector.faults_injected)
+            self.scheduler.stream.faults(self.fault_injector.faults_injected)
             fault_stats = self.fault_injector.stats()
         return ServiceReport(
             outcomes=list(self.scheduler.outcomes),

@@ -54,7 +54,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults.recovery import RecoveryPolicy
-from repro.obs.audit import NULL_AUDIT
+from repro.obs.stream import DecisionStream
 from repro.service.admission import AdmissionController
 from repro.service.execution import (
     SERIAL_FALLBACK_MS_PER_MEDGE,
@@ -199,12 +199,7 @@ class CoalescingScheduler:
             raise ServiceError("window_ms must be >= 0")
         self.registry = registry
         self.window_ms = window_ms
-        #: Decision-audit log (observer-only; NULL_AUDIT = disabled).
-        self.audit = audit if audit is not None else NULL_AUDIT
-        #: Optional :class:`~repro.obs.slo.SloEngine` fed one
-        #: observation per terminal outcome (served or rejected).
-        self.slo = slo
-        self.admission = admission or AdmissionController(audit=self.audit)
+        self.admission = admission or AdmissionController(audit=audit)
         self.metrics = metrics or ServiceMetrics()
         self.workers = [WorkerState(i) for i in range(workers)]
         self.outcomes: list[QueryOutcome] = []
@@ -220,6 +215,11 @@ class CoalescingScheduler:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if fault_injector is not None and self.tracer.enabled:
             fault_injector.bind_tracer(self.tracer)
+        #: The decisions this scheduler makes — outcomes, dispatches,
+        #: mutations — folded into its outcome log, metrics, the audit
+        #: log, the SLO engine and the tracer.
+        self.stream = DecisionStream(metrics=self.metrics, audit=audit, slo=slo,
+                                     tracer=self.tracer, outcomes=self.outcomes)
         #: Span-track namespace, e.g. ``"replica3."`` in a cluster —
         #: dispatch spans land on ``"<prefix>worker<i>"`` so every
         #: replica's workers get their own telemetry tracks.
@@ -237,7 +237,7 @@ class CoalescingScheduler:
             fault_injector=fault_injector,
             recovery=recovery,
             tracer=self.tracer,
-            audit=self.audit,
+            audit=audit,
         )
         # The batch cap is engine-aware: ``None`` adopts the executor's
         # cap (64 on the concurrent path, the bitmap engine's cap with
@@ -298,16 +298,14 @@ class CoalescingScheduler:
             for event in self.fault_injector.pulse("service.queue", query.graph):
                 if event.kind == "queue_pressure":
                     depth += int(event.magnitude)
-            self.metrics.sync_faults(self.fault_injector.faults_injected)
+            self.stream.faults(self.fault_injector.faults_injected)
         try:
             self.admission.admit(query, depth)
         except AdmissionError as exc:
-            outcome = QueryOutcome(
-                query=query, levels=None, rejected=exc.kind
+            self.stream.outcome(
+                QueryOutcome(query=query, levels=None, rejected=exc.kind),
+                query.arrival_ms,
             )
-            self.outcomes.append(outcome)
-            self.metrics.record_outcome(outcome)
-            self._observe_outcome(outcome, query.arrival_ms)
             raise
         key = self._pending.push(query)
         # Dispatch early when the new arrival fills its group.
@@ -345,25 +343,9 @@ class CoalescingScheduler:
                 query.graph, key, max(self.now_ms, anchor.arrival_ms)
             )
         entry = self.registry.mutate(query.graph, query.delta)
-        version = self.registry.graph_version(query.graph)
-        self.tracer.event(
-            "registry.mutate",
-            graph=query.graph,
-            version=version,
-            inserts=query.delta.num_inserts,
-            deletes=query.delta.num_deletes,
+        self.stream.mutation(
+            query, self.registry.graph_version(query.graph), entry is not None
         )
-        if self.audit.enabled:
-            self.audit.record(
-                "mutation",
-                query.qid,
-                f"v{version}",
-                at_ms=query.arrival_ms,
-                graph=query.graph,
-                inserts=query.delta.num_inserts,
-                deletes=query.delta.num_deletes,
-                resident=entry is not None,
-            )
 
     def run_until_idle(self) -> list[QueryOutcome]:
         """Flush every pending query and return all outcomes so far."""
@@ -399,10 +381,9 @@ class CoalescingScheduler:
             try:
                 self.admission.check_deadline(q, start)
             except DeadlineExceededError:
-                outcome = QueryOutcome(query=q, levels=None, rejected="deadline")
-                self.outcomes.append(outcome)
-                self.metrics.record_outcome(outcome)
-                self._observe_outcome(outcome, start)
+                self.stream.outcome(
+                    QueryOutcome(query=q, levels=None, rejected="deadline"), start
+                )
             else:
                 live.append(q)
         if not live:
@@ -431,9 +412,7 @@ class CoalescingScheduler:
             entry, hit = self.registry.get(graph)
             build_ms = 0.0 if hit else entry.build_ms
             if not hit:
-                self.tracer.event(
-                    "registry.miss", graph=graph, build_ms=build_ms
-                )
+                self.stream.registry_miss(graph, build_ms)
             sources = list(dict.fromkeys(q.source for q in live))
             batched = key is not None and len(sources) > 1
             sp.set(sources=len(sources), cache_hit=hit)
@@ -446,10 +425,6 @@ class CoalescingScheduler:
                 now_ms=start, registry=self.registry,
             )
             sp.set(engine=engine)
-            self.metrics.record_engine(engine)
-            if inj is not None:
-                self.metrics.sync_faults(inj.faults_injected)
-
             finish = start + build_ms + elapsed
             sp.end_at(finish)
             worker.busy_until_ms = finish
@@ -460,12 +435,12 @@ class CoalescingScheduler:
             # distinct source's reached edges once.
             degrees = entry.graph.degrees
             reached = {s: int(np.dot(levels_of(s) >= 0, degrees)) for s in sources}
-            self.metrics.record_batch(len(live), sharing)
+            self.stream.dispatch(engine, len(live), sharing,
+                                 None if inj is None else inj.faults_injected)
             for q in live:
-                levels = levels_of(q.source)
                 outcome = QueryOutcome(
                     query=q,
-                    levels=levels,
+                    levels=levels_of(q.source),
                     start_ms=start,
                     finish_ms=finish,
                     worker=worker.index,
@@ -477,51 +452,9 @@ class CoalescingScheduler:
                     engine=engine,
                     graph_version=entry.version,
                 )
-                self.outcomes.append(outcome)
-                self.metrics.record_outcome(outcome)
-                self._observe_outcome(outcome, finish)
+                self.stream.outcome(outcome, finish)
 
     # ------------------------------------------------------------------
-    def _observe_outcome(self, outcome: QueryOutcome, at_ms: float) -> None:
-        """Feed one terminal outcome to the audit and SLO observers.
-
-        Pure observation — called after the outcome is already recorded
-        in metrics, so enabling either plane never changes an answer.
-        """
-        q = outcome.query
-        if self.audit.enabled:
-            if outcome.served:
-                self.audit.record(
-                    "outcome",
-                    q.qid,
-                    "served",
-                    at_ms=at_ms,
-                    latency_ms=outcome.latency_ms,
-                    engine=outcome.engine,
-                    worker=outcome.worker,
-                    batch_size=outcome.batch_size,
-                    qos=q.qos,
-                    tenant=q.tenant,
-                )
-            else:
-                self.audit.record(
-                    "outcome",
-                    q.qid,
-                    f"rejected:{outcome.rejected}",
-                    at_ms=at_ms,
-                    qos=q.qos,
-                    tenant=q.tenant,
-                )
-        if self.slo is not None and self.slo.enabled:
-            self.slo.observe(
-                at_ms=at_ms,
-                latency_ms=outcome.latency_ms if outcome.served else 0.0,
-                served=outcome.served,
-                qos=q.qos,
-                tenant=q.tenant,
-                qid=q.qid,
-            )
-
     def worker_stats(self) -> list[dict]:
         """Per-worker utilisation snapshot (JSON-able)."""
         return [

@@ -555,12 +555,14 @@ class BitmapBatchEngine:
         cand: np.ndarray | None,
         fresh: np.ndarray,
         newly: np.ndarray,
+        counts: np.ndarray,
     ) -> int:
         """Issue one level's launches on ``gcd`` (the run's device)
         through :meth:`_launch`; return the edges they examined.
-        ``cand`` is the plan's, ``fresh`` the level's discoveries and
-        ``newly`` its occupied rows. Replayed as a whole on a device
-        fault, so it must not mutate traversal state."""
+        ``cand`` is the plan's, ``fresh`` the level's discoveries,
+        ``newly`` its occupied rows and ``counts`` their popcounts.
+        Replayed as a whole on a device fault, so it must not mutate
+        traversal state."""
         raise NotImplementedError
 
     def _launch(
@@ -571,6 +573,7 @@ class BitmapBatchEngine:
         rows: np.ndarray,
         fresh: np.ndarray,
         newly: np.ndarray,
+        counts: np.ndarray,
         *,
         pull: bool = False,
         span: int | None = None,
@@ -589,9 +592,9 @@ class BitmapBatchEngine:
         lengths)`` of adjacency scanned per row (default: whole rows).
         The same launch writes the output of the ``newly`` rows: their
         status and next-frontier words, and their new levels as one run
-        of popcount × 4 B each in a vertex-major matrix with one int32
-        slot per source. A pod member also reads ``recv_bytes`` of
-        receive buffers (:func:`row_bytes`)."""
+        of popcount (``counts``) × 4 B each in a vertex-major matrix with
+        one int32 slot per source. A pod member also reads ``recv_bytes``
+        of receive buffers (:func:`row_bytes`)."""
         csr = self.graph.reverse() if pull else self.graph
         n = self.graph.num_vertices
         words = fresh.shape[1]
@@ -600,7 +603,7 @@ class BitmapBatchEngine:
         starts, lengths = runs or (csr.row_offsets[rows], csr.degrees[rows])
         edges = int(lengths.sum())
         r, f = int(rows.size), int(newly.size)
-        counts = popcount_rows(np.take(fresh, newly, axis=0))
+        written = int(counts.sum())
         if pull:
             first = seq_read("visited_bitmap", span * words, 8)
             last = rand_read("frontier_bitmap", edges * words, n * words, 8)
@@ -622,7 +625,7 @@ class BitmapBatchEngine:
                 rand_write("bit_status", f * words, f * words, 8),
                 seq_write("next_frontier", f * words, 8),
                 AccessStream(
-                    "levels", 4, int(counts.sum()), int(counts.sum()),
+                    "levels", 4, written, written,
                     Pattern.SEQUENTIAL, is_write=True,
                     exact_lines=segment_lines_touched(
                         newly * self._width, counts, element_bytes=4, line_bytes=line
@@ -713,6 +716,9 @@ class BitmapBatchEngine:
         decisions: list[Decision] = []
         prev_active = 1
         active = occupied_rows(frontier)
+        # Each frontier row's popcount, counted once when it is found:
+        # its level writes, then its weight in the solo-equivalent edges.
+        bits = popcount_rows(np.take(frontier, active, axis=0))
         while active.size:
             missing = fresh_mask(full, visited)
             frontier_edges = int(degs[active].sum())
@@ -729,9 +735,11 @@ class BitmapBatchEngine:
             ):
                 fresh = self._product(frontier, active, cand, missing)
                 newly = occupied_rows(fresh)
+                counts = popcount_rows(np.take(fresh, newly, axis=0))
 
                 def attempt() -> int:
-                    examined = self._charge(gcd, level, active, cand, fresh, newly)
+                    examined = self._charge(gcd, level, active, cand, fresh, newly,
+                                            counts)
                     gcd.sync()
                     return examined
 
@@ -749,13 +757,11 @@ class BitmapBatchEngine:
             counter_add(planes, missing)
             visited |= fresh
             union_edges += examined
-            solo_edges += int(
-                (popcount_rows(np.take(frontier, active, axis=0)) * degs[active]).sum()
-            )
+            solo_edges += int((bits * degs[active]).sum())
             level_restarts += restarts
             decisions.append(decision)
             prev_active = int(active.size)
-            frontier, active = fresh, newly
+            frontier, active, bits = fresh, newly, counts
             level += 1
 
         return self._result(

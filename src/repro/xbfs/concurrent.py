@@ -135,9 +135,9 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
             return Decision(self.ENGINE, "pull scans fewer edges", signals), cand
         return Decision(self.ENGINE, "push scans fewer edges", signals), None
 
-    def _charge(self, gcd, level, active, cand, fresh, newly):
+    def _charge(self, gcd, level, active, cand, fresh, newly, counts):
         """The top-down iBFS expand whichever product ran on the host:
         one ``cb_expand`` push launch over the frontier rows
         (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`), its
         cost computed from the frontier and its discoveries only."""
-        return self._launch(gcd, "cb_expand", level, active, fresh, newly)
+        return self._launch(gcd, "cb_expand", level, active, fresh, newly, counts)

@@ -161,7 +161,7 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
             return decision, bm.occupied_rows(missing)
         return decision, None
 
-    def _charge(self, gcd, level, active, cand, fresh, newly):
+    def _charge(self, gcd, level, active, cand, fresh, newly, counts):
         """One word-wide launch per level in the plan's direction
         (:meth:`~repro.xbfs.bitmap.BitmapBatchEngine._launch`), which
         also writes the level's output.
@@ -172,7 +172,8 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
         *unvisited remainder*'s adjacency — the asymmetry XBFS's
         bottom-up switch buys."""
         if cand is None:
-            return self._launch(gcd, "lab_spmm_push", level, active, fresh, newly)
+            return self._launch(gcd, "lab_spmm_push", level, active, fresh, newly,
+                                counts)
         return self._launch(
-            gcd, "lab_pull_gather", level, cand, fresh, newly, pull=True
+            gcd, "lab_pull_gather", level, cand, fresh, newly, counts, pull=True
         )

@@ -61,9 +61,9 @@ class TestDeadlineEdges:
         by_qid = {o.query.qid: o for o in outcomes}
         assert all(by_qid[i].served for i in range(4))
         assert all(by_qid[i].rejected == "deadline" for i in range(4, 7))
-        # Counted at dispatch, on the replica's own admission stats.
+        # Counted at dispatch, on the replica's own admission stream.
         sched = router.replicas[0].scheduler
-        assert sched.admission.rejected_deadline == 3
+        assert sched.admission.stream.counts["rejected:deadline_at_dispatch"] == 3
 
     def test_admission_vs_dispatch_are_the_same_kind(self):
         # Both paths produce the one typed error the client handles.

@@ -72,7 +72,7 @@ class TestClusterEqualsSingleService:
         router = ClusterRouter(replicas=3, builder=_builder, workers=1,
                                window_ms=5.0, fault_plan=plan)
         report = router.replay(trace)
-        assert router.deaths > 0, "the death plan never fired"
+        assert router.counters()["deaths"] > 0, "the death plan never fired"
         for o in report.served:
             assert np.array_equal(
                 o.levels, xbfs_oracle(o.query.graph, o.query.source)
@@ -88,8 +88,9 @@ class TestClusterEqualsSingleService:
                                window_ms=5.0, fault_plan=plan,
                                steal_threshold=None)
         report = router.replay(trace)
-        assert router.deaths > 0
-        assert router.redispatched > 0, "death never caught in-flight work"
+        counters = router.counters()
+        assert counters["deaths"] > 0
+        assert counters["redispatched_queries"] > 0, "death never caught in-flight work"
         for o in report.served:
             assert np.array_equal(
                 o.levels, xbfs_oracle(o.query.graph, o.query.source)
@@ -131,7 +132,7 @@ class TestDeterminism:
                                       restart_ms=30.0, max_triggers=None),
             )
             report = router.replay(_trace(n=48, seed=8))
-            assert router.deaths > 0
+            assert router.counters()["deaths"] > 0
             return report.summary("s")
 
         assert summary(0) == summary(0)

@@ -88,9 +88,10 @@ def test_storms_actually_kill_replicas():
                                   restart_ms=20.0, max_triggers=None),
         )
         router.replay(trace)
-        deaths += router.deaths
-        revivals += router.revivals
-        replaced += router.replaced_graphs
+        counters = router.counters()
+        deaths += counters["deaths"]
+        revivals += counters["revivals"]
+        replaced += counters["replaced_graphs"]
     assert deaths > 0
     assert revivals > 0
     assert replaced > 0

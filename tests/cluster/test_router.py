@@ -96,7 +96,7 @@ class TestStealing:
         for i in range(12):
             router.submit(Query(qid=i, graph="7", source=i, arrival_ms=0.0,
                                 qos="batch"))
-        assert router.steals > 0
+        assert router.counters()["steals"] > 0
         depths = [r.queue_depth for r in router.replicas]
         assert all(d > 0 for d in depths)  # work spread over both
         report = router.replay([])  # just drain + report
@@ -107,7 +107,7 @@ class TestStealing:
         for i in range(12):
             router.submit(Query(qid=i, graph="7", source=i, arrival_ms=0.0,
                                 qos="batch"))
-        assert router.steals == 0
+        assert router.counters()["steals"] == 0
         owner = router.placement.assignments["7"]
         assert router.replicas[owner].queue_depth == 12
 
@@ -272,7 +272,7 @@ class TestClusterMutation:
         router.submit(Query(qid=3, graph="8", source=0, arrival_ms=45.0,
                             qos="batch"))
         router.drain()
-        assert victim.alive and router.revivals == 1
+        assert victim.alive and router.counters()["revivals"] == 1
         entry, hit = victim.registry.get("7")
         assert not hit and entry.version == 1
         assert np.array_equal(entry.graph.col_indices, mutated.col_indices)

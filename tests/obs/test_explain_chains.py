@@ -133,7 +133,7 @@ def test_steal_and_quota_stages_appear_when_triggered():
     )
     router.replay(trace)
     stages = {r.stage for r in audit.records}
-    if router.steals:
+    if router.counters()["steals"]:
         assert "steal" in stages
     quota_rejects = [
         r for r in audit.records

@@ -17,25 +17,21 @@ class TestQueueDepth:
         ctl = AdmissionController(AdmissionPolicy(max_queue_depth=2))
         ctl.admit(q(0), queue_depth=0)
         ctl.admit(q(1), queue_depth=1)
-        assert ctl.admitted == 2
+        assert ctl.stream.counts["admitted"] == 2
 
     def test_reject_at_limit_is_typed(self):
         ctl = AdmissionController(AdmissionPolicy(max_queue_depth=2))
         with pytest.raises(QueueFullError) as exc:
             ctl.admit(q(2), queue_depth=2)
         assert isinstance(exc.value, AdmissionError)
-        assert ctl.rejected_queue_full == 1
+        assert ctl.stream.counts["rejected:queue_full"] == 1
 
     def test_rejection_counts_accumulate(self):
         ctl = AdmissionController(AdmissionPolicy(max_queue_depth=1))
         for i in range(3):
             with pytest.raises(QueueFullError):
                 ctl.admit(q(i), queue_depth=5)
-        assert ctl.stats() == {
-            "admitted": 0,
-            "rejected_queue_full": 3,
-            "rejected_deadline": 0,
-        }
+        assert ctl.stream.counts == {"rejected:queue_full": 3}
 
 
 class TestDeadlines:
@@ -48,7 +44,7 @@ class TestDeadlines:
         ctl.check_deadline(q(0, arrival=0.0, deadline=10.0), start_ms=9.0)
         with pytest.raises(DeadlineExceededError):
             ctl.check_deadline(q(1, arrival=0.0, deadline=10.0), start_ms=11.0)
-        assert ctl.rejected_deadline == 1
+        assert ctl.stream.counts["rejected:deadline_at_dispatch"] == 1
 
     def test_default_deadline_applies(self):
         ctl = AdmissionController(AdmissionPolicy(default_deadline_ms=5.0))

@@ -43,7 +43,7 @@ class TestAdapters:
     def test_service_metrics_counters(self):
         metrics = ServiceMetrics()
         metrics.record_batch(4, 2.0)
-        metrics.record_retry()
+        metrics.retries += 1
         metrics.record_outcome(QueryOutcome(
             query=Query(qid=0, graph="g", source=0, arrival_ms=0.0,
                         tenant="acme"),

@@ -100,6 +100,7 @@ MODULES = [
     "repro.obs.slo",
     "repro.obs.audit",
     "repro.obs.health",
+    "repro.obs.stream",
     "repro.paperdata",
     "repro.experiments.common",
     "repro.cli",

@@ -59,16 +59,22 @@
 #                                 # the repair-vs-recompute
 #                                 # differential wall and the
 #                                 # delta-size crossover bench
-#   tools/run_tests.sh obs        # the SLO engine, decision audit,
-#                                 # bounded-metrics sketch and health
-#                                 # planes: the obs-on/off differential
-#                                 # wall, the explain-chain contract,
-#                                 # the executor's per-tier audit and
-#                                 # direction-record contract with its
-#                                 # pinned audit streams, the e2e
-#                                 # harness's layer hooks, the
-#                                 # Prometheus scrape round-trip and
-#                                 # the enabled-obs overhead bench
+#   tools/run_tests.sh obs        # the decision stream and its folds
+#                                 # (SLO engine, decision audit,
+#                                 # bounded-metrics sketch, health):
+#                                 # the pinned audit and trace streams
+#                                 # of two cluster replays, the sink
+#                                 # agreement check, the obs-on/off
+#                                 # differential wall, the explain-chain
+#                                 # contract, the executor's per-tier
+#                                 # audit and direction-record contract
+#                                 # with its pinned audit streams, the
+#                                 # front door's admission edges and
+#                                 # router counters (read off the
+#                                 # stream), the e2e harness's layer
+#                                 # hooks, the Prometheus scrape
+#                                 # round-trip and the enabled-obs
+#                                 # overhead bench
 #   tools/run_tests.sh all        # everything: tier-1 + tier-2 + the
 #                                 # regression gate against the committed
 #                                 # baseline fingerprint
@@ -129,6 +135,7 @@ case "$tier" in
     ;;
   obs)
     python -m pytest tests/obs tests/service/test_execution.py \
+      tests/cluster/test_admission_edges.py tests/cluster/test_router.py \
       tests/telemetry/test_prometheus_labels.py tests/test_e2e_hooks.py "$@"
     python -m pytest benchmarks/bench_obs_overhead.py -s "$@"
     ;;
