@@ -796,7 +796,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     """One-screen cluster health: replay a deterministic synthetic
     multi-tenant load through a cluster and snapshot its state."""
-    from repro.cluster import ClusterRouter, TenantQuota, multi_tenant_trace
+    from repro.cluster import ClusterRouter, TenantQuota
+    from repro.service.trace import synthetic_trace
     from repro.obs import cluster_health, render_health, write_health
 
     _, slo = _obs_from_args(args)
@@ -824,7 +825,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         slo=slo,
         bounded_metrics=getattr(args, "bounded_metrics", False),
     )
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         specs, sizes,
         num_queries=args.queries,
         seed=args.seed,

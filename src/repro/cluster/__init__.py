@@ -20,8 +20,8 @@ stack's placement / dispatch / execution split:
   re-dispatched — answers bit-identical to a fault-free run).
 * :mod:`repro.cluster.report`    — merged outcomes, per-QoS tail
   latency, placement balance, recovery cost.
-* :mod:`repro.cluster.bench`     — multi-tenant trace generation and
-  the replica-count scale-out sweep behind ``repro cluster-bench``.
+* :mod:`repro.cluster.bench`     — replica-death plans and the
+  replica-count scale-out sweep behind ``repro cluster-bench``.
 
 Everything is deterministic: one shared injector RNG, crc32
 placement, virtual-time quotas. A replayed trace is bit-for-bit
@@ -30,17 +30,18 @@ reproducible and every served answer is bit-identical to a solo
 
 Quick start::
 
-    from repro.cluster import ClusterRouter, multi_tenant_trace
+    from repro.cluster import ClusterRouter
+    from repro.service.trace import synthetic_trace
 
     router = ClusterRouter(replicas=4, workers=2, seed=0)
     sizes = {"rmat:10": 1024, "rmat:11": 2048}
-    trace = multi_tenant_trace(list(sizes), sizes, num_queries=96,
-                               seed=7, tenants=3)
+    trace = synthetic_trace(list(sizes), sizes, num_queries=96,
+                            seed=7, tenants=3)
     report = router.replay(trace)
     print(report.render())
 """
 
-from repro.cluster.bench import death_plan, multi_tenant_trace, run_scaleout_sweep
+from repro.cluster.bench import death_plan, run_scaleout_sweep
 from repro.cluster.placement import HashRing, PlacementMap, stable_hash
 from repro.cluster.qos import (
     DEFAULT_QOS_CLASSES,
@@ -63,7 +64,6 @@ __all__ = [
     "Replica",
     "TenantQuota",
     "death_plan",
-    "multi_tenant_trace",
     "run_scaleout_sweep",
     "stable_hash",
 ]

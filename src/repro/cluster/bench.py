@@ -1,16 +1,12 @@
-"""Cluster benchmarking: multi-tenant traces and the scale-out sweep.
+"""Cluster benchmarking: replica-death plans and the scale-out sweep.
 
-Three pieces, all deterministic:
+Two pieces, both deterministic:
 
-* :func:`multi_tenant_trace` — an open-loop arrival process like
-  :func:`~repro.service.trace.synthetic_trace`, but every query also
-  draws a tenant (``t0..tN``) and a QoS class (interactive with
-  probability ``interactive_frac``, else batch) from the same seeded
-  RNG.
 * :func:`death_plan` — a seeded :class:`~repro.faults.plan.FaultPlan`
   firing ``replica_death`` events at the ``cluster.replica`` site
   (magnitude = virtual ms until the cold restart).
-* :func:`run_scaleout_sweep` — replay one trace through clusters of
+* :func:`run_scaleout_sweep` — replay one multi-tenant
+  :func:`~repro.service.trace.synthetic_trace` through clusters of
   increasing replica count, check every served answer bit-identical
   to a fault-free single :class:`~repro.service.runtime.BFSService`
   replay of the same trace, and return the per-point summaries that
@@ -22,74 +18,12 @@ from __future__ import annotations
 import zlib
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.errors import ServiceError
 from repro.faults import FaultPlan, FaultRule, levels_fingerprint
 from repro.service.request import Query
 from repro.service.runtime import BFSService
+from repro.service.trace import synthetic_trace
 
-__all__ = ["multi_tenant_trace", "death_plan", "run_scaleout_sweep"]
-
-
-def multi_tenant_trace(
-    graphs: Sequence[str],
-    num_vertices: Mapping[str, int],
-    *,
-    num_queries: int = 200,
-    seed: int = 0,
-    tenants: int = 4,
-    interactive_frac: float = 0.7,
-    mean_gap_ms: float = 1.0,
-    burst: int = 8,
-    deadline_ms: float | None = None,
-) -> list[Query]:
-    """Deterministic open-loop multi-tenant load.
-
-    Bursts of ``burst`` same-graph queries share one arrival stamp
-    (the coalescing opportunity); each query independently draws a
-    tenant and a QoS class. ``deadline_ms`` pins an explicit deadline
-    on every query; ``None`` leaves deadlines to the router's QoS
-    classes.
-    """
-    if not graphs:
-        raise ServiceError("multi_tenant_trace needs at least one graph spec")
-    missing = [g for g in graphs if g not in num_vertices]
-    if missing:
-        raise ServiceError(f"num_vertices missing for specs {missing}")
-    if tenants < 1:
-        raise ServiceError(f"tenants must be >= 1, got {tenants}")
-    if not 0.0 <= interactive_frac <= 1.0:
-        raise ServiceError(
-            f"interactive_frac must be in [0, 1], got {interactive_frac}"
-        )
-    if burst < 1:
-        raise ServiceError("burst must be >= 1")
-    rng = np.random.default_rng(seed)
-    queries: list[Query] = []
-    t = 0.0
-    while len(queries) < num_queries:
-        spec = graphs[int(rng.integers(len(graphs)))]
-        n = int(num_vertices[spec])
-        size = min(burst, num_queries - len(queries))
-        for _ in range(size):
-            queries.append(
-                Query(
-                    qid=len(queries),
-                    graph=spec,
-                    source=int(rng.integers(n)),
-                    arrival_ms=t,
-                    deadline_ms=deadline_ms,
-                    tenant=f"t{int(rng.integers(tenants))}",
-                    qos=(
-                        "interactive"
-                        if rng.random() < interactive_frac
-                        else "batch"
-                    ),
-                )
-            )
-        t += float(rng.exponential(mean_gap_ms))
-    return queries
+__all__ = ["death_plan", "run_scaleout_sweep"]
 
 
 def death_plan(
@@ -167,7 +101,7 @@ def run_scaleout_sweep(
     from repro.cluster.router import ClusterRouter
 
     router_kwargs = dict(router_kwargs or {})
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         graphs,
         num_vertices,
         num_queries=num_queries,
@@ -186,7 +120,6 @@ def run_scaleout_sweep(
         "max_queue_depth",
         "scale_factor",
         "seed",
-        "scaled_cache",
         "num_gcds",
         "distributed_threshold_mb",
     )

@@ -91,9 +91,10 @@ class TenantQuota:
 class QuotaLedger:
     """Token buckets for every quota'd tenant, on the virtual clock.
 
-    Tenants without a configured quota are always admitted (but still
-    counted). Buckets start full; refill is continuous in virtual
-    time, clamped at ``burst``.
+    Tenants without a configured quota are always admitted. Buckets
+    start full; refill is continuous in virtual time, clamped at
+    ``burst``. The verdicts are tallied by the front door's decision
+    stream, not here.
     """
 
     def __init__(self, quotas: Mapping[str, TenantQuota] | None = None) -> None:
@@ -102,14 +103,11 @@ class QuotaLedger:
             t: q.burst for t, q in self.quotas.items()
         }
         self._last_ms: dict[str, float] = {t: 0.0 for t in self.quotas}
-        self.admitted: dict[str, int] = {}
-        self.rejected: dict[str, int] = {}
 
     def admit(self, tenant: str, now_ms: float) -> bool:
         """Charge one query against ``tenant``'s bucket at ``now_ms``."""
         quota = self.quotas.get(tenant)
         if quota is None:
-            self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
             return True
         elapsed_s = max(0.0, now_ms - self._last_ms[tenant]) * 1e-3
         self._tokens[tenant] = min(
@@ -117,27 +115,10 @@ class QuotaLedger:
         )
         self._last_ms[tenant] = now_ms
         if self._tokens[tenant] < 1.0:
-            self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
             return False
         self._tokens[tenant] -= 1.0
-        self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
         return True
 
     def tokens(self, tenant: str) -> float | None:
         """Current bucket level, ``None`` for unquota'd tenants."""
         return self._tokens.get(tenant)
-
-    def stats(self) -> dict:
-        """JSON-able admission counts per tenant."""
-        tenants = sorted(set(self.admitted) | set(self.rejected))
-        return {
-            "tenants": {
-                t: {
-                    "admitted": self.admitted.get(t, 0),
-                    "rejected": self.rejected.get(t, 0),
-                }
-                for t in tenants
-            },
-            "admitted": sum(self.admitted.values()),
-            "rejected": sum(self.rejected.values()),
-        }

@@ -43,7 +43,6 @@ class Replica:
         max_batch: int | None = None,
         window_ms: float = 5.0,
         max_queue_depth: int = 256,
-        scaled_cache: bool = True,
         num_gcds: int = 4,
         distributed_threshold_mb: float | None = None,
         linalg_batch_threshold: int | None = None,
@@ -67,7 +66,6 @@ class Replica:
             max_batch=max_batch,
             window_ms=window_ms,
             max_queue_depth=max_queue_depth,
-            scaled_cache=scaled_cache,
             num_gcds=num_gcds,
             distributed_threshold_mb=distributed_threshold_mb,
             linalg_batch_threshold=linalg_batch_threshold,

@@ -39,13 +39,11 @@ class ClusterReport:
     placement: dict
     #: :meth:`~repro.cluster.router.ClusterRouter.counters` snapshot.
     counters: dict
-    #: :meth:`~repro.cluster.qos.QuotaLedger.stats` snapshot.
+    #: Quota verdicts per tenant and in total, from the front door's
+    #: decision stream.
     quota_stats: dict
     #: Shared injector counters, ``None`` without a fault plan.
     fault_stats: dict | None
-    #: qid → original client arrival (ms); re-dispatched queries carry
-    #: a later re-stamped arrival on their outcome's query.
-    arrival0: dict
     #: :meth:`~repro.obs.slo.SloEngine.status` snapshot when the router
     #: ran with an SLO engine attached, else ``None`` (not part of the
     #: fingerprinted summary).
@@ -59,11 +57,15 @@ class ClusterReport:
     def rejections(self) -> list[QueryOutcome]:
         return [o for o in self.outcomes if not o.served]
 
+    @property
+    def arrival0(self) -> dict:
+        """qid → client arrival (ms) of each query with an outcome."""
+        return {o.query.qid: o.query.client_arrival_ms for o in self.outcomes}
+
     # ------------------------------------------------------------------
     def latency_of(self, outcome: QueryOutcome) -> float:
-        """End-to-end latency from the client's original arrival."""
-        t0 = self.arrival0.get(outcome.query.qid, outcome.query.arrival_ms)
-        return outcome.finish_ms - t0
+        """End-to-end latency from the client's arrival."""
+        return outcome.latency_ms
 
     def latencies_by_qos(self) -> dict:
         out: dict[str, list] = {}
@@ -81,7 +83,7 @@ class ClusterReport:
         by_qos = self.latencies_by_qos()
         metrics = [rep["report"].metrics for rep in self.replicas]
         edges = sum(o.traversed_edges for o in served)
-        t0 = min(self.arrival0.values()) if self.arrival0 else 0.0
+        t0 = min(self.arrival0.values(), default=0.0)
         t1 = max((o.finish_ms for o in served), default=t0)
         makespan = max(0.0, t1 - t0)
         engine_totals: dict[str, int] = {}

@@ -9,9 +9,11 @@ cluster. Per arriving query, in order:
    its graphs are orphaned and re-placed on the survivors, and its
    admitted-but-undispatched queries are re-dispatched to the new
    owners (re-stamped to the death instant — queueing starts over on
-   the survivor). The last live replica never dies (the event is
-   counted as suppressed): a cluster that can lose every replica has
-   no availability story to measure.
+   the survivor, while latency is still charged from the client's
+   arrival, :attr:`~repro.service.request.Query.first_arrival_ms`).
+   The last live replica never dies (the event is counted as
+   suppressed): a cluster that can lose every replica has no
+   availability story to measure.
 2. **QoS** — resolve the query's class; apply the class's default
    deadline when the query carries none.
 3. **Quota** — charge the tenant's token bucket at the arrival stamp;
@@ -72,7 +74,6 @@ class ClusterRouter:
         max_queue_depth: int = 256,
         scale_factor: int = 64,
         seed: int = 0,
-        scaled_cache: bool = True,
         num_gcds: int = 4,
         distributed_threshold_mb: float | None = None,
         linalg_batch_threshold: int | None = None,
@@ -130,7 +131,6 @@ class ClusterRouter:
                 max_batch=max_batch,
                 window_ms=window_ms,
                 max_queue_depth=max_queue_depth,
-                scaled_cache=scaled_cache,
                 num_gcds=num_gcds,
                 distributed_threshold_mb=distributed_threshold_mb,
                 linalg_batch_threshold=linalg_batch_threshold,
@@ -162,10 +162,6 @@ class ClusterRouter:
         #: and :meth:`counters`.
         self.stream = DecisionStream(audit=audit, slo=slo, tracer=self.tracer,
                                      outcomes=self.rejected_outcomes)
-        #: Original arrival per qid: re-dispatched queries are
-        #: re-stamped on their new replica, but cluster-level latency
-        #: is still charged from the client's true arrival.
-        self._arrival0: dict[int, float] = {}
         self.now_ms = 0.0
 
     # ------------------------------------------------------------------
@@ -207,7 +203,6 @@ class ClusterRouter:
             )
         if query.deadline_ms is None and qos.default_deadline_ms is not None:
             query = replace(query, deadline_ms=qos.default_deadline_ms)
-        self._arrival0.setdefault(query.qid, query.arrival_ms)
 
         if not self.quotas.admit(query.tenant, query.arrival_ms):
             self.stream.quota_reject(
@@ -309,9 +304,9 @@ class ClusterRouter:
             self.stream.death(replica.rid, len(orphans), len(pending), restart_ms)
             # Re-dispatch in-flight work to the survivors. Queries are
             # re-stamped to the death instant (their queueing starts
-            # over); cluster-level latency still runs from _arrival0.
+            # over); latency still runs from the client's arrival.
             for q in pending:
-                q2 = replace(q, arrival_ms=now)
+                q2 = replace(q, arrival_ms=now, first_arrival_ms=q.client_arrival_ms)
                 rid = self.placement.owner_of(q2.graph)
                 if rid is None:
                     rid, _ = self.placement.place(q2.graph)
@@ -424,6 +419,19 @@ class ClusterRouter:
         out["placement_overrides"] = self.placement.overrides
         return out
 
+    def _quota_stats(self) -> dict:
+        """JSON-able quota verdicts per tenant, from the stream."""
+        tallies = self.stream.quota
+        tenants = {
+            t: {"admitted": tallies[t, "admitted"], "rejected": tallies[t, "rejected"]}
+            for t in sorted({t for t, _ in tallies})
+        }
+        return {
+            "tenants": tenants,
+            "admitted": sum(row["admitted"] for row in tenants.values()),
+            "rejected": sum(row["rejected"] for row in tenants.values()),
+        }
+
     def report(self) -> ClusterReport:
         fault_stats = None
         if self.fault_injector is not None:
@@ -436,8 +444,7 @@ class ClusterRouter:
             ],
             placement=self.placement.balance(),
             counters=self.counters(),
-            quota_stats=self.quotas.stats(),
+            quota_stats=self._quota_stats(),
             fault_stats=fault_stats,
-            arrival0=dict(self._arrival0),
             slo_status=None if self.stream.slo is None else self.stream.slo.status(),
         )

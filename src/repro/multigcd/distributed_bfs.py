@@ -14,11 +14,11 @@ source at once, the sharing of Pan/Pearce/Owens' bitmap frontiers and
 of BLEST (PAPERS.md). On a top-down level each GCD pushes its own
 frontier rows along their out-edges, and the rows it newly filled in
 other GCDs' blocks go all-to-all: 4 B of row id plus the row's words
-each. A level ends bulk-synchronously: the slowest member's launch
-(times its straggler factor), plus the exchange, plus one sync. Levels
-commit only after that sync, so a device or exchange fault replays the
-level (:func:`~repro.xbfs.common.replay_on_fault`) after quiescing
-every member. On the host, a top-down level computes each member's
+each. A level ends bulk-synchronously: the slowest member's launch,
+plus the exchange, plus one sync. Levels commit only after that sync,
+so a device or exchange fault replays the level
+(:func:`~repro.xbfs.common.replay_on_fault`) after quiescing every
+member. On the host, a top-down level computes each member's
 filled rows with a push per member, or — when that scans fewer edges,
 as :class:`~repro.xbfs.concurrent.ConcurrentBFS` decides — with one
 pull split by the member owning each in-edge; the modelled charge is
@@ -143,14 +143,13 @@ class _BulkSyncPod:
 
     ``elapsed_ms`` is the pod's clock. :meth:`step` closes one
     bulk-synchronous phase: the slowest member's time since the
-    previous step, each member's scaled by its straggler factor. A sync
-    (or a recovery quiesce) settles every member and charges one step,
-    so the partial work of a faulted level stays on the clock.
+    previous step. A sync (or a recovery quiesce) settles every member
+    and charges one step, so the partial work of a faulted level stays
+    on the clock.
     """
 
-    def __init__(self, gcds: list[GCD], slowdown: dict[int, float]) -> None:
+    def __init__(self, gcds: list[GCD]) -> None:
         self.gcds = gcds
-        self._factors = [slowdown.get(g, 1.0) for g in range(len(gcds))]
         self._marks = [g.elapsed_ms for g in gcds]
         self.elapsed_ms = 0.0
         self.comm_ms = 0.0
@@ -166,10 +165,7 @@ class _BulkSyncPod:
         self.exchange = None
 
     def step(self) -> float:
-        ms = max(
-            (g.elapsed_ms - mark) * f
-            for g, mark, f in zip(self.gcds, self._marks, self._factors)
-        )
+        ms = max(g.elapsed_ms - mark for g, mark in zip(self.gcds, self._marks))
         self._marks = [g.elapsed_ms for g in self.gcds]
         return ms
 
@@ -212,9 +208,6 @@ class PodEngine(bm.BitmapBatchEngine):
     because ``benchmarks/e2e/layers.py`` times the method in each
     class's own body.
     """
-
-    #: Per-GCD kernel-time multipliers (only the 1D pod sets any).
-    straggler_slowdown: dict[int, float] = {}
 
     def __init__(
         self,
@@ -278,7 +271,7 @@ class PodEngine(bm.BitmapBatchEngine):
 
     def _device(self):
         gcds = self._members()
-        self._pod = _BulkSyncPod(gcds, self.straggler_slowdown)
+        self._pod = _BulkSyncPod(gcds)
         return self._pod, not all(g._warm for g in gcds)
 
     def _result(self, **fields) -> PodBatchResult:
@@ -360,7 +353,6 @@ class MultiGcdBFS(PodEngine):
         interconnect: InterconnectModel = INFINITY_FABRIC,
         partition: Partition1D | None = None,
         direction_alpha: float | None = None,
-        straggler_slowdown: dict[int, float] | None = None,
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
@@ -374,18 +366,6 @@ class MultiGcdBFS(PodEngine):
         )
         if direction_alpha is not None and not 0 < direction_alpha <= 1:
             raise PartitionError("direction_alpha must be in (0, 1]")
-        if straggler_slowdown:
-            for g, f in straggler_slowdown.items():
-                if not 0 <= g < num_gcds:
-                    raise PartitionError(f"straggler gcd {g} out of range")
-                if f < 1.0:
-                    raise PartitionError("straggler factors must be >= 1")
-        #: Per-GCD kernel-time multipliers modelling degraded dies
-        #: (thermal throttling, a flaky HBM stack): in a bulk-synchronous
-        #: run every level waits for the slowest GCD, so a single
-        #: straggler poisons the whole machine — the classic BSP
-        #: sensitivity the Graph500 operations teams fight.
-        self.straggler_slowdown = dict(straggler_slowdown or {})
         self.direction_alpha = direction_alpha
         self.partition = partition or partition_by_edges(graph, num_gcds)
         if self.partition.num_vertices != graph.num_vertices:

@@ -8,8 +8,9 @@ and renders it as a one-screen table.
 
 Everything here is a pure *read*: the snapshot walks existing state
 (scheduler queue, executor breaker counters, registry accounting,
-quota ledger) without mutating any of it, so taking a snapshot never
-perturbs a replayed trace.
+quota buckets, the front door's per-tenant quota verdicts) without
+mutating any of it, so taking a snapshot never perturbs a replayed
+trace.
 """
 
 from __future__ import annotations
@@ -93,13 +94,14 @@ def cluster_health(router, *, slo=None) -> dict:
         at_ms = max(at_ms, row["now_ms"])
         replicas.append(row)
     ledger = router.quotas
+    verdicts = router.stream.quota
     quota = {
         tenant: {
             "tokens": ledger.tokens(tenant),
             "burst": ledger.quotas[tenant].burst,
             "rate_per_s": ledger.quotas[tenant].rate_per_s,
-            "admitted": ledger.admitted.get(tenant, 0),
-            "rejected": ledger.rejected.get(tenant, 0),
+            "admitted": verdicts[tenant, "admitted"],
+            "rejected": verdicts[tenant, "rejected"],
         }
         for tenant in sorted(ledger.quotas)
     }

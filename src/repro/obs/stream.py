@@ -38,6 +38,9 @@ class DecisionStream:
         self.outcomes = outcomes if outcomes is not None else []
         #: Per-kind tallies of the decisions only this stream counts.
         self.counts: Counter = Counter()
+        #: The front door's quota verdicts per tenant, keyed
+        #: ``(tenant, "admitted" | "rejected")``.
+        self.quota: Counter = Counter()
 
     # --- admission and outcomes ----------------------------------------
     def admission(self, query, verdict: str, at_ms: float, **detail) -> None:
@@ -66,6 +69,7 @@ class DecisionStream:
         """The front door rejected a query over its tenant's quota."""
         q = outcome.query
         self.outcomes.append(outcome)
+        self.quota[q.tenant, "rejected"] += 1
         self.admission(q, "rejected:quota", q.arrival_ms, tenant=q.tenant, tokens=tokens)
         self._observe(outcome, q.arrival_ms)
         self.tracer.event("cluster.quota_reject", tenant=q.tenant, qos=q.qos, qid=q.qid)
@@ -147,7 +151,9 @@ class DecisionStream:
                           inserts=query.delta.num_inserts, deletes=query.delta.num_deletes)
 
     def placement(self, query, replica: int, owner_depth: int) -> None:
-        """The ring places ``query`` on its graph's owner ``replica``."""
+        """The ring places ``query`` on its graph's owner ``replica``
+        (so it passed its tenant's quota)."""
+        self.quota[query.tenant, "admitted"] += 1
         if self.audit.enabled:
             self.audit.record("placement", query.qid, f"replica{replica}",
                               at_ms=query.arrival_ms, graph=query.graph,

@@ -47,7 +47,6 @@ from repro.errors import (
     StaleEntryError,
 )
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
-from repro.gcd.device import MI250X_GCD
 from repro.multigcd.distributed_bfs import MultiGcdBFS
 from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
@@ -205,7 +204,6 @@ class ExecutionEngine:
         self,
         *,
         metrics: ServiceMetrics | None = None,
-        scaled_cache: bool = True,
         num_gcds: int = 4,
         distributed_threshold_bytes: int | None = None,
         linalg_batch_threshold: int | None = None,
@@ -234,7 +232,6 @@ class ExecutionEngine:
                 f"linalg_batch_threshold must be in 2..{MAX_LINALG_BATCH}, "
                 f"got {linalg_batch_threshold}"
             )
-        self.scaled_cache = scaled_cache
         #: Pod width of the distributed engine (2/4/8 model one, two or
         #: four MI250X cards' worth of GCDs).
         self.num_gcds = num_gcds
@@ -536,12 +533,9 @@ class ExecutionEngine:
         slot = self._slot(entry, "device")
         device = entry.engines.get(slot)
         if device is None:
-            if self.scaled_cache:
-                from repro.experiments.common import scaled_device
+            from repro.experiments.common import scaled_device
 
-                device = scaled_device(entry.graph)
-            else:
-                device = MI250X_GCD
+            device = scaled_device(entry.graph)
             entry.engines[slot] = device
         return device
 

@@ -61,6 +61,12 @@ class Query:
     queue — they are a barrier at their arrival stamp, never produce a
     :class:`QueryOutcome`, and ``source`` is ignored (conventionally
     0).
+
+    ``first_arrival_ms`` is set only on a query the cluster re-stamped
+    for re-dispatch after a replica death: ``arrival_ms`` is then the
+    death instant, where its queueing starts over, and
+    ``first_arrival_ms`` the client's arrival, which its latency is
+    charged from.
     """
 
     qid: int
@@ -73,10 +79,16 @@ class Query:
     qos: str = "interactive"
     op: str = "bfs"
     delta: GraphDelta | None = None
+    first_arrival_ms: float | None = None
 
     @property
     def is_mutation(self) -> bool:
         return self.op == "mutate"
+
+    @property
+    def client_arrival_ms(self) -> float:
+        """When the client submitted the query."""
+        return self.arrival_ms if self.first_arrival_ms is None else self.first_arrival_ms
 
 
 @dataclass
@@ -122,8 +134,8 @@ class QueryOutcome:
 
     @property
     def latency_ms(self) -> float:
-        """Arrival-to-completion latency on the virtual clock."""
-        return self.finish_ms - self.query.arrival_ms
+        """Client-arrival-to-completion latency on the virtual clock."""
+        return self.finish_ms - self.query.client_arrival_ms
 
     @property
     def batched(self) -> bool:

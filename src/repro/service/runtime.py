@@ -102,7 +102,6 @@ class BFSService:
         default_deadline_ms: float | None = None,
         scale_factor: int = 64,
         seed: int = 0,
-        scaled_cache: bool = True,
         num_gcds: int = 4,
         distributed_threshold_mb: float | None = None,
         linalg_batch_threshold: int | None = None,
@@ -165,7 +164,6 @@ class BFSService:
             window_ms=window_ms,
             admission=self.admission,
             metrics=self.metrics,
-            scaled_cache=scaled_cache,
             fault_injector=self.fault_injector,
             recovery=recovery,
             tracer=self.tracer,

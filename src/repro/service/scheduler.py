@@ -180,7 +180,6 @@ class CoalescingScheduler:
         window_ms: float = 5.0,
         admission: AdmissionController | None = None,
         metrics: ServiceMetrics | None = None,
-        scaled_cache: bool = True,
         fault_injector=None,
         recovery: RecoveryPolicy | None = None,
         tracer: Tracer | None = None,
@@ -229,7 +228,6 @@ class CoalescingScheduler:
         #: layer does, to share pieces across replicas).
         self.executor = executor or ExecutionEngine(
             metrics=self.metrics,
-            scaled_cache=scaled_cache,
             num_gcds=num_gcds,
             distributed_threshold_bytes=distributed_threshold_bytes,
             linalg_batch_threshold=linalg_batch_threshold,

@@ -170,13 +170,21 @@ def synthetic_trace(
     mean_gap_ms: float = 1.0,
     burst: int = 8,
     deadline_ms: float | None = None,
+    tenants: int | None = None,
+    interactive_frac: float = 0.7,
 ) -> list[Query]:
     """Deterministic open-loop load: bursts of same-graph queries.
 
     Arrivals come in bursts of ``burst`` queries sharing one timestamp
     and one graph (the coalescing opportunity); gaps between bursts are
     exponential with mean ``mean_gap_ms``. Sources are uniform over
-    ``num_vertices[spec]``. Fully determined by ``seed``.
+    ``num_vertices[spec]``. With ``tenants`` set, each query also draws
+    a tenant (``t0..t{tenants-1}``) and a QoS class (interactive with
+    probability ``interactive_frac``, else batch) from the same RNG,
+    right after its source; without it no tenant or QoS value is drawn
+    and queries keep the defaults. ``deadline_ms`` pins an explicit
+    deadline on every query; ``None`` leaves deadlines to the cluster
+    router's QoS classes. Fully determined by ``seed``.
     """
     if not graphs:
         raise ServiceError("synthetic_trace needs at least one graph spec")
@@ -185,6 +193,12 @@ def synthetic_trace(
         raise ServiceError(f"num_vertices missing for specs {missing}")
     if burst < 1:
         raise ServiceError("burst must be >= 1")
+    if tenants is not None and tenants < 1:
+        raise ServiceError(f"tenants must be >= 1, got {tenants}")
+    if not 0.0 <= interactive_frac <= 1.0:
+        raise ServiceError(
+            f"interactive_frac must be in [0, 1], got {interactive_frac}"
+        )
     rng = np.random.default_rng(seed)
     queries: list[Query] = []
     t = 0.0
@@ -193,13 +207,21 @@ def synthetic_trace(
         n = int(num_vertices[spec])
         size = min(burst, num_queries - len(queries))
         for _ in range(size):
+            source = int(rng.integers(n))
+            labels = {}
+            if tenants is not None:
+                labels["tenant"] = f"t{int(rng.integers(tenants))}"
+                labels["qos"] = (
+                    "interactive" if rng.random() < interactive_frac else "batch"
+                )
             queries.append(
                 Query(
                     qid=len(queries),
                     graph=spec,
-                    source=int(rng.integers(n)),
+                    source=source,
                     arrival_ms=t,
                     deadline_ms=deadline_ms,
+                    **labels,
                 )
             )
         t += float(rng.exponential(mean_gap_ms))

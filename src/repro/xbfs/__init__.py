@@ -16,13 +16,11 @@ from repro.xbfs.classifier import (
 )
 from repro.xbfs.bitmap import BitmapBatchResult
 from repro.xbfs.common import UNVISITED
-from repro.xbfs.autotune import PARAMETER_GRID, TuneResult, autotune_classifier
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.driver import BatchResult, XBFS, XBFSResult
 from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.frontier import FrontierQueue, sorted_queue_from_mask
 from repro.xbfs.level import LevelResult
-from repro.xbfs.predictor import LevelPrediction, predict_level_costs, predict_schedule
 from repro.xbfs.repair import (
     REPAIR_MS_PER_MEDGE,
     RepairResult,
@@ -62,13 +60,7 @@ __all__ = [
     "repair_levels",
     "repair_cost_ms",
     "REPAIR_MS_PER_MEDGE",
-    "autotune_classifier",
-    "TuneResult",
-    "PARAMETER_GRID",
     "StatusArray",
-    "LevelPrediction",
-    "predict_level_costs",
-    "predict_schedule",
     "FrontierQueue",
     "sorted_queue_from_mask",
     "LevelResult",

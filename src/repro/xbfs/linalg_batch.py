@@ -28,6 +28,9 @@ product form with the adaptive classifier's frontier-density signal:
   *unvisited* remainder, the bottom-up saving XBFS gets from its α
   switch).
 
+The classifier is the only direction source; a caller that wants every
+level to pull hands in a classifier that always answers bottom-up.
+
 The level loop itself — bitmaps, counter planes, spans, the host
 product and the commit-after-sync fault replay — is the one both
 bitmap engines share (:class:`~repro.xbfs.bitmap.BitmapBatchEngine`).
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TraversalError
 from repro.faults.recovery import RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ExecConfig
@@ -74,7 +76,6 @@ MAX_LINALG_BATCH = 1024
 #: Per-level product forms.
 PUSH = "la_push"
 PULL = "la_pull"
-_DIRECTIONS = ("auto", "push", "pull")
 
 
 class LinAlgBatchBFS(bm.BitmapBatchEngine):
@@ -89,15 +90,10 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
         device: DeviceProfile = MI250X_GCD,
         config: ExecConfig | None = None,
         classifier: AdaptiveClassifier | None = None,
-        direction: str = "auto",
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
     ) -> None:
-        if direction not in _DIRECTIONS:
-            raise TraversalError(
-                f"direction must be one of {_DIRECTIONS}, got {direction!r}"
-            )
         super().__init__(
             graph, device=device, config=config, tracer=tracer,
             injector=injector, recovery=recovery,
@@ -106,10 +102,6 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
         #: signal is exactly the solo driver's (dense levels pull,
         #: sparse levels push).
         self.classifier = classifier or AdaptiveClassifier()
-        #: ``"auto"`` switches per level; ``"push"``/``"pull"`` pin the
-        #: product form (the baseline's fixed-direction story, for
-        #: ablations and the direction-boundary tests).
-        self.direction = direction
 
     @property
     def warm_bytes(self) -> int:
@@ -128,38 +120,23 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
         return self._traverse(sources)
 
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):
-        """The classifier's direction on the frontier-density signal
-        (or the pinned one); a pull level gathers every row some source
-        has not reached."""
-        ratio = frontier_edges / max(1, self.graph.num_edges)
-        if self.direction != "auto":
-            pinned = PUSH if self.direction == "push" else PULL
-            decision = Decision(
-                pinned,
-                f"direction pinned to {self.direction!r}",
-                (("ratio", ratio), ("level", level)),
-            )
-        else:
-            chosen = self.classifier.choose(
-                ratio=ratio,
-                frontier_size=int(active.size),
-                prev_frontier_size=prev_active,
-                prev_strategy=(
-                    None
-                    if prev is None
-                    else (BOTTOM_UP if prev.strategy == PULL else SINGLE_SCAN)
-                ),
-                level=level,
-                frontier_edges=frontier_edges,
-            )
-            decision = Decision(
-                PULL if chosen.strategy == BOTTOM_UP else PUSH,
-                chosen.reason,
-                chosen.signals,
-            )
-        if decision.strategy == PULL:
-            return decision, bm.occupied_rows(missing)
-        return decision, None
+        """The classifier's direction on the frontier-density signal; a
+        pull level gathers every row some source has not reached."""
+        chosen = self.classifier.choose(
+            ratio=frontier_edges / max(1, self.graph.num_edges),
+            frontier_size=int(active.size),
+            prev_frontier_size=prev_active,
+            prev_strategy=(
+                None
+                if prev is None
+                else (BOTTOM_UP if prev.strategy == PULL else SINGLE_SCAN)
+            ),
+            level=level,
+            frontier_edges=frontier_edges,
+        )
+        if chosen.strategy == BOTTOM_UP:
+            return Decision(PULL, chosen.reason, chosen.signals), bm.occupied_rows(missing)
+        return Decision(PUSH, chosen.reason, chosen.signals), None
 
     def _charge(self, gcd, level, active, cand, fresh, newly, counts):
         """One word-wide launch per level in the plan's direction

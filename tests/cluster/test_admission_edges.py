@@ -141,7 +141,7 @@ class TestBatchSubmission:
         with pytest.raises(BatchSourceError, match="cluster batch"):
             router.submit_batch("7", [], t_ms=0.0, tenant="t0")
         # No quota charged, no outcome recorded.
-        assert router.quotas.stats()["admitted"] == 0
+        assert router.report().quota_stats["admitted"] == 0
         assert router.outcomes() == []
 
     def test_duplicate_sources_rejected(self):

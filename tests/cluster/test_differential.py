@@ -9,9 +9,9 @@ bit-identical levels — and the whole cluster replay is deterministic.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterRouter, death_plan, multi_tenant_trace, run_scaleout_sweep
+from repro.cluster import ClusterRouter, death_plan, run_scaleout_sweep
 from repro.graph.generators import rmat
-from repro.service import BFSService, GraphRegistry
+from repro.service import BFSService, GraphRegistry, synthetic_trace
 from repro.xbfs.driver import XBFS
 
 SPECS = ("7", "8", "9")
@@ -23,8 +23,8 @@ def _builder(spec: str):
 
 
 def _trace(n=64, seed=0, **kwargs):
-    return multi_tenant_trace(SPECS, SIZES, num_queries=n, seed=seed,
-                              **kwargs)
+    return synthetic_trace(SPECS, SIZES, num_queries=n, seed=seed, tenants=4,
+                           **kwargs)
 
 
 def _baseline_levels(trace):

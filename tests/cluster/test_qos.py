@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.cluster import DEFAULT_QOS_CLASSES, QosClass, QuotaLedger, TenantQuota
+from repro.cluster import (
+    DEFAULT_QOS_CLASSES,
+    ClusterRouter,
+    QosClass,
+    QuotaLedger,
+    TenantQuota,
+)
 from repro.errors import ClusterError
+from repro.graph.generators import rmat
+from repro.service.request import Query
 
 
 class TestQosClass:
@@ -34,9 +42,6 @@ class TestQuotaLedger:
         assert ledger.admit("t0", 0.0)
         assert ledger.admit("t0", 0.0)
         assert not ledger.admit("t0", 0.0)  # bucket empty, no time passed
-        assert ledger.stats()["tenants"]["t0"] == {
-            "admitted": 2, "rejected": 1,
-        }
 
     def test_refill_on_virtual_clock(self):
         # 1000 tokens per virtual second = 1 token per virtual ms.
@@ -57,7 +62,6 @@ class TestQuotaLedger:
         for t in range(50):
             assert ledger.admit("free", float(t) * 1e-3)
         assert ledger.tokens("free") is None
-        assert ledger.stats()["tenants"]["free"]["admitted"] == 50
 
     def test_determinism(self):
         def run():
@@ -65,3 +69,24 @@ class TestQuotaLedger:
             return [ledger.admit("t0", i * 1.7) for i in range(40)]
 
         assert run() == run()
+
+
+class TestQuotaVerdicts:
+    def test_front_door_tallies_verdicts_per_tenant(self):
+        # The ledger only keeps buckets; the front door's decision
+        # stream counts each tenant's verdicts, quota'd or not.
+        router = ClusterRouter(
+            replicas=1, builder=lambda spec: rmat(int(spec), 8, seed=1),
+            quotas={"t0": TenantQuota(rate_per_s=1000, burst=2)},
+        )
+        tenants = ["t0", "t0", "t0", "free", "free"]
+        router.replay([Query(qid=i, graph="6", source=i, arrival_ms=0.0, tenant=t)
+                       for i, t in enumerate(tenants)])
+        stats = router.report().quota_stats
+        assert stats == {
+            "tenants": {"free": {"admitted": 2, "rejected": 0},
+                        "t0": {"admitted": 2, "rejected": 1}},
+            "admitted": 4,
+            "rejected": 1,
+        }
+        assert router.report().summary()["rejected_quota"] == 1

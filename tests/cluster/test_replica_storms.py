@@ -13,8 +13,9 @@ Across seeded storms, after *every* submission:
 
 import pytest
 
-from repro.cluster import ClusterRouter, death_plan, multi_tenant_trace
+from repro.cluster import ClusterRouter, death_plan
 from repro.errors import AdmissionError
+from repro.service.trace import synthetic_trace
 
 SPECS = ("6", "7", "8")
 SIZES = {spec: 1 << int(spec) for spec in SPECS}
@@ -44,8 +45,8 @@ def _check_invariants(router: ClusterRouter) -> None:
 
 @pytest.mark.parametrize("storm_seed", range(6))
 def test_death_storm_preserves_invariants(storm_seed):
-    trace = multi_tenant_trace(SPECS, SIZES, num_queries=40,
-                               seed=storm_seed, burst=6, mean_gap_ms=4.0)
+    trace = synthetic_trace(SPECS, SIZES, num_queries=40, seed=storm_seed,
+                            burst=6, mean_gap_ms=4.0, tenants=4)
     router = ClusterRouter(
         replicas=3,
         builder=_builder,
@@ -79,8 +80,8 @@ def test_storms_actually_kill_replicas():
     # revivals and re-placements all occur somewhere.
     deaths = revivals = replaced = 0
     for seed in range(6):
-        trace = multi_tenant_trace(SPECS, SIZES, num_queries=40,
-                                   seed=seed, burst=6, mean_gap_ms=4.0)
+        trace = synthetic_trace(SPECS, SIZES, num_queries=40, seed=seed,
+                                burst=6, mean_gap_ms=4.0, tenants=4)
         router = ClusterRouter(
             replicas=3, builder=_builder, workers=1, window_ms=5.0,
             steal_threshold=2,

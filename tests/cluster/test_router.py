@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterRouter, QosClass, multi_tenant_trace
+from repro.cluster import ClusterRouter, QosClass
 from repro.errors import ClusterError, MutationError
 from repro.graph.delta import GraphDelta, apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.graph.stats import bfs_levels_reference
 from repro.service.request import Query
+from repro.service.trace import synthetic_trace
 from repro.telemetry import CounterRegistry, Tracer, write_prometheus
 
 SPECS = ("7", "8", "9")
@@ -27,9 +28,9 @@ def make_router(**kwargs) -> ClusterRouter:
     return ClusterRouter(**kwargs)
 
 
-def _trace(n=48, seed=0, **kwargs):
-    return multi_tenant_trace(SPECS, SIZES, num_queries=n, seed=seed,
-                              **kwargs)
+def _trace(n=48, seed=0, tenants=4, **kwargs):
+    return synthetic_trace(SPECS, SIZES, num_queries=n, seed=seed,
+                           tenants=tenants, **kwargs)
 
 
 class TestRouting:
@@ -298,9 +299,9 @@ class TestClusterMutation:
             router.submit(self._mutate_query(
                 random_delta(_builder("7"), num_inserts=1, seed=10 + i),
                 qid=i, t_ms=float(i)))
-        # Six barriers: the quota ledger never saw them, nothing served
-        # or rejected, one front-door trace event each.
-        assert router.quotas.admitted == {}
+        # Six barriers: no quota verdict, nothing served or rejected,
+        # one front-door trace event each.
+        assert router.report().quota_stats == {"tenants": {}, "admitted": 0, "rejected": 0}
         assert router.outcomes() == []
         assert router.rejected_outcomes == []
         events = [e for e in tracer.events if e.name == "cluster.mutate"]

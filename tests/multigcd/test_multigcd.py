@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
+from repro.faults import FaultPlan, FaultRule
 from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import (
     INFINITY_FABRIC,
@@ -261,37 +262,37 @@ class TestDirectionOptimized:
 
 
 class TestStraggler:
-    """Bulk-synchronous sensitivity to one degraded GCD."""
+    """Bulk-synchronous sensitivity to one degraded member.
+
+    A ``latency`` rule on ``gcd.launch`` that fires once, on the
+    ``after``-th launch visit, slows exactly one member's launch. A cold
+    1D pod's first level launches every member in member order, so
+    ``after=g`` degrades member ``g``'s first launch."""
+
+    @staticmethod
+    def _straggler(member: int, factor: float = 4.0):
+        return FaultPlan(seed=0, name="straggler", rules=(
+            FaultRule(site="gcd.launch", kind="latency", magnitude=factor,
+                      after=member, max_triggers=1),
+        )).injector()
 
     def test_one_straggler_slows_whole_run(self, social_graph):
         source = int(np.argmax(social_graph.degrees))
-        healthy = MultiGcdBFS(social_graph, 4)
-        healthy.run_batch([source])
-        base = healthy.run_batch([source])
-        degraded = MultiGcdBFS(
-            social_graph, 4, straggler_slowdown={2: 4.0}
-        )
-        degraded.run_batch([source])
-        slow = degraded.run_batch([source])
+        base = MultiGcdBFS(social_graph, 4).run_batch([source])
+        slow = MultiGcdBFS(
+            social_graph, 4, injector=self._straggler(2)
+        ).run_batch([source])
         assert slow.elapsed_ms > base.elapsed_ms
         assert np.array_equal(slow.levels, base.levels)
 
     def test_slowdown_bounded_by_factor(self, social_graph):
         """One 4x straggler cannot slow compute more than 4x."""
         source = int(np.argmax(social_graph.degrees))
-        healthy = MultiGcdBFS(social_graph, 4)
-        healthy.run_batch([source])
-        base = healthy.run_batch([source])
-        degraded = MultiGcdBFS(social_graph, 4, straggler_slowdown={0: 4.0})
-        degraded.run_batch([source])
-        slow = degraded.run_batch([source])
-        assert slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
-
-    def test_validation(self, small_rmat):
-        with pytest.raises(PartitionError, match="out of range"):
-            MultiGcdBFS(small_rmat, 2, straggler_slowdown={5: 2.0})
-        with pytest.raises(PartitionError, match=">= 1"):
-            MultiGcdBFS(small_rmat, 2, straggler_slowdown={0: 0.5})
+        base = MultiGcdBFS(social_graph, 4).run_batch([source])
+        slow = MultiGcdBFS(
+            social_graph, 4, injector=self._straggler(0)
+        ).run_batch([source])
+        assert base.compute_ms < slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
 
 
 class TestRunBatch:
@@ -321,10 +322,13 @@ class TestRunBatch:
         assert batch.comm_ms + batch.compute_ms <= batch.elapsed_ms + 1e-9
 
     def test_straggler_slows_the_batch_not_its_answers(self, social_graph):
-        # Each level waits for the slowest member, times its factor.
+        # Each level waits for the slowest member: one 4x launch on
+        # member 0 (see TestStraggler).
         sources = np.array([0, 1, 2], dtype=np.int64)
         base = MultiGcdBFS(social_graph, 4).run_batch(sources)
-        slow = MultiGcdBFS(social_graph, 4, straggler_slowdown={0: 4.0}).run_batch(sources)
+        slow = MultiGcdBFS(
+            social_graph, 4, injector=TestStraggler._straggler(0)
+        ).run_batch(sources)
         assert base.compute_ms < slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
         assert np.array_equal(slow.levels, base.levels)
 

@@ -21,12 +21,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import ClusterRouter, TenantQuota, multi_tenant_trace
+from repro.cluster import ClusterRouter, TenantQuota
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
 from repro.graph.delta import random_delta
 from repro.graph.generators import rmat
 from repro.obs import AuditLog, SloEngine, SloSpec
-from repro.service import Query
+from repro.service import Query, synthetic_trace
 from repro.telemetry import Tracer
 
 CHURN_SPECS = ("7", "8", "9")
@@ -52,7 +52,7 @@ def fingerprint_run():
         SloSpec(name="batch", latency_target_ms=200.0, objective=0.95, qos="batch"),
     ], tracer=tracer)
     sizes = {"rmat:10": 1024, "rmat:11": 2048}
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         list(sizes), sizes, num_queries=64, seed=29, tenants=2,
         interactive_frac=0.6, mean_gap_ms=1.0, burst=6,
     )
@@ -90,7 +90,7 @@ def churn_run():
                                 breaker_cooldown=2),
         fault_plan=plan, tracer=tracer, audit=audit, slo=slo,
     )
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         CHURN_SPECS, {s: 1 << int(s) for s in CHURN_SPECS}, num_queries=160,
         seed=11, tenants=3, mean_gap_ms=2.0, burst=8,
     )

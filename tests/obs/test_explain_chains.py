@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import ClusterRouter
 from repro.obs import AuditLog
+from repro.service.trace import synthetic_trace
 
 GRAPH = "rmat:10"
 
@@ -116,7 +117,7 @@ def test_solo_chain_has_strategy_decisions():
 
 
 def test_steal_and_quota_stages_appear_when_triggered():
-    from repro.cluster import TenantQuota, multi_tenant_trace
+    from repro.cluster import TenantQuota
 
     audit = AuditLog()
     sizes = {"rmat:9": 512, "rmat:10": 1024}
@@ -128,7 +129,7 @@ def test_steal_and_quota_stages_appear_when_triggered():
         quotas={"t0": TenantQuota(rate_per_s=200, burst=2)},
         audit=audit,
     )
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         list(sizes), sizes, num_queries=64, seed=3, tenants=2,
     )
     router.replay(trace)

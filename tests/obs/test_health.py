@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.cluster import ClusterRouter, TenantQuota, multi_tenant_trace
+from repro.cluster import ClusterRouter, TenantQuota
 from repro.obs import (
     SloEngine,
     SloSpec,
@@ -66,7 +66,7 @@ def _cluster():
         quotas={"t0": TenantQuota(rate_per_s=500, burst=4)},
         slo=slo,
     )
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         list(SIZES), SIZES, num_queries=48, seed=11, tenants=3,
     )
     router.replay(trace)

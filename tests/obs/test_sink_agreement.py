@@ -3,12 +3,18 @@
 On the churn replay (``conftest.py``) each fact is read back from every
 sink that records it: the cluster report, the replicas' service metrics,
 the audit rows, the SLO totals and the trace point events. Any two that
-disagree fail here.
+disagree fail here. A two-query replay with one replica death checks the
+latency every sink charges a re-dispatched query.
 """
 
 from collections import Counter
 
 import pytest
+
+from repro.cluster import ClusterRouter, death_plan
+from repro.graph.generators import rmat
+from repro.obs import AuditLog, SloEngine, SloSpec, cluster_health
+from repro.service.request import Query
 
 
 def _audit(run, stage):
@@ -111,3 +117,62 @@ def test_mutations_agree(churn_run):
     # One row and one event per replica the barrier reached alive.
     applied = _events(churn_run)["registry.mutate"]
     assert sum(_audit(churn_run, "mutation").values()) == applied > 0
+
+
+def test_quota_tallies_are_pinned(churn_run):
+    # The front door's stream tallies each tenant's quota verdicts; the
+    # report and ``repro top`` read them there. The values are the ones
+    # the retired ledger counted on this replay.
+    summary = churn_run.report.summary()
+    assert summary["rejected_quota"] == 47
+    assert summary["quota"] == {
+        "tenants": {
+            "t0": {"admitted": 10, "rejected": 47},
+            "t1": {"admitted": 56, "rejected": 0},
+            "t2": {"admitted": 47, "rejected": 0},
+        },
+        "admitted": 113,
+        "rejected": 47,
+    }
+    top = cluster_health(churn_run.router, slo=churn_run.slo)["quota"]
+    assert top == {"t0": {"admitted": 10, "rejected": 47, "burst": 4,
+                          "rate_per_s": 200, "tokens": pytest.approx(0.8721506120438132)}}
+    rows = Counter(r.detail["tenant"] for r in churn_run.audit.records
+                   if r.stage == "admission" and r.decision == "rejected:quota")
+    assert rows == {t: v["rejected"] for t, v in summary["quota"]["tenants"].items()
+                    if v["rejected"]}
+
+
+def test_redispatched_latency_agrees():
+    """A query re-dispatched after a replica death is charged from the
+    client's arrival by every sink: two replicas, one query on graph 7
+    at 0 ms, one on graph 8 at 2 ms; replica death on the third probe
+    moves query 0, re-stamped to 2 ms, to the survivor."""
+    audit = AuditLog()
+    # Good up to 21 ms: the second leg alone (20.128 ms) would pass.
+    slo = SloEngine([SloSpec("all", 21.0, objective=0.5)])
+    router = ClusterRouter(
+        replicas=2, workers=1, window_ms=5.0,
+        builder=lambda spec: rmat(int(spec), 8, seed=int(spec)),
+        fault_plan=death_plan(probability=1.0, max_triggers=1, after=2),
+        audit=audit, slo=slo,
+    )
+    report = router.replay([
+        Query(qid=0, graph="7", source=1, arrival_ms=0.0),
+        Query(qid=1, graph="8", source=1, arrival_ms=2.0),
+    ])
+    assert report.counters["redispatched_queries"] == 1
+    (outcome,) = [o for o in report.served if o.query.qid == 0]
+    assert outcome.query.arrival_ms == 2.0
+    assert outcome.query.first_arrival_ms == 0.0
+    expected = pytest.approx(22.128, abs=5e-4)
+    assert outcome.latency_ms == expected
+    assert report.latency_of(outcome) == outcome.latency_ms
+    assert report.arrival0[0] == 0.0
+    (row,) = [r for r in audit.records if r.stage == "outcome" and r.qid == 0]
+    assert row.detail["latency_ms"] == outcome.latency_ms
+    survivor = next(r for r in router.replicas if r.alive)
+    assert survivor.service.metrics.latency_sum == pytest.approx(
+        sum(o.latency_ms for o in survivor.outcomes if o.served))
+    assert 0 in {o.query.qid for o in survivor.outcomes}
+    assert slo.status()[0]["bad"] == sum(o.latency_ms > 21.0 for o in report.served)

@@ -1,5 +1,8 @@
 """Tests for JSONL trace round-trip and synthetic generation."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.errors import ServiceError
@@ -105,3 +108,46 @@ class TestSynthetic:
             synthetic_trace(["zzz"], {}, num_queries=1)
         with pytest.raises(ServiceError):
             synthetic_trace(["a"], self.SIZES, num_queries=1, burst=0)
+        with pytest.raises(ServiceError, match="tenants"):
+            synthetic_trace(["a"], self.SIZES, num_queries=1, tenants=0)
+        with pytest.raises(ServiceError, match="interactive_frac"):
+            synthetic_trace(["a"], self.SIZES, num_queries=1, tenants=2,
+                            interactive_frac=1.5)
+
+    def test_no_tenants_draws_no_labels(self):
+        trace = synthetic_trace(["a", "b"], self.SIZES, num_queries=20, seed=5)
+        assert {(q.tenant, q.qos) for q in trace} == {("default", "interactive")}
+
+    def test_tenants_and_qos_drawn(self):
+        trace = synthetic_trace(["a", "b"], self.SIZES, num_queries=200, seed=5,
+                                tenants=3, interactive_frac=0.5)
+        assert {q.tenant for q in trace} == {"t0", "t1", "t2"}
+        assert {q.qos for q in trace} == {"interactive", "batch"}
+        assert all(q.qos == "interactive" for q in synthetic_trace(
+            ["a"], self.SIZES, num_queries=30, seed=5, tenants=2,
+            interactive_frac=1.0))
+
+
+#: Stream pins: CRC-32 of each query's (qid, graph, source, arrival,
+#: deadline, tenant, QoS) as JSON. The single-tenant streams (no
+#: ``tenants``) and the multi-tenant ones (the draw order source, tenant,
+#: QoS per query) are the streams the seeded replays, benches and
+#: fingerprints were recorded on; a changed draw fails here.
+SIZES3 = {"rmat:10": 1024, "rmat:11": 2048, "rmat:12": 4096}
+STREAM_CRC = [
+    (dict(num_queries=200, seed=3), 1430334910),
+    (dict(num_queries=97, seed=11, mean_gap_ms=0.5, burst=5, deadline_ms=20.0),
+     1935211578),
+    (dict(num_queries=200, seed=3, tenants=4), 2919995358),
+    (dict(num_queries=97, seed=11, tenants=3, interactive_frac=0.4,
+          mean_gap_ms=0.5, burst=5, deadline_ms=20.0), 3220291404),
+]
+
+
+@pytest.mark.parametrize("kwargs, crc", STREAM_CRC,
+                         ids=["single", "single-deadline", "tenants", "tenants-deadline"])
+def test_stream_is_pinned(kwargs, crc):
+    trace = synthetic_trace(list(SIZES3), SIZES3, **kwargs)
+    rows = [(q.qid, q.graph, q.source, q.arrival_ms, q.deadline_ms, q.tenant, q.qos)
+            for q in trace]
+    assert zlib.crc32(json.dumps(rows).encode()) == crc

@@ -39,6 +39,8 @@ from repro.xbfs.common import gather_adjacency
 from repro.xbfs.concurrent import ConcurrentBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
 
+from .directions import PULL_ONLY, PUSH_ONLY
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 from bench_linalg_batch import cliffs, modelled_grid  # noqa: E402
 
@@ -47,8 +49,8 @@ _PULL = {"la_pull", "bottom_up"}
 
 _ENGINES = {
     "concurrent": lambda g: ConcurrentBFS(g),
-    "linalg-push": lambda g: LinAlgBatchBFS(g, direction="push"),
-    "linalg-pull": lambda g: LinAlgBatchBFS(g, direction="pull"),
+    "linalg-push": lambda g: LinAlgBatchBFS(g, classifier=PUSH_ONLY),
+    "linalg-pull": lambda g: LinAlgBatchBFS(g, classifier=PULL_ONLY),
     "linalg-auto": lambda g: LinAlgBatchBFS(g),
     "multigcd": lambda g: MultiGcdBFS(g, 4),
     "multigcd-mixed": lambda g: MultiGcdBFS(g, 4, direction_alpha=0.05),
@@ -154,7 +156,7 @@ def test_both_directions_are_covered():
     single-GCD engine and one pod."""
     graph = rmat(9, 8, seed=5)
     sources = pick_sources(graph, 8, seed=3)
-    assert "la_pull" in LinAlgBatchBFS(graph, direction="pull").run(sources).directions
+    assert "la_pull" in LinAlgBatchBFS(graph, classifier=PULL_ONLY).run(sources).directions
     mixed = MultiGcdBFS(graph, 4, direction_alpha=0.05).run_batch(sources)
     assert {"top_down", "bottom_up"} <= set(mixed.directions)
 

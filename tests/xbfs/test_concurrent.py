@@ -17,6 +17,8 @@ from repro.xbfs.concurrent import (
 from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
 
+from .directions import BY_MODE
+
 #: Widest property batch: three bitmap words for the linalg engine.
 _MAX_PROPERTY_SOURCES = 130
 
@@ -210,7 +212,7 @@ class TestPropertyEquivalence:
             sources = sources[:MAX_CONCURRENT]
             bfs = ConcurrentBFS(graph)
         else:
-            bfs = LinAlgBatchBFS(graph, direction=direction)
+            bfs = LinAlgBatchBFS(graph, classifier=BY_MODE[direction])
         result = bfs.run(np.asarray(sources))
         _assert_matches_oracle(
             graph, sources, result,

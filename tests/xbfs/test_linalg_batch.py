@@ -22,6 +22,8 @@ from repro.xbfs.linalg_batch import (
     LinAlgBatchBFS,
 )
 
+from .directions import BY_MODE, PUSH_ONLY
+
 
 def _bounded_plan(triggers=3, seed=11):
     return FaultPlan(seed=seed, rules=(
@@ -130,7 +132,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("direction", ["auto", "push", "pull"])
     def test_direction_modes_bit_identical(self, small_rmat, direction):
         sources = pick_sources(small_rmat, 96, seed=1)
-        result = LinAlgBatchBFS(small_rmat, direction=direction).run(sources)
+        result = LinAlgBatchBFS(small_rmat, classifier=BY_MODE[direction]).run(sources)
         for i, s in enumerate(sources.tolist()):
             assert np.array_equal(
                 result.levels[i], bfs_levels_reference(small_rmat, s)
@@ -225,10 +227,6 @@ class TestValidation:
         with pytest.raises(BatchSourceError, match="linalg_batch"):
             LinAlgBatchBFS(medium_rmat).run(np.arange(MAX_LINALG_BATCH + 1))
 
-    def test_bad_direction_rejected(self, small_rmat):
-        with pytest.raises(TraversalError, match="direction"):
-            LinAlgBatchBFS(small_rmat, direction="sideways")
-
 
 class TestSharingAndAccounting:
     def test_sharing_factor_grows_with_batch(self, small_rmat):
@@ -251,7 +249,7 @@ class TestSharingAndAccounting:
         # A private copy: the shared fixture's memoized reverse may
         # already exist from other tests.
         graph = CSRGraph(small_rmat.row_offsets, small_rmat.col_indices)
-        engine = LinAlgBatchBFS(graph, direction="push")
+        engine = LinAlgBatchBFS(graph, classifier=PUSH_ONLY)
         engine.run(pick_sources(graph, 32, seed=4))
         assert "rev" not in graph._cache
 
@@ -260,10 +258,10 @@ class TestFaultRecovery:
     @pytest.mark.parametrize("direction", ["auto", "push", "pull"])
     def test_recovered_levels_identical(self, small_rmat, direction):
         sources = pick_sources(small_rmat, 100, seed=6)
-        clean = LinAlgBatchBFS(small_rmat, direction=direction).run(sources)
+        clean = LinAlgBatchBFS(small_rmat, classifier=BY_MODE[direction]).run(sources)
         plan = _bounded_plan()
         faulted = LinAlgBatchBFS(
-            small_rmat, direction=direction, injector=plan.injector()
+            small_rmat, classifier=BY_MODE[direction], injector=plan.injector()
         ).run(sources)
         assert faulted.level_restarts > 0
         assert np.array_equal(faulted.levels, clean.levels)
@@ -299,7 +297,7 @@ class TestFaultRecovery:
             bfs = ConcurrentBFS(small_rmat, injector=injector)
         else:
             bfs = LinAlgBatchBFS(
-                small_rmat, direction=direction, injector=injector
+                small_rmat, classifier=BY_MODE[direction], injector=injector
             )
         result = bfs.run(pick_sources(small_rmat, k, seed=6))
         assert (result.level_restarts, result.elapsed_ms) == pinned

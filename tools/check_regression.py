@@ -320,9 +320,9 @@ def run_cluster_fingerprint() -> dict:
         ClusterRouter,
         TenantQuota,
         death_plan,
-        multi_tenant_trace,
     )
     from repro.faults import levels_fingerprint
+    from repro.service.trace import synthetic_trace
 
     entries = []
     for name in sorted(cluster.__all__):
@@ -336,7 +336,7 @@ def run_cluster_fingerprint() -> dict:
     surface_blob = "\n".join(entries).encode()
 
     sizes = {"rmat:10": 1024, "rmat:11": 2048, "rmat:12": 4096}
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         list(sizes), sizes, num_queries=96, seed=23, tenants=3,
         interactive_frac=0.7, mean_gap_ms=1.0, burst=8,
     )
@@ -378,9 +378,10 @@ def run_obs_fingerprint() -> dict:
     import zlib
 
     import repro.obs as obs
-    from repro.cluster import ClusterRouter, TenantQuota, multi_tenant_trace
+    from repro.cluster import ClusterRouter, TenantQuota
     from repro.faults import levels_fingerprint
     from repro.obs import AuditLog, SloEngine, SloSpec
+    from repro.service.trace import synthetic_trace
 
     entries = []
     for name in sorted(obs.__all__):
@@ -401,7 +402,7 @@ def run_obs_fingerprint() -> dict:
                 qos="batch"),
     ])
     sizes = {"rmat:10": 1024, "rmat:11": 2048}
-    trace = multi_tenant_trace(
+    trace = synthetic_trace(
         list(sizes), sizes, num_queries=64, seed=29, tenants=2,
         interactive_frac=0.6, mean_gap_ms=1.0, burst=6,
     )

@@ -51,8 +51,6 @@ MODULES = [
     "repro.xbfs.bitmap",
     "repro.xbfs.linalg_batch",
     "repro.xbfs.tuning",
-    "repro.xbfs.autotune",
-    "repro.xbfs.predictor",
     "repro.xbfs.repair",
     "repro.baselines.serial",
     "repro.baselines.gunrock",

@@ -24,7 +24,9 @@
 #                                 # hooks on its batches
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
-#                                 # death, work stealing) + the
+#                                 # death, work stealing), the pinned
+#                                 # synthetic trace streams it replays
+#                                 # (single- and multi-tenant) + the
 #                                 # scale-out bench
 #   tools/run_tests.sh linalg     # the bitmap tier: both engines on
 #                                 # the shared bitmap level loop
@@ -64,7 +66,9 @@
 #                                 # bounded-metrics sketch, health):
 #                                 # the pinned audit and trace streams
 #                                 # of two cluster replays, the sink
-#                                 # agreement check, the obs-on/off
+#                                 # agreement check (per-tenant quota
+#                                 # tallies and a re-dispatched query's
+#                                 # client latency included), the obs-on/off
 #                                 # differential wall, the explain-chain
 #                                 # contract, the executor's per-tier
 #                                 # audit and direction-record contract
@@ -110,7 +114,7 @@ case "$tier" in
       "tests/faults/test_driver_recovery.py::TestMultiGcdFaults" -m "not slow" "$@"
     ;;
   cluster)
-    python -m pytest tests/cluster "$@"
+    python -m pytest tests/cluster "tests/service/test_trace.py::test_stream_is_pinned" "$@"
     python -m pytest benchmarks/bench_cluster_scaleout.py benchmarks/bench_routing.py -s "$@"
     ;;
   linalg)
