@@ -20,8 +20,6 @@ The subcommands cover the common workflows without writing Python:
   insert-only deltas are served by incremental BFS repair).
 * ``repro service-bench``— synthetic open-loop load through the same
   runtime.
-* ``repro chaos-bench``  — seeded fault-plan sweep; recovered answers
-  must stay bit-identical.
 * ``repro cluster-bench``— replica-count scale-out sweep of the
   sharded multi-tenant cluster (``repro.cluster``) with optional
   replica-death storms, checked against the single-service oracle.
@@ -477,92 +475,6 @@ def _export_obs(service, args: argparse.Namespace) -> None:
         print(slo.render())
 
 
-def _cmd_chaos_bench(args: argparse.Namespace) -> int:
-    """Sweep seeded fault plans over one synthetic trace.
-
-    Every plan replays the *same* trace through a fresh service; served
-    levels are fingerprinted against the fault-free baseline replay.
-    The whole sweep is a pure function of (--seed, --plan-seed,
-    --plans, trace shape), so repeated runs print identical reports.
-    """
-    from repro.faults import levels_fingerprint, sweep_plans
-    from repro.service import BFSService, synthetic_trace
-
-    def build_service(fault_plan=None):
-        service = BFSService(
-            memory_budget_mb=args.memory_budget_mb,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            window_ms=args.window_ms,
-            max_queue_depth=args.queue_depth,
-            default_deadline_ms=args.deadline_ms,
-            scale_factor=args.scale_factor,
-            seed=args.seed,
-            num_gcds=args.num_gcds,
-            distributed_threshold_mb=args.distributed_threshold,
-            linalg_batch_threshold=args.linalg_batch_threshold,
-            partition=args.partition,
-            fault_plan=fault_plan,
-        )
-        return service
-
-    specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
-    sizes = {}
-    probe = build_service()
-    for spec in specs:
-        entry, _ = probe.registry.get(spec)
-        sizes[spec] = entry.graph.num_vertices
-    queries = synthetic_trace(
-        specs, sizes, num_queries=args.queries, seed=args.seed,
-        mean_gap_ms=args.gap_ms, burst=args.burst,
-        deadline_ms=args.deadline_ms,
-    )
-
-    # Fault-free baseline: qid -> levels fingerprint.
-    baseline = build_service().replay(queries)
-    expected = {
-        o.query.qid: levels_fingerprint(o.levels) for o in baseline.served
-    }
-
-    plans = sweep_plans(args.plans, base_seed=args.plan_seed)
-    rows = []
-    summaries = []
-    identical = 0
-    for plan in plans:
-        report = build_service(fault_plan=plan).replay(queries)
-        got = {
-            o.query.qid: levels_fingerprint(o.levels) for o in report.served
-        }
-        # Admission decisions may legitimately differ under queue
-        # pressure; every query served by BOTH runs must match bitwise.
-        shared = sorted(set(expected) & set(got))
-        mismatched = [q for q in shared if expected[q] != got[q]]
-        ok = not mismatched
-        identical += ok
-        s = report.metrics
-        rows.append(
-            f"  {plan.name:<12} faults={s.faults_injected:<4} "
-            f"retries={s.retries:<3} fallbacks={s.fallbacks:<3} "
-            f"level_restarts={s.level_restarts:<3} "
-            f"breaker_trips={s.breaker_trips:<2} "
-            f"served={s.served:<4} "
-            f"{'identical' if ok else 'MISMATCH ' + str(mismatched[:4])}"
-        )
-        summary = report.summary(plan.name)
-        summary["bit_identical"] = int(ok)
-        summaries.append(summary)
-    print(f"chaos-bench: {len(plans)} fault plans x {len(queries)} queries "
-          f"over {len(specs)} graphs")
-    print("\n".join(rows))
-    print(f"bit-identical under recovery: {identical}/{len(plans)} plans")
-    if args.out:
-        from repro.metrics.results_io import save_results
-
-        save_results(summaries, args.out)
-        print(f"wrote chaos summaries to {args.out}")
-    return 0 if identical == len(plans) else 1
-
-
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     """Sweep replica counts over one open-loop multi-tenant trace.
 
@@ -957,25 +869,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(bench)
     _add_obs_args(bench)
     bench.set_defaults(func=_cmd_service_bench)
-
-    chaos = sub.add_parser(
-        "chaos-bench",
-        help="sweep seeded fault plans over a synthetic trace and check "
-        "every recovered answer stays bit-identical",
-    )
-    chaos.add_argument("--graphs", default="rmat:9,rmat:10",
-                       help="comma-separated graph specs")
-    chaos.add_argument("--queries", type=int, default=48)
-    chaos.add_argument("--burst", type=int, default=4,
-                       help="same-graph queries per arrival burst")
-    chaos.add_argument("--gap-ms", type=float, default=1.0,
-                       help="mean inter-burst gap (virtual ms)")
-    chaos.add_argument("--plans", type=int, default=8,
-                       help="seeded fault plans to sweep")
-    chaos.add_argument("--plan-seed", type=int, default=0,
-                       help="base seed of the plan sweep")
-    _add_service_args(chaos)
-    chaos.set_defaults(func=_cmd_chaos_bench)
 
     cluster = sub.add_parser(
         "cluster-bench",

@@ -94,14 +94,13 @@ class PlacementMap:
         replica_ids: Iterable[int],
         *,
         size_of: Callable[[str], int] | None = None,
-        vnodes: int = 64,
         balance_factor: float = 1.5,
     ) -> None:
         if balance_factor < 1.0:
             raise ClusterError(
                 f"balance_factor must be >= 1.0, got {balance_factor}"
             )
-        self.ring = HashRing(vnodes)
+        self.ring = HashRing()
         self.size_of = size_of
         self.balance_factor = balance_factor
         #: spec → owning replica id; sticky until the owner dies.

@@ -48,7 +48,7 @@ from repro.obs.stream import DecisionStream
 from repro.service.request import Query, QueryOutcome
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.cluster.placement import PlacementMap
-from repro.cluster.qos import DEFAULT_QOS_CLASSES, QosClass, QuotaLedger, TenantQuota
+from repro.cluster.qos import DEFAULT_QOS_CLASSES, QuotaLedger, TenantQuota
 from repro.cluster.replica import Replica
 from repro.cluster.report import ClusterReport
 
@@ -63,10 +63,8 @@ class ClusterRouter:
         *,
         replicas: int = 2,
         quotas: Mapping[str, TenantQuota] | None = None,
-        qos_classes: Mapping[str, QosClass] | None = None,
         steal_threshold: int | None = 8,
         balance_factor: float = 1.5,
-        vnodes: int = 64,
         memory_budget_mb: float = 256.0,
         workers: int = 2,
         max_batch: int | None = None,
@@ -146,11 +144,7 @@ class ClusterRouter:
         self.placement = PlacementMap(
             range(replicas),
             size_of=lambda spec: shared_builder(spec).memory_bytes,
-            vnodes=vnodes,
             balance_factor=balance_factor,
-        )
-        self.qos_classes: dict[str, QosClass] = dict(
-            qos_classes or DEFAULT_QOS_CLASSES
         )
         self.quotas = QuotaLedger(quotas)
         #: Front-door rejections (quota) — replica-level rejections live
@@ -195,11 +189,11 @@ class ClusterRouter:
             self._broadcast_mutation(query)
             return
 
-        qos = self.qos_classes.get(query.qos)
+        qos = DEFAULT_QOS_CLASSES.get(query.qos)
         if qos is None:
             raise ClusterError(
                 f"query {query.qid}: unknown QoS class {query.qos!r}; "
-                f"known: {sorted(self.qos_classes)}"
+                f"known: {sorted(DEFAULT_QOS_CLASSES)}"
             )
         if query.deadline_ms is None and qos.default_deadline_ms is not None:
             query = replace(query, deadline_ms=qos.default_deadline_ms)

@@ -1,12 +1,12 @@
-"""Chaos-harness building blocks shared by tests, CLI and benchmarks.
+"""Chaos-harness building blocks shared by tests, tools and benchmarks.
 
 Differential chaos testing needs three things: a *family* of seeded
 fault plans to sweep (:func:`sweep_plans`), a compact equality witness
 for BFS output (:func:`levels_fingerprint`), and a way to classify one
 faulted run against its fault-free twin
-(:func:`differential_outcome`). The pytest fixture in
-``tests/faults/conftest.py`` and the ``repro chaos-bench`` subcommand
-are both thin wrappers over these.
+(:func:`differential_outcome`). The ``chaos_check`` fixture in
+``tests/faults/conftest.py`` wraps these per engine, and the serving
+fault tests sweep :func:`sweep_plans` through ``BFSService``.
 
 The invariant every consumer asserts is the package's fault-tolerance
 contract: **whenever recovery succeeds, the faulted run's levels (and

@@ -12,7 +12,8 @@ dispatch takes one path through :class:`ExecutionEngine`:
    the deltas since them allow it;
 2. **picker** — else name the tier, first match wins: the multi-GCD
    pod (``multigcd``, or ``grid2d`` with the 2D partition) when the CSR
-   outgrows ``distributed_threshold_bytes``; ``linalg_batch`` when a
+   outgrows ``distributed_threshold_bytes`` (the 1D pod only when the
+   graph has a vertex per GCD); ``linalg_batch`` when a
    batch reaches ``linalg_batch_threshold`` distinct sources or
    outgrows the 64-slot concurrent word; ``concurrent`` for any other
    coalesced batch; ``solo`` XBFS for the rest;
@@ -212,7 +213,6 @@ class ExecutionEngine:
         recovery: RecoveryPolicy | None = None,
         tracer: Tracer | None = None,
         audit=None,
-        repair_max_fraction: float = DEFAULT_REPAIR_MAX_FRACTION,
     ) -> None:
         if num_gcds < 1:
             raise ServiceError(f"num_gcds must be >= 1, got {num_gcds}")
@@ -257,11 +257,6 @@ class ExecutionEngine:
         self._fault_streak = 0
         #: Dispatches the open circuit breaker still routes serially.
         self._breaker_cooldown_left = 0
-        #: Repair-vs-recompute policy knob (see
-        #: :data:`DEFAULT_REPAIR_MAX_FRACTION`). 0 disables the tier.
-        if repair_max_fraction < 0:
-            raise ServiceError("repair_max_fraction must be >= 0")
-        self.repair_max_fraction = repair_max_fraction
 
     # ------------------------------------------------------------------
     def run(
@@ -393,11 +388,13 @@ class ExecutionEngine:
         k = len(sources)
         size_cut = self.distributed_threshold_bytes
         width_cut = self.linalg_batch_threshold
+        tier = "grid2d" if self.partition == "2d" else "multigcd"
         if (default_surface and self.num_gcds >= 2
-                and size_cut is not None and footprint > size_cut):
+                and size_cut is not None and footprint > size_cut
+                and (tier == "grid2d" or entry.graph.num_vertices >= self.num_gcds)):
             # Graph size dominates: a CSR that outgrows one GCD's
             # residency also outgrows the single-GCD bitmap engine.
-            tier = "grid2d" if self.partition == "2d" else "multigcd"
+            # The 1D pod needs a vertex per GCD; the grid does not.
             return tier, dict(
                 footprint_bytes=footprint, distributed_threshold_bytes=size_cut,
                 num_gcds=self.num_gcds, partition=self.partition, batch=k,
@@ -447,16 +444,14 @@ class ExecutionEngine:
         when the graph has been mutated (version > 0), every source
         has a cached basis, the deltas since each basis are
         insert-only, and the cumulative insert batch stays under
-        ``repair_max_fraction`` of the mutated graph's edges. Any
-        declined gate (on a mutated graph) lands one ``repair`` audit
-        record explaining why the dispatch recomputed.
+        :data:`DEFAULT_REPAIR_MAX_FRACTION` of the mutated graph's
+        edges. Any declined gate (on a mutated graph) lands one
+        ``repair`` audit record explaining why the dispatch recomputed.
         """
         if not default_surface or registry is None or entry.version == 0:
             return None
-        if self.repair_max_fraction <= 0:
-            return None
 
-        max_inserts = self.repair_max_fraction * max(1, entry.graph.num_edges)
+        max_inserts = DEFAULT_REPAIR_MAX_FRACTION * max(1, entry.graph.num_edges)
         plans: list[tuple[int, "np.ndarray", tuple]] = []
         declined = None
         for src in sources:

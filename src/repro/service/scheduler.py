@@ -187,7 +187,6 @@ class CoalescingScheduler:
         distributed_threshold_bytes: int | None = None,
         linalg_batch_threshold: int | None = None,
         partition: str = "1d",
-        executor: ExecutionEngine | None = None,
         track_prefix: str = "",
         audit=None,
         slo=None,
@@ -223,10 +222,8 @@ class CoalescingScheduler:
         #: dispatch spans land on ``"<prefix>worker<i>"`` so every
         #: replica's workers get their own telemetry tracks.
         self.track_prefix = track_prefix
-        #: The execution plane this scheduler dispatches onto. Built
-        #: here unless the caller composes one explicitly (the cluster
-        #: layer does, to share pieces across replicas).
-        self.executor = executor or ExecutionEngine(
+        #: The execution plane this scheduler dispatches onto.
+        self.executor = ExecutionEngine(
             metrics=self.metrics,
             num_gcds=num_gcds,
             distributed_threshold_bytes=distributed_threshold_bytes,

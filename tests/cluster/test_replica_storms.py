@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import ClusterRouter, death_plan
 from repro.errors import AdmissionError
 from repro.service.trace import synthetic_trace
+from tests.invariants import REJECTIONS, check_conservation, check_single_ownership
 
 SPECS = ("6", "7", "8")
 SIZES = {spec: 1 << int(spec) for spec in SPECS}
@@ -25,22 +26,6 @@ def _builder(spec: str):
     from repro.graph.generators import rmat
 
     return rmat(int(spec), 8, seed=int(spec))
-
-
-def _check_invariants(router: ClusterRouter) -> None:
-    live = {r.rid for r in router.replicas if r.alive}
-    owners = list(router.placement.assignments.values())
-    # Ownership only on live replicas (a dict can't double-assign, so
-    # uniqueness is structural; liveness is the part a bug can break).
-    for spec, rid in router.placement.assignments.items():
-        assert rid in live, f"{spec} owned by dead replica {rid}"
-    # placed_bytes tracked exactly for live replicas.
-    assert set(router.placement.placed_bytes) == live
-    for r in router.replicas:
-        assert r.registry.bytes_cached == r.registry.recompute_bytes_cached(), (
-            f"replica {r.rid}: bytes_cached drifted from recomputation"
-        )
-    assert len(owners) == len(set(router.placement.assignments))
 
 
 @pytest.mark.parametrize("storm_seed", range(6))
@@ -62,16 +47,13 @@ def test_death_storm_preserves_invariants(storm_seed):
             router.submit(q)
         except AdmissionError:
             rejected += 1
-        _check_invariants(router)
+        check_single_ownership(router)
     outcomes = router.drain()
-    _check_invariants(router)
-    # Conservation: one outcome per submitted query.
-    assert len(outcomes) == len(trace)
-    assert sorted(o.query.qid for o in outcomes) == [q.qid for q in trace]
+    check_single_ownership(router)
+    # Conservation: one outcome per submitted query, served or typed.
+    check_conservation(outcomes, trace)
     served = sum(o.served for o in outcomes)
-    typed = sum(o.rejected in ("queue_full", "deadline", "quota")
-                for o in outcomes if not o.served)
-    assert served + typed == len(trace)
+    typed = sum(o.rejected in REJECTIONS for o in outcomes if not o.served)
     assert served + rejected >= len(trace) - typed
 
 

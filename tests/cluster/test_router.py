@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterRouter, QosClass
+from repro.cluster import ClusterRouter
 from repro.errors import ClusterError, MutationError
 from repro.graph.delta import GraphDelta, apply_delta, random_delta
 from repro.graph.generators import rmat
@@ -73,14 +73,6 @@ class TestRouting:
                             deadline_ms=123.0))
         router.drain()
         assert router.outcomes()[0].query.deadline_ms == 123.0
-
-    def test_custom_qos_classes(self):
-        router = make_router(
-            qos_classes={"bulk": QosClass("bulk", default_deadline_ms=None)}
-        )
-        router.submit(Query(qid=0, graph="7", source=0, qos="bulk"))
-        with pytest.raises(ClusterError, match="unknown QoS"):
-            router.submit(Query(qid=1, graph="7", source=0, qos="interactive"))
 
     def test_replica_count_validated(self):
         with pytest.raises(ClusterError):

@@ -1,10 +1,11 @@
 """The chaos harness fixture.
 
-``chaos_check`` is the one assertion every differential test makes:
-run a family of seeded fault plans against a fault-free baseline and
-demand the package contract — recovered runs are bit-identical
-(levels *and* parents when present), exhausted recovery is a typed
-error, a wrong answer never comes back.
+``chaos_check`` is the one assertion every engine-level chaos test
+makes (``test_service_faults.py`` sweeps plans through the serving
+layer): run a family of seeded fault plans against a fault-free
+baseline and demand the package contract — recovered runs are
+bit-identical (levels *and* parents when present), exhausted recovery
+is a typed error, a wrong answer never comes back.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RecoveryExhaustedError
-from repro.faults import FaultPlan, FaultRule, RecoveryPolicy, levels_fingerprint
+from repro.faults import FaultPlan, FaultRule, RecoveryPolicy, levels_fingerprint, sweep_plans
 from repro.graph.stats import bfs_levels_reference
 from repro.service import BFSService, Query, QueryOptions, synthetic_trace
 
@@ -48,6 +48,17 @@ class TestServedAnswersStayIdentical:
         report = _service(fault_plan=plan).replay(trace)
         assert report.metrics.level_restarts > 0
         assert _shared_match(report, expected) == []
+
+    def test_sweep_plans_recovered(self, baseline):
+        # A seeded family of recoverable plans over one trace: every
+        # query both runs serve answers as in the fault-free replay.
+        trace, expected = baseline
+        fired = 0
+        for plan in sweep_plans(4, base_seed=0):
+            report = _service(fault_plan=plan).replay(trace)
+            assert _shared_match(report, expected) == [], plan.name
+            fired += report.metrics.faults_injected
+        assert fired > 0
 
     def test_worker_faults_retry_then_recover(self, baseline):
         trace, expected = baseline

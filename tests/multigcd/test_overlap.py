@@ -14,6 +14,7 @@ import pytest
 from repro.graph.generators import chung_lu_power_law, rmat
 from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
 from repro.telemetry.tracer import Tracer
+from tests.invariants import check_overlap_books, check_pod_books
 
 GRAPH = rmat(10, 8, seed=42)
 # Vertex 0 of this seed is isolated; 579 reaches most of the graph.
@@ -36,13 +37,7 @@ class TestBooksBalance:
         base, over = pair(engine_cls, **kw)
         assert over.overlap_saved_ms > 0
         assert over.elapsed_ms < base.elapsed_ms
-        assert over.elapsed_ms + over.overlap_saved_ms == pytest.approx(
-            base.elapsed_ms, rel=1e-12
-        )
-        # Overlap hides latency; it never touches either cost pool.
-        assert over.comm_ms == base.comm_ms
-        assert over.compute_ms == base.compute_ms
-        assert np.array_equal(over.levels, base.levels)
+        check_overlap_books(base, over)
 
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_elapsed_bounds(self, engine_cls):
@@ -50,11 +45,7 @@ class TestBooksBalance:
         # Hidden latency can't beat the larger of the two pools, and
         # accounting never goes below it. Both pools stay on the clock
         # apart from the hidden part, with each level's sync on top.
-        assert over.elapsed_ms >= max(over.comm_ms, over.compute_ms)
-        assert over.elapsed_ms + over.overlap_saved_ms >= (
-            over.comm_ms + over.compute_ms
-        )
-        assert 0 <= over.comm_fraction <= 1
+        check_pod_books(over)
 
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_batch_books_balance(self, engine_cls):
@@ -62,12 +53,7 @@ class TestBooksBalance:
         base = engine_cls(GRAPH, 4, codec=ExchangeCodec()).run_batch(sources)
         over = engine_cls(GRAPH, 4, codec=ExchangeCodec(), overlap=True).run_batch(sources)
         assert over.overlap_saved_ms > 0
-        assert over.elapsed_ms + over.overlap_saved_ms == pytest.approx(
-            base.elapsed_ms, rel=1e-12
-        )
-        assert over.comm_ms == base.comm_ms
-        assert over.compute_ms == base.compute_ms
-        assert np.array_equal(over.levels, base.levels)
+        check_overlap_books(base, over)
 
 
 class TestPerLevelSpans:
@@ -134,7 +120,4 @@ class TestLaunchStreamUnchanged:
         g = chung_lu_power_law(1500, 10, seed=7)
         base = MultiGcdBFS(g, 4).run_batch([0])
         over = MultiGcdBFS(g, 4, overlap=True).run_batch([0])
-        assert np.array_equal(base.levels, over.levels)
-        assert over.elapsed_ms + over.overlap_saved_ms == pytest.approx(
-            base.elapsed_ms, rel=1e-12
-        )
+        check_overlap_books(base, over)

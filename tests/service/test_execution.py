@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
+from repro.graph.csr import CSRGraph
 from repro.graph.delta import random_delta
 from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.obs import AuditLog
-from repro.service import ENGINE_NAMES, BFSService, Query
+from repro.service import ENGINE_NAMES, BFSService, GraphRegistry, Query
 from repro.xbfs.concurrent import ConcurrentBFS
 from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
@@ -164,6 +165,22 @@ def test_duplicate_source_sharing_matches_across_tiers(tier):
     assert len(first) == 2
     assert {o.engine for o in first} == {tier}
     assert [o.sharing_factor for o in first] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("partition, tier", [("1d", "concurrent"), ("2d", "grid2d")])
+def test_pod_routing_needs_a_vertex_per_gcd(partition, tier):
+    # Three vertices, four GCDs: the 1D partition cannot give every GCD
+    # a vertex, so the batch stays on one GCD; the grid serves it.
+    graph = CSRGraph.from_edges(np.array([0, 1]), np.array([1, 2]), 3, symmetrize=True)
+    registry = GraphRegistry(memory_budget_bytes=1 << 20, builder={"tiny": graph}.__getitem__)
+    svc = BFSService(registry=registry, num_gcds=4, distributed_threshold_mb=0.0,
+                     partition=partition)
+    for qid in range(3):
+        svc.submit(Query(qid=qid, graph="tiny", source=qid, arrival_ms=0.0))
+    outcomes = svc.drain()
+    assert [o.engine for o in outcomes] == [tier] * 3
+    for o in outcomes:
+        assert np.array_equal(o.levels, bfs_levels_reference(graph, o.query.source))
 
 
 class TestDirectionAudit:

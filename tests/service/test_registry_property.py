@@ -25,6 +25,7 @@ from repro.errors import GraphTooLargeError
 from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.service.registry import LEVEL_CACHE_SOURCES, GraphRegistry
+from tests.invariants import check_registry_ledger
 
 #: Spec pool: small servable scales plus one spec that can never fit.
 SERVABLE = ("6", "7", "8", "9")
@@ -35,12 +36,6 @@ GRAPHS = {spec: rmat(int(spec), 8, seed=0) for spec in (*SERVABLE, TOO_LARGE)}
 
 def _builder(spec: str):
     return GRAPHS[spec]
-
-
-def _check_invariants(reg: GraphRegistry) -> None:
-    assert reg.bytes_cached == reg.recompute_bytes_cached()
-    assert reg.bytes_cached <= reg.memory_budget_bytes
-    assert len(reg) == len(reg.keys())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -81,7 +76,8 @@ def test_interleaved_storms_hold_invariants(seed):
         for spec in list(live_entries):
             if spec not in reg:
                 dead_entries.append((spec, live_entries.pop(spec)))
-        _check_invariants(reg)
+        check_registry_ledger(reg)
+        assert reg.bytes_cached <= reg.memory_budget_bytes
 
     stats = reg.stats()
     assert stats["rejections"] > 0
@@ -179,10 +175,7 @@ def test_mutate_evict_get_storms_hold_invariants(seed):
 
         # The O(1) ledger always matches the O(n) ground truth —
         # engines and level arrays included.
-        assert reg.bytes_cached == reg.recompute_bytes_cached()
-        # Warm-engine growth may leave a single protected entry over
-        # budget; with two or more residents shedding must catch up.
-        assert reg.bytes_cached <= reg.memory_budget_bytes or len(reg) == 1
+        check_registry_ledger(reg)
 
     assert mutations > 0
     assert reg.stats()["mutations"] == mutations
