@@ -8,9 +8,10 @@ point is checked bit-identical against a fault-free single
 :class:`~repro.service.runtime.BFSService` replay of the same trace:
 sharding, stealing and replica deaths change cost, never answers.
 
-This file is the canonical recorder of ``BENCH_cluster_scaleout.json``
-at the repo root (the ``repro cluster-bench`` CLI sweeps arbitrary
-configurations but writes wherever ``--out`` points).
+This file is the one recorder of ``BENCH_cluster_scaleout.json`` at
+the repo root and the home of its gates; to sweep another
+configuration, call :func:`repro.cluster.run_scaleout_sweep` directly.
+``tests/cluster/test_differential.py`` runs a small sweep in tier-1.
 
 Run standalone::
 
@@ -55,7 +56,6 @@ def run_cluster_scaleout() -> list[dict]:
         num_queries=NUM_QUERIES,
         seed=SEED,
         tenants=TENANTS,
-        interactive_frac=0.7,
         mean_gap_ms=1.0,
         burst=8,
         fault_plan=death_plan(

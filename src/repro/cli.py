@@ -11,18 +11,19 @@ The subcommands cover the common workflows without writing Python:
 * ``repro datasets``     — the Table II inventory at a chosen scale.
 * ``repro experiment``   — regenerate any paper table/figure.
 * ``repro generate``     — materialise a graph spec into a ``.csrbin``.
-* ``repro serve``        — replay a JSONL query trace through the
-  serving runtime (registry + coalescing scheduler + admission).
+* ``repro serve``        — replay queries through the serving runtime
+  (registry + coalescing scheduler + admission). The queries come
+  from a JSONL trace (``--trace``) or from seeded synthetic open-loop
+  load over ``--graphs`` (``--queries``/``--burst``/``--gap-ms``).
   Trace records with ``"op": "mutate"`` carry an edge-delta
   (``insert``/``delete`` lists) instead of a source: they act as a
   barrier that flushes pending queries on that graph, then bumps the
   registry version so later queries see the mutated graph (small
   insert-only deltas are served by incremental BFS repair).
-* ``repro service-bench``— synthetic open-loop load through the same
-  runtime.
-* ``repro cluster-bench``— replica-count scale-out sweep of the
-  sharded multi-tenant cluster (``repro.cluster``) with optional
-  replica-death storms, checked against the single-service oracle.
+* ``repro explain``      — render the decision chain of queries from
+  an audit log written by ``repro serve --audit-out``.
+* ``repro top``          — one-screen health snapshot of a sharded
+  multi-tenant cluster (``repro.cluster``) over a synthetic load.
 
 Graph specs (the ``--graph`` argument):
 
@@ -218,9 +219,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _export_service_telemetry(service, args: argparse.Namespace) -> None:
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if not trace_out and not metrics_out:
+    if not args.trace_out and not args.metrics_out:
         return
     from repro.telemetry import (
         CounterRegistry,
@@ -230,17 +229,17 @@ def _export_service_telemetry(service, args: argparse.Namespace) -> None:
     )
 
     tracer = service.tracer
-    if trace_out:
-        if str(trace_out).endswith(".jsonl"):
-            write_jsonl(tracer, trace_out)
+    if args.trace_out:
+        if str(args.trace_out).endswith(".jsonl"):
+            write_jsonl(tracer, args.trace_out)
         else:
-            write_chrome_trace(tracer, trace_out)
+            write_chrome_trace(tracer, args.trace_out)
         print(
-            f"wrote trace to {trace_out} "
+            f"wrote trace to {args.trace_out} "
             f"({tracer.traces} traces, {len(tracer.spans)} spans, "
             f"{len(tracer.events)} events)"
         )
-    if metrics_out:
+    if args.metrics_out:
         registry = CounterRegistry()
         registry.attach("service", service.metrics)
         registry.attach_tracer(tracer)
@@ -253,72 +252,73 @@ def _export_service_telemetry(service, args: argparse.Namespace) -> None:
                     "visits": inj.visits,
                 },
             )
-        write_prometheus(registry, metrics_out)
-        print(f"wrote Prometheus metrics snapshot to {metrics_out}")
+        write_prometheus(registry, args.metrics_out)
+        print(f"wrote Prometheus metrics snapshot to {args.metrics_out}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import BFSService, load_trace
+    from repro.service import load_trace, synthetic_trace
 
-    queries = load_trace(args.trace)
-    service = _service_from_args(args, BFSService)
+    service = _service_from_args(args)
+    if args.trace:
+        queries = load_trace(args.trace)
+        origin = f"replayed {len(queries)} queries from {args.trace}"
+    else:
+        specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
+        # Sizing the source draws builds every graph into the registry,
+        # so the replay starts warm.
+        sizes = {
+            spec: service.registry.get(spec)[0].graph.num_vertices
+            for spec in specs
+        }
+        queries = synthetic_trace(
+            specs,
+            sizes,
+            num_queries=args.queries,
+            seed=args.seed,
+            mean_gap_ms=args.gap_ms,
+            burst=args.burst,
+            deadline_ms=args.deadline_ms,
+        )
+        origin = (f"synthetic open-loop load: {len(queries)} queries over "
+                  f"{len(specs)} graphs (burst {args.burst}, "
+                  f"mean gap {args.gap_ms} ms)")
     report = service.replay(queries)
-    print(f"replayed {len(queries)} queries from {args.trace}")
+    print(origin)
     print(report.render())
     if args.validate:
         _validate_outcomes(service, report)
         print(f"validated {len(report.served)} served queries against "
               f"the serial oracle: all levels match")
     if args.out:
-        _save_service_summary(report, args)
+        from repro.metrics.results_io import save_results
+
+        save_results([report.summary("service")], args.out)
+        print(f"wrote service summary to {args.out}")
     _export_service_telemetry(service, args)
     _export_obs(service, args)
     return 0
 
 
-def _cmd_service_bench(args: argparse.Namespace) -> int:
-    from repro.service import BFSService, synthetic_trace
+def _service_from_args(args: argparse.Namespace):
+    from repro.service import BFSService
 
-    service = _service_from_args(args, BFSService)
-    specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
-    sizes = {}
-    for spec in specs:
-        entry, _ = service.registry.get(spec)
-        sizes[spec] = entry.graph.num_vertices
-    queries = synthetic_trace(
-        specs,
-        sizes,
-        num_queries=args.queries,
-        seed=args.seed,
-        mean_gap_ms=args.gap_ms,
-        burst=args.burst,
-        deadline_ms=args.deadline_ms,
-    )
-    report = service.replay(queries)
-    print(f"synthetic open-loop load: {len(queries)} queries over "
-          f"{len(specs)} graphs (burst {args.burst}, "
-          f"mean gap {args.gap_ms} ms)")
-    print(report.render())
-    if args.out:
-        _save_service_summary(report, args)
-    _export_service_telemetry(service, args)
-    _export_obs(service, args)
-    return 0
-
-
-def _service_from_args(args: argparse.Namespace, cls):
     fault_plan = None
-    if getattr(args, "fault_plan", None):
+    if args.fault_plan:
         from repro.faults import FaultPlan
 
         fault_plan = FaultPlan.from_json(args.fault_plan)
     tracer = None
-    if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
+    if args.trace_out or args.metrics_out:
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-    audit, slo = _obs_from_args(args, tracer)
-    return cls(
+    audit = None
+    if args.audit_out:
+        from repro.obs import AuditLog
+
+        audit = AuditLog()
+    return BFSService(
         memory_budget_mb=args.memory_budget_mb,
         workers=args.workers,
         max_batch=args.max_batch,
@@ -333,9 +333,9 @@ def _service_from_args(args: argparse.Namespace, cls):
         partition=args.partition,
         fault_plan=fault_plan,
         audit=audit,
-        slo=slo,
-        bounded_metrics=getattr(args, "bounded_metrics", False),
-        **({"tracer": tracer} if tracer is not None else {}),
+        slo=_slo_from_args(args, tracer),
+        bounded_metrics=args.bounded_metrics,
+        tracer=tracer,
     )
 
 
@@ -363,280 +363,27 @@ def _validate_outcomes(service, report) -> None:
             )
 
 
-def _save_service_summary(report, args: argparse.Namespace) -> None:
-    from repro.metrics.results_io import save_results
+def _slo_from_args(args: argparse.Namespace, tracer=None):
+    """The SLO engine the ``--slo`` specs ask for, or None."""
+    if not args.slo:
+        return None
+    from repro.obs import SloEngine, parse_slo_spec
 
-    save_results([report.summary("service")], args.out)
-    print(f"wrote service summary to {args.out}")
-
-
-def _add_service_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=2,
-                        help="simulated GCD workers in the dispatch pool")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="max distinct sources per coalesced batch "
-                        "(default: the active engine's cap — 64 "
-                        "concurrent, lifted to the linalg-batch "
-                        "engine's cap when --linalg-batch-threshold "
-                        "is set)")
-    parser.add_argument("--window-ms", type=float, default=5.0,
-                        help="coalescing window (virtual ms)")
-    parser.add_argument("--queue-depth", type=int, default=256,
-                        help="admission limit on pending queries")
-    parser.add_argument("--deadline-ms", type=float, default=None,
-                        help="default per-query deadline (virtual ms)")
-    parser.add_argument("--memory-budget-mb", type=float, default=256.0,
-                        help="graph-registry LRU budget")
-    parser.add_argument("--num-gcds", type=int, default=4,
-                        help="pod width of the distributed engine (2/4/8 "
-                        "simulated GCDs) used above the routing threshold")
-    parser.add_argument("--distributed-threshold", type=float, default=None,
-                        metavar="MB",
-                        help="CSR footprint (MiB) above which a graph is "
-                        "served by the multi-GCD engine instead of a "
-                        "single simulated GCD (default: never)")
-    parser.add_argument("--linalg-batch-threshold", type=int, default=None,
-                        metavar="K",
-                        help="same-graph batches of >= K distinct sources "
-                        "run as one masked CSR x matrix product on the "
-                        "bitmap linear-algebra engine instead of 64-source "
-                        "concurrent batches (default: tier disabled)")
-    parser.add_argument("--partition", choices=("1d", "2d"), default="1d",
-                        help="decomposition of the distributed tier: 1d "
-                        "(edge-balanced rows, naive exchange) or 2d "
-                        "(checkerboard grid with the compressed frontier-"
-                        "exchange codec and comm/compute overlap)")
-    parser.add_argument("--scale-factor", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fault-plan", default=None, metavar="PATH",
-                        help="JSON fault plan (see repro.faults) to "
-                        "inject while serving; recovery keeps answers "
-                        "bit-identical")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="save the service summary JSON here")
-
-
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write the correlated dual-clock timeline here "
-                        "(Chrome trace_event JSON for ui.perfetto.dev; a "
-                        ".jsonl suffix writes the raw span/event log "
-                        "instead)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write a Prometheus-style text snapshot of the "
-                        "service counters here")
-
-
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--audit-out", default=None, metavar="PATH",
-                        help="record every admission / placement / routing-"
-                        "tier / direction / codec decision and write the "
-                        "audit log here as JSONL (render chains with "
-                        "'repro explain')")
-    parser.add_argument("--slo", action="append", default=None, metavar="SPEC",
-                        help="attach an SLO, e.g. 'name=interactive,"
-                        "target_ms=50,objective=0.99,qos=interactive'; "
-                        "repeatable. Burn-rate alerts print after the "
-                        "replay")
-    parser.add_argument("--bounded-metrics", action="store_true",
-                        help="replace exact per-class latency lists with "
-                        "mergeable log-bucket sketches (O(buckets) memory; "
-                        "percentiles within ~1%%)")
-
-
-def _obs_from_args(args: argparse.Namespace, tracer=None):
-    """(audit, slo) observers requested on the command line."""
-    audit = None
-    if getattr(args, "audit_out", None):
-        from repro.obs import AuditLog
-
-        audit = AuditLog()
-    slo = None
-    specs = getattr(args, "slo", None)
-    if specs:
-        from repro.obs import SloEngine, parse_slo_spec
-
-        try:
-            slo = SloEngine([parse_slo_spec(s) for s in specs], tracer=tracer)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-    return audit, slo
+    try:
+        return SloEngine([parse_slo_spec(s) for s in args.slo], tracer=tracer)
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
 
 
 def _export_obs(service, args: argparse.Namespace) -> None:
-    audit = getattr(service, "audit", None)
-    if audit is not None and getattr(args, "audit_out", None):
+    if args.audit_out:
+        audit = service.audit
         audit.write(args.audit_out)
         print(f"wrote {len(audit)} audit records for "
               f"{len(audit.queries())} queries to {args.audit_out} "
               f"(inspect with: repro explain <qid> --audit {args.audit_out})")
-    slo = getattr(service, "slo", None)
-    if slo is not None:
-        print(slo.render())
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """Sweep replica counts over one open-loop multi-tenant trace.
-
-    Every sweep point replays the *same* trace through a fresh
-    :class:`~repro.cluster.router.ClusterRouter`; a fault-free
-    single-service replay provides the answer oracle, so the sweep
-    doubles as the cluster's differential check (sharding, stealing
-    and replica deaths must never change an answer).
-    """
-    from repro.cluster import TenantQuota, death_plan, run_scaleout_sweep
-    from repro.metrics.tables import render_table
-
-    counts = [int(c) for c in args.replicas.split(",") if c.strip()]
-    if not counts or any(c < 1 for c in counts):
-        raise ReproError(f"--replicas must be positive ints, got {args.replicas!r}")
-    specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
-    sizes = {
-        spec: parse_graph_spec(
-            spec, scale_factor=args.scale_factor, seed=args.seed
-        ).num_vertices
-        for spec in specs
-    }
-
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.from_json(args.fault_plan)
-    elif args.death_probability > 0:
-        fault_plan = death_plan(
-            seed=args.death_seed,
-            probability=args.death_probability,
-            restart_ms=args.restart_ms,
-            max_triggers=args.max_deaths if args.max_deaths >= 0 else None,
-        )
-
-    quotas = None
-    if args.quota_rate is not None:
-        quotas = {
-            f"t{i}": TenantQuota(
-                rate_per_s=args.quota_rate, burst=args.quota_burst
-            )
-            for i in range(args.tenants)
-        }
-
-    router_kwargs = dict(
-        memory_budget_mb=args.memory_budget_mb,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        window_ms=args.window_ms,
-        max_queue_depth=args.queue_depth,
-        scale_factor=args.scale_factor,
-        seed=args.seed,
-        num_gcds=args.num_gcds,
-        distributed_threshold_mb=args.distributed_threshold,
-        linalg_batch_threshold=args.linalg_batch_threshold,
-        partition=args.partition,
-        steal_threshold=args.steal_threshold,
-        balance_factor=args.balance_factor,
-        quotas=quotas,
-        bounded_metrics=getattr(args, "bounded_metrics", False),
-    )
-
-    tracers: dict[int, object] = {}
-    tracer_factory = None
-    if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
-        from repro.telemetry import Tracer
-
-        def tracer_factory(count):
-            tracers[count] = Tracer()
-            return tracers[count]
-
-    summaries = run_scaleout_sweep(
-        counts,
-        graphs=specs,
-        num_vertices=sizes,
-        num_queries=args.queries,
-        seed=args.seed,
-        tenants=args.tenants,
-        interactive_frac=args.interactive_frac,
-        mean_gap_ms=args.gap_ms,
-        burst=args.burst,
-        deadline_ms=args.deadline_ms,
-        fault_plan=fault_plan,
-        router_kwargs=router_kwargs,
-        tracer_factory=tracer_factory,
-    )
-
-    rows = []
-    for s in summaries:
-        rows.append([
-            s["replicas"],
-            s["queries_served"],
-            s["rejected_quota"],
-            f"{s.get('qos_interactive_p99_ms', 0.0):.3f}",
-            f"{s.get('qos_batch_p99_ms', 0.0):.3f}",
-            f"{s['balance_ratio']:.2f}",
-            s["steals"],
-            s["deaths"],
-            s["redispatched_queries"],
-            f"{s['cluster_gteps']:.3f}",
-            "yes" if s["bit_identical"] else "NO",
-        ])
-    print(render_table(
-        ["replicas", "served", "quota rej", "int p99 ms", "batch p99 ms",
-         "balance", "steals", "deaths", "redisp", "GTEPS", "identical"],
-        rows,
-        title=(
-            f"cluster scale-out: {args.queries} queries, "
-            f"{args.tenants} tenants over {specs}"
-            + (f", fault plan {fault_plan.name!r}" if fault_plan else "")
-        ),
-    ))
-    identical = sum(s["bit_identical"] for s in summaries)
-    print(f"bit-identical to the single-service oracle: "
-          f"{identical}/{len(summaries)} sweep points")
-    if args.out:
-        from repro.metrics.results_io import save_results
-
-        save_results(summaries, args.out)
-        print(f"wrote cluster sweep summaries to {args.out}")
-    _export_cluster_telemetry(summaries, tracers, args)
-    return 0 if identical == len(summaries) else 1
-
-
-def _export_cluster_telemetry(summaries, tracers, args) -> None:
-    """Export the *last* sweep point's timeline + counter snapshot."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if not tracers or not (trace_out or metrics_out):
-        return
-    from repro.telemetry import (
-        CounterRegistry,
-        write_chrome_trace,
-        write_jsonl,
-        write_prometheus,
-    )
-
-    last_count = max(tracers)
-    tracer = tracers[last_count]
-    if trace_out:
-        if str(trace_out).endswith(".jsonl"):
-            write_jsonl(tracer, trace_out)
-        else:
-            write_chrome_trace(tracer, trace_out)
-        print(
-            f"wrote {last_count}-replica trace to {trace_out} "
-            f"({tracer.traces} traces, {len(tracer.spans)} spans, "
-            f"{len(tracer.events)} events)"
-        )
-    if metrics_out:
-        summary = next(
-            s for s in summaries if s["replicas"] == last_count
-        )
-        numeric = {
-            k: v for k, v in summary.items() if isinstance(v, (int, float))
-        }
-        registry = CounterRegistry()
-        registry.attach("cluster", lambda: numeric)
-        registry.attach_tracer(tracer)
-        write_prometheus(registry, metrics_out)
-        print(f"wrote Prometheus metrics snapshot to {metrics_out}")
+    if service.slo is not None:
+        print(service.slo.render())
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -712,7 +459,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.service.trace import synthetic_trace
     from repro.obs import cluster_health, render_health, write_health
 
-    _, slo = _obs_from_args(args)
+    slo = _slo_from_args(args)
     specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
     sizes = {
         spec: parse_graph_spec(
@@ -735,7 +482,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         seed=args.seed,
         quotas=quotas,
         slo=slo,
-        bounded_metrics=getattr(args, "bounded_metrics", False),
+        bounded_metrics=args.bounded_metrics,
     )
     trace = synthetic_trace(
         specs, sizes,
@@ -814,17 +561,92 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(func=_cmd_generate)
 
     serve = sub.add_parser(
-        "serve", help="replay a JSONL query trace through the serving runtime"
+        "serve", help="replay a JSONL or synthetic query trace through "
+        "the serving runtime"
     )
-    serve.add_argument("--trace", required=True, metavar="PATH",
-                       help="JSONL trace (see repro.service.trace; records "
-                       "with op=mutate apply edge deltas between queries)")
+    origin = serve.add_mutually_exclusive_group(required=True)
+    origin.add_argument("--trace", metavar="PATH",
+                        help="JSONL trace (see repro.service.trace; records "
+                        "with op=mutate apply edge deltas between queries)")
+    origin.add_argument("--graphs", metavar="SPECS",
+                        help="comma-separated graph specs to draw seeded "
+                        "synthetic open-loop load over")
+    serve.add_argument("--queries", type=int, default=200,
+                       help="synthetic queries (with --graphs)")
+    serve.add_argument("--burst", type=int, default=8,
+                       help="same-graph queries per arrival burst (with "
+                       "--graphs)")
+    serve.add_argument("--gap-ms", type=float, default=1.0,
+                       help="mean inter-burst gap, virtual ms (with "
+                       "--graphs)")
     serve.add_argument("--validate", action="store_true",
                        help="check every served level array against the "
                        "serial oracle")
-    _add_service_args(serve)
-    _add_telemetry_args(serve)
-    _add_obs_args(serve)
+    serve.add_argument("--workers", type=int, default=2,
+                       help="simulated GCD workers in the dispatch pool")
+    serve.add_argument("--max-batch", type=int, default=None,
+                       help="max distinct sources per coalesced batch "
+                       "(default: the active engine's cap — 64 "
+                       "concurrent, lifted to the linalg-batch "
+                       "engine's cap when --linalg-batch-threshold "
+                       "is set)")
+    serve.add_argument("--window-ms", type=float, default=5.0,
+                       help="coalescing window (virtual ms)")
+    serve.add_argument("--queue-depth", type=int, default=256,
+                       help="admission limit on pending queries")
+    serve.add_argument("--deadline-ms", type=float, default=None,
+                       help="default per-query deadline (virtual ms)")
+    serve.add_argument("--memory-budget-mb", type=float, default=256.0,
+                       help="graph-registry LRU budget")
+    serve.add_argument("--num-gcds", type=int, default=4,
+                       help="pod width of the distributed engine (2/4/8 "
+                       "simulated GCDs) used above the routing threshold")
+    serve.add_argument("--distributed-threshold", type=float, default=None,
+                       metavar="MB",
+                       help="CSR footprint (MiB) above which a graph is "
+                       "served by the multi-GCD engine instead of a "
+                       "single simulated GCD (default: never)")
+    serve.add_argument("--linalg-batch-threshold", type=int, default=None,
+                       metavar="K",
+                       help="same-graph batches of >= K distinct sources "
+                       "run as one masked CSR x matrix product on the "
+                       "bitmap linear-algebra engine instead of 64-source "
+                       "concurrent batches (default: tier disabled)")
+    serve.add_argument("--partition", choices=("1d", "2d"), default="1d",
+                       help="decomposition of the distributed tier: 1d "
+                       "(edge-balanced rows, naive exchange) or 2d "
+                       "(checkerboard grid with the compressed frontier-"
+                       "exchange codec and comm/compute overlap)")
+    serve.add_argument("--scale-factor", type=int, default=64)
+    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--fault-plan", default=None, metavar="PATH",
+                       help="JSON fault plan (see repro.faults) to "
+                       "inject while serving; recovery keeps answers "
+                       "bit-identical")
+    serve.add_argument("--out", default=None, metavar="PATH",
+                       help="save the service summary JSON here")
+    serve.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write the correlated dual-clock timeline here "
+                       "(Chrome trace_event JSON for ui.perfetto.dev; a "
+                       ".jsonl suffix writes the raw span/event log "
+                       "instead)")
+    serve.add_argument("--metrics-out", default=None, metavar="PATH",
+                       help="write a Prometheus-style text snapshot of the "
+                       "service counters here")
+    serve.add_argument("--audit-out", default=None, metavar="PATH",
+                       help="record every admission / placement / routing-"
+                       "tier / direction / codec decision and write the "
+                       "audit log here as JSONL (render chains with "
+                       "'repro explain')")
+    serve.add_argument("--slo", action="append", default=None, metavar="SPEC",
+                       help="attach an SLO, e.g. 'name=interactive,"
+                       "target_ms=50,objective=0.99,qos=interactive'; "
+                       "repeatable. Burn-rate alerts print after the "
+                       "replay")
+    serve.add_argument("--bounded-metrics", action="store_true",
+                       help="replace exact per-class latency lists with "
+                       "mergeable log-bucket sketches (O(buckets) memory; "
+                       "percentiles within ~1%%)")
     serve.set_defaults(func=_cmd_serve)
 
     trace = sub.add_parser(
@@ -853,69 +675,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="also write the raw JSONL span/event log here")
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "service-bench",
-        help="synthetic open-loop load through the serving runtime",
-    )
-    bench.add_argument("--graphs", default="rmat:10,rmat:11,rmat:12",
-                       help="comma-separated graph specs")
-    bench.add_argument("--queries", type=int, default=200)
-    bench.add_argument("--burst", type=int, default=8,
-                       help="same-graph queries per arrival burst")
-    bench.add_argument("--gap-ms", type=float, default=1.0,
-                       help="mean inter-burst gap (virtual ms)")
-    _add_service_args(bench)
-    _add_telemetry_args(bench)
-    _add_obs_args(bench)
-    bench.set_defaults(func=_cmd_service_bench)
-
-    cluster = sub.add_parser(
-        "cluster-bench",
-        help="sweep replica counts over an open-loop multi-tenant trace "
-        "and check every answer against the single-service oracle",
-    )
-    cluster.add_argument("--replicas", default="1,2,4,8",
-                         help="comma-separated replica counts to sweep")
-    cluster.add_argument("--graphs", default="rmat:10,rmat:11,rmat:12",
-                         help="comma-separated graph specs")
-    cluster.add_argument("--queries", type=int, default=160)
-    cluster.add_argument("--tenants", type=int, default=4,
-                         help="tenants drawing queries (t0..tN-1)")
-    cluster.add_argument("--interactive-frac", type=float, default=0.7,
-                         help="fraction of queries in the interactive "
-                         "QoS class (rest are batch)")
-    cluster.add_argument("--burst", type=int, default=8,
-                         help="same-graph queries per arrival burst")
-    cluster.add_argument("--gap-ms", type=float, default=1.0,
-                         help="mean inter-burst gap (virtual ms)")
-    cluster.add_argument("--steal-threshold", type=int, default=8,
-                         help="queue-depth gap that triggers cross-replica "
-                         "work stealing")
-    cluster.add_argument("--balance-factor", type=float, default=1.5,
-                         help="placed-bytes overshoot (x fair share) that "
-                         "overrides the hash-ring owner")
-    cluster.add_argument("--quota-rate", type=float, default=None,
-                         metavar="PER_S",
-                         help="token-bucket refill rate applied to every "
-                         "tenant (default: no quotas)")
-    cluster.add_argument("--quota-burst", type=float, default=8.0,
-                         help="token-bucket burst size per tenant")
-    cluster.add_argument("--death-probability", type=float, default=0.0,
-                         help="per-liveness-probe replica-death probability "
-                         "(builds a seeded cluster.replica fault plan; "
-                         "ignored when --fault-plan is given)")
-    cluster.add_argument("--death-seed", type=int, default=0)
-    cluster.add_argument("--restart-ms", type=float, default=200.0,
-                         help="virtual ms a dead replica takes to restart")
-    cluster.add_argument("--max-deaths", type=int, default=2,
-                         help="cap on injected deaths (-1 = unlimited)")
-    _add_service_args(cluster)
-    _add_telemetry_args(cluster)
-    cluster.add_argument("--bounded-metrics", action="store_true",
-                         help="bounded-memory latency sketches on every "
-                         "replica instead of exact per-class lists")
-    cluster.set_defaults(func=_cmd_cluster_bench)
 
     explain = sub.add_parser(
         "explain",

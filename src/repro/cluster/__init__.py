@@ -21,7 +21,8 @@ stack's placement / dispatch / execution split:
 * :mod:`repro.cluster.report`    — merged outcomes, per-QoS tail
   latency, placement balance, recovery cost.
 * :mod:`repro.cluster.bench`     — replica-death plans and the
-  replica-count scale-out sweep behind ``repro cluster-bench``.
+  replica-count scale-out sweep that
+  ``benchmarks/bench_cluster_scaleout.py`` records and gates.
 
 Everything is deterministic: one shared injector RNG, crc32
 placement, virtual-time quotas. A replayed trace is bit-for-bit

@@ -79,13 +79,10 @@ def run_scaleout_sweep(
     num_queries: int = 200,
     seed: int = 0,
     tenants: int = 4,
-    interactive_frac: float = 0.7,
     mean_gap_ms: float = 1.0,
     burst: int = 8,
-    deadline_ms: float | None = None,
     fault_plan: FaultPlan | None = None,
     router_kwargs: dict | None = None,
-    tracer_factory=None,
 ) -> list[dict]:
     """Sweep replica count over one multi-tenant trace.
 
@@ -107,10 +104,8 @@ def run_scaleout_sweep(
         num_queries=num_queries,
         seed=seed,
         tenants=tenants,
-        interactive_frac=interactive_frac,
         mean_gap_ms=mean_gap_ms,
         burst=burst,
-        deadline_ms=deadline_ms,
     )
     service_keys = (
         "memory_budget_mb",
@@ -134,11 +129,9 @@ def run_scaleout_sweep(
 
     summaries = []
     for count in replica_counts:
-        tracer = tracer_factory(count) if tracer_factory is not None else None
         router = ClusterRouter(
             replicas=count,
             fault_plan=fault_plan,
-            tracer=tracer,
             **router_kwargs,
         )
         report = router.replay(trace)

@@ -64,7 +64,6 @@ class ClusterRouter:
         replicas: int = 2,
         quotas: Mapping[str, TenantQuota] | None = None,
         steal_threshold: int | None = 8,
-        balance_factor: float = 1.5,
         memory_budget_mb: float = 256.0,
         workers: int = 2,
         max_batch: int | None = None,
@@ -144,7 +143,6 @@ class ClusterRouter:
         self.placement = PlacementMap(
             range(replicas),
             size_of=lambda spec: shared_builder(spec).memory_bytes,
-            balance_factor=balance_factor,
         )
         self.quotas = QuotaLedger(quotas)
         #: Front-door rejections (quota) — replica-level rejections live

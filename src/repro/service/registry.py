@@ -78,21 +78,23 @@ def _uncharged(delta: int) -> None:
     """Byte hook of a retired entry's slots: nothing is charged."""
 
 
-class EngineSlots(dict):
-    """Engine-attachment dict that charges warm bytes to its entry.
+class EngineSlots:
+    """Engine slots of one entry, charging warm bytes to it.
 
-    Every mutation path (``[]=``, ``del``, ``pop``, ``popitem``,
-    ``clear``, ``update``, ``setdefault``) reports the byte delta to
-    the owning :class:`RegistryEntry`, which forwards it to the
-    registry's running total. Charges are frozen at attach time so a
-    lazily-growing engine (XBFS building its reverse graph on first
-    bottom-up level) cannot desync the O(1) total from the O(n) ground
-    truth.
+    The serving stack reads a slot (``get``), attaches an engine
+    (``[]=``) and clears every slot when the entry retires. Attach and
+    clear report their byte delta to the owning :class:`RegistryEntry`,
+    which forwards it to the registry's running total; no other
+    mutator exists, so nothing can change a slot behind the byte
+    ledger. Charges are frozen at
+    attach time so a lazily-growing engine (XBFS building its reverse
+    graph on first bottom-up level) cannot desync the O(1) total from
+    the O(n) ground truth.
     """
 
     def __init__(self, notify: Callable[[int], None]) -> None:
-        super().__init__()
         self._notify = notify
+        self._engines: dict = {}
         self._charged: dict = {}
 
     @property
@@ -100,56 +102,26 @@ class EngineSlots(dict):
         """Total warm bytes currently charged for attached engines."""
         return sum(self._charged.values())
 
-    def _charge(self, key, value) -> None:
+    def get(self, key, default=None):
+        return self._engines.get(key, default)
+
+    def __len__(self) -> int:
+        return len(self._engines)
+
+    def __setitem__(self, key, value) -> None:
+        self._engines[key] = value
         new = engine_warm_bytes(value)
         old = self._charged.get(key, 0)
         self._charged[key] = new
         if new != old:
             self._notify(new - old)
 
-    def _release(self, key) -> None:
-        old = self._charged.pop(key, 0)
-        if old:
-            self._notify(-old)
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._charge(key, value)
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._release(key)
-
-    def pop(self, key, *default):
-        try:
-            value = super().pop(key)
-        except KeyError:
-            if default:
-                return default[0]
-            raise
-        self._release(key)
-        return value
-
-    def popitem(self):
-        key, value = super().popitem()
-        self._release(key)
-        return key, value
-
     def clear(self) -> None:
-        super().clear()
+        self._engines.clear()
         total = sum(self._charged.values())
         self._charged.clear()
         if total:
             self._notify(-total)
-
-    def update(self, *args, **kwargs) -> None:
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return super().__getitem__(key)
 
 
 @dataclass
@@ -169,19 +141,14 @@ class RegistryEntry:
     alive: bool = True
     #: Engines (XBFS / ConcurrentBFS / partitions / device profiles)
     #: attached by the executor; byte-charged, evicted with the graph.
-    engines: EngineSlots = field(default=None)  # type: ignore[assignment]
+    engines: EngineSlots = field(init=False)
 
     def __post_init__(self) -> None:
         self._on_bytes: Callable[["RegistryEntry", int], None] | None = None
         #: source -> (graph version the levels are exact for, int32 levels)
         self._levels: "OrderedDict[int, tuple[int, np.ndarray]]" = OrderedDict()
         self._level_bytes = 0
-        if not isinstance(self.engines, EngineSlots):
-            seed = self.engines
-            slots = EngineSlots(self._bytes_changed)
-            if seed:
-                slots.update(seed)
-            self.engines = slots
+        self.engines = EngineSlots(self._bytes_changed)
 
     def _bytes_changed(self, delta: int) -> None:
         cb = self._on_bytes
@@ -235,14 +202,6 @@ class RegistryEntry:
             return None
         self._levels.move_to_end(int(source))
         return hit
-
-    def drop_levels(self) -> None:
-        """Discard every cached level array (and refund the bytes)."""
-        freed = self._level_bytes
-        self._levels.clear()
-        self._level_bytes = 0
-        if freed:
-            self._bytes_changed(-freed)
 
 
 class GraphRegistry:

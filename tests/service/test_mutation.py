@@ -35,7 +35,7 @@ class TestRegistryMutate:
         assert fresh.version == 1
         assert reg.graph_version("9") == 1
         assert not old.alive and fresh.alive
-        assert old.engines == {}
+        assert len(old.engines) == 0
         expected = apply_delta(_builder("9"), delta)
         assert np.array_equal(fresh.graph.col_indices, expected.col_indices)
         # The registry now serves the mutated entry.
@@ -137,13 +137,20 @@ class TestEngineByteAccounting:
     def test_engines_charge_into_running_total(self):
         reg = _registry()
         entry, _ = reg.get("9")
+        other, _ = reg.get("8")
         before = reg.bytes_cached
         entry.engines["solo"] = self._Warm(4096)
         assert reg.bytes_cached == before + 4096
         assert reg.bytes_cached == reg.recompute_bytes_cached()
-        del entry.engines["solo"]
-        assert reg.bytes_cached == before
+        # Reassigning a slot charges only the difference.
+        entry.engines["solo"] = self._Warm(1024)
+        assert reg.bytes_cached == before + 1024
         assert reg.bytes_cached == reg.recompute_bytes_cached()
+        # Eviction refunds the graph and every engine charged to it.
+        assert reg.evict() == ["9"]
+        assert reg.bytes_cached == other.memory_bytes
+        assert reg.bytes_cached == reg.recompute_bytes_cached()
+        assert len(entry.engines) == 0 and entry.engine_bytes == 0
 
     def test_unsized_engines_charge_nothing(self):
         reg = _registry()

@@ -158,7 +158,8 @@ class TestPartitionCaching:
         service = make_service(workers=1)
         service.replay(routed_trace(8, seed=6, specs=("10",)))
         entry, _ = service.registry.get("10")
-        first = entry.engines["grid2d"]
+        first = entry.engines.get("grid2d")
+        assert first is not None
         service.registry.evict(len(service.registry))
         offset = service.scheduler.now_ms + 1.0
         service.replay([
@@ -167,7 +168,8 @@ class TestPartitionCaching:
             for q in routed_trace(8, seed=6, specs=("10",))
         ])
         entry, _ = service.registry.get("10")
-        assert entry.engines["grid2d"] is not first
+        rebuilt = entry.engines.get("grid2d")
+        assert rebuilt is not None and rebuilt is not first
 
 
 class TestPartitionObservability:

@@ -77,7 +77,7 @@ class TestEviction:
         reg.get("8")
         fresh, _ = reg.get("9")
         assert fresh is not entry
-        assert fresh.engines == {}
+        assert len(fresh.engines) == 0
 
     def test_graph_over_budget_is_typed_error(self):
         reg = _registry(1024)  # smaller than any R-MAT here

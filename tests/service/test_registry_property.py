@@ -159,7 +159,7 @@ def test_mutate_evict_get_storms_hold_invariants(seed):
             assert reg.graph_version(spec) == versions[spec]
             if old is not None:
                 assert not old.alive
-                assert old.engines == {}
+                assert len(old.engines) == 0
                 retired.append(old)
             if fresh is not None:
                 assert fresh.alive and fresh.version == versions[spec]

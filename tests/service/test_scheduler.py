@@ -60,7 +60,7 @@ class TestCoalescing:
         (outcome,) = sched.run_until_idle()
         assert outcome.batch_sources == 1
         assert outcome.sharing_factor == 1.0
-        assert "solo" in sched.registry.get("9")[0].engines
+        assert sched.registry.get("9")[0].engines.get("solo") is not None
 
     def test_incompatible_options_run_solo(self):
         sched = make_scheduler()

@@ -178,14 +178,89 @@ class TestServe:
         assert "error:" in capsys.readouterr().err
 
 
-class TestServiceBench:
-    def test_bench_smoke(self, capsys):
-        rc = main(["service-bench", "--graphs", "rmat:8,rmat:9",
-                   "--queries", "40", "--burst", "8"])
+class TestServeSynthetic:
+    """``repro serve --graphs``: seeded synthetic open-loop load."""
+
+    def test_graphs_replays_validates_and_writes_summary(self, tmp_path,
+                                                         capsys):
+        out_path = tmp_path / "svc.json"
+        rc = main(["serve", "--graphs", "rmat:8,rmat:9",
+                   "--queries", "40", "--burst", "8",
+                   "--validate", "--out", str(out_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "synthetic open-loop load" in out
+        assert "synthetic open-loop load: 40 queries over 2 graphs" in out
         assert "p50" in out and "GTEPS" in out
+        assert "validated 40 served queries" in out
+        from repro.metrics.results_io import load_results
+
+        (summary,) = load_results(out_path)
+        assert summary["queries_served"] == 40
+
+    def test_trace_and_graphs_together_is_usage_error(self, tmp_path,
+                                                      capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--trace", str(tmp_path / "t.jsonl"),
+                  "--graphs", "rmat:8"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_one_query_source_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--validate"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retired", ["service-bench", "cluster-bench"])
+    def test_retired_bench_commands_are_invalid_choices(self, retired,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([retired])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestExplain:
+    def test_explain_renders_a_served_querys_chain(self, tmp_path, capsys):
+        audit = tmp_path / "a.jsonl"
+        rc = main(["serve", "--graphs", "rmat:8,rmat:9", "--queries", "40",
+                   "--burst", "8", "--audit-out", str(audit)])
+        assert rc == 0
+        assert f"audit records for 40 queries to {audit}" in (
+            capsys.readouterr().out
+        )
+        rc = main(["explain", "3", "--audit", str(audit)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("query 3 ")
+        stages = [line.split("]")[0].strip(" [") for line in lines[1:]]
+        assert stages[0] == "admission"
+        assert "routing" in stages
+        assert stages[-1] == "outcome"
+        assert " served (" in lines[-1]
+
+
+class TestTop:
+    def test_json_snapshot_matches_the_table(self, tmp_path, capsys):
+        import json
+
+        snap = tmp_path / "snap.json"
+        rc = main(["top", "--replicas", "3", "--json", str(snap)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("replica "))
+        served_col = lines[header].split().index("served")
+        table = {}
+        for line in lines[header + 2:]:
+            fields = line.split()
+            if not fields or not fields[0].isdigit():
+                break
+            table[int(fields[0])] = int(fields[served_col])
+        rows = json.loads(snap.read_text())["replicas"]
+        assert [row["replica"] for row in rows] == [0, 1, 2]
+        assert {row["replica"]: row["served"] for row in rows} == table
+        assert sum(row["served"] for row in rows) == sum(table.values()) > 0
 
 
 class TestProfileCsv:

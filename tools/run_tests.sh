@@ -77,8 +77,12 @@
 #                                 # router counters (read off the
 #                                 # stream), the e2e harness's layer
 #                                 # hooks, the Prometheus scrape
-#                                 # round-trip and the enabled-obs
-#                                 # overhead bench
+#                                 # round-trip, the CLI's audit and
+#                                 # health paths (`repro serve
+#                                 # --audit-out` read back by `repro
+#                                 # explain`, and `repro top --json`
+#                                 # against its printed table) and
+#                                 # the enabled-obs overhead bench
 #   tools/run_tests.sh all        # everything: tier-1 + tier-2 + the
 #                                 # regression gate against the committed
 #                                 # baseline fingerprint
@@ -140,7 +144,8 @@ case "$tier" in
   obs)
     python -m pytest tests/obs tests/service/test_execution.py \
       tests/cluster/test_admission_edges.py tests/cluster/test_router.py \
-      tests/telemetry/test_prometheus_labels.py tests/test_e2e_hooks.py "$@"
+      tests/telemetry/test_prometheus_labels.py tests/test_e2e_hooks.py \
+      "tests/test_cli.py::TestExplain" "tests/test_cli.py::TestTop" "$@"
     python -m pytest benchmarks/bench_obs_overhead.py -s "$@"
     ;;
   all)
