@@ -7,12 +7,7 @@ is implied by its id."""
 
 from repro.multigcd.comm import INFINITY_FABRIC, SLINGSHOT, InterconnectModel
 from repro.multigcd.distributed_bfs import MultiGcdBFS, PodBatchResult
-from repro.multigcd.exchange import (
-    FORMAT_BITMAP,
-    FORMAT_SPARSE,
-    EncodedFrontier,
-    ExchangeCodec,
-)
+from repro.multigcd.exchange import FORMAT_BITMAP, FORMAT_SPARSE, ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
 from repro.multigcd.topology import FRONTIER_NODE_GCDS, TwoTierInterconnect
 from repro.multigcd.partition import (
@@ -29,7 +24,6 @@ __all__ = [
     "FRONTIER_NODE_GCDS",
     "MultiGcdBFS",
     "ExchangeCodec",
-    "EncodedFrontier",
     "FORMAT_SPARSE",
     "FORMAT_BITMAP",
     "Grid2dBFS",

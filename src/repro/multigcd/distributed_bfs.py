@@ -43,12 +43,11 @@ Two scalability levers are opt-in (both default off, keeping the
 naive exchange bit-for-bit as committed):
 
 * ``codec`` — an :class:`~repro.multigcd.exchange.ExchangeCodec` that
-  compresses every peer-to-peer message, choosing per message between
-  the sparse id-list and a bitmap over the receiver's owned range (a
-  message encodes its row ids that way; the row words ride along).
-  Ids that cross the wire are round-tripped through the codec
-  (``decode(encode(...))``), so a codec can change modelled bytes and
-  exchange time but never the level array.
+  prices every peer-to-peer message, choosing per message between the
+  sparse id-list and a bitmap over the receiver's owned range (a
+  message prices its row ids that way; the row words ride along). The
+  rows themselves never pass through the codec, so it can change
+  modelled bytes and exchange time but never the level array.
 * ``overlap`` — charge each top-down level's exchange and its local
   expand to overlapping virtual-time intervals (``max`` instead of
   sum), the comm/compute pipelining of Pan/Pearce/Owens. Bottom-up
@@ -70,7 +69,7 @@ from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.exchange import ExchangeCodec, sparse_bytes
+from repro.multigcd.exchange import FORMAT_BITMAP, FORMAT_SPARSE, ExchangeCodec, sparse_bytes
 from repro.multigcd.partition import Partition1D, partition_by_edges
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
@@ -200,8 +199,8 @@ class PodEngine(bm.BitmapBatchEngine):
     """What both multi-GCD pods share around their traversals.
 
     The lazy pool of member GCDs (kept warm across runs), the bitmap
-    level loop's device and result, shipping rows (:meth:`_ship`),
-    the codec's per-level format counts and the warm footprint. A
+    level loop's device and result, pricing messages of rows
+    (:meth:`_price`) and the warm footprint. A
     subclass names itself in ``ENGINE`` and supplies the level loop's
     plan, host product and charge. Each pod defines
     its own ``run_batch`` (a one-source batch is the per-vertex BFS),
@@ -238,9 +237,9 @@ class PodEngine(bm.BitmapBatchEngine):
         self.num_gcds = num_gcds
         self.interconnect = interconnect
         #: Optional :class:`~repro.multigcd.exchange.ExchangeCodec`;
-        #: when attached every peer-to-peer frontier message is encoded
-        #: (and its ids round-tripped through ``decode``) so the cost
-        #: model charges wire bytes instead of raw id-list bytes.
+        #: when attached every peer-to-peer frontier message is priced
+        #: by it, so the cost model charges wire bytes instead of raw
+        #: id-list bytes.
         self.codec = codec
         #: Overlap each level's hideable exchange with its kernels
         #: (virtual-time accounting only — launch order is unchanged).
@@ -312,30 +311,20 @@ class PodEngine(bm.BitmapBatchEngine):
         )
         pod.charge(kernel_ms, comm_ms, saved_ms)
 
-    def _format_counts(self) -> tuple[int, int] | None:
+    def _price(self, counts: np.ndarray, spans: np.ndarray):
+        """Price messages of ``counts`` bitmap rows, each to the owner
+        of a ``spans``-vertex range: the row ids (priced by the codec
+        when one is attached) plus the rows' words
+        (:func:`~repro.xbfs.bitmap.row_bytes`). Returns ``(wire, raw,
+        formats)``: per-message wire and uncompressed bytes, and the
+        codec's messages per wire format (empty without a codec)."""
+        words = bm.row_bytes(counts, self._width)
+        raw = sparse_bytes(counts) + words
         if self.codec is None:
-            return None
-        c = self.codec.counters()
-        return c["messages_sparse"], c["messages_bitmap"]
-
-    def _formats_since(self, before) -> dict:
-        """The codec's messages per wire format since ``before``."""
-        if before is None:
-            return {}
-        after = self._format_counts()
-        return {"sparse": after[0] - before[0], "bitmap": after[1] - before[1]}
-
-    def _ship(self, rows: np.ndarray, lo: int, hi: int):
-        """One message of bitmap rows to the owner of ``[lo, hi)``: the
-        row ids (encoded when a codec is attached) plus the rows' words
-        (:func:`~repro.xbfs.bitmap.row_bytes`). Returns ``(ids as
-        received, wire, raw)``."""
-        words = bm.row_bytes(int(rows.size), self._width)
-        if self.codec is None:
-            raw = sparse_bytes(rows.size) + words
-            return rows, raw, raw
-        msg = self.codec.encode(rows, lo, hi)
-        return self.codec.decode(msg), msg.wire_bytes + words, msg.raw_bytes + words
+            return raw, raw, {}
+        wire, bitmap = self.codec.price(counts, spans)
+        n = int(np.count_nonzero(bitmap))
+        return wire + words, raw, {FORMAT_SPARSE: int(bitmap.size) - n, FORMAT_BITMAP: n}
 
 
 class MultiGcdBFS(PodEngine):
@@ -439,70 +428,65 @@ class MultiGcdBFS(PodEngine):
         return parts
 
     def _product(self, frontier, active, cand, missing):
-        """The level's discoveries, built from what crosses the wire.
+        """The level's discoveries and its exchange books.
 
         Top-down: each GCD pushes its own frontier rows, and the rows
-        it newly filled in another GCD's block reach that owner
-        through :meth:`~PodEngine._ship`. Bottom-up: each GCD ships its
-        owned frontier rows to every peer (the whole row block without
-        a codec), and the candidates pull from the rows received."""
+        it newly filled in another GCD's block go to that owner, one
+        message per non-empty (member, owner) pair. Bottom-up: each GCD
+        ships its owned frontier rows to every peer (the whole row
+        block without a codec), and the candidates pull from the
+        replicated rows. Every message of the level is priced by one
+        :meth:`~PodEngine._price` call."""
         graph = self.graph
         p = self.num_gcds
         bounds = self.partition.boundaries
-        before = self._format_counts()
-        wire = np.zeros((p, p), dtype=np.int64)
-        raw = np.zeros((p, p), dtype=np.int64)
-        cut = np.searchsorted(active, bounds)
+        spans = np.diff(bounds)
         if cand is None:
+            # counts[g, d]: rows member g filled in owner d's block.
             # The host pulls instead when that scans fewer edges, one
             # segment per candidate row and owning member.
             pull, pull_edges = bm.pull_candidates(graph, missing)
-            parts = (
-                self._pull_by_member(frontier, pull, missing)
-                if pull_edges < int(graph.degrees[active].sum())
-                else None
-            )
             fresh = np.zeros_like(frontier)
-            for g in range(p):
-                mine = active[cut[g]:cut[g + 1]]
-                if not mine.size:
-                    continue
-                if parts is None:
-                    filled = bm.push_product(graph, frontier, mine) & missing
-                    rows = bm.occupied_rows(filled)
-                    words = np.take(filled, rows, axis=0)
-                else:
-                    hit = bm.occupied_rows(parts[:, g])
-                    rows, words = pull[hit], np.take(parts[:, g], hit, axis=0)
-                dest = np.searchsorted(rows, bounds)
-                for d in range(p):
-                    ids = rows[dest[d]:dest[d + 1]]
-                    if d != g and ids.size:
-                        lo, hi = self.partition.owned_range(d)
-                        ids, wire[g, d], raw[g, d] = self._ship(ids, lo, hi)
-                    fresh[ids] |= words[dest[d]:dest[d + 1]]
+            if pull_edges < int(graph.degrees[active].sum()):
+                parts = self._pull_by_member(frontier, pull, missing)
+                fresh[pull] = np.bitwise_or.reduce(parts, axis=1)
+                hits = np.cumsum(parts.any(axis=2), axis=0)
+                hits = np.vstack([np.zeros((1, p), dtype=hits.dtype), hits])
+                at = np.searchsorted(pull, bounds)
+                counts = (hits[at[1:]] - hits[at[:-1]]).T
+            else:
+                counts = np.zeros((p, p), dtype=np.int64)
+                cut = np.searchsorted(active, bounds)
+                for g in range(p):
+                    mine = active[cut[g]:cut[g + 1]]
+                    if mine.size:
+                        filled = bm.push_product(graph, frontier, mine) & missing
+                        fresh |= filled
+                        counts[g] = np.diff(np.searchsorted(bm.occupied_rows(filled), bounds))
+            np.fill_diagonal(counts, 0)
+            ship = counts > 0
+            wire = np.zeros((p, p), dtype=np.int64)
+            raw = np.zeros((p, p), dtype=np.int64)
+            wire[ship], raw[ship], formats = self._price(
+                counts[ship], np.broadcast_to(spans, (p, p))[ship]
+            )
         else:
-            seen = frontier if self.codec is None else np.zeros_like(frontier)
-            for g in range(p):
-                lo, hi = self.partition.owned_range(g)
-                rows = ids = active[cut[g]:cut[g + 1]]
-                for d in range(p):
-                    if d == g:
-                        continue
-                    if self.codec is None:
-                        wire[g, d] = raw[g, d] = bm.row_bytes(
-                            hi - lo, self._width, block=True
-                        )
-                    else:
-                        # Every peer receives the same message; a
-                        # decoded copy feeds the replicated rows.
-                        ids, wire[g, d], raw[g, d] = self._ship(rows, lo, hi)
-                if self.codec is not None:
-                    seen[ids] = frontier[ids]
-            fresh = super()._product(seen, active, cand, missing)
+            # Every peer receives the same message from each member.
+            if self.codec is None:
+                sent = sent_raw = bm.row_bytes(spans, self._width, block=True)
+                formats = {}
+            else:
+                sent, sent_raw, formats = self._price(
+                    np.diff(np.searchsorted(active, bounds)), spans
+                )
+                formats = {f: n * (p - 1) for f, n in formats.items()}
+            wire = np.repeat(sent[:, np.newaxis], p, axis=1)
+            raw = np.repeat(sent_raw[:, np.newaxis], p, axis=1)
+            np.fill_diagonal(wire, 0)
+            np.fill_diagonal(raw, 0)
+            fresh = super()._product(frontier, active, cand, missing)
         self._pod.exchange = (wire, raw)
-        self._pod.record(int(wire.sum()), int(raw.sum()),
-                         self._formats_since(before))
+        self._pod.record(int(wire.sum()), int(raw.sum()), formats)
         return fresh
 
     def _charge(self, pod, level, active, cand, fresh, newly, counts):

@@ -1,4 +1,4 @@
-"""Compressed frontier-exchange codec for the multi-GCD pod.
+"""Frontier-exchange pricing for the multi-GCD pod.
 
 The naive distributed exchange ships every remote discovery as an
 uncompressed vertex id — 4 bytes per vertex, however dense the level.
@@ -6,36 +6,26 @@ GPU-cluster BFS codes (Pan/Pearce/Owens "Scalable BFS on a GPU
 Cluster"; Bisson et al.'s Kepler-cluster work) compress the exchange
 instead: once a peer's share of the frontier is dense, a bitmap over
 that peer's owned vertex range is far smaller than the id list, and on
-sparse levels the id list wins back. This module is that decision,
-factored out of the engines:
+sparse levels the id list wins back.
 
-* :class:`EncodedFrontier` — one peer-to-peer message: the chosen wire
-  format, the payload, and both the wire and the raw (uncompressed
-  id-list) byte counts.
-* :class:`ExchangeCodec` — picks per message between the ``sparse``
-  id-list and the ``bitmap`` format using the
-  :class:`~repro.multigcd.comm.InterconnectModel` α–β cost model, and
-  accumulates exchange counters (messages per format, wire vs raw
-  bytes) that flow into :mod:`repro.telemetry` via
-  :meth:`ExchangeCodec.counters`.
-
-The bitmap format reuses the bit-packing helpers the linear-algebra
-engines standardised in :mod:`repro.xbfs.bitmap` — one
-``pack_rows``/``unpack_rows`` pair per message, 64 vertices to a word,
-byte-granular on the wire. Both formats round-trip exactly
-(``decode(encode(v)) == v``), so a codec can never change a level
-array — only the modelled bytes and the modelled exchange time.
+:class:`ExchangeCodec` is that decision as a pricing rule. A message is
+described by its vertex count and the receiver's owned span;
+:meth:`ExchangeCodec.price` returns, for a whole array of messages at
+once, each one's wire bytes and whether it ships as a ``bitmap`` (one
+bit per vertex of the span, byte-granular) or a ``sparse`` id list,
+picked by the :class:`~repro.multigcd.comm.InterconnectModel` α–β cost
+model. Both formats are lossless views of the same vertex set, so the
+pods never encode one: they price each level's messages and carry the
+rows themselves, which is why a codec can change modelled bytes and
+exchange time but never a level array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.xbfs.bitmap import pack_rows, unpack_rows
 
 __all__ = [
     "FORMAT_SPARSE",
@@ -44,7 +34,6 @@ __all__ = [
     "ID_BYTES",
     "sparse_bytes",
     "bitmap_bytes",
-    "EncodedFrontier",
     "ExchangeCodec",
 ]
 
@@ -59,50 +48,27 @@ WIRE_FORMATS = (FORMAT_SPARSE, FORMAT_BITMAP)
 ID_BYTES = 4
 
 
-def sparse_bytes(count: int) -> int:
-    """Wire bytes of a ``count``-vertex sparse id-list message."""
-    return int(count) * ID_BYTES
+def sparse_bytes(count):
+    """Wire bytes of a ``count``-vertex sparse id-list message
+    (elementwise over arrays)."""
+    return count * ID_BYTES
 
 
-def bitmap_bytes(span: int) -> int:
+def bitmap_bytes(span):
     """Wire bytes of a bitmap over a ``span``-vertex owned range
-    (byte-granular: the 64-bit pack words are trimmed on the wire)."""
-    return -(-int(span) // 8)
-
-
-@dataclass(frozen=True)
-class EncodedFrontier:
-    """One encoded peer-to-peer frontier message.
-
-    ``payload`` is the wire representation: an int64 id array for
-    ``sparse``, a ``(1, words)`` uint64 pack for ``bitmap``. ``lo``/
-    ``hi`` delimit the receiving peer's owned vertex range — the
-    bitmap's address space. ``raw_bytes`` is what the naive
-    uncompressed id-list would have shipped for the same message.
-    """
-
-    fmt: str
-    lo: int
-    hi: int
-    count: int
-    payload: np.ndarray
-    wire_bytes: int
-    raw_bytes: int
-
-    @property
-    def span(self) -> int:
-        return self.hi - self.lo
+    (byte-granular: the 64-bit pack words are trimmed on the wire;
+    elementwise over arrays)."""
+    return -(-span // 8)
 
 
 class ExchangeCodec:
-    """Per-message wire-format selection plus exchange accounting.
+    """Per-message wire-format selection.
 
     ``mode`` pins the decision: ``"auto"`` (default) picks the format
     with the lower modelled transfer time under ``interconnect``;
     ``"sparse"`` / ``"bitmap"`` force one format — the differential
     tests replay the same traversal under all three and demand
-    bit-identical levels. The codec is shared by every peer pair of a
-    pod, so its counters are the pod's whole exchange story.
+    bit-identical levels.
     """
 
     def __init__(
@@ -118,14 +84,10 @@ class ExchangeCodec:
             )
         self.interconnect = interconnect
         self.mode = mode
-        self._messages = {fmt: 0 for fmt in WIRE_FORMATS}
-        self._bytes_wire = 0
-        self._bytes_raw = 0
 
-    # ------------------------------------------------------------------
-    def message_ms(self, count: int, span: int, fmt: str) -> float:
-        """α–β time of one message in ``fmt``: payload over link
-        bandwidth plus one per-message latency."""
+    def message_ms(self, count, span, fmt: str):
+        """α–β time of messages in ``fmt``: payload over link bandwidth
+        plus one per-message latency (elementwise over arrays)."""
         if fmt == FORMAT_SPARSE:
             size = sparse_bytes(count)
         elif fmt == FORMAT_BITMAP:
@@ -135,104 +97,21 @@ class ExchangeCodec:
         model = self.interconnect
         return size / model.bandwidth * 1e3 + model.latency_us * 1e-3
 
-    def choose_format(self, count: int, span: int) -> str:
-        """The cheaper wire format under the interconnect cost model
-        (``mode`` pins it). Both formats pay one message latency, so
-        the decision reduces to payload bytes; ties keep the sparse
-        id-list (the raw format — nothing to undo at the receiver)."""
-        if self.mode != "auto":
-            return self.mode
-        if self.message_ms(count, span, FORMAT_BITMAP) < self.message_ms(
-            count, span, FORMAT_SPARSE
-        ):
-            return FORMAT_BITMAP
-        return FORMAT_SPARSE
+    def price(self, counts, spans) -> tuple[np.ndarray, np.ndarray]:
+        """Price messages of ``counts`` vertices to receivers owning
+        ``spans`` vertices: ``(wire bytes, ships as bitmap)`` per
+        message.
 
-    def wire_bytes(self, count: int, span: int) -> int:
-        """Wire bytes the codec would ship for one message (no
-        counters touched — sizing-only callers use this)."""
-        fmt = self.choose_format(count, span)
-        return sparse_bytes(count) if fmt == FORMAT_SPARSE else bitmap_bytes(span)
-
-    def explain(self, count: int, span: int) -> dict:
-        """Side-by-side cost breakdown behind one format pick.
-
-        Read-only (no counters advanced) — the decision-audit plane
-        renders this so an operator can see exactly why a message went
-        sparse or bitmap."""
-        return {
-            "format": self.choose_format(count, span),
-            "mode": self.mode,
-            "count": int(count),
-            "span": int(span),
-            "sparse_bytes": sparse_bytes(count),
-            "bitmap_bytes": bitmap_bytes(span),
-            "sparse_ms": self.message_ms(count, span, FORMAT_SPARSE),
-            "bitmap_ms": self.message_ms(count, span, FORMAT_BITMAP),
-        }
-
-    # ------------------------------------------------------------------
-    def encode(self, vertices: np.ndarray, lo: int, hi: int) -> EncodedFrontier:
-        """Encode the frontier vertices owned by one peer.
-
-        ``vertices`` must lie in ``[lo, hi)`` and be duplicate-free
-        (the engines hand over per-owner buckets, which are). The
-        counters are advanced here — one call is one wire message.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64).ravel()
-        if lo < 0 or hi < lo:
-            raise PartitionError(f"bad owned range [{lo}, {hi})")
-        if vertices.size and (
-            vertices.min() < lo or vertices.max() >= hi
-        ):
-            raise PartitionError(
-                f"frontier vertex outside the owned range [{lo}, {hi})"
+        Under ``"auto"`` a message ships as a bitmap when that is
+        modelled faster. Both formats pay one message latency, so the
+        decision reduces to payload bytes; ties keep the sparse id list
+        (the raw format — nothing to undo at the receiver)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        spans = np.asarray(spans, dtype=np.int64)
+        if self.mode == "auto":
+            bitmap = self.message_ms(counts, spans, FORMAT_BITMAP) < self.message_ms(
+                counts, spans, FORMAT_SPARSE
             )
-        count = int(vertices.size)
-        span = hi - lo
-        fmt = self.choose_format(count, span)
-        if fmt == FORMAT_BITMAP:
-            bools = np.zeros((1, max(span, 1)), dtype=bool)
-            bools[0, vertices - lo] = True
-            payload = pack_rows(bools)
-            wire = bitmap_bytes(span)
         else:
-            payload = np.sort(vertices)
-            wire = sparse_bytes(count)
-        raw = sparse_bytes(count)
-        self._messages[fmt] += 1
-        self._bytes_wire += wire
-        self._bytes_raw += raw
-        return EncodedFrontier(
-            fmt=fmt, lo=int(lo), hi=int(hi), count=count,
-            payload=payload, wire_bytes=wire, raw_bytes=raw,
-        )
-
-    def decode(self, message: EncodedFrontier) -> np.ndarray:
-        """Recover the sorted vertex ids of one message (exact
-        round-trip of :meth:`encode`)."""
-        if message.fmt == FORMAT_BITMAP:
-            span = max(message.span, 1)
-            bits = unpack_rows(message.payload, span)[0]
-            return np.flatnonzero(bits).astype(np.int64) + message.lo
-        return np.asarray(message.payload, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    def counters(self) -> dict:
-        """Flat counter dict for
-        :meth:`repro.telemetry.counters.CounterRegistry.attach`."""
-        return {
-            "messages": sum(self._messages.values()),
-            "messages_sparse": self._messages[FORMAT_SPARSE],
-            "messages_bitmap": self._messages[FORMAT_BITMAP],
-            "bytes_wire": self._bytes_wire,
-            "bytes_raw": self._bytes_raw,
-            "bytes_saved": self._bytes_raw - self._bytes_wire,
-        }
-
-    def reset(self) -> None:
-        """Zero the counters (engines reset per run)."""
-        for fmt in self._messages:
-            self._messages[fmt] = 0
-        self._bytes_wire = 0
-        self._bytes_raw = 0
+            bitmap = np.full(np.broadcast(counts, spans).shape, self.mode == FORMAT_BITMAP)
+        return np.where(bitmap, bitmap_bytes(spans), sparse_bytes(counts)), bitmap

@@ -19,7 +19,7 @@ GCD per level instead of O(|V|)).
 :meth:`Grid2dBFS.run_batch` runs the three phases on the bitmap level
 loop (:class:`~repro.xbfs.bitmap.BitmapBatchEngine`), every source at
 once: the collectives carry (vertices × sources/64) bitmap rows — each
-block whole, or its occupied rows' ids through the codec plus their
+block whole, or its occupied rows' ids priced by the codec plus their
 words — and a faulted level replays after every member quiesces. A
 one-source batch is the per-vertex BFS: its rows' words are the bits
 their ids imply, so a whole block ships as a ``ceil(rows / 8)``-byte
@@ -30,8 +30,8 @@ block messages it received under the same rule.
 Functionally the engine is exact (validated against the oracle); the
 cost model charges each phase on its sub-communicator. It takes the
 :class:`~repro.multigcd.exchange.ExchangeCodec` (per-block-message
-bitmap/sparse selection, with frontier and discovery rows round-tripped
-through ``decode`` so the codec provably cannot change the answer),
+bitmap/sparse pricing; the phases read the frontier and the tiles'
+filled rows directly, so the codec cannot change the answer),
 comm/compute ``overlap`` (the reduce-scatter of early discovery rows
 hides behind the remaining tile expansion; the allgather stays
 sequential — tiles consume it), a :class:`~repro.telemetry.tracer`
@@ -134,47 +134,24 @@ class Grid2dBFS(PodEngine):
         return self.injector.visit("multigcd.exchange", f"level{level}.{phase}")
 
     def _block_exchange(
-        self, vertices: np.ndarray, bounds: np.ndarray, fan: int,
-    ) -> tuple[np.ndarray, int, float, np.ndarray]:
-        """Run one codec-compressed block collective.
+        self, rows: np.ndarray, bounds: np.ndarray, fan: int,
+    ) -> tuple[int, float, np.ndarray, dict]:
+        """Price one codec-compressed block collective.
 
-        Splits ``vertices`` into the blocks delimited by ``bounds``,
-        encodes each block's message (plus its rows' words,
-        :func:`~repro.xbfs.bitmap.row_bytes`), ships ``fan`` copies of
-        it (the sub-communicator's peer-pair count), and rebuilds the
-        vertex set from the *decoded* messages. Returns
-        ``(vertices_roundtripped, wire_bytes, slowest, raw)``:
-        ``slowest`` is the busiest block's modelled message size (the
-        concurrent sub-communicators run in parallel) and ``raw[b]``
-        block *b*'s message uncompressed.
+        Block *b*'s message holds the ascending ``rows`` inside
+        ``[bounds[b], bounds[b + 1])`` (empty blocks ship too): it is
+        priced once and shipped ``fan`` times (the sub-communicator's
+        peer-pair count). Returns ``(wire_bytes, slowest, raw,
+        formats)``: ``slowest`` is the busiest block's modelled message
+        size (the concurrent sub-communicators run in parallel),
+        ``raw[b]`` block *b*'s message uncompressed and ``formats`` the
+        codec's messages per wire format.
         """
-        codec = self.codec
-        pieces: list[np.ndarray] = []
-        wire = 0
-        worst = 0
-        raw = np.zeros(len(bounds) - 1, dtype=np.int64)
-        for b in range(len(bounds) - 1):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            mine = vertices[(vertices >= lo) & (vertices < hi)]
-            if fan == 0:
-                pieces.append(mine)
-                continue
-            decoded: np.ndarray | None = None
-            per_msg = 0
-            words = bm.row_bytes(int(mine.size), self._width)
-            for _ in range(fan):
-                msg = codec.encode(mine, lo, hi)
-                per_msg = msg.wire_bytes + words
-                wire += per_msg
-                if decoded is None:
-                    decoded = codec.decode(msg)
-            raw[b] = msg.raw_bytes + words
-            worst = max(worst, per_msg)
-            pieces.append(decoded)
-        joined = (
-            np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+        wire, raw, formats = self._price(
+            np.diff(np.searchsorted(rows, bounds)), np.diff(bounds)
         )
-        return joined.astype(np.int64), wire, float(worst), raw
+        fanned = {f: fan * n for f, n in formats.items()}
+        return fan * int(wire.sum()), float(wire.max()), raw, fanned
 
     # ------------------------------------------------------------------
     def run_batch(self, sources: np.ndarray) -> PodBatchResult:
@@ -204,61 +181,53 @@ class Grid2dBFS(PodEngine):
         return self._tile_degrees
 
     def _product(self, frontier, active, cand, missing):
-        """The three phases' host side: the column allgather of the
-        frontier rows, one product over the rows received, with its
-        edges binned per tile, and the row reduce-scatter of the rows it
-        filled.
+        """The three phases' host side: one product over the frontier
+        rows the column allgather delivers, with its edges binned per
+        tile, and the books of both collectives.
 
         Without a codec each collective ships whole bitmap blocks; with
-        one, a block's occupied rows go through the codec and the
-        product reads only rows that were decoded."""
+        one, each block's message carries its occupied rows, priced by
+        :meth:`_block_exchange`."""
         graph = self.graph
         n = graph.num_vertices
-        before = self._format_counts()
         ag_fan = self.rows * (self.rows - 1)
         rs_fan = self.cols * (self.cols - 1)
-        # Phase 1: the column allgather of frontier rows.
+        # Phase 2: the tiles' product over the frontier rows (the host
+        # pulls when that scans fewer edges). deg[r, i] counts the
+        # out-edges of active[r] landing in row block i, the edges of
+        # tile (i, column block of active[r]), and first[r, i] is where
+        # they start: a block's edges are charged as one run of the
+        # row's adjacency list, which they are when it is sorted by id.
+        pull, pull_edges = bm.pull_candidates(graph, missing)
+        if pull_edges >= int(graph.degrees[active].sum()):
+            pull = None
+        fresh = super()._product(frontier, active, pull, missing)
+        deg = self._tiles()[active]
+        first = graph.row_offsets[active, np.newaxis] + np.cumsum(deg, axis=1) - deg
+        # Phase 1, the column allgather of the frontier rows, and phase
+        # 3, the row reduce-scatter of the rows filled.
         if self.codec is None:
             ag_worst = bm.row_bytes(-(-n // self.cols), self._width, block=True)
             ag_wire = ag_worst * ag_fan * self.cols
             ag_raw = np.full(self.cols, ag_worst, dtype=np.int64)
-            seen, rows = frontier, active
-        else:
-            rows, ag_wire, ag_worst, ag_raw = self._block_exchange(
-                active, self.col_bounds, ag_fan
-            )
-            seen = np.zeros_like(frontier)
-            seen[rows] = np.take(frontier, rows, axis=0)
-        # Phase 2: the tiles' product over the received rows (the host
-        # pulls when that scans fewer edges). deg[r, i] counts the
-        # out-edges of rows[r] landing in row block i, the edges of
-        # tile (i, column block of rows[r]), and first[r, i] is where
-        # they start: a block's edges are charged as one run of the
-        # row's adjacency list, which they are when it is sorted by id.
-        pull, pull_edges = bm.pull_candidates(graph, missing)
-        if pull_edges >= int(graph.degrees[rows].sum()):
-            pull = None
-        filled = super()._product(seen, rows, pull, missing)
-        deg = self._tiles()[rows]
-        first = graph.row_offsets[rows, np.newaxis] + np.cumsum(deg, axis=1) - deg
-        # Phase 3: the row reduce-scatter of the rows filled.
-        if self.codec is None:
             rs_worst = bm.row_bytes(-(-n // self.rows), self._width, block=True)
             rs_wire = rs_worst * rs_fan * self.rows
             rs_raw = np.full(self.rows, rs_worst, dtype=np.int64)
-            fresh = filled
+            formats = {}
         else:
-            got, rs_wire, rs_worst, rs_raw = self._block_exchange(
-                bm.occupied_rows(filled), self.row_bounds, rs_fan
+            ag_wire, ag_worst, ag_raw, formats = self._block_exchange(
+                active, self.col_bounds, ag_fan
             )
-            fresh = np.zeros_like(frontier)
-            fresh[got] = np.take(filled, got, axis=0)
+            rs_wire, rs_worst, rs_raw, rs_formats = self._block_exchange(
+                bm.occupied_rows(fresh), self.row_bounds, rs_fan
+            )
+            formats = {f: formats[f] + rs_formats[f] for f in formats}
         # Tile (i, j) receives R - 1 messages of column block j and
         # C - 1 of row block i.
         recv = (self.rows - 1) * ag_raw + (self.cols - 1) * rs_raw[:, np.newaxis]
-        self._pod.exchange = (rows, deg, first, ag_worst, rs_worst, recv)
+        self._pod.exchange = (active, deg, first, ag_worst, rs_worst, recv)
         raw = int(ag_fan * ag_raw.sum() + rs_fan * rs_raw.sum())
-        self._pod.record(ag_wire + rs_wire, raw, self._formats_since(before))
+        self._pod.record(ag_wire + rs_wire, raw, formats)
         return fresh
 
     def _charge(self, pod, level, active, cand, fresh, newly, counts):

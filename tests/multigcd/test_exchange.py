@@ -1,11 +1,12 @@
-"""Property tests for the frontier-exchange codec.
+"""Property tests for the frontier-exchange pricing rule.
 
-The codec's whole contract is *lossless accounting*: whatever wire
-format it picks, ``decode(encode(v)) == v``, so attaching a codec to a
-distributed engine can change modelled bytes and exchange time but
-never a level array. These tests pin that contract down for arbitrary
-frontiers and owned ranges, plus the cost-model boundary the format
-choice hinges on, and the pods' one-source wire rule.
+The pods never encode a message: they price it. These tests hold the
+price to a reference encoder in the tests: a sorted id list, or a
+packed bitmap over the receiver's owned range, plus the rows' words. For
+arbitrary frontiers, owned ranges, batch widths and all three modes,
+the priced bytes and format are the reference payload's, and that
+payload carries the vertex set losslessly. Then the cost-model boundary
+the format choice hinges on, and the pods' one-source wire rule.
 """
 
 import numpy as np
@@ -24,9 +25,11 @@ from repro.multigcd.exchange import (
     ID_BYTES,
     ExchangeCodec,
     bitmap_bytes,
-    sparse_bytes,
 )
+from repro.xbfs.bitmap import words_for
 from repro.xbfs.driver import XBFS
+
+MODES = ("auto", FORMAT_SPARSE, FORMAT_BITMAP)
 
 
 @st.composite
@@ -45,122 +48,135 @@ def frontier_and_range(draw):
         )
         vertices = np.array(sorted(picks), dtype=np.int64)
         if draw(st.booleans()):
-            # Encode order must not matter.
+            # Message order must not matter.
             vertices = vertices[::-1].copy()
     return vertices, lo, hi
 
 
+def reference_encode(vertices, lo, hi, mode, width=1):
+    """One message as bytes: the row ids as a sorted little-endian id
+    list or a packed bitmap over ``[lo, hi)`` (under ``"auto"``, the
+    shorter; ties keep the id list), then each row's words for a
+    ``width``-source batch (none for one source: its bit is the id)."""
+    ids = np.sort(vertices).astype("<u4").tobytes()
+    bits = np.zeros(hi - lo, dtype=bool)
+    bits[vertices - lo] = True
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    if mode == "auto":
+        mode = FORMAT_BITMAP if len(packed) < len(ids) else FORMAT_SPARSE
+    words = bytes(8 * words_for(width) * vertices.size) if width > 1 else b""
+    return mode, (packed if mode == FORMAT_BITMAP else ids) + words
+
+
+def reference_decode(fmt, payload, lo, hi):
+    """The vertex ids of a reference message's id payload."""
+    if fmt == FORMAT_BITMAP:
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
+                             count=hi - lo, bitorder="little")
+        return np.flatnonzero(bits).astype(np.int64) + lo
+    return np.frombuffer(payload, dtype="<u4").astype(np.int64)
+
+
+def price_one(codec, vertices, lo, hi):
+    wire, bitmap = codec.price([vertices.size], [hi - lo])
+    return int(wire[0]), FORMAT_BITMAP if bitmap[0] else FORMAT_SPARSE
+
+
 class TestRoundTrip:
+    """A priced message is a real one: the reference payload in the
+    priced format carries the vertex set and has the priced length."""
+
     @given(frontier_and_range())
     @settings(max_examples=100, deadline=None)
     def test_auto_round_trip_identity(self, case):
         vertices, lo, hi = case
-        codec = ExchangeCodec()
-        msg = codec.encode(vertices, lo, hi)
-        out = codec.decode(msg)
-        assert np.array_equal(out, np.sort(vertices))
-        assert msg.count == vertices.size
-        assert msg.raw_bytes == sparse_bytes(vertices.size)
+        wire, fmt = price_one(ExchangeCodec(), vertices, lo, hi)
+        ref_fmt, payload = reference_encode(vertices, lo, hi, "auto")
+        assert (wire, fmt) == (len(payload), ref_fmt)
+        assert np.array_equal(reference_decode(fmt, payload, lo, hi), np.sort(vertices))
 
     @given(frontier_and_range(), st.sampled_from([FORMAT_SPARSE, FORMAT_BITMAP]))
     @settings(max_examples=100, deadline=None)
     def test_forced_formats_round_trip(self, case, fmt):
         vertices, lo, hi = case
-        codec = ExchangeCodec(mode=fmt)
-        msg = codec.encode(vertices, lo, hi)
-        assert msg.fmt == fmt
-        assert np.array_equal(codec.decode(msg), np.sort(vertices))
+        wire, priced = price_one(ExchangeCodec(mode=fmt), vertices, lo, hi)
+        _, payload = reference_encode(vertices, lo, hi, fmt)
+        assert (wire, priced) == (len(payload), fmt)
+        assert np.array_equal(reference_decode(fmt, payload, lo, hi), np.sort(vertices))
 
     @given(frontier_and_range())
     @settings(max_examples=100, deadline=None)
-    def test_bitmap_and_sparse_agree(self, case):
-        """The two wire formats are views of the same set."""
+    def test_auto_prices_the_cheaper_format(self, case):
+        """Auto prices the cheaper of the two forced formats."""
         vertices, lo, hi = case
-        sparse = ExchangeCodec(mode=FORMAT_SPARSE)
-        bitmap = ExchangeCodec(mode=FORMAT_BITMAP)
-        a = sparse.decode(sparse.encode(vertices, lo, hi))
-        b = bitmap.decode(bitmap.encode(vertices, lo, hi))
-        assert np.array_equal(a, b)
+        auto = price_one(ExchangeCodec(), vertices, lo, hi)[0]
+        sparse = price_one(ExchangeCodec(mode=FORMAT_SPARSE), vertices, lo, hi)[0]
+        bitmap = price_one(ExchangeCodec(mode=FORMAT_BITMAP), vertices, lo, hi)[0]
+        assert auto == min(sparse, bitmap)
 
     @given(frontier_and_range())
     @settings(max_examples=100, deadline=None)
     def test_wire_sizes_match_formulas(self, case):
         vertices, lo, hi = case
-        codec = ExchangeCodec()
-        msg = codec.encode(vertices, lo, hi)
-        if msg.fmt == FORMAT_SPARSE:
-            assert msg.wire_bytes == vertices.size * ID_BYTES
+        wire, fmt = price_one(ExchangeCodec(), vertices, lo, hi)
+        if fmt == FORMAT_SPARSE:
+            assert wire == vertices.size * ID_BYTES
         else:
-            assert msg.wire_bytes == bitmap_bytes(hi - lo)
+            assert wire == bitmap_bytes(hi - lo)
         # Auto mode never ships more than the naive id list would.
-        assert msg.wire_bytes <= max(msg.raw_bytes, bitmap_bytes(hi - lo))
+        assert wire <= max(vertices.size * ID_BYTES, bitmap_bytes(hi - lo))
+
+    @given(st.lists(frontier_and_range(), min_size=1, max_size=6),
+           st.sampled_from(MODES), st.integers(min_value=1, max_value=130))
+    @settings(max_examples=100, deadline=None)
+    def test_pod_prices_a_level_against_the_reference(self, cases, mode, width):
+        """A pod prices a level's messages in one call: each wire size
+        is its reference message (ids plus row words), each raw size
+        the id list plus row words, and the format tally matches."""
+        pod = MultiGcdBFS(rmat(6, 4, seed=1), 2, codec=ExchangeCodec(mode=mode))
+        pod._width = width
+        wire, raw, formats = pod._price(
+            np.array([v.size for v, _, _ in cases]),
+            np.array([hi - lo for _, lo, hi in cases]),
+        )
+        refs = [reference_encode(v, lo, hi, mode, width) for v, lo, hi in cases]
+        assert wire.tolist() == [len(payload) for _, payload in refs]
+        ids = [reference_encode(v, lo, hi, FORMAT_SPARSE, width) for v, lo, hi in cases]
+        assert raw.tolist() == [len(payload) for _, payload in ids]
+        assert formats == {f: sum(r[0] == f for r in refs) for f in (FORMAT_SPARSE, FORMAT_BITMAP)}
 
 
 class TestFormatChoice:
+    @staticmethod
+    def pick(codec, count, span):
+        return FORMAT_BITMAP if codec.price(count, span)[1] else FORMAT_SPARSE
+
     def test_dense_frontier_prefers_bitmap(self):
-        codec = ExchangeCodec()
         # 512 of 1024 owned vertices: ids = 2048 B, bitmap = 128 B.
-        assert codec.choose_format(512, 1024) == FORMAT_BITMAP
+        assert self.pick(ExchangeCodec(), 512, 1024) == FORMAT_BITMAP
 
     def test_sparse_frontier_prefers_ids(self):
-        codec = ExchangeCodec()
         # 4 of 100k owned: ids = 16 B, bitmap = 12.5 kB.
-        assert codec.choose_format(4, 100_000) == FORMAT_SPARSE
+        assert self.pick(ExchangeCodec(), 4, 100_000) == FORMAT_SPARSE
 
     def test_break_even_is_span_over_32(self):
         # count * 4 bytes vs span/8 bytes: bitmap wins beyond span/32
         # vertices; exact ties keep sparse.
         codec = ExchangeCodec()
         span = 3200
-        assert codec.choose_format(span // 32 + 1, span) == FORMAT_BITMAP
-        assert codec.choose_format(span // 32, span) == FORMAT_SPARSE
+        assert self.pick(codec, span // 32 + 1, span) == FORMAT_BITMAP
+        assert self.pick(codec, span // 32, span) == FORMAT_SPARSE
 
     def test_choice_is_interconnect_independent_of_latency(self):
         # Both formats pay one per-message latency, so the chosen
         # format is the same on any link (the latency term cancels).
         fast, slow = ExchangeCodec(INFINITY_FABRIC), ExchangeCodec(SLINGSHOT)
-        for count, span in [(1, 64), (60, 64), (10, 4096), (200, 4096)]:
-            assert fast.choose_format(count, span) == slow.choose_format(
-                count, span
-            )
+        counts, spans = [1, 60, 10, 200], [64, 64, 4096, 4096]
+        assert np.array_equal(fast.price(counts, spans)[1], slow.price(counts, spans)[1])
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(PartitionError):
             ExchangeCodec(mode="zstd")
-
-    def test_out_of_range_vertices_rejected(self):
-        codec = ExchangeCodec()
-        with pytest.raises(PartitionError):
-            codec.encode(np.array([5]), 6, 10)
-        with pytest.raises(PartitionError):
-            codec.encode(np.array([10]), 6, 10)
-
-
-class TestCounters:
-    def test_counters_accumulate_and_reset(self):
-        codec = ExchangeCodec()
-        codec.encode(np.arange(100), 0, 128)      # dense -> bitmap
-        codec.encode(np.array([3]), 0, 100_000)   # sparse
-        c = codec.counters()
-        assert c["messages"] == 2
-        assert c["messages_bitmap"] == 1
-        assert c["messages_sparse"] == 1
-        assert c["bytes_raw"] == 101 * ID_BYTES
-        assert c["bytes_wire"] == bitmap_bytes(128) + sparse_bytes(1)
-        assert c["bytes_saved"] == c["bytes_raw"] - c["bytes_wire"]
-        codec.reset()
-        assert all(v == 0 for v in codec.counters().values())
-
-    def test_counters_attach_to_telemetry_registry(self):
-        from repro.telemetry import CounterRegistry
-
-        codec = ExchangeCodec()
-        codec.encode(np.arange(64), 0, 64)
-        registry = CounterRegistry()
-        registry.attach("exchange", codec.counters)
-        snap = registry.snapshot()
-        assert snap["exchange.messages"] == 1
-        assert snap["exchange.bytes_saved"] > 0
 
 
 class TestOneSourceRule:
