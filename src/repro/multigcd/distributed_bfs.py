@@ -144,7 +144,8 @@ class _BulkSyncPod:
     bulk-synchronous phase: the slowest member's time since the
     previous step. A sync (or a recovery quiesce) settles every member
     and charges one step, so the partial work of a faulted level stays
-    on the clock.
+    on the clock. A step after which some member is warm warms them
+    all, so a pod pays one first-launch warm-up (MODEL.md §6).
     """
 
     def __init__(self, gcds: list[GCD]) -> None:
@@ -166,6 +167,11 @@ class _BulkSyncPod:
     def step(self) -> float:
         ms = max(g.elapsed_ms - mark for g, mark in zip(self.gcds, self._marks))
         self._marks = [g.elapsed_ms for g in self.gcds]
+        # One warm-up per pod: the members warm up in parallel, so once
+        # any member has paid it within a step, every member is warm.
+        if any(g._warm for g in self.gcds):
+            for g in self.gcds:
+                g._warm = True
         return ms
 
     def sync(self) -> None:

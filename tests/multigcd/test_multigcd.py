@@ -5,11 +5,14 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.faults import FaultPlan, FaultRule
+from repro.gcd.device import MI250X_GCD
+from repro.graph.generators import rmat
 from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import (
     INFINITY_FABRIC,
     SLINGSHOT,
     ExchangeCodec,
+    Grid2dBFS,
     InterconnectModel,
     MultiGcdBFS,
     Partition1D,
@@ -293,6 +296,39 @@ class TestStraggler:
             social_graph, 4, injector=self._straggler(0)
         ).run_batch([source])
         assert base.compute_ms < slow.compute_ms <= 4.0 * base.compute_ms + 1e-9
+
+
+class TestOneWarmup:
+    """A pod's members warm up in parallel: a cold pod pays the
+    first-launch warm-up once, however many members launch later."""
+
+    GRAPH = rmat(12, 8, seed=2)
+
+    @pytest.mark.parametrize("engine, gcds", [
+        (MultiGcdBFS, 2), (MultiGcdBFS, 4), (MultiGcdBFS, 8),
+        (Grid2dBFS, 4), (Grid2dBFS, 9),
+    ])
+    def test_cold_minus_warm_is_one_warmup(self, engine, gcds):
+        pod = engine(self.GRAPH, gcds)
+        cold = pod.run_batch([0])
+        warm = pod.run_batch([0])
+        assert cold.paid_warmup and not warm.paid_warmup
+        assert cold.elapsed_ms - warm.elapsed_ms == pytest.approx(
+            MI250X_GCD.first_launch_warmup_ms, abs=1e-9
+        )
+
+    def test_aborted_first_launch_warms_nobody(self):
+        """A fault aborts the first launch before any member launched;
+        the quiesce that follows steps the pod but warms nobody, so the
+        replay pays the one warm-up."""
+        abort = FaultPlan(seed=0, name="abort-first", rules=(
+            FaultRule(site="gcd.launch", kind="kernel_launch", after=0,
+                      max_triggers=1),
+        )).injector()
+        clean = MultiGcdBFS(self.GRAPH, 4).run_batch([0])
+        faulted = MultiGcdBFS(self.GRAPH, 4, injector=abort).run_batch([0])
+        assert faulted.level_restarts == 1
+        assert 0.0 < faulted.elapsed_ms - clean.elapsed_ms < 1.0
 
 
 class TestRunBatch:
