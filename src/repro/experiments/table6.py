@@ -53,12 +53,6 @@ class Table6Result:
                 return s.fetch_mb
         return float("nan")
 
-    def runtime_at(self, level: int, strategy: str) -> float:
-        for s in self.summaries[strategy]:
-            if s.level == level:
-                return s.runtime_ms
-        return float("nan")
-
     @property
     def peak_level(self) -> int:
         return int(np.argmax(self.ratios))

@@ -104,11 +104,6 @@ class DeviceProfile:
         return self.l2_bytes // self.cache_line_bytes
 
     @property
-    def flat_throughput_ops(self) -> float:
-        """Data-parallel simple-op throughput, ops/second."""
-        return 1e9 / self.flat_op_ns
-
-    @property
     def sequential_bandwidth(self) -> float:
         """Sustained streaming bandwidth, bytes/second."""
         return self.hbm_bandwidth * self.sequential_bw_fraction

@@ -3,7 +3,9 @@ several simulated GCDs with an α–β interconnect model (the paper's
 Graph500 motivation carried one step further); a batch of sources is
 one bit-parallel traversal of the pod. A one-source batch is the
 per-vertex BFS: its rows ship as ids alone, since each row's one bit
-is implied by its id."""
+is implied by its id. An optional exchange codec prices each level's
+peer messages (sparse id list or bitmap) in one call; the rows never
+pass through it."""
 
 from repro.multigcd.comm import INFINITY_FABRIC, SLINGSHOT, InterconnectModel
 from repro.multigcd.distributed_bfs import MultiGcdBFS, PodBatchResult

@@ -456,10 +456,11 @@ class MultiGcdBFS(PodEngine):
             if pull_edges < int(graph.degrees[active].sum()):
                 parts = self._pull_by_member(frontier, pull, missing)
                 fresh[pull] = np.bitwise_or.reduce(parts, axis=1)
-                hits = np.cumsum(parts.any(axis=2), axis=0)
-                hits = np.vstack([np.zeros((1, p), dtype=hits.dtype), hits])
+                # below[r, g]: the first r pull rows that member g filled.
+                below = np.zeros((pull.size + 1, p), dtype=np.int64)
+                np.cumsum(parts.any(axis=2), axis=0, out=below[1:])
                 at = np.searchsorted(pull, bounds)
-                counts = (hits[at[1:]] - hits[at[:-1]]).T
+                counts = (below[at[1:]] - below[at[:-1]]).T
             else:
                 counts = np.zeros((p, p), dtype=np.int64)
                 cut = np.searchsorted(active, bounds)

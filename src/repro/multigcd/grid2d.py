@@ -225,7 +225,7 @@ class Grid2dBFS(PodEngine):
         # Tile (i, j) receives R - 1 messages of column block j and
         # C - 1 of row block i.
         recv = (self.rows - 1) * ag_raw + (self.cols - 1) * rs_raw[:, np.newaxis]
-        self._pod.exchange = (active, deg, first, ag_worst, rs_worst, recv)
+        self._pod.exchange = (deg, first, ag_worst, rs_worst, recv)
         raw = int(ag_fan * ag_raw.sum() + rs_fan * rs_raw.sum())
         self._pod.record(ag_wire + rs_wire, raw, formats)
         return fresh
@@ -241,18 +241,18 @@ class Grid2dBFS(PodEngine):
         i, masked by row block i's status words; writes the output of
         the discovered rows it owns after the reduce-scatter; and reads
         every message it received."""
-        rows, edges, first, ag_worst, rs_worst, recv = pod.exchange
+        edges, first, ag_worst, rs_worst, recv = pod.exchange
         ag_ms = self._subcomm_cost(self.rows, ag_worst) * self._exchange_scale(
             level, "allgather"
         )
-        col_block = np.searchsorted(self.col_bounds, rows, side="right") - 1
+        col_block = np.searchsorted(self.col_bounds, active, side="right") - 1
         own = np.searchsorted(newly, self.owner_bounds)
         examined = 0
         for i in range(self.rows):
             for j in range(self.cols):
                 g = i * self.cols + j
                 local = (col_block == j) & (edges[:, i] > 0)
-                mine, lo, hi = rows[local], own[g], own[g + 1]
+                mine, lo, hi = active[local], own[g], own[g + 1]
                 if not (mine.size or hi > lo or recv[i, j]):
                     continue
                 examined += self._launch(

@@ -58,12 +58,6 @@ class Partition1D:
             raise PartitionError(f"part {part} out of range [0, {self.num_parts})")
         return int(self.boundaries[part]), int(self.boundaries[part + 1])
 
-    def owned_mask(self, part: int) -> np.ndarray:
-        lo, hi = self.owned_range(part)
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[lo:hi] = True
-        return mask
-
 
 def partition_by_vertices(graph: CSRGraph, num_parts: int) -> Partition1D:
     """Equal vertex counts per part."""

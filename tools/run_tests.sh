@@ -48,7 +48,8 @@
 #                                 # unit tests, the charge vocabulary
 #                                 # (pod members' launches and receive
 #                                 # buffers against the exchange
-#                                 # books), codec property tests,
+#                                 # books), the codec's pricing
+#                                 # against a reference encoder,
 #                                 # overlap accounting, the 2D grid
 #                                 # differential wall, partition
 #                                 # routing, the 2->64 GCD scaling
