@@ -441,8 +441,9 @@ class MultiGcdBFS(PodEngine):
         message per non-empty (member, owner) pair. Bottom-up: each GCD
         ships its owned frontier rows to every peer (the whole row
         block without a codec), and the candidates pull from the
-        replicated rows. Every message of the level is priced by one
-        :meth:`~PodEngine._price` call."""
+        replicated rows. The level's messages are priced in one
+        :meth:`~PodEngine._price` call, except a bottom-up level's
+        without a codec, which ship whole row blocks."""
         graph = self.graph
         p = self.num_gcds
         bounds = self.partition.boundaries
