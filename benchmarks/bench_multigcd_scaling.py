@@ -12,8 +12,9 @@ regimes:
 Four configs per point:
 
 * ``1d-naive``         — the committed baseline exchange (raw id lists);
-* ``1d-codec``         — the :class:`~repro.multigcd.exchange.ExchangeCodec`
-  picking bitmap vs sparse per message;
+* ``1d-codec``         — ``codec=True``: each message ships the
+  smaller of a bitmap and a sparse id list
+  (:func:`~repro.multigcd.exchange.price`);
 * ``1d-codec-overlap`` — codec plus comm/compute overlap accounting;
 * ``2d-codec-overlap`` — the checkerboard grid with the full plane on.
 
@@ -45,7 +46,7 @@ from repro.faults import levels_fingerprint
 from repro.graph.generators import rmat
 from repro.metrics.results_io import save_results
 from repro.metrics.tables import render_table
-from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.xbfs.driver import XBFS
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_multigcd_scaling.json"
@@ -73,15 +74,6 @@ def _graph(scale: int):
         g = rmat(scale, 8, seed=5)
         _GRAPHS[scale] = (g, int(np.argmax(g.degrees)))
     return _GRAPHS[scale]
-
-
-def _engine(cls, graph, num_gcds: int, opts: dict):
-    kwargs = {}
-    if opts.get("codec"):
-        kwargs["codec"] = ExchangeCodec()
-    if opts.get("overlap"):
-        kwargs["overlap"] = True
-    return cls(graph, num_gcds, **kwargs)
 
 
 def _point(regime: str, config: str, scale: int, num_gcds: int,
@@ -126,7 +118,7 @@ def run_scaling_bench() -> list[dict]:
         oracle_crc = levels_fingerprint(XBFS(graph).run(source).levels)
         batch = np.array([source])
         for config, cls, opts in CONFIGS:
-            engine = _engine(cls, graph, p, opts)
+            engine = cls(graph, p, **opts)
             engine.run_batch(batch)  # warm-up: first launch charges init
             result = engine.run_batch(batch)  # steady state (warm dies)
             rows.append(_point(regime, config, scale, p, result, oracle_crc))

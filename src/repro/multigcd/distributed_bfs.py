@@ -42,12 +42,12 @@ second exchange is needed.
 Two scalability levers are opt-in (both default off, keeping the
 naive exchange bit-for-bit as committed):
 
-* ``codec`` — an :class:`~repro.multigcd.exchange.ExchangeCodec` that
-  prices every peer-to-peer message, choosing per message between the
-  sparse id-list and a bitmap over the receiver's owned range (a
-  message prices its row ids that way; the row words ride along). The
-  rows themselves never pass through the codec, so it can change
-  modelled bytes and exchange time but never the level array.
+* ``codec`` — price every peer-to-peer message with
+  :func:`~repro.multigcd.exchange.price`, which ships its row ids as
+  the smaller of a sparse id list and a bitmap over the receiver's
+  owned range (the row words ride along). The rows themselves are
+  never encoded, so the codec can change modelled bytes and exchange
+  time but never the level array.
 * ``overlap`` — charge each top-down level's exchange and its local
   expand to overlapping virtual-time intervals (``max`` instead of
   sum), the comm/compute pipelining of Pan/Pearce/Owens. Bottom-up
@@ -69,8 +69,8 @@ from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
-from repro.multigcd.exchange import FORMAT_BITMAP, FORMAT_SPARSE, ExchangeCodec, sparse_bytes
-from repro.multigcd.partition import Partition1D, partition_by_edges
+from repro.multigcd.exchange import FORMAT_BITMAP, FORMAT_SPARSE, price, sparse_bytes
+from repro.multigcd.partition import partition_by_edges
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
@@ -225,7 +225,7 @@ class PodEngine(bm.BitmapBatchEngine):
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
-        codec: ExchangeCodec | None = None,
+        codec: bool = False,
         overlap: bool = False,
     ) -> None:
         if num_gcds < 1:
@@ -242,10 +242,9 @@ class PodEngine(bm.BitmapBatchEngine):
                          injector=injector, recovery=recovery)
         self.num_gcds = num_gcds
         self.interconnect = interconnect
-        #: Optional :class:`~repro.multigcd.exchange.ExchangeCodec`;
-        #: when attached every peer-to-peer frontier message is priced
-        #: by it, so the cost model charges wire bytes instead of raw
-        #: id-list bytes.
+        #: Price every peer-to-peer frontier message with
+        #: :func:`~repro.multigcd.exchange.price`, so the cost model
+        #: charges wire bytes instead of raw id-list bytes.
         self.codec = codec
         #: Overlap each level's hideable exchange with its kernels
         #: (virtual-time accounting only — launch order is unchanged).
@@ -319,16 +318,16 @@ class PodEngine(bm.BitmapBatchEngine):
 
     def _price(self, counts: np.ndarray, spans: np.ndarray):
         """Price messages of ``counts`` bitmap rows, each to the owner
-        of a ``spans``-vertex range: the row ids (priced by the codec
-        when one is attached) plus the rows' words
+        of a ``spans``-vertex range: the row ids (in the cheaper wire
+        format under ``codec``) plus the rows' words
         (:func:`~repro.xbfs.bitmap.row_bytes`). Returns ``(wire, raw,
         formats)``: per-message wire and uncompressed bytes, and the
-        codec's messages per wire format (empty without a codec)."""
+        messages per wire format (empty without the codec)."""
         words = bm.row_bytes(counts, self._width)
         raw = sparse_bytes(counts) + words
-        if self.codec is None:
+        if not self.codec:
             return raw, raw, {}
-        wire, bitmap = self.codec.price(counts, spans)
+        wire, bitmap = price(counts, spans)
         n = int(np.count_nonzero(bitmap))
         return wire + words, raw, {FORMAT_SPARSE: int(bitmap.size) - n, FORMAT_BITMAP: n}
 
@@ -346,12 +345,11 @@ class MultiGcdBFS(PodEngine):
         device: DeviceProfile = MI250X_GCD,
         config: ExecConfig | None = None,
         interconnect: InterconnectModel = INFINITY_FABRIC,
-        partition: Partition1D | None = None,
         direction_alpha: float | None = None,
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
-        codec: ExchangeCodec | None = None,
+        codec: bool = False,
         overlap: bool = False,
     ) -> None:
         super().__init__(
@@ -362,9 +360,9 @@ class MultiGcdBFS(PodEngine):
         if direction_alpha is not None and not 0 < direction_alpha <= 1:
             raise PartitionError("direction_alpha must be in (0, 1]")
         self.direction_alpha = direction_alpha
-        self.partition = partition or partition_by_edges(graph, num_gcds)
-        if self.partition.num_vertices != graph.num_vertices:
-            raise PartitionError("partition does not cover the graph")
+        #: Edge-balanced ownership: member ``g`` owns vertices
+        #: ``[bounds[g], bounds[g + 1])``.
+        self.bounds = partition_by_edges(graph, num_gcds)
         #: See :meth:`_in_edges_by_owner` (built on the first pulled level).
         self._in_by_owner: np.ndarray | None = None
 
@@ -411,7 +409,7 @@ class MultiGcdBFS(PodEngine):
         runs."""
         if self._in_by_owner is None:
             rev = self.graph.reverse()
-            bounds = self.partition.boundaries
+            bounds = self.bounds
             rows = np.flatnonzero(rev.degrees)
             below = np.zeros((rev.num_vertices, bounds.size), dtype=np.int64)
             below[:, -1] = rev.degrees
@@ -446,7 +444,7 @@ class MultiGcdBFS(PodEngine):
         without a codec, which ship whole row blocks."""
         graph = self.graph
         p = self.num_gcds
-        bounds = self.partition.boundaries
+        bounds = self.bounds
         spans = np.diff(bounds)
         if cand is None:
             # counts[g, d]: rows member g filled in owner d's block.
@@ -480,7 +478,7 @@ class MultiGcdBFS(PodEngine):
             )
         else:
             # Every peer receives the same message from each member.
-            if self.codec is None:
+            if not self.codec:
                 sent = sent_raw = bm.row_bytes(spans, self._width, block=True)
                 formats = {}
             else:
@@ -509,7 +507,7 @@ class MultiGcdBFS(PodEngine):
         top-down exchange may hide behind the launches under
         ``overlap``; bottom-up, the allgather comes first."""
         wire, raw = pod.exchange
-        bounds = self.partition.boundaries
+        bounds = self.bounds
         rows = active if cand is None else cand
         cut = np.searchsorted(rows, bounds)
         own = np.searchsorted(newly, bounds)

@@ -28,10 +28,11 @@ bitmap and a coded row costs only its id
 block messages it received under the same rule.
 
 Functionally the engine is exact (validated against the oracle); the
-cost model charges each phase on its sub-communicator. It takes the
-:class:`~repro.multigcd.exchange.ExchangeCodec` (per-block-message
-bitmap/sparse pricing; the phases read the frontier and the tiles'
-filled rows directly, so the codec cannot change the answer),
+cost model charges each phase on its sub-communicator. It takes
+``codec`` (each block message's ids priced as the smaller of an id list
+and a bitmap by :func:`~repro.multigcd.exchange.price`; the phases read
+the frontier and the tiles' filled rows directly, so the codec cannot
+change the answer),
 comm/compute ``overlap`` (the reduce-scatter of early discovery rows
 hides behind the remaining tile expansion; the allgather stays
 sequential — tiles consume it), a :class:`~repro.telemetry.tracer`
@@ -51,7 +52,6 @@ from repro.gcd.kernel import ExecConfig
 from repro.graph.csr import CSRGraph
 from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.distributed_bfs import TOP_DOWN, PodBatchResult, PodEngine
-from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
@@ -96,7 +96,7 @@ class Grid2dBFS(PodEngine):
         tracer: Tracer | None = None,
         injector=None,
         recovery: RecoveryPolicy | None = None,
-        codec: ExchangeCodec | None = None,
+        codec: bool = False,
         overlap: bool = False,
     ) -> None:
         # The ``multigcd.exchange`` fault site covers both collective
@@ -136,7 +136,7 @@ class Grid2dBFS(PodEngine):
     def _block_exchange(
         self, rows: np.ndarray, bounds: np.ndarray, fan: int,
     ) -> tuple[int, float, np.ndarray, dict]:
-        """Price one codec-compressed block collective.
+        """Price one block collective under the codec.
 
         Block *b*'s message holds the ascending ``rows`` inside
         ``[bounds[b], bounds[b + 1])`` (empty blocks ship too): it is
@@ -144,8 +144,8 @@ class Grid2dBFS(PodEngine):
         peer-pair count). Returns ``(wire_bytes, slowest, raw,
         formats)``: ``slowest`` is the busiest block's modelled message
         size (the concurrent sub-communicators run in parallel),
-        ``raw[b]`` block *b*'s message uncompressed and ``formats`` the
-        codec's messages per wire format.
+        ``raw[b]`` block *b*'s message uncompressed and ``formats`` its
+        messages per wire format.
         """
         wire, raw, formats = self._price(
             np.diff(np.searchsorted(rows, bounds)), np.diff(bounds)
@@ -206,7 +206,7 @@ class Grid2dBFS(PodEngine):
         first = graph.row_offsets[active, np.newaxis] + np.cumsum(deg, axis=1) - deg
         # Phase 1, the column allgather of the frontier rows, and phase
         # 3, the row reduce-scatter of the rows filled.
-        if self.codec is None:
+        if not self.codec:
             ag_worst = bm.row_bytes(-(-n // self.cols), self._width, block=True)
             ag_wire = ag_worst * ag_fan * self.cols
             ag_raw = np.full(self.cols, ag_worst, dtype=np.int64)

@@ -28,9 +28,10 @@ FRONTIER_NODE_GCDS = 8
 class TwoTierInterconnect:
     """Intra-node fast tier + inter-node slow tier.
 
-    Drop-in for :class:`~repro.multigcd.comm.InterconnectModel` where a
-    ``alltoall_ms(bytes_matrix)`` method is expected; part *p* lives on
-    node ``p // gcds_per_node``.
+    Drop-in for :class:`~repro.multigcd.comm.InterconnectModel` as a
+    pod's ``interconnect``: it has the same ``alltoall_ms(bytes_matrix)``
+    and nothing else (no ``bandwidth`` or ``latency_us`` of its own).
+    Part *p* lives on node ``p // gcds_per_node``.
     """
 
     name: str = "frontier-node"
@@ -41,9 +42,6 @@ class TwoTierInterconnect:
     def __post_init__(self) -> None:
         if self.gcds_per_node < 1:
             raise PartitionError("gcds_per_node must be >= 1")
-
-    def node_of(self, parts: np.ndarray) -> np.ndarray:
-        return np.asarray(parts) // self.gcds_per_node
 
     def alltoall_ms(self, bytes_matrix: np.ndarray) -> float:
         """Split the exchange by tier; the phases overlap, so the level

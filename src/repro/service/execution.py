@@ -49,7 +49,6 @@ from repro.errors import (
 )
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.multigcd.distributed_bfs import MultiGcdBFS
-from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
 from repro.obs.stream import DecisionStream
 from repro.service.metrics import ServiceMetrics
@@ -159,7 +158,7 @@ _TIERS = {
     ),
     "grid2d": _Tier(
         build=lambda ex, g, **kw: Grid2dBFS(
-            g, ex.num_gcds, recovery=ex.recovery, codec=ExchangeCodec(), overlap=True,
+            g, ex.num_gcds, recovery=ex.recovery, codec=True, overlap=True,
             **kw,
         ),
         call=_run_pod, pod=True,

@@ -1,12 +1,13 @@
 """Property tests for the frontier-exchange pricing rule.
 
-The pods never encode a message: they price it. These tests hold the
-price to a reference encoder in the tests: a sorted id list, or a
-packed bitmap over the receiver's owned range, plus the rows' words. For
-arbitrary frontiers, owned ranges, batch widths and all three modes,
-the priced bytes and format are the reference payload's, and that
-payload carries the vertex set losslessly. Then the cost-model boundary
-the format choice hinges on, and the pods' one-source wire rule.
+The pods never encode a message: they price it. These tests hold
+:func:`~repro.multigcd.exchange.price` to a reference encoder in the
+tests: a sorted id list, or a packed bitmap over the receiver's owned
+range, plus the rows' words. For arbitrary frontiers, owned ranges and
+batch widths, the priced bytes and format are the shorter reference
+payload's (ties keep the id list), and that payload carries the vertex
+set losslessly. Then the byte boundary the format choice hinges on, and
+the pods' one-source wire rule.
 """
 
 import numpy as np
@@ -14,22 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.multigcd import Grid2dBFS, MultiGcdBFS
-from repro.multigcd.comm import INFINITY_FABRIC, SLINGSHOT
 from repro.multigcd.exchange import (
     FORMAT_BITMAP,
     FORMAT_SPARSE,
     ID_BYTES,
-    ExchangeCodec,
     bitmap_bytes,
+    price,
 )
 from repro.xbfs.bitmap import words_for
 from repro.xbfs.driver import XBFS
-
-MODES = ("auto", FORMAT_SPARSE, FORMAT_BITMAP)
 
 
 @st.composite
@@ -53,19 +50,19 @@ def frontier_and_range(draw):
     return vertices, lo, hi
 
 
-def reference_encode(vertices, lo, hi, mode, width=1):
+def reference_encode(vertices, lo, hi, fmt=None, width=1):
     """One message as bytes: the row ids as a sorted little-endian id
-    list or a packed bitmap over ``[lo, hi)`` (under ``"auto"``, the
-    shorter; ties keep the id list), then each row's words for a
+    list or a packed bitmap over ``[lo, hi)`` (by default the shorter;
+    ties keep the id list), then each row's words for a
     ``width``-source batch (none for one source: its bit is the id)."""
     ids = np.sort(vertices).astype("<u4").tobytes()
     bits = np.zeros(hi - lo, dtype=bool)
     bits[vertices - lo] = True
     packed = np.packbits(bits, bitorder="little").tobytes()
-    if mode == "auto":
-        mode = FORMAT_BITMAP if len(packed) < len(ids) else FORMAT_SPARSE
+    if fmt is None:
+        fmt = FORMAT_BITMAP if len(packed) < len(ids) else FORMAT_SPARSE
     words = bytes(8 * words_for(width) * vertices.size) if width > 1 else b""
-    return mode, (packed if mode == FORMAT_BITMAP else ids) + words
+    return fmt, (packed if fmt == FORMAT_BITMAP else ids) + words
 
 
 def reference_decode(fmt, payload, lo, hi):
@@ -77,8 +74,8 @@ def reference_decode(fmt, payload, lo, hi):
     return np.frombuffer(payload, dtype="<u4").astype(np.int64)
 
 
-def price_one(codec, vertices, lo, hi):
-    wire, bitmap = codec.price([vertices.size], [hi - lo])
+def price_one(vertices, lo, hi):
+    wire, bitmap = price([vertices.size], [hi - lo])
     return int(wire[0]), FORMAT_BITMAP if bitmap[0] else FORMAT_SPARSE
 
 
@@ -90,56 +87,49 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_auto_round_trip_identity(self, case):
         vertices, lo, hi = case
-        wire, fmt = price_one(ExchangeCodec(), vertices, lo, hi)
-        ref_fmt, payload = reference_encode(vertices, lo, hi, "auto")
+        wire, fmt = price_one(vertices, lo, hi)
+        ref_fmt, payload = reference_encode(vertices, lo, hi)
         assert (wire, fmt) == (len(payload), ref_fmt)
-        assert np.array_equal(reference_decode(fmt, payload, lo, hi), np.sort(vertices))
-
-    @given(frontier_and_range(), st.sampled_from([FORMAT_SPARSE, FORMAT_BITMAP]))
-    @settings(max_examples=100, deadline=None)
-    def test_forced_formats_round_trip(self, case, fmt):
-        vertices, lo, hi = case
-        wire, priced = price_one(ExchangeCodec(mode=fmt), vertices, lo, hi)
-        _, payload = reference_encode(vertices, lo, hi, fmt)
-        assert (wire, priced) == (len(payload), fmt)
         assert np.array_equal(reference_decode(fmt, payload, lo, hi), np.sort(vertices))
 
     @given(frontier_and_range())
     @settings(max_examples=100, deadline=None)
     def test_auto_prices_the_cheaper_format(self, case):
-        """Auto prices the cheaper of the two forced formats."""
+        """The priced message is the shorter of the two reference
+        payloads; on a tie it is the id list."""
         vertices, lo, hi = case
-        auto = price_one(ExchangeCodec(), vertices, lo, hi)[0]
-        sparse = price_one(ExchangeCodec(mode=FORMAT_SPARSE), vertices, lo, hi)[0]
-        bitmap = price_one(ExchangeCodec(mode=FORMAT_BITMAP), vertices, lo, hi)[0]
-        assert auto == min(sparse, bitmap)
+        wire, fmt = price_one(vertices, lo, hi)
+        sparse = len(reference_encode(vertices, lo, hi, FORMAT_SPARSE)[1])
+        bitmap = len(reference_encode(vertices, lo, hi, FORMAT_BITMAP)[1])
+        assert wire == min(sparse, bitmap)
+        assert fmt == (FORMAT_BITMAP if bitmap < sparse else FORMAT_SPARSE)
 
     @given(frontier_and_range())
     @settings(max_examples=100, deadline=None)
     def test_wire_sizes_match_formulas(self, case):
         vertices, lo, hi = case
-        wire, fmt = price_one(ExchangeCodec(), vertices, lo, hi)
+        wire, fmt = price_one(vertices, lo, hi)
         if fmt == FORMAT_SPARSE:
             assert wire == vertices.size * ID_BYTES
         else:
             assert wire == bitmap_bytes(hi - lo)
-        # Auto mode never ships more than the naive id list would.
-        assert wire <= max(vertices.size * ID_BYTES, bitmap_bytes(hi - lo))
+        # Pricing never ships more than the naive id list would.
+        assert wire <= vertices.size * ID_BYTES
 
     @given(st.lists(frontier_and_range(), min_size=1, max_size=6),
-           st.sampled_from(MODES), st.integers(min_value=1, max_value=130))
+           st.integers(min_value=1, max_value=130))
     @settings(max_examples=100, deadline=None)
-    def test_pod_prices_a_level_against_the_reference(self, cases, mode, width):
+    def test_pod_prices_a_level_against_the_reference(self, cases, width):
         """A pod prices a level's messages in one call: each wire size
         is its reference message (ids plus row words), each raw size
         the id list plus row words, and the format tally matches."""
-        pod = MultiGcdBFS(rmat(6, 4, seed=1), 2, codec=ExchangeCodec(mode=mode))
+        pod = MultiGcdBFS(rmat(6, 4, seed=1), 2, codec=True)
         pod._width = width
         wire, raw, formats = pod._price(
             np.array([v.size for v, _, _ in cases]),
             np.array([hi - lo for _, lo, hi in cases]),
         )
-        refs = [reference_encode(v, lo, hi, mode, width) for v, lo, hi in cases]
+        refs = [reference_encode(v, lo, hi, width=width) for v, lo, hi in cases]
         assert wire.tolist() == [len(payload) for _, payload in refs]
         ids = [reference_encode(v, lo, hi, FORMAT_SPARSE, width) for v, lo, hi in cases]
         assert raw.tolist() == [len(payload) for _, payload in ids]
@@ -148,35 +138,23 @@ class TestRoundTrip:
 
 class TestFormatChoice:
     @staticmethod
-    def pick(codec, count, span):
-        return FORMAT_BITMAP if codec.price(count, span)[1] else FORMAT_SPARSE
+    def pick(count, span):
+        return FORMAT_BITMAP if price(count, span)[1] else FORMAT_SPARSE
 
     def test_dense_frontier_prefers_bitmap(self):
         # 512 of 1024 owned vertices: ids = 2048 B, bitmap = 128 B.
-        assert self.pick(ExchangeCodec(), 512, 1024) == FORMAT_BITMAP
+        assert self.pick(512, 1024) == FORMAT_BITMAP
 
     def test_sparse_frontier_prefers_ids(self):
         # 4 of 100k owned: ids = 16 B, bitmap = 12.5 kB.
-        assert self.pick(ExchangeCodec(), 4, 100_000) == FORMAT_SPARSE
+        assert self.pick(4, 100_000) == FORMAT_SPARSE
 
     def test_break_even_is_span_over_32(self):
         # count * 4 bytes vs span/8 bytes: bitmap wins beyond span/32
         # vertices; exact ties keep sparse.
-        codec = ExchangeCodec()
         span = 3200
-        assert self.pick(codec, span // 32 + 1, span) == FORMAT_BITMAP
-        assert self.pick(codec, span // 32, span) == FORMAT_SPARSE
-
-    def test_choice_is_interconnect_independent_of_latency(self):
-        # Both formats pay one per-message latency, so the chosen
-        # format is the same on any link (the latency term cancels).
-        fast, slow = ExchangeCodec(INFINITY_FABRIC), ExchangeCodec(SLINGSHOT)
-        counts, spans = [1, 60, 10, 200], [64, 64, 4096, 4096]
-        assert np.array_equal(fast.price(counts, spans)[1], slow.price(counts, spans)[1])
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(PartitionError):
-            ExchangeCodec(mode="zstd")
+        assert self.pick(span // 32 + 1, span) == FORMAT_BITMAP
+        assert self.pick(span // 32, span) == FORMAT_SPARSE
 
 
 class TestOneSourceRule:
@@ -192,7 +170,7 @@ class TestOneSourceRule:
         (Grid2dBFS, 9, (18780, 142968, 108, 108)),
     ], ids=["1d", "2d"])
     def test_one_source_ships_ids_only(self, pod, gcds, pinned):
-        r = pod(self.GRAPH, gcds, codec=ExchangeCodec(), overlap=True).run_batch([0])
+        r = pod(self.GRAPH, gcds, codec=True, overlap=True).run_batch([0])
         messages = [sum(f[fmt] for f in r.level_formats)
                     for fmt in (FORMAT_SPARSE, FORMAT_BITMAP)]
         assert (r.bytes_exchanged, r.bytes_raw, *messages) == pinned
@@ -215,7 +193,7 @@ class TestOneSourceRule:
     def test_two_sources_ship_their_words(self, pod, gcds, raw):
         """The rule fires only at one source: from two on, each row's
         8-byte word rides along as before."""
-        r = pod(self.GRAPH, gcds, codec=ExchangeCodec(), overlap=True).run_batch([0, 1])
+        r = pod(self.GRAPH, gcds, codec=True, overlap=True).run_batch([0, 1])
         assert r.bytes_raw == raw
 
 
@@ -236,19 +214,19 @@ def graph_and_source(draw):
     return g, source
 
 
-@given(graph_and_source(), st.sampled_from(["auto", "sparse", "bitmap"]))
+@given(graph_and_source())
 @settings(max_examples=40, deadline=None)
-def test_codec_format_choice_never_changes_levels(case, mode):
-    """The tentpole contract: whatever wire format the exchange uses
-    (or none at all), the distributed levels equal solo XBFS."""
+def test_codec_format_choice_never_changes_levels(case):
+    """Whatever wire format each message is priced in (or with the
+    codec off), the distributed levels equal solo XBFS."""
     graph, source = case
     oracle = XBFS(graph).run(source).levels
     p = min(4, graph.num_vertices)
     naive = MultiGcdBFS(graph, p).run_batch([source])
-    coded = MultiGcdBFS(graph, p, codec=ExchangeCodec(mode=mode)).run_batch([source])
+    coded = MultiGcdBFS(graph, p, codec=True).run_batch([source])
     assert np.array_equal(naive.levels[0], oracle)
     assert np.array_equal(coded.levels[0], oracle)
     # The codec changes bytes/time accounting only, never the answer
-    # or the kernel-side cost.
+    # or the kernel-side cost, and never ships more than the raw ids.
     assert coded.compute_ms == naive.compute_ms
-    assert coded.bytes_raw >= coded.bytes_exchanged or mode == "bitmap"
+    assert coded.bytes_raw == naive.bytes_raw >= coded.bytes_exchanged

@@ -1,8 +1,8 @@
 """The 2D-grid differential wall.
 
 ``Grid2dBFS`` is now a routable engine, so it gets the same treatment
-the 1D pod got in the routing suite: whatever the grid shape, codec
-mode, overlap setting or fault plan, its levels must be bit-identical
+the 1D pod got in the routing suite: whatever the grid shape, codec,
+overlap setting or fault plan, its levels must be bit-identical
 to solo ``XBFS`` — and, transitively, to the 1D ``MultiGcdBFS`` —
 across seeded random graphs and every degenerate shape the partition
 math could stumble on (disconnected forests, a single vertex, a star,
@@ -19,7 +19,7 @@ from repro.errors import BatchSourceError, RecoveryExhaustedError
 from repro.faults import FaultPlan, FaultRule
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import chung_lu_power_law, rmat
-from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.xbfs.driver import XBFS
 
 SEEDED = {
@@ -53,9 +53,8 @@ ALL_GRAPHS = {**SEEDED, **EDGE_CASES}
 
 CONFIGS = {
     "naive": {},
-    "codec": {"codec": ExchangeCodec()},
-    "codec-bitmap": {"codec": ExchangeCodec(mode="bitmap")},
-    "codec-overlap": {"codec": ExchangeCodec(), "overlap": True},
+    "codec": {"codec": True},
+    "codec-overlap": {"codec": True, "overlap": True},
     "overlap": {"overlap": True},
 }
 
@@ -95,7 +94,7 @@ class TestAgainstSoloXbfs:
     @pytest.mark.parametrize("num_gcds", [1, 2, 3, 4, 6, 8, 9, 16])
     def test_grid_shapes_equal_solo(self, oracle, num_gcds):
         engine = Grid2dBFS(
-            SEEDED["rmat10"], num_gcds, codec=ExchangeCodec(), overlap=True
+            SEEDED["rmat10"], num_gcds, codec=True, overlap=True
         )
         assert engine.rows * engine.cols == num_gcds
         for source in sources_for(SEEDED["rmat10"], 4, seed=2):
@@ -112,8 +111,8 @@ class TestAgainstOneDPod:
         width adapts on the degenerate graphs)."""
         graph = ALL_GRAPHS[name]
         p = min(4, graph.num_vertices)
-        one_d = MultiGcdBFS(graph, p, codec=ExchangeCodec(), overlap=True)
-        two_d = Grid2dBFS(graph, p, codec=ExchangeCodec(), overlap=True)
+        one_d = MultiGcdBFS(graph, p, codec=True, overlap=True)
+        two_d = Grid2dBFS(graph, p, codec=True, overlap=True)
         for source in sources_for(graph, 3, seed=3):
             a, b = one_d.run_batch([source]), two_d.run_batch([source])
             assert np.array_equal(a.levels, b.levels), (
@@ -124,7 +123,7 @@ class TestAgainstOneDPod:
         graph = SEEDED["rmat9"]
         sources = np.array(sources_for(graph, 6, seed=4), dtype=np.int64)
         one_d = MultiGcdBFS(graph, 4).run_batch(sources)
-        two_d = Grid2dBFS(graph, 4, codec=ExchangeCodec()).run_batch(sources)
+        two_d = Grid2dBFS(graph, 4, codec=True).run_batch(sources)
         assert two_d.num_gcds == 4
         for s in sources:
             assert np.array_equal(one_d.levels_of(s), two_d.levels_of(s))
@@ -140,7 +139,7 @@ class TestBatchSurface:
             engine.run_batch(np.array([10_000_000]))
 
     def test_batch_members_equal_solo_runs(self, oracle):
-        engine = Grid2dBFS(SEEDED["rmat10"], 4, codec=ExchangeCodec())
+        engine = Grid2dBFS(SEEDED["rmat10"], 4, codec=True)
         sources = np.array(sources_for(SEEDED["rmat10"], 5, seed=5))
         engine.run_batch([0])  # warm the members, as the batch below finds them
         solo = [engine.run_batch([s]) for s in sources]
@@ -163,7 +162,7 @@ BATCH_ENGINES = {
 class TestBatchWall:
     """A batch is one bit-parallel traversal of the pod; every source's
     levels must still equal solo ``XBFS``, whatever the decomposition,
-    direction rule, codec mode or overlap setting."""
+    direction rule, codec or overlap setting."""
 
     @pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
     @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -183,7 +182,7 @@ class TestBatchWall:
         # 100 sources span two bitmap words per row.
         graph = SEEDED["rmat10"]
         sources = np.random.default_rng(8).choice(graph.num_vertices, 100, replace=False)
-        pod = BATCH_ENGINES[engine](graph, 4, {"codec": ExchangeCodec()})
+        pod = BATCH_ENGINES[engine](graph, 4, {"codec": True})
         batch = pod.run_batch(sources)
         for s in sources.tolist():
             assert np.array_equal(batch.levels_of(s), oracle("rmat10", s))
@@ -236,7 +235,7 @@ class TestUnderFaultPlans:
             plan = self._latency_plan()
             engine = Grid2dBFS(
                 SEEDED["rmat9"], 4, injector=plan.injector(),
-                codec=ExchangeCodec(), overlap=True,
+                codec=True, overlap=True,
             )
             return [engine.run_batch([s]).comm_ms for s in (0, 3, 17)]
 

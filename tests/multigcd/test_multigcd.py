@@ -11,64 +11,35 @@ from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import (
     INFINITY_FABRIC,
     SLINGSHOT,
-    ExchangeCodec,
     Grid2dBFS,
     InterconnectModel,
     MultiGcdBFS,
-    Partition1D,
     partition_by_edges,
-    partition_by_vertices,
 )
 
 
 class TestPartition1D:
-    def test_vertex_balance(self, small_rmat):
-        p = partition_by_vertices(small_rmat, 4)
-        sizes = np.diff(p.boundaries)
-        assert sizes.sum() == small_rmat.num_vertices
-        assert sizes.max() - sizes.min() <= 1
-
     def test_edge_balance_beats_vertex_balance_on_skew(self, social_graph):
-        pv = partition_by_vertices(social_graph, 4)
-        pe = partition_by_edges(social_graph, 4)
+        n = social_graph.num_vertices
+        by_vertices = np.linspace(0, n, 5).astype(np.int64)
+        by_edges = partition_by_edges(social_graph, 4)
+        assert by_edges[0] == 0 and by_edges[-1] == n
+        assert np.all(np.diff(by_edges) >= 0)
 
-        def edge_imbalance(p):
+        def edge_imbalance(bounds):
             owned = [
-                social_graph.degrees[p.boundaries[i] : p.boundaries[i + 1]].sum()
-                for i in range(p.num_parts)
+                social_graph.degrees[bounds[i] : bounds[i + 1]].sum()
+                for i in range(bounds.size - 1)
             ]
             return max(owned) / max(1, min(owned) if min(owned) else 1)
 
-        assert edge_imbalance(pe) <= edge_imbalance(pv)
-
-    def test_owner_of(self):
-        p = Partition1D(np.array([0, 3, 7, 10]))
-        assert p.owner_of(np.array([0, 2, 3, 6, 7, 9])).tolist() == [0, 0, 1, 1, 2, 2]
-
-    def test_owner_out_of_range(self):
-        p = Partition1D(np.array([0, 5]))
-        with pytest.raises(PartitionError):
-            p.owner_of(np.array([5]))
-
-    def test_owned_range_and_mask(self):
-        p = Partition1D(np.array([0, 3, 5]))
-        assert p.owned_range(1) == (3, 5)
-        with pytest.raises(PartitionError):
-            p.owned_range(2)
-
-    def test_validation(self):
-        with pytest.raises(PartitionError):
-            Partition1D(np.array([1, 5]))
-        with pytest.raises(PartitionError):
-            Partition1D(np.array([0, 5, 3]))
-        with pytest.raises(PartitionError):
-            Partition1D(np.array([0]))
+        assert edge_imbalance(by_edges) <= edge_imbalance(by_vertices)
 
     def test_too_many_parts(self, fig1_graph):
         with pytest.raises(PartitionError):
-            partition_by_vertices(fig1_graph, 100)
-        with pytest.raises(PartitionError):
             partition_by_edges(fig1_graph, 100)
+        with pytest.raises(PartitionError):
+            partition_by_edges(fig1_graph, 0)
 
 
 class TestInterconnect:
@@ -148,16 +119,6 @@ class TestDistributedBFS:
         assert ss.comm_ms > fab.comm_ms
         assert np.array_equal(fab.levels, ss.levels)
 
-    def test_custom_partition(self, small_rmat):
-        part = partition_by_vertices(small_rmat, 2)
-        result = MultiGcdBFS(small_rmat, 2, partition=part).run_batch([0])
-        assert np.array_equal(result.levels[0], bfs_levels_reference(small_rmat, 0))
-
-    def test_partition_mismatch(self, small_rmat, fig1_graph):
-        part = partition_by_vertices(fig1_graph, 2)
-        with pytest.raises(PartitionError, match="cover"):
-            MultiGcdBFS(small_rmat, 2, partition=part)
-
     def test_bad_num_gcds(self, small_rmat):
         with pytest.raises(PartitionError):
             MultiGcdBFS(small_rmat, 0)
@@ -231,7 +192,7 @@ class TestDirectionOptimized:
         source = int(np.argmax(small_rmat.degrees))
         result = MultiGcdBFS(
             small_rmat, 4, direction_alpha=0.05,
-            codec=ExchangeCodec() if codec else None,
+            codec=codec,
         ).run_batch([source])
         assert result.directions == (
             "top_down", "bottom_up", "bottom_up", "top_down",

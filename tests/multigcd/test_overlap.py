@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import chung_lu_power_law, rmat
-from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.telemetry.tracer import Tracer
 from tests.invariants import check_overlap_books, check_pod_books
 
@@ -31,7 +31,7 @@ def pair(engine_cls, **kw):
 class TestBooksBalance:
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     @pytest.mark.parametrize(
-        "kw", [{}, {"codec": ExchangeCodec()}], ids=["naive", "codec"]
+        "kw", [{}, {"codec": True}], ids=["naive", "codec"]
     )
     def test_elapsed_plus_saved_is_baseline(self, engine_cls, kw):
         base, over = pair(engine_cls, **kw)
@@ -41,7 +41,7 @@ class TestBooksBalance:
 
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_elapsed_bounds(self, engine_cls):
-        _, over = pair(engine_cls, codec=ExchangeCodec())
+        _, over = pair(engine_cls, codec=True)
         # Hidden latency can't beat the larger of the two pools, and
         # accounting never goes below it. Both pools stay on the clock
         # apart from the hidden part, with each level's sync on top.
@@ -50,8 +50,8 @@ class TestBooksBalance:
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_batch_books_balance(self, engine_cls):
         sources = np.array([SOURCE, 3, 17])
-        base = engine_cls(GRAPH, 4, codec=ExchangeCodec()).run_batch(sources)
-        over = engine_cls(GRAPH, 4, codec=ExchangeCodec(), overlap=True).run_batch(sources)
+        base = engine_cls(GRAPH, 4, codec=True).run_batch(sources)
+        over = engine_cls(GRAPH, 4, codec=True, overlap=True).run_batch(sources)
         assert over.overlap_saved_ms > 0
         check_overlap_books(base, over)
 
@@ -64,7 +64,7 @@ class TestPerLevelSpans:
 
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_level_duration_dominates_both_pools(self, engine_cls):
-        spans = self._level_spans(engine_cls, codec=ExchangeCodec())
+        spans = self._level_spans(engine_cls, codec=True)
         assert spans
         for s in spans:
             a = s.attrs
@@ -104,8 +104,8 @@ class TestPerLevelSpans:
 class TestLaunchStreamUnchanged:
     @pytest.mark.parametrize("engine_cls", [MultiGcdBFS, Grid2dBFS])
     def test_identical_kernel_records(self, engine_cls):
-        base = engine_cls(GRAPH, 4, codec=ExchangeCodec())
-        over = engine_cls(GRAPH, 4, codec=ExchangeCodec(), overlap=True)
+        base = engine_cls(GRAPH, 4, codec=True)
+        over = engine_cls(GRAPH, 4, codec=True, overlap=True)
         base.run_batch([SOURCE])
         over.run_batch([SOURCE])
         base_gcds, over_gcds = base._gcds, over._gcds

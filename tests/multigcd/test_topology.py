@@ -8,6 +8,7 @@ from repro.graph.stats import bfs_levels_reference, pick_sources
 from repro.multigcd import (
     INFINITY_FABRIC,
     SLINGSHOT,
+    Grid2dBFS,
     MultiGcdBFS,
     TwoTierInterconnect,
 )
@@ -15,10 +16,6 @@ from repro.multigcd.topology import FRONTIER_NODE_GCDS
 
 
 class TestTwoTier:
-    def test_node_mapping(self):
-        t = TwoTierInterconnect(gcds_per_node=4)
-        assert t.node_of(np.array([0, 3, 4, 7, 8])).tolist() == [0, 0, 1, 1, 2]
-
     def test_intra_node_traffic_priced_at_fast_tier(self):
         t = TwoTierInterconnect(gcds_per_node=8)
         m = np.zeros((8, 8))
@@ -81,3 +78,24 @@ class TestMultiNodeBFS:
         ).run_batch([source])
         assert two_nodes.comm_ms > one_node.comm_ms
         assert np.array_equal(two_nodes.levels, one_node.levels)
+
+    @pytest.mark.parametrize("engine", [MultiGcdBFS, Grid2dBFS], ids=["1d", "4x4"])
+    def test_codec_on_two_tiers_prices_like_one(self, small_rmat, engine):
+        """The codec's format pick is a byte comparison, so it needs
+        nothing from the interconnect: on two tiers a 16-GCD pod with
+        the codec on answers like the oracle and ships the bytes it
+        ships on Infinity Fabric alone; only the exchange time moves."""
+        sources = pick_sources(small_rmat, 2, seed=1)
+        tiers = engine(
+            small_rmat, 16, interconnect=TwoTierInterconnect(), codec=True
+        ).run_batch(sources)
+        fabric = engine(
+            small_rmat, 16, interconnect=INFINITY_FABRIC, codec=True
+        ).run_batch(sources)
+        for s in sources.tolist():
+            assert np.array_equal(tiers.levels_of(s), bfs_levels_reference(small_rmat, s))
+        assert tiers.bytes_exchanged == fabric.bytes_exchanged
+        assert tiers.level_comm_bytes == fabric.level_comm_bytes
+        assert tiers.level_formats == fabric.level_formats
+        assert sum(f["bitmap"] for f in tiers.level_formats) > 0
+        assert tiers.compute_ms == fabric.compute_ms

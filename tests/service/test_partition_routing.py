@@ -138,7 +138,7 @@ class TestPartitionCaching:
         assert engine is not None and engine.num_gcds == 4
         assert engine.rows * engine.cols == 4
         # The scalable exchange plane rides every routed dispatch.
-        assert engine.codec is not None and engine.overlap
+        assert engine.codec and engine.overlap
         assert service.metrics.engine_dispatches["grid2d"] > 1
 
     def test_eviction_rebuilds_partition_cache(self, xbfs_oracle):

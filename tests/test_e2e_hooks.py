@@ -22,7 +22,7 @@ import pytest
 import repro.service.execution as execution_module
 from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
-from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
+from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.service import ENGINE_NAMES, BFSService, Query
 from repro.service.execution import ExecutionEngine
 from repro.xbfs.concurrent import ConcurrentBFS
@@ -97,7 +97,7 @@ REAL_CALLS = {
     (execution_module, "repair_levels"): _repair,
     (MultiGcdBFS, "run_batch"): lambda: MultiGcdBFS(GRAPH, 4).run_batch(SOURCES),
     (Grid2dBFS, "run_batch"): lambda: Grid2dBFS(
-        GRAPH, 4, codec=ExchangeCodec(), overlap=True
+        GRAPH, 4, codec=True, overlap=True
     ).run_batch(SOURCES),
 }
 ENGINE_TARGETS = [

@@ -157,7 +157,7 @@ class TestPodPullByMember:
     @staticmethod
     def _naive(engine, frontier, cand, missing):
         graph = engine.graph
-        owner = engine.partition.owner_of(np.arange(graph.num_vertices))
+        owner = np.searchsorted(engine.bounds, np.arange(graph.num_vertices), side="right") - 1
         src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
         out = np.zeros((cand.size, engine.num_gcds, frontier.shape[1]), np.uint64)
         for i, v in enumerate(cand):

@@ -32,7 +32,6 @@ from repro.gcd.simulator import GCD
 from repro.graph.generators import rmat
 from repro.graph.stats import pick_sources
 from repro.multigcd.distributed_bfs import MultiGcdBFS
-from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.grid2d import Grid2dBFS
 from repro.xbfs import bitmap as bm
 from repro.xbfs.common import gather_adjacency
@@ -55,10 +54,10 @@ _ENGINES = {
     "multigcd": lambda g: MultiGcdBFS(g, 4),
     "multigcd-mixed": lambda g: MultiGcdBFS(g, 4, direction_alpha=0.05),
     "multigcd-codec": lambda g: MultiGcdBFS(
-        g, 3, direction_alpha=0.05, codec=ExchangeCodec()
+        g, 3, direction_alpha=0.05, codec=True
     ),
     "grid2d": lambda g: Grid2dBFS(g, 4),
-    "grid2d-codec": lambda g: Grid2dBFS(g, 6, codec=ExchangeCodec()),
+    "grid2d-codec": lambda g: Grid2dBFS(g, 6, codec=True),
 }
 
 _CASES = [

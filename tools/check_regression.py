@@ -270,15 +270,15 @@ def run_exchange_plane_fingerprint() -> dict:
     import numpy as np
 
     from repro.faults import levels_fingerprint
-    from repro.multigcd import ExchangeCodec, Grid2dBFS, MultiGcdBFS
+    from repro.multigcd import Grid2dBFS, MultiGcdBFS
 
     graph = rmat(12, 8, seed=2)
     source = np.array([0])
     one_d = MultiGcdBFS(
-        graph, 4, codec=ExchangeCodec(), overlap=True
+        graph, 4, codec=True, overlap=True
     ).run_batch(source)
     two_d = Grid2dBFS(
-        graph, 9, codec=ExchangeCodec(), overlap=True
+        graph, 9, codec=True, overlap=True
     ).run_batch(source)
     assert np.array_equal(one_d.levels, two_d.levels)
 
