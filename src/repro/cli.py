@@ -4,10 +4,8 @@ The subcommands cover the common workflows without writing Python:
 
 * ``repro run``          — BFS on a graph spec, print the strategy
   trace and modelled GTEPS (``--concurrent`` batches the sources
-  through the iBFS-style engine and reports the sharing factor).
-* ``repro trace``        — the same run with the telemetry tracer on;
-  exports the dual-clock timeline as Chrome/Perfetto ``trace_event``
-  JSON (and optionally raw JSONL).
+  through the iBFS-style engine and reports the sharing factor;
+  ``--trace-out`` exports the run's dual-clock timeline).
 * ``repro datasets``     — the Table II inventory at a chosen scale.
 * ``repro experiment``   — regenerate any paper table/figure.
 * ``repro generate``     — materialise a graph spec into a ``.csrbin``.
@@ -84,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.concurrent:
         return _run_concurrent(graph, args)
     device = scaled_device(graph) if args.scaled_cache else None
-    tracer = Tracer() if args.host_profile else None
+    tracer = Tracer() if args.host_profile or args.trace_out else None
     engine = XBFS(
         graph,
         rearrange=args.rearrange,
@@ -108,11 +106,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"reached: {run.reached:,}/{graph.num_vertices:,}"
     )
     print(f"steady n-to-n: {batch.steady_gteps:.3f} GTEPS (modelled)")
-    if tracer is not None:
+    if args.host_profile:
         # Correlate the run the lines above describe; its ``bfs.run``
         # span has the same index as the run in ``batch.runs``.
         index = next(i for i, r in enumerate(batch.runs) if r is run)
         _print_correlation(tracer, run_index=index)
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
     if args.profile_csv:
         engine._gcd.profiler.to_csv(args.profile_csv)
         print(f"wrote kernel counters to {args.profile_csv}")
@@ -150,7 +150,7 @@ def _run_concurrent(graph, args: argparse.Namespace) -> int:
         raise ReproError("--force cannot be combined with --concurrent "
                          "(the batched engine has no per-level strategies)")
     device = scaled_device(graph) if args.scaled_cache else None
-    tracer = Tracer() if args.host_profile else None
+    tracer = Tracer() if args.host_profile or args.trace_out else None
     engine = ConcurrentBFS(
         graph,
         **({"device": device} if device is not None else {}),
@@ -169,76 +169,38 @@ def _run_concurrent(graph, args: argparse.Namespace) -> int:
         f"sharing factor: {result.sharing_factor:.2f}x"
     )
     print(f"aggregate: {result.gteps:.3f} GTEPS (modelled)")
-    if tracer is not None:
+    if args.host_profile:
         _print_correlation(tracer)
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """``repro trace``: one traced BFS run, exported for Perfetto."""
-    from repro.experiments.common import scaled_device
-    from repro.telemetry import Tracer, write_chrome_trace, write_jsonl
+def _write_trace(tracer, path: str) -> None:
+    """Export ``tracer``'s dual-clock timeline to ``path``: the raw
+    span/event log when it ends in ``.jsonl``, else Chrome/Perfetto
+    ``trace_event`` JSON."""
+    from repro.telemetry import write_chrome_trace, write_jsonl
 
-    graph = parse_graph_spec(
-        args.graph, scale_factor=args.scale_factor, seed=args.seed
-    )
-    print(f"graph: {graph}")
-    tracer = Tracer(sample_every=args.sample_every)
-    device = scaled_device(graph) if args.scaled_cache else None
-    sources = pick_sources(graph, args.sources, seed=args.seed + 1)
-    if args.concurrent:
-        from repro.xbfs.concurrent import ConcurrentBFS
-
-        engine = ConcurrentBFS(
-            graph,
-            tracer=tracer,
-            **({"device": device} if device is not None else {}),
-        )
-        engine.run(sources)
+    if str(path).endswith(".jsonl"):
+        write_jsonl(tracer, path)
     else:
-        from repro.xbfs.driver import XBFS
-
-        engine = XBFS(
-            graph,
-            tracer=tracer,
-            **({"device": device} if device is not None else {}),
-        )
-        for src in sources:
-            engine.run(int(src))
-    write_chrome_trace(tracer, args.out)
+        write_chrome_trace(tracer, path)
     print(
-        f"wrote Chrome trace to {args.out} "
+        f"wrote trace to {path} "
         f"({tracer.traces} traces, {len(tracer.spans)} spans, "
-        f"{len(tracer.events)} events) — open in ui.perfetto.dev"
+        f"{len(tracer.events)} events)"
     )
-    if args.jsonl:
-        write_jsonl(tracer, args.jsonl)
-        print(f"wrote JSONL span/event log to {args.jsonl}")
-    _print_correlation(tracer)
-    return 0
 
 
 def _export_service_telemetry(service, args: argparse.Namespace) -> None:
     if not args.trace_out and not args.metrics_out:
         return
-    from repro.telemetry import (
-        CounterRegistry,
-        write_chrome_trace,
-        write_jsonl,
-        write_prometheus,
-    )
+    from repro.telemetry import CounterRegistry, write_prometheus
 
     tracer = service.tracer
     if args.trace_out:
-        if str(args.trace_out).endswith(".jsonl"):
-            write_jsonl(tracer, args.trace_out)
-        else:
-            write_chrome_trace(tracer, args.trace_out)
-        print(
-            f"wrote trace to {args.trace_out} "
-            f"({tracer.traces} traces, {len(tracer.spans)} spans, "
-            f"{len(tracer.events)} events)"
-        )
+        _write_trace(tracer, args.trace_out)
     if args.metrics_out:
         registry = CounterRegistry()
         registry.attach("service", service.metrics)
@@ -535,6 +497,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "wall-clock next to the modelled time "
                           "(machine-dependent, never part of the "
                           "deterministic fingerprints)")
+    run.add_argument("--trace-out", default=None, metavar="PATH",
+                     help="write the run's dual-clock timeline here "
+                     "(Chrome trace_event JSON for ui.perfetto.dev; a "
+                     ".jsonl suffix writes the raw span/event log "
+                     "instead)")
     run.add_argument("--profile-csv", default=None, metavar="PATH",
                      help="dump the per-kernel rocprofiler-style counters "
                      "of the last run to CSV")
@@ -648,33 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "mergeable log-bucket sketches (O(buckets) memory; "
                        "percentiles within ~1%%)")
     serve.set_defaults(func=_cmd_serve)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run BFS with tracing on and export the dual-clock timeline",
-    )
-    trace.add_argument("--graph", required=True,
-                       help="graph spec (see module docs)")
-    trace.add_argument("--sources", type=int, default=1,
-                       help="number of traced runs (or batch size with "
-                       "--concurrent)")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--scale-factor", type=int, default=64,
-                       help="down-scale for dataset specs")
-    trace.add_argument("--concurrent", action="store_true",
-                       help="trace one batched run through the iBFS-style "
-                       "engine instead of solo runs")
-    trace.add_argument("--sample-every", type=int, default=1,
-                       help="keep one trace (top-level run) in every N")
-    trace.add_argument("--no-scaled-cache", dest="scaled_cache",
-                       action="store_false",
-                       help="keep the full 8 MiB L2 instead of scaling it "
-                       "with the graph")
-    trace.add_argument("--out", required=True, metavar="PATH",
-                       help="Chrome trace_event JSON output path")
-    trace.add_argument("--jsonl", default=None, metavar="PATH",
-                       help="also write the raw JSONL span/event log here")
-    trace.set_defaults(func=_cmd_trace)
 
     explain = sub.add_parser(
         "explain",

@@ -6,15 +6,16 @@ direction switch. This package turns that methodology into runtime
 infrastructure every layer emits into, instead of silos
 (`repro.gcd.Profiler`, `repro.service.ServiceMetrics`) that could not
 be correlated. The tracer's host clock is the package's only host
-timer: ``repro run --host-profile``, ``repro trace``, ``--trace-out``
-and the end-to-end harness all read host time from its spans.
+timer: ``repro run --host-profile``, ``--trace-out`` (on ``repro run``
+and ``repro serve``) and the end-to-end harness all read host time
+from its spans.
 
 * :mod:`repro.telemetry.tracer`   — :class:`Tracer`: structured spans
   and point events with **dual clocks** (simulated virtual ms + host
   wall seconds), deterministic trace/span ids, clock rebasing so the
   service scheduler, the BFS engines, the GCD simulator and the fault
-  injector all land on one correlated timeline; trace sampling and a
-  zero-overhead disabled path (:data:`NULL_TRACER`).
+  injector all land on one correlated timeline, and a zero-overhead
+  disabled path (:data:`NULL_TRACER`).
 * :mod:`repro.telemetry.counters` — :class:`CounterRegistry`: one
   namespaced ``dotted.name -> number`` read API over the kernel
   counters, serving aggregates and the tracer itself.
@@ -32,8 +33,9 @@ Quick start::
     XBFS(rmat(12, 8, seed=0), tracer=tracer).run(0)
     write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
 
-or, from the shell: ``repro trace --graph rmat:12 --out trace.json`` and
-``repro serve --trace ... --trace-out trace.json --metrics-out m.prom``.
+or, from the shell: ``repro run --graph rmat:12 --trace-out trace.json``
+and ``repro serve --trace ... --trace-out trace.json --metrics-out m.prom``
+(a ``.jsonl`` path writes the raw span/event log instead).
 """
 
 from repro.telemetry.counters import CounterRegistry

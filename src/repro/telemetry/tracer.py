@@ -25,10 +25,8 @@ end, so sequential children never overlap.
 
 Trace ids: every *top-level* span starts a new trace (``t<N>``, N
 counting from 1 in open order); nested spans and events inherit it.
-``sample_every=k`` keeps every k-th trace and records nothing for the
-rest — the scope objects still balance, so instrumented code never
-branches on sampling. ``Tracer(enabled=False)`` (or the shared
-:data:`NULL_TRACER`) makes every entry point a near-free no-op.
+``Tracer(enabled=False)`` (or the shared :data:`NULL_TRACER`) makes
+every entry point a near-free no-op.
 
 Spans are exception-safe: a raising kernel or injected fault unwinds
 the ``with`` scopes, closing each span with ``status="error"`` and the
@@ -111,7 +109,7 @@ class EventRecord:
 
 
 class _NullScope:
-    """Zero-cost scope returned by disabled (or sampled-out) tracers."""
+    """Zero-cost scope returned by disabled tracers."""
 
     __slots__ = ()
 
@@ -140,7 +138,7 @@ class _SpanScope:
     __slots__ = (
         "_tracer", "name", "track", "attrs", "_clock", "_at",
         "trace_id", "span_id", "parent_id",
-        "_base", "_local0", "_cursor", "_host0", "_explicit_end", "muted",
+        "_base", "_local0", "_cursor", "_host0", "_explicit_end",
     )
 
     def __init__(self, tracer: "Tracer", name: str, *, clock, at, track, attrs):
@@ -151,7 +149,6 @@ class _SpanScope:
         self._clock = clock
         self._at = at
         self._explicit_end: float | None = None
-        self.muted = False
 
     # -- scope-local virtual time --------------------------------------
     def now(self) -> float:
@@ -179,11 +176,10 @@ class _SpanScope:
         tracer = self._tracer
         parent = tracer._stack[-1] if tracer._stack else None
         if parent is None:
-            self.muted = not tracer._admit_trace()
-            self.trace_id = tracer._trace_id
+            tracer._trace_seq += 1
+            self.trace_id = f"t{tracer._trace_seq}"
             self.parent_id = None
         else:
-            self.muted = parent.muted
             self.trace_id = parent.trace_id
             self.parent_id = parent.span_id
         if self.track is None:
@@ -206,24 +202,23 @@ class _SpanScope:
             end = self.now()
         if end < self._base:
             end = self._base
-        if not self.muted:
-            if exc_type is not None:
-                self.attrs["error"] = exc_type.__name__
-            tracer.spans.append(
-                SpanRecord(
-                    trace_id=self.trace_id,
-                    span_id=self.span_id,
-                    parent_id=self.parent_id,
-                    name=self.name,
-                    track=self.track,
-                    virtual_start_ms=self._base,
-                    virtual_end_ms=end,
-                    host_start_s=self._host0,
-                    host_end_s=tracer._host_now(),
-                    status="error" if exc_type is not None else "ok",
-                    attrs=self.attrs,
-                )
+        if exc_type is not None:
+            self.attrs["error"] = exc_type.__name__
+        tracer.spans.append(
+            SpanRecord(
+                trace_id=self.trace_id,
+                span_id=self.span_id,
+                parent_id=self.parent_id,
+                name=self.name,
+                track=self.track,
+                virtual_start_ms=self._base,
+                virtual_end_ms=end,
+                host_start_s=self._host0,
+                host_end_s=tracer._host_now(),
+                status="error" if exc_type is not None else "ok",
+                attrs=self.attrs,
             )
+        )
         parent = tracer._stack[-1] if tracer._stack else None
         if parent is not None:
             parent.advance_to(end)
@@ -238,11 +233,6 @@ class Tracer:
     enabled:
         When False every entry point is a near-free no-op, so the hot
         paths thread one tracer object through unconditionally.
-    sample_every:
-        Keep one trace in every ``sample_every`` (1 = keep all).
-        Sampling is by *trace* (top-level span), deterministic on the
-        trace sequence number, so a sampled run is a strict subset of
-        the full one.
     host_clock:
         Second-resolution monotonic clock (injectable for tests;
         defaults to :func:`time.perf_counter`).
@@ -252,13 +242,9 @@ class Tracer:
         self,
         *,
         enabled: bool = True,
-        sample_every: int = 1,
         host_clock=time.perf_counter,
     ) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.enabled = enabled
-        self.sample_every = sample_every
         self._host_clock = host_clock
         self._host_epoch = host_clock()
         self.spans: list[SpanRecord] = []
@@ -266,17 +252,10 @@ class Tracer:
         self._stack: list[_SpanScope] = []
         self._span_seq = 0
         self._trace_seq = 0
-        self._trace_id = "t0"
 
     # ------------------------------------------------------------------
     def _host_now(self) -> float:
         return self._host_clock() - self._host_epoch
-
-    def _admit_trace(self) -> bool:
-        """Start a new trace; returns False when sampling drops it."""
-        self._trace_seq += 1
-        self._trace_id = f"t{self._trace_seq}"
-        return (self._trace_seq - 1) % self.sample_every == 0
 
     # ------------------------------------------------------------------
     @property
@@ -286,7 +265,7 @@ class Tracer:
 
     @property
     def traces(self) -> int:
-        """Traces started so far (including sampled-out ones)."""
+        """Traces started so far."""
         return self._trace_seq
 
     def now_virtual(self) -> float:
@@ -315,8 +294,6 @@ class Tracer:
         if not self.enabled:
             return
         scope = self._stack[-1] if self._stack else None
-        if scope is not None and scope.muted:
-            return
         self.events.append(
             EventRecord(
                 trace_id=scope.trace_id if scope is not None else None,
@@ -337,8 +314,6 @@ class Tracer:
         if not self.enabled:
             return
         scope = self._stack[-1] if self._stack else None
-        if scope is not None and scope.muted:
-            return
         start = at if at is not None else self.now_virtual()
         host = self._host_now()
         self._span_seq += 1
@@ -404,7 +379,6 @@ class Tracer:
         self.events.clear()
         self._span_seq = 0
         self._trace_seq = 0
-        self._trace_id = "t0"
         self._host_epoch = self._host_clock()
 
 

@@ -180,41 +180,9 @@ class TestExceptionSafety:
 
 
 # ----------------------------------------------------------------------
-# Sampling and the disabled path
+# The disabled path
 # ----------------------------------------------------------------------
 class TestSampling:
-    def test_sample_every_keeps_a_strict_subset(self):
-        graph = rmat(9, 8, seed=0)
-        full = Tracer()
-        engine = XBFS(graph, tracer=full)
-        for src in (0, 1, 2, 3):
-            engine.run(src)
-        sampled = Tracer(sample_every=2)
-        engine2 = XBFS(graph, tracer=sampled)
-        for src in (0, 1, 2, 3):
-            engine2.run(src)
-        assert sampled.traces == full.traces == 4
-        kept = {s.trace_id for s in sampled.spans}
-        assert kept == {"t1", "t3"}
-        full_t1 = [(s.name, s.virtual_start_ms) for s in full.spans
-                   if s.trace_id == "t1"]
-        samp_t1 = [(s.name, s.virtual_start_ms) for s in sampled.spans
-                   if s.trace_id == "t1"]
-        assert samp_t1 == full_t1
-
-    def test_muted_traces_record_no_events(self, tracer):
-        muted = Tracer(sample_every=2)
-        with muted.span("a"):
-            muted.event("x")
-        with muted.span("b"):
-            muted.event("y")
-        assert [e.name for e in muted.events] == ["x"]
-        assert muted.open_depth == 0
-
-    def test_sample_every_validates(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_every=0)
-
     def test_null_tracer_is_inert(self):
         scope = NULL_TRACER.span("a", x=1)
         with scope as sp:

@@ -211,7 +211,7 @@ class TestServeSynthetic:
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("retired", ["service-bench", "cluster-bench"])
+    @pytest.mark.parametrize("retired", ["service-bench", "cluster-bench", "trace"])
     def test_retired_bench_commands_are_invalid_choices(self, retired,
                                                         capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,6 +274,47 @@ class TestProfileCsv:
         text = out.read_text()
         assert text.startswith("name,")
         assert "init_status" in text
+
+
+class TestTraceOut:
+    """``repro run --trace-out`` exports the run's dual-clock timeline:
+    Chrome ``trace_event`` JSON, or the raw span/event log when the
+    path ends in ``.jsonl`` (the rule ``repro serve --trace-out``
+    follows too)."""
+
+    @staticmethod
+    def _run(path, concurrent, capsys):
+        argv = ["run", "--graph", "rmat:9", "--sources", "2",
+                "--trace-out", str(path)]
+        rc = main(argv + (["--concurrent"] if concurrent else []))
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"wrote trace to {path} " in out
+        assert _CORRELATION not in out
+        # Solo runs are one trace per source; a batch is one trace.
+        return 1 if concurrent else 2
+
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["solo", "concurrent"])
+    def test_json_suffix_writes_chrome_trace(self, tmp_path, capsys, concurrent):
+        import json
+
+        path = tmp_path / "trace.json"
+        runs = self._run(path, concurrent, capsys)
+        events = json.loads(path.read_text())["traceEvents"]
+        spans = [e["name"] for e in events if e["ph"] == "X"]
+        assert spans.count("bfs.run") == runs
+        assert "bfs.level" in spans
+
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["solo", "concurrent"])
+    def test_jsonl_suffix_writes_span_log(self, tmp_path, capsys, concurrent):
+        import json
+
+        path = tmp_path / "trace.jsonl"
+        runs = self._run(path, concurrent, capsys)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        runs_seen = [r for r in records if r["type"] == "span" and r["name"] == "bfs.run"]
+        assert [r["trace_id"] for r in runs_seen] == [f"t{i + 1}" for i in range(runs)]
+        assert any(r["name"] == "bfs.level" for r in records)
 
 
 _CORRELATION = "per-level virtual/host correlation"

@@ -5,8 +5,9 @@
 #   tools/run_tests.sh tier1      # same
 #   tools/run_tests.sh tier2      # slow sweeps + the benchmark harness
 #   tools/run_tests.sh telemetry  # the observability suite, the
-#                                 # `repro run --host-profile` CLI
-#                                 # tests and the host hot-path bench
+#                                 # `repro run --host-profile` and
+#                                 # `--trace-out` CLI tests and the
+#                                 # host hot-path bench
 #                                 # (both read the tracer's host
 #                                 # clock) + the disabled-tracer
 #                                 # overhead bench
@@ -108,7 +109,8 @@ case "$tier" in
     python -m pytest benchmarks "$@"
     ;;
   telemetry)
-    python -m pytest tests/telemetry "tests/test_cli.py::TestHostProfile" "$@"
+    python -m pytest tests/telemetry "tests/test_cli.py::TestHostProfile" \
+      "tests/test_cli.py::TestTraceOut" "$@"
     python -m pytest benchmarks/bench_telemetry_overhead.py \
       benchmarks/bench_host_hotpaths.py -s "$@"
     ;;
