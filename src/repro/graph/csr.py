@@ -14,7 +14,7 @@ new instances sharing nothing mutable with the original. Derived data
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -225,12 +225,6 @@ class CSRGraph:
             raise GraphFormatError(f"vertex {v} out of range [0, {self.num_vertices})")
         return self.col_indices[self.row_offsets[v] : self.row_offsets[v + 1]]
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(src, dst)`` pairs; intended for tests, not hot paths."""
-        for v in range(self.num_vertices):
-            for u in self.neighbors(v):
-                yield v, int(u)
-
     def to_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Expand back to ``(src, dst)`` arrays (vectorised)."""
         src = np.repeat(
@@ -277,22 +271,6 @@ class CSRGraph:
             self.row_offsets.copy(),
             self.col_indices[order],
             name=name or self.name,
-        )
-
-    def subgraph_mask(self, vertex_mask: np.ndarray, *, name: str | None = None) -> "CSRGraph":
-        """Induced subgraph keeping the original vertex ids.
-
-        Vertices outside ``vertex_mask`` keep their ids but lose all
-        incident edges; this preserves id stability, which the
-        multi-GCD partitioner relies on.
-        """
-        vertex_mask = np.asarray(vertex_mask, dtype=bool)
-        if vertex_mask.shape != (self.num_vertices,):
-            raise GraphFormatError("vertex_mask must have one entry per vertex")
-        src, dst = self.to_edge_arrays()
-        keep = vertex_mask[src] & vertex_mask[dst]
-        return CSRGraph.from_edges(
-            src[keep], dst[keep], self.num_vertices, name=name or f"{self.name}[sub]"
         )
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ end-to-end (the paper's level-5 remark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import TraversalError
 
@@ -104,9 +104,6 @@ class AdaptiveClassifier:
             raise TraversalError("growth_threshold must be positive")
         if self.min_single_scan_ratio < 0:
             raise TraversalError("min_single_scan_ratio must be >= 0")
-
-    def with_alpha(self, alpha: float) -> "AdaptiveClassifier":
-        return replace(self, alpha=alpha)
 
     # ------------------------------------------------------------------
     def choose(

@@ -116,10 +116,6 @@ class BatchResult:
         return self.total_edges / (self.total_ms * 1e-3) / 1e9
 
     @property
-    def mean_gteps(self) -> float:
-        return float(np.mean([r.gteps for r in self.runs])) if self.runs else 0.0
-
-    @property
     def steady_runs(self) -> list[XBFSResult]:
         """Runs that did not pay the one-time warm-up (Graph500 treats
         the first BFS as untimed)."""

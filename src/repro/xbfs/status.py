@@ -81,9 +81,6 @@ class StatusArray:
         the order a status-array scan would enqueue them)."""
         return np.flatnonzero(self.levels == level).astype(np.int64)
 
-    def count_at(self, level: int) -> int:
-        return int(np.count_nonzero(self.levels == level))
-
     def visited_count(self) -> int:
         return self._visited
 

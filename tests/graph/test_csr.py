@@ -105,10 +105,6 @@ class TestProperties:
         g2 = CSRGraph.from_edges(src, dst, small_rmat.num_vertices)
         assert g2 == small_rmat
 
-    def test_iter_edges(self):
-        g = CSRGraph.from_edges([0, 1], [1, 0], 2)
-        assert sorted(g.iter_edges()) == [(0, 1), (1, 0)]
-
     def test_equality_and_hash(self):
         a = CSRGraph.from_edges([0], [1], 2, name="a")
         b = CSRGraph.from_edges([0], [1], 2, name="b")
@@ -147,15 +143,3 @@ class TestTransforms:
         g = CSRGraph.from_edges([0, 1], [1, 0], 2)
         with pytest.raises(GraphFormatError, match="shape"):
             g.with_adjacency_order(np.array([0]))
-
-    def test_subgraph_mask(self):
-        g = CSRGraph.from_edges([0, 1, 2], [1, 2, 0], 3, symmetrize=True)
-        sub = g.subgraph_mask(np.array([True, True, False]))
-        assert sub.num_vertices == 3  # ids stable
-        assert sub.neighbors(0).tolist() == [1]
-        assert sub.neighbors(2).tolist() == []
-
-    def test_subgraph_mask_shape_check(self):
-        g = CSRGraph.empty(3)
-        with pytest.raises(GraphFormatError):
-            g.subgraph_mask(np.array([True]))

@@ -121,8 +121,3 @@ class TestValidation:
         clf = AdaptiveClassifier()
         with pytest.raises(TraversalError, match="unknown previous"):
             choose(clf, prev_strategy="dfs")
-
-    def test_with_alpha(self):
-        clf = AdaptiveClassifier().with_alpha(0.5)
-        assert clf.alpha == 0.5
-        assert choose(clf, ratio=0.3).strategy != BOTTOM_UP

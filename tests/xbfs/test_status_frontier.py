@@ -19,7 +19,7 @@ class TestStatusArray:
         s = StatusArray(5)
         s.set_source(3)
         assert s.levels[3] == 0
-        assert s.count_at(0) == 1
+        assert s.at_level(0).tolist() == [3]
         assert s.count_unvisited() == 4
 
     def test_set_source_resets(self):
