@@ -37,7 +37,7 @@ from repro.faults import levels_fingerprint
 from repro.graph.generators import rmat
 from repro.metrics.results_io import save_results
 from repro.metrics.tables import render_table
-from repro.service import BFSService, GraphRegistry, Query
+from repro.service import BFSService, Query
 
 SPECS = ("8", "9", "10")
 NUM_QUERIES = 96
@@ -78,9 +78,9 @@ def _trace(num_queries: int = NUM_QUERIES, seed: int = SEED) -> list[Query]:
 
 
 def _make_service(*, threshold_mb, num_gcds: int = 4) -> BFSService:
-    registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
     return BFSService(
-        registry=registry,
+        builder=_builder,
+        memory_budget_mb=1024,
         workers=2,
         window_ms=5.0,
         num_gcds=num_gcds,

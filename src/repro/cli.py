@@ -265,11 +265,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _service_from_args(args: argparse.Namespace):
     from repro.service import BFSService
 
-    fault_plan = None
+    fault_injector = None
     if args.fault_plan:
         from repro.faults import FaultPlan
 
-        fault_plan = FaultPlan.from_json(args.fault_plan)
+        fault_injector = FaultPlan.from_json(args.fault_plan).injector()
     tracer = None
     if args.trace_out or args.metrics_out:
         from repro.telemetry import Tracer
@@ -293,7 +293,7 @@ def _service_from_args(args: argparse.Namespace):
         distributed_threshold_mb=args.distributed_threshold,
         linalg_batch_threshold=args.linalg_batch_threshold,
         partition=args.partition,
-        fault_plan=fault_plan,
+        fault_injector=fault_injector,
         audit=audit,
         slo=_slo_from_args(args, tracer),
         bounded_metrics=args.bounded_metrics,

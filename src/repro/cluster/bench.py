@@ -19,7 +19,6 @@ import zlib
 from typing import Mapping, Sequence
 
 from repro.faults import FaultPlan, FaultRule, levels_fingerprint
-from repro.service.request import Query
 from repro.service.runtime import BFSService
 from repro.service.trace import synthetic_trace
 
@@ -49,26 +48,6 @@ def death_plan(
             ),
         ),
     )
-
-
-def _baseline_fingerprints(
-    trace: Sequence[Query], *, service_kwargs: dict, builder=None
-) -> dict[int, int]:
-    """qid → levels fingerprint from one fault-free single service."""
-    service_kwargs = dict(service_kwargs)
-    if builder is not None:
-        from repro.service.registry import GraphRegistry
-
-        budget_mb = service_kwargs.pop("memory_budget_mb", 256.0)
-        service_kwargs["registry"] = GraphRegistry(
-            memory_budget_bytes=int(budget_mb * 1024 * 1024),
-            builder=builder,
-            scale_factor=service_kwargs.get("scale_factor", 64),
-            seed=service_kwargs.get("seed", 0),
-        )
-    service = BFSService(**service_kwargs)
-    report = service.replay(trace)
-    return {o.query.qid: levels_fingerprint(o.levels) for o in report.served}
 
 
 def run_scaleout_sweep(
@@ -107,33 +86,19 @@ def run_scaleout_sweep(
         mean_gap_ms=mean_gap_ms,
         burst=burst,
     )
-    service_keys = (
-        "memory_budget_mb",
-        "workers",
-        "max_batch",
-        "window_ms",
-        "max_queue_depth",
-        "scale_factor",
-        "seed",
-        "num_gcds",
-        "distributed_threshold_mb",
-    )
-    baseline_kwargs = {
-        k: router_kwargs[k] for k in service_keys if k in router_kwargs
-    }
-    baseline = _baseline_fingerprints(
-        trace,
-        service_kwargs=baseline_kwargs,
-        builder=router_kwargs.get("builder"),
-    )
-
     summaries = []
+    baseline = None
     for count in replica_counts:
         router = ClusterRouter(
             replicas=count,
             fault_plan=fault_plan,
             **router_kwargs,
         )
+        if baseline is None:
+            oracle = BFSService(builder=router_kwargs.get("builder"),
+                                **router.service_options).replay(trace)
+            baseline = {o.query.qid: levels_fingerprint(o.levels)
+                        for o in oracle.served}
         report = router.replay(trace)
         summary = report.summary(f"cluster_r{count}")
         crc = 0

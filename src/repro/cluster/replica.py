@@ -1,11 +1,13 @@
 """One cluster replica: a :class:`~repro.service.runtime.BFSService`
 with an id, liveness and a restart clock.
 
-Every replica owns its *own* registry, admission controller,
-scheduler, worker pool and metrics — the failure domain — while the
-whole cluster shares one virtual-time world, one tracer (per-replica
-span tracks via ``track_prefix``) and one fault injector (one RNG
-stream → one deterministic global fault schedule).
+The router builds every replica's service from one option mapping,
+:attr:`~repro.cluster.router.ClusterRouter.service_options`, and hands
+it in ready-made. Every replica owns its *own* registry, admission
+controller, scheduler, executor, worker pool and metrics — the failure
+domain — while the whole cluster shares one virtual-time world, one
+tracer (per-replica span tracks via ``track_prefix``) and one fault
+injector (one RNG stream → one deterministic global fault schedule).
 
 The graph *builder* is shared and memoised by the router: host memory
 holds each parsed graph once, but the modelled CSR build charge is
@@ -30,54 +32,9 @@ __all__ = ["Replica"]
 class Replica:
     """A :class:`BFSService` as a composable cluster unit."""
 
-    def __init__(
-        self,
-        rid: int,
-        *,
-        builder,
-        fault_injector=None,
-        recovery=None,
-        tracer=None,
-        memory_budget_mb: float = 256.0,
-        workers: int = 2,
-        max_batch: int | None = None,
-        window_ms: float = 5.0,
-        max_queue_depth: int = 256,
-        num_gcds: int = 4,
-        distributed_threshold_mb: float | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
-        scale_factor: int = 64,
-        seed: int = 0,
-        audit=None,
-        slo=None,
-        bounded_metrics: bool = False,
-    ) -> None:
+    def __init__(self, rid: int, service: BFSService) -> None:
         self.rid = rid
-        registry = GraphRegistry(
-            memory_budget_bytes=int(memory_budget_mb * 1024 * 1024),
-            builder=builder,
-            scale_factor=scale_factor,
-            seed=seed,
-        )
-        self.service = BFSService(
-            registry=registry,
-            workers=workers,
-            max_batch=max_batch,
-            window_ms=window_ms,
-            max_queue_depth=max_queue_depth,
-            num_gcds=num_gcds,
-            distributed_threshold_mb=distributed_threshold_mb,
-            linalg_batch_threshold=linalg_batch_threshold,
-            partition=partition,
-            fault_injector=fault_injector,
-            recovery=recovery,
-            tracer=tracer,
-            track_prefix=f"replica{rid}.",
-            audit=audit,
-            slo=slo,
-            bounded_metrics=bounded_metrics,
-        )
+        self.service = service
         self.alive = True
         #: Virtual restart stamp while dead, ``None`` when alive.
         self.revive_at_ms: float | None = None

@@ -40,12 +40,14 @@ served answer is bit-identical to a solo ``XBFS.run``.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import AdmissionError, ClusterError, QuotaExceededError
 from repro.faults.plan import FaultPlan
 from repro.obs.stream import DecisionStream
 from repro.service.request import Query, QueryOutcome
+from repro.service.runtime import BFSService
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.cluster.placement import PlacementMap
 from repro.cluster.qos import DEFAULT_QOS_CLASSES, QuotaLedger, TenantQuota
@@ -90,7 +92,6 @@ class ClusterRouter:
                 f"steal_threshold must be >= 1 or None, got {steal_threshold}"
             )
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.fault_plan = fault_plan
         self.fault_injector = (
             fault_plan.injector() if fault_plan is not None else None
         )
@@ -101,48 +102,41 @@ class ClusterRouter:
         if builder is None:
             from repro.cli import parse_graph_spec
 
-            def builder(spec: str, _sf=scale_factor, _seed=seed):
-                return parse_graph_spec(
-                    spec, scale_factor=_sf, seed=_seed
-                )
+            builder = partial(parse_graph_spec, scale_factor=scale_factor, seed=seed)
+        self._builder = cache(builder)
 
-        self._graph_cache: dict = {}
-        base_builder = builder
-
-        def shared_builder(spec: str):
-            if spec not in self._graph_cache:
-                self._graph_cache[spec] = base_builder(spec)
-            return self._graph_cache[spec]
-
-        self._builder = shared_builder
-
+        #: The options every replica's :class:`BFSService` is built
+        #: from — the only copy of them below the front door.
+        self.service_options = dict(
+            memory_budget_mb=memory_budget_mb,
+            workers=workers,
+            max_batch=max_batch,
+            window_ms=window_ms,
+            max_queue_depth=max_queue_depth,
+            scale_factor=scale_factor,
+            seed=seed,
+            num_gcds=num_gcds,
+            distributed_threshold_mb=distributed_threshold_mb,
+            linalg_batch_threshold=linalg_batch_threshold,
+            partition=partition,
+            recovery=recovery,
+            bounded_metrics=bounded_metrics,
+        )
         self.replicas = [
-            Replica(
-                rid,
-                builder=shared_builder,
+            Replica(rid, BFSService(
+                builder=self._builder,
                 fault_injector=self.fault_injector,
-                recovery=recovery,
                 tracer=self.tracer,
-                memory_budget_mb=memory_budget_mb,
-                workers=workers,
-                max_batch=max_batch,
-                window_ms=window_ms,
-                max_queue_depth=max_queue_depth,
-                num_gcds=num_gcds,
-                distributed_threshold_mb=distributed_threshold_mb,
-                linalg_batch_threshold=linalg_batch_threshold,
-                partition=partition,
-                scale_factor=scale_factor,
-                seed=seed,
+                track_prefix=f"replica{rid}.",
                 audit=audit,
                 slo=slo,
-                bounded_metrics=bounded_metrics,
-            )
+                **self.service_options,
+            ))
             for rid in range(replicas)
         ]
         self.placement = PlacementMap(
             range(replicas),
-            size_of=lambda spec: shared_builder(spec).memory_bytes,
+            size_of=lambda spec: self._builder(spec).memory_bytes,
         )
         self.quotas = QuotaLedger(quotas)
         #: Front-door rejections (quota) — replica-level rejections live

@@ -37,8 +37,9 @@ Everything is synchronous and deterministic: time is *virtual* (query
 arrival stamps plus modelled kernel costs), so a replayed trace always
 produces bit-identical levels and identical latency statistics. That
 determinism extends to failure: pass a seeded
-:class:`~repro.faults.plan.FaultPlan` to :class:`BFSService` and the
-scheduler recovers through per-level checkpoints, dispatch retries with
+:class:`~repro.faults.plan.FaultPlan`'s injector
+(``fault_injector=plan.injector()``) to :class:`BFSService` and the
+service recovers through per-level checkpoints, dispatch retries with
 virtual-time backoff, and a circuit breaker that falls back to the
 serial baseline — always the same levels, with degraded-mode counters
 in :class:`~repro.service.metrics.ServiceMetrics`.

@@ -52,7 +52,11 @@ from repro.multigcd.distributed_bfs import MultiGcdBFS
 from repro.multigcd.grid2d import Grid2dBFS
 from repro.obs.stream import DecisionStream
 from repro.service.metrics import ServiceMetrics
-from repro.service.registry import LEVEL_CACHE_SOURCES, RegistryEntry
+from repro.service.registry import (
+    LEVEL_CACHE_SOURCES,
+    GraphRegistry,
+    RegistryEntry,
+)
 from repro.service.request import Query
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
@@ -202,6 +206,7 @@ class ExecutionEngine:
 
     def __init__(
         self,
+        registry: GraphRegistry,
         *,
         metrics: ServiceMetrics | None = None,
         num_gcds: int = 4,
@@ -245,9 +250,14 @@ class ExecutionEngine:
         #: Decomposition of the distributed tier: ``"1d"`` edge-balanced
         #: rows (``multigcd``) or ``"2d"`` the checkerboard (``grid2d``).
         self.partition = partition
+        #: The registry whose entries this engine serves; its delta logs
+        #: feed the incremental-repair tier.
+        self.registry = registry
         self.fault_injector = fault_injector
         self.recovery = recovery or DEFAULT_RECOVERY
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        if fault_injector is not None and self.tracer.enabled:
+            fault_injector.bind_tracer(self.tracer)
         #: Routing, repair and recovery decisions, folded into the
         #: metrics, the audit log and the tracer.
         self.stream = DecisionStream(metrics=metrics or ServiceMetrics(),
@@ -267,7 +277,6 @@ class ExecutionEngine:
         *,
         graph_key: str,
         now_ms: float = 0.0,
-        registry=None,
     ) -> Dispatch:
         """Run the engine for one dispatch, recovering from injected
         faults.
@@ -276,11 +285,6 @@ class ExecutionEngine:
         was evicted or superseded by a mutation after the caller
         obtained it — dispatching onto a dead entry's engines could
         serve answers for a graph version that no longer exists.
-
-        ``registry`` (the entry's owning
-        :class:`~repro.service.registry.GraphRegistry`) enables the
-        incremental-repair tier on mutated graphs; without it every
-        post-mutation dispatch recomputes.
 
         Returns a :class:`Dispatch` — a named tuple, so ``out[3]`` is
         the serving tier's name. An attempt is repair, else picker →
@@ -327,7 +331,7 @@ class ExecutionEngine:
                 # slow (latency kinds scale the modelled elapsed).
                 fault_scale = 1.0 if inj is None else inj.visit("service.worker", graph_key)
                 plans = self._repair_plans(entry, live, sources, default_surface,
-                                           registry, now_ms)
+                                           now_ms)
                 if plans is not None:
                     tier = "repair"
                     result, detail = _repair(entry, plans)
@@ -433,7 +437,7 @@ class ExecutionEngine:
         )
 
     def _repair_plans(self, entry: RegistryEntry, live, sources,
-                      default_surface, registry, now_ms):
+                      default_surface, now_ms):
         """The incremental-repair gate: one ``(source, basis, inserts)``
         plan per source when a post-mutation dispatch can be served by
         re-relaxing cached level bases instead of recomputing, else
@@ -447,7 +451,7 @@ class ExecutionEngine:
         edges. Any declined gate (on a mutated graph) lands one
         ``repair`` audit record explaining why the dispatch recomputed.
         """
-        if not default_surface or registry is None or entry.version == 0:
+        if not default_surface or entry.version == 0:
             return None
 
         max_inserts = DEFAULT_REPAIR_MAX_FRACTION * max(1, entry.graph.num_edges)
@@ -462,7 +466,7 @@ class ExecutionEngine:
             if basis_version >= entry.version:
                 plans.append((src, basis, ()))
                 continue
-            deltas = registry.deltas_since(entry.key, basis_version)
+            deltas = self.registry.deltas_since(entry.key, basis_version)
             if any(not d.insert_only for d in deltas):
                 declined = {"reason": "deletes", "source": src}
                 break

@@ -1,7 +1,8 @@
 """:class:`BFSService` — the serving facade.
 
-Wires the registry, admission controller, coalescing scheduler and
-metrics into one object with two entry points:
+Wires the registry, admission controller, execution engine,
+coalescing scheduler and metrics into one object with two entry
+points:
 
 * :meth:`BFSService.submit` — online use: admit one query (raises a
   typed :class:`~repro.errors.AdmissionError` under backpressure).
@@ -13,12 +14,13 @@ metrics into one object with two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.errors import AdmissionError, ServiceError
-from repro.faults.plan import FaultPlan
+from repro.errors import AdmissionError
 from repro.faults.recovery import RecoveryPolicy
+from repro.graph.csr import CSRGraph
 from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.execution import ExecutionEngine
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOutcome
@@ -59,12 +61,17 @@ class ServiceReport:
 class BFSService:
     """A deterministic, synchronous BFS query service.
 
-    Parameters mirror the subsystem layers: ``memory_budget_mb`` bounds
-    the graph registry, ``workers``/``max_batch``/``window_ms`` shape
-    the coalescing scheduler, ``max_queue_depth``/``default_deadline_ms``
-    set the admission policy, and ``scale_factor``/``seed`` fix how
-    graph specs resolve (one spec string → one graph for the service's
-    lifetime).
+    The service builds each component once and hands it down: a
+    :class:`~repro.service.registry.GraphRegistry`
+    (``memory_budget_mb``, ``builder``, ``scale_factor``, ``seed`` —
+    one spec string → one graph for the service's lifetime), an
+    :class:`~repro.service.admission.AdmissionPolicy`
+    (``max_queue_depth``, ``default_deadline_ms``), the
+    :class:`~repro.service.execution.ExecutionEngine` that holds the
+    registry, metrics, fault injector, tracer and audit log, and the
+    :class:`~repro.service.scheduler.CoalescingScheduler`
+    (``workers``, ``max_batch``, ``window_ms``) that dispatches onto
+    that executor and reads those shared parts from it.
 
     ``distributed_threshold_mb``/``num_gcds`` set the engine-routing
     policy: dispatches against graphs whose CSR footprint exceeds the
@@ -89,6 +96,11 @@ class BFSService:
     (the default) adopts whichever cap is active; an explicit value is
     validated against it with a typed
     :class:`~repro.errors.BatchLimitError`.
+
+    ``fault_injector`` is a :class:`~repro.faults.injector.FaultInjector`
+    (``FaultPlan.injector()``); a cluster hands one shared injector to
+    every replica — one RNG stream, one deterministic global fault
+    schedule.
     """
 
     def __init__(
@@ -106,8 +118,7 @@ class BFSService:
         distributed_threshold_mb: float | None = None,
         linalg_batch_threshold: int | None = None,
         partition: str = "1d",
-        registry: GraphRegistry | None = None,
-        fault_plan: FaultPlan | None = None,
+        builder: Callable[[str], CSRGraph] | None = None,
         fault_injector=None,
         recovery: RecoveryPolicy | None = None,
         tracer: Tracer | None = None,
@@ -116,15 +127,12 @@ class BFSService:
         slo=None,
         bounded_metrics: bool = False,
     ) -> None:
-        # Explicit None-check: an empty GraphRegistry has len() == 0
-        # and would read as falsy.
-        if registry is None:
-            registry = GraphRegistry(
-                memory_budget_bytes=int(memory_budget_mb * 1024 * 1024),
-                scale_factor=scale_factor,
-                seed=seed,
-            )
-        self.registry = registry
+        self.registry = GraphRegistry(
+            memory_budget_bytes=int(memory_budget_mb * 1024 * 1024),
+            builder=builder,
+            scale_factor=scale_factor,
+            seed=seed,
+        )
         #: The obs sinks the admission controller, scheduler and executor
         #: fold their decisions into (``None`` disables each).
         self.audit = audit
@@ -141,32 +149,16 @@ class BFSService:
         # default keeps exact percentiles so summaries stay
         # byte-identical.
         self.metrics = ServiceMetrics(exact_percentiles=not bounded_metrics)
-        #: The declarative plan (kept for reports); its injector below
-        #: holds all mutable fault state. A cluster passes one shared
-        #: ``fault_injector`` to every replica instead — one RNG stream,
-        #: one deterministic global fault schedule.
-        if fault_plan is not None and fault_injector is not None:
-            raise ServiceError(
-                "pass either fault_plan or fault_injector, not both"
-            )
-        self.fault_plan = fault_plan
-        self.fault_injector = (
-            fault_plan.injector() if fault_plan is not None else fault_injector
-        )
+        self.fault_injector = fault_injector
         #: One tracer for the whole service: dispatch spans, engine
         #: level spans, kernel spans and fault/recovery events all land
         #: on its correlated timeline (see :mod:`repro.telemetry`).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.scheduler = CoalescingScheduler(
+        #: The execution plane (engine routing + fault recovery) — the
+        #: third concern of the placement / dispatch / execution split.
+        self.executor = ExecutionEngine(
             self.registry,
-            workers=workers,
-            max_batch=max_batch,
-            window_ms=window_ms,
-            admission=self.admission,
             metrics=self.metrics,
-            fault_injector=self.fault_injector,
-            recovery=recovery,
-            tracer=self.tracer,
             num_gcds=num_gcds,
             distributed_threshold_bytes=(
                 int(distributed_threshold_mb * 1024 * 1024)
@@ -175,14 +167,20 @@ class BFSService:
             ),
             linalg_batch_threshold=linalg_batch_threshold,
             partition=partition,
-            track_prefix=track_prefix,
+            fault_injector=fault_injector,
+            recovery=recovery,
+            tracer=self.tracer,
             audit=audit,
+        )
+        self.scheduler = CoalescingScheduler(
+            self.executor,
+            workers=workers,
+            max_batch=max_batch,
+            window_ms=window_ms,
+            admission=self.admission,
+            track_prefix=track_prefix,
             slo=slo,
         )
-        #: The execution plane (engine routing + fault recovery) the
-        #: scheduler dispatches onto — the third concern of the
-        #: placement / dispatch / execution split.
-        self.executor = self.scheduler.executor
 
     # ------------------------------------------------------------------
     def submit(self, query: Query) -> None:

@@ -33,7 +33,10 @@ serial fallback — is the :class:`~repro.service.execution.ExecutionEngine`'s
 concern; the scheduler charges whatever virtual elapsed time the
 executor returns and stamps the outcome with the engine that served
 it. Routed answers are bit-identical to solo XBFS by contract,
-including under fault plans.
+including under fault plans. The scheduler is handed that executor
+ready-made and reads the registry, fault injector, tracer, metrics
+and audit log it shares with it from it, so no routing option ever
+reaches the scheduler.
 
 Everything — grouping, worker choice, timing — is a pure function of
 the submitted queries, so a replayed trace is bit-for-bit
@@ -53,17 +56,13 @@ from repro.errors import (
     DeadlineExceededError,
     ServiceError,
 )
-from repro.faults.recovery import RecoveryPolicy
 from repro.obs.stream import DecisionStream
 from repro.service.admission import AdmissionController
 from repro.service.execution import (
     SERIAL_FALLBACK_MS_PER_MEDGE,
     ExecutionEngine,
 )
-from repro.service.metrics import ServiceMetrics
-from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOutcome
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["CoalescingScheduler", "WorkerState", "SERIAL_FALLBACK_MS_PER_MEDGE"]
 
@@ -173,46 +172,35 @@ class CoalescingScheduler:
 
     def __init__(
         self,
-        registry: GraphRegistry,
+        executor: ExecutionEngine,
         *,
         workers: int = 2,
         max_batch: int | None = None,
         window_ms: float = 5.0,
         admission: AdmissionController | None = None,
-        metrics: ServiceMetrics | None = None,
-        fault_injector=None,
-        recovery: RecoveryPolicy | None = None,
-        tracer: Tracer | None = None,
-        num_gcds: int = 4,
-        distributed_threshold_bytes: int | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
         track_prefix: str = "",
-        audit=None,
         slo=None,
     ) -> None:
         if workers < 1:
             raise ServiceError("scheduler needs at least one worker")
         if window_ms < 0:
             raise ServiceError("window_ms must be >= 0")
-        self.registry = registry
+        #: The execution plane this scheduler dispatches onto. The
+        #: registry, the fault injector (also visited at the queue,
+        #: registry and worker sites), the tracer (one
+        #: ``service.dispatch`` span per dispatch), the metrics and the
+        #: audit log are the executor's: one of each per service.
+        self.executor = executor
+        self.registry = executor.registry
+        self.fault_injector = executor.fault_injector
+        self.tracer = executor.tracer
+        self.metrics = executor.stream.metrics
+        audit = executor.stream.audit
         self.window_ms = window_ms
         self.admission = admission or AdmissionController(audit=audit)
-        self.metrics = metrics or ServiceMetrics()
         self.workers = [WorkerState(i) for i in range(workers)]
         self.outcomes: list[QueryOutcome] = []
         self.now_ms = 0.0
-        #: Optional :class:`~repro.faults.injector.FaultInjector`;
-        #: threaded into every engine the executor builds and visited
-        #: at the service's own sites (queue, registry, worker).
-        self.fault_injector = fault_injector
-        #: Optional :class:`~repro.telemetry.tracer.Tracer`. Every
-        #: dispatch opens a top-level ``service.dispatch`` span (one
-        #: trace per dispatch), threads the tracer into the engines it
-        #: builds, and tags recovery decisions as point events.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if fault_injector is not None and self.tracer.enabled:
-            fault_injector.bind_tracer(self.tracer)
         #: The decisions this scheduler makes — outcomes, dispatches,
         #: mutations — folded into its outcome log, metrics, the audit
         #: log, the SLO engine and the tracer.
@@ -222,18 +210,6 @@ class CoalescingScheduler:
         #: dispatch spans land on ``"<prefix>worker<i>"`` so every
         #: replica's workers get their own telemetry tracks.
         self.track_prefix = track_prefix
-        #: The execution plane this scheduler dispatches onto.
-        self.executor = ExecutionEngine(
-            metrics=self.metrics,
-            num_gcds=num_gcds,
-            distributed_threshold_bytes=distributed_threshold_bytes,
-            linalg_batch_threshold=linalg_batch_threshold,
-            partition=partition,
-            fault_injector=fault_injector,
-            recovery=recovery,
-            tracer=self.tracer,
-            audit=audit,
-        )
         # The batch cap is engine-aware: ``None`` adopts the executor's
         # cap (64 on the concurrent path, the bitmap engine's cap with
         # the linalg tier enabled); an explicit value is validated
@@ -416,8 +392,7 @@ class CoalescingScheduler:
             sp.advance_to(start + build_ms)
 
             elapsed, sharing, levels_of, engine = self.executor.run(
-                entry, live, sources, batched, graph_key=graph,
-                now_ms=start, registry=self.registry,
+                entry, live, sources, batched, graph_key=graph, now_ms=start,
             )
             sp.set(engine=engine)
             finish = start + build_ms + elapsed

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cluster import ClusterRouter, death_plan, run_scaleout_sweep
 from repro.graph.generators import rmat
-from repro.service import BFSService, GraphRegistry, synthetic_trace
+from repro.service import BFSService, synthetic_trace
 from repro.xbfs.driver import XBFS
 
 SPECS = ("7", "8", "9")
@@ -28,8 +28,8 @@ def _trace(n=64, seed=0, **kwargs):
 
 
 def _baseline_levels(trace):
-    registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
-    service = BFSService(registry=registry, workers=1, window_ms=5.0)
+    service = BFSService(builder=_builder, memory_budget_mb=1024,
+                         workers=1, window_ms=5.0)
     report = service.replay(trace)
     return {o.query.qid: o.levels for o in report.served}
 

@@ -5,10 +5,12 @@ import pytest
 
 from repro.cluster import ClusterRouter
 from repro.errors import ClusterError, MutationError
+from repro.faults import RecoveryPolicy
 from repro.graph.delta import GraphDelta, apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.graph.stats import bfs_levels_reference
 from repro.service.request import Query
+from repro.service.runtime import BFSService
 from repro.service.trace import synthetic_trace
 from repro.telemetry import CounterRegistry, Tracer, write_prometheus
 
@@ -79,6 +81,79 @@ class TestRouting:
             make_router(replicas=0)
         with pytest.raises(ClusterError):
             make_router(steal_threshold=0)
+
+
+def _options(service) -> dict:
+    """The option values each component of ``service`` holds."""
+    registry, scheduler, executor = (service.registry, service.scheduler,
+                                     service.executor)
+    return {
+        "memory_budget_bytes": registry.memory_budget_bytes,
+        "scale_factor": registry.scale_factor,
+        "seed": registry.seed,
+        "max_queue_depth": service.admission.policy.max_queue_depth,
+        "workers": len(scheduler.workers),
+        "window_ms": scheduler.window_ms,
+        "max_batch": scheduler.max_batch,
+        "num_gcds": executor.num_gcds,
+        "distributed_threshold_bytes": executor.distributed_threshold_bytes,
+        "linalg_batch_threshold": executor.linalg_batch_threshold,
+        "partition": executor.partition,
+        "recovery": executor.recovery,
+        "exact_percentiles": service.metrics.exact_percentiles,
+    }
+
+
+class TestServiceOptions:
+    """Every service option the front door takes reaches every replica."""
+
+    RECOVERY = RecoveryPolicy(max_dispatch_retries=1, breaker_threshold=2)
+
+    def _router(self):
+        # A non-default value for every service option.
+        return make_router(
+            replicas=2, memory_budget_mb=48.0, workers=3, max_batch=100,
+            window_ms=2.5, max_queue_depth=17, scale_factor=16, seed=5,
+            num_gcds=8, distributed_threshold_mb=1.5,
+            linalg_batch_threshold=96, partition="2d",
+            recovery=self.RECOVERY, bounded_metrics=True,
+        )
+
+    def test_every_option_reaches_every_replica(self):
+        expected = {
+            "memory_budget_bytes": 48 * 2**20,
+            "scale_factor": 16,
+            "seed": 5,
+            "max_queue_depth": 17,
+            "workers": 3,
+            "window_ms": 2.5,
+            "max_batch": 100,
+            "num_gcds": 8,
+            "distributed_threshold_bytes": int(1.5 * 2**20),
+            "linalg_batch_threshold": 96,
+            "partition": "2d",
+            "recovery": self.RECOVERY,
+            "exact_percentiles": False,
+        }
+        router = self._router()
+        assert len(router.replicas) == 2
+        for replica in router.replicas:
+            assert _options(replica.service) == expected
+            assert replica.service.scheduler.track_prefix == f"replica{replica.rid}."
+
+    def test_replicas_match_a_service_built_from_the_options(self):
+        router = self._router()
+        alone = _options(BFSService(**router.service_options))
+        for replica in router.replicas:
+            assert _options(replica.service) == alone
+
+    def test_service_with_a_builder_keeps_its_registry_options(self):
+        service = BFSService(builder=_builder, memory_budget_mb=8,
+                             scale_factor=16, seed=3)
+        assert service.registry.memory_budget_bytes == 8 * 2**20
+        assert (service.registry.scale_factor, service.registry.seed) == (16, 3)
+        # The builder, not the spec parser, resolves the spec.
+        assert service.registry.get("7")[0].graph.num_vertices == 1 << 7
 
 
 class TestStealing:

@@ -9,10 +9,10 @@ from repro.graph.stats import bfs_levels_reference
 from repro.service import BFSService, Query, QueryOptions, synthetic_trace
 
 
-def _service(fault_plan=None, recovery=None, **kw):
+def _service(**kw):
     kw.setdefault("memory_budget_mb", 64.0)
     kw.setdefault("scale_factor", 64)
-    return BFSService(fault_plan=fault_plan, recovery=recovery, **kw)
+    return BFSService(**kw)
 
 
 def _trace(service, specs=("rmat:9",), n=24, seed=3, burst=4):
@@ -45,7 +45,7 @@ class TestServedAnswersStayIdentical:
             FaultRule(site="gcd.launch", kind="kernel_launch",
                       probability=0.3, max_triggers=4),
         ))
-        report = _service(fault_plan=plan).replay(trace)
+        report = _service(fault_injector=plan.injector()).replay(trace)
         assert report.metrics.level_restarts > 0
         assert _shared_match(report, expected) == []
 
@@ -55,7 +55,7 @@ class TestServedAnswersStayIdentical:
         trace, expected = baseline
         fired = 0
         for plan in sweep_plans(4, base_seed=0):
-            report = _service(fault_plan=plan).replay(trace)
+            report = _service(fault_injector=plan.injector()).replay(trace)
             assert _shared_match(report, expected) == [], plan.name
             fired += report.metrics.faults_injected
         assert fired > 0
@@ -66,7 +66,7 @@ class TestServedAnswersStayIdentical:
             FaultRule(site="service.worker", kind="memory_corruption",
                       probability=1.0, max_triggers=2),
         ))
-        report = _service(fault_plan=plan).replay(trace)
+        report = _service(fault_injector=plan.injector()).replay(trace)
         assert report.metrics.retries >= 1
         assert len(report.metrics.recovery_ms) >= 1
         assert _shared_match(report, expected) == []
@@ -78,7 +78,7 @@ class TestServedAnswersStayIdentical:
                       magnitude=10.0),
         ))
         clean = _service().replay(trace)
-        slow = _service(fault_plan=plan).replay(trace)
+        slow = _service(fault_injector=plan.injector()).replay(trace)
         assert _shared_match(slow, expected) == []
         assert (slow.metrics.summary("s")["p95_ms"]
                 > clean.metrics.summary("s")["p95_ms"])
@@ -91,8 +91,8 @@ class TestServedAnswersStayIdentical:
             FaultRule(site="service.worker", kind="latency",
                       probability=0.5, magnitude=3.0),
         ))
-        a = _service(fault_plan=plan).replay(trace).summary("x")
-        b = _service(fault_plan=plan).replay(trace).summary("x")
+        a = _service(fault_injector=plan.injector()).replay(trace).summary("x")
+        b = _service(fault_injector=plan.injector()).replay(trace).summary("x")
         assert a == b
 
 
@@ -109,7 +109,7 @@ class TestCircuitBreaker:
         recovery = RecoveryPolicy(max_dispatch_retries=1,
                                   breaker_threshold=2, breaker_cooldown=4)
         report = _service(
-            fault_plan=self._hammer_plan(), recovery=recovery
+            fault_injector=self._hammer_plan().injector(), recovery=recovery
         ).replay(trace)
         m = report.metrics
         assert m.breaker_trips >= 1
@@ -122,14 +122,15 @@ class TestCircuitBreaker:
         trace, _ = baseline
         recovery = RecoveryPolicy(max_dispatch_retries=1,
                                   serial_fallback=False)
-        svc = _service(fault_plan=self._hammer_plan(), recovery=recovery)
+        svc = _service(fault_injector=self._hammer_plan().injector(),
+                       recovery=recovery)
         with pytest.raises(RecoveryExhaustedError):
             for q in trace:
                 svc.submit(q)
             svc.drain()
 
     def test_fallback_honours_max_levels(self):
-        svc = _service(fault_plan=self._hammer_plan(),
+        svc = _service(fault_injector=self._hammer_plan().injector(),
                        recovery=RecoveryPolicy(max_dispatch_retries=0,
                                                breaker_threshold=1))
         entry, _ = svc.registry.get("rmat:9")
@@ -153,7 +154,7 @@ class TestControlPlaneFaults:
                       magnitude=4.0),
         ))
         clean = _service().replay(trace)
-        stormy = _service(fault_plan=plan).replay(trace)
+        stormy = _service(fault_injector=plan.injector()).replay(trace)
         assert stormy.registry_stats["evictions"] \
             > clean.registry_stats["evictions"]
         assert stormy.registry_stats["misses"] \
@@ -162,10 +163,10 @@ class TestControlPlaneFaults:
 
     def test_queue_pressure_sheds_typed_rejections(self):
         svc = _service(
-            fault_plan=FaultPlan(seed=1, rules=(
+            fault_injector=FaultPlan(seed=1, rules=(
                 FaultRule(site="service.queue", kind="queue_pressure",
                           magnitude=1000.0),
-            )),
+            )).injector(),
             max_queue_depth=8,
         )
         trace = _trace(svc, n=16, burst=8)
@@ -181,7 +182,7 @@ class TestControlPlaneFaults:
             FaultRule(site="gcd.launch", kind="kernel_launch",
                       probability=0.5, max_triggers=2),
         ))
-        report = _service(fault_plan=plan).replay(trace)
+        report = _service(fault_injector=plan.injector()).replay(trace)
         assert report.fault_stats is not None
         assert report.fault_stats["plan"] == "visible"
         assert report.metrics.faults_injected \

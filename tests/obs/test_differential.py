@@ -50,7 +50,7 @@ def _replay(obs_on: bool, *, fault: bool, **service_kwargs):
             bounded_metrics=True,
         )
     if fault:
-        kwargs["fault_plan"] = _fault_plan()
+        kwargs["fault_injector"] = _fault_plan().injector()
     service = BFSService(workers=2, window_ms=5.0, seed=0, tracer=tracer,
                          **kwargs)
     trace = synthetic_trace(list(SIZES), SIZES, num_queries=48, seed=23)

@@ -21,7 +21,7 @@ from repro.graph.delta import random_delta
 from repro.graph.stats import bfs_levels_reference
 from repro.multigcd import Grid2dBFS, MultiGcdBFS
 from repro.obs import AuditLog
-from repro.service import ENGINE_NAMES, BFSService, GraphRegistry, Query
+from repro.service import ENGINE_NAMES, BFSService, Query
 from repro.xbfs.concurrent import ConcurrentBFS
 from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
@@ -63,7 +63,7 @@ def _serial(first=BATCH, **kw):
     # dispatch exhausts its retries, the second finds the breaker open.
     plan = FaultPlan(seed=0, rules=(FaultRule(site="service.worker", kind="kernel_launch"),))
     recovery = RecoveryPolicy(max_dispatch_retries=0, breaker_threshold=1, breaker_cooldown=4)
-    svc, audit, qids = _dispatch(first, fault_plan=plan, recovery=recovery, **kw)
+    svc, audit, qids = _dispatch(first, fault_injector=plan.injector(), recovery=recovery, **kw)
     return svc, audit, qids + _submit(svc, (5, 6), at_ms=100.0, first_qid=len(qids))
 
 
@@ -136,7 +136,7 @@ def test_level_restarts_match_engine_results(tier, monkeypatch):
         FaultRule(site="gcd.sync", kind="memory_corruption", probability=0.2,
                   max_triggers=4),
     ))
-    svc, _, qids = SCENARIOS[tier](fault_plan=plan)
+    svc, _, qids = SCENARIOS[tier](fault_injector=plan.injector())
     outcomes = {o.query.qid: o for o in svc.drain()}
     assert {outcomes[q].engine for q in qids} == {tier}
     restarts = sum(r.level_restarts for r in results)
@@ -172,9 +172,9 @@ def test_pod_routing_needs_a_vertex_per_gcd(partition, tier):
     # Three vertices, four GCDs: the 1D partition cannot give every GCD
     # a vertex, so the batch stays on one GCD; the grid serves it.
     graph = CSRGraph.from_edges(np.array([0, 1]), np.array([1, 2]), 3, symmetrize=True)
-    registry = GraphRegistry(memory_budget_bytes=1 << 20, builder={"tiny": graph}.__getitem__)
-    svc = BFSService(registry=registry, num_gcds=4, distributed_threshold_mb=0.0,
-                     partition=partition)
+    svc = BFSService(builder={"tiny": graph}.__getitem__,
+                     memory_budget_mb=1, num_gcds=4,
+                     distributed_threshold_mb=0.0, partition=partition)
     for qid in range(3):
         svc.submit(Query(qid=qid, graph="tiny", source=qid, arrival_ms=0.0))
     outcomes = svc.drain()

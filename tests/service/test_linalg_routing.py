@@ -21,7 +21,6 @@ from repro.graph.generators import rmat
 from repro.service import (
     BFSService,
     ENGINE_NAMES,
-    GraphRegistry,
     Query,
     QueryOptions,
 )
@@ -57,9 +56,9 @@ def xbfs_oracle():
 
 
 def make_service(*, threshold=THRESHOLD, **kwargs) -> BFSService:
-    registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
     return BFSService(
-        registry=registry,
+        builder=_builder,
+        memory_budget_mb=1024,
         linalg_batch_threshold=threshold,
         **kwargs,
     )
@@ -244,7 +243,7 @@ class TestRoutingUnderFaults:
         ))
 
     def test_bit_identical_under_fault_plan(self, xbfs_oracle):
-        service = make_service(workers=2, fault_plan=self._plan())
+        service = make_service(workers=2, fault_injector=self._plan().injector())
         report = service.replay(burst_trace([150, 150, 150], seed=9))
         assert report.metrics.faults_injected > 0
         assert service.metrics.engine_dispatches["linalg_batch"] > 0
@@ -258,7 +257,7 @@ class TestRoutingUnderFaults:
             FaultRule(site="gcd.launch", kind="kernel_launch",
                       probability=0.4, max_triggers=8),
         ))
-        service = make_service(workers=1, fault_plan=plan)
+        service = make_service(workers=1, fault_injector=plan.injector())
         report = service.replay(burst_trace([150, 150], seed=10))
         m = report.metrics
         assert m.faults_injected > 0

@@ -97,8 +97,8 @@ class TestRegistryMutate:
             reg.graph_at_version("9", 3)
 
     def test_outcomes_stamped_with_graph_version(self):
-        svc = BFSService(registry=_registry(), workers=1, window_ms=1.0,
-                         seed=0)
+        svc = BFSService(builder=_builder, memory_budget_mb=1024,
+                         workers=1, window_ms=1.0, seed=0)
         delta = random_delta(_builder("9"), num_inserts=3, seed=9)
         report = svc.replay([
             Query(qid=0, graph="9", source=1, arrival_ms=0.0),

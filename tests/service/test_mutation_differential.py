@@ -17,7 +17,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.graph.stats import bfs_levels_reference
-from repro.service import BFSService, GraphRegistry, Query
+from repro.service import BFSService, Query
 
 
 def _builder(spec: str):
@@ -53,9 +53,8 @@ SOURCES = (0, 7, 63, 200, 511, 900)
 
 
 def make_service(tier: str, **kwargs) -> BFSService:
-    registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
-    return BFSService(registry=registry, workers=2, window_ms=5.0, seed=0,
-                      **TIERS[tier], **kwargs)
+    return BFSService(builder=_builder, memory_budget_mb=1024,
+                      workers=2, window_ms=5.0, seed=0, **TIERS[tier], **kwargs)
 
 
 def mutate_trace(delta, *, singles: bool) -> list[Query]:
@@ -180,7 +179,7 @@ class TestUnderFaultPlans:
     @pytest.mark.parametrize("tier", sorted(TIERS))
     def test_bit_identical_under_faults(self, tier):
         delta = random_delta(BASE, seed=35, num_inserts=40, num_deletes=10)
-        service = make_service(tier, fault_plan=self._plan())
+        service = make_service(tier, fault_injector=self._plan().injector())
         report = service.replay(
             mutate_trace(delta, singles=tier == "singles")
         )
@@ -195,7 +194,7 @@ class TestUnderFaultPlans:
                       probability=0.8, magnitude=4.0),
         ))
         delta = random_delta(BASE, seed=36, num_inserts=12)
-        service = make_service("concurrent", fault_plan=plan)
+        service = make_service("concurrent", fault_injector=plan.injector())
         report = service.replay(mutate_trace(delta, singles=False))
         assert service.registry.evictions > 0
         check_differential(report, delta)

@@ -19,7 +19,6 @@ from repro.graph.generators import rmat
 from repro.service import (
     BFSService,
     ENGINE_NAMES,
-    GraphRegistry,
     Query,
     QueryOptions,
 )
@@ -59,10 +58,9 @@ def xbfs_oracle():
 
 def make_service(*, budget_bytes=1 << 30, threshold_mb=THRESHOLD_MB,
                  num_gcds=4, **kwargs) -> BFSService:
-    registry = GraphRegistry(memory_budget_bytes=budget_bytes,
-                             builder=_builder)
     return BFSService(
-        registry=registry,
+        builder=_builder,
+        memory_budget_mb=budget_bytes / 2**20,
         num_gcds=num_gcds,
         distributed_threshold_mb=threshold_mb,
         **kwargs,
@@ -216,7 +214,7 @@ class TestRoutingUnderFaults:
         ))
 
     def test_bit_identical_under_fault_plan(self, xbfs_oracle):
-        service = make_service(workers=2, fault_plan=self._plan())
+        service = make_service(workers=2, fault_injector=self._plan().injector())
         report = service.replay(routed_trace(32, seed=9))
         assert report.metrics.faults_injected > 0
         for o in report.served:
@@ -232,7 +230,7 @@ class TestRoutingUnderFaults:
             FaultRule(site="gcd.launch", kind="kernel_launch",
                       probability=0.3, max_triggers=6),
         ))
-        service = make_service(workers=1, fault_plan=plan)
+        service = make_service(workers=1, fault_injector=plan.injector())
         report = service.replay(routed_trace(16, seed=10, specs=("9", "10")))
         m = report.metrics
         assert m.faults_injected > 0

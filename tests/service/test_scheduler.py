@@ -9,6 +9,7 @@ from repro.errors import QueueFullError, ServiceError
 from repro.graph.delta import apply_delta, random_delta
 from repro.graph.generators import rmat
 from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.execution import ExecutionEngine
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOptions
 from repro.service.scheduler import CoalescingScheduler
@@ -18,11 +19,12 @@ def _builder(spec: str):
     return rmat(int(spec), 8, seed=0)
 
 
-def make_scheduler(**kwargs):
+def make_scheduler(fault_injector=None, **kwargs):
     registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
+    executor = ExecutionEngine(registry, fault_injector=fault_injector)
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("window_ms", 5.0)
-    return CoalescingScheduler(registry, **kwargs)
+    return CoalescingScheduler(executor, **kwargs)
 
 
 def burst(graph, sources, t=0.0, start_qid=0, **query_kwargs):

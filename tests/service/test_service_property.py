@@ -13,7 +13,6 @@ from repro.errors import QueueFullError
 from repro.graph.generators import rmat
 from repro.service import (
     BFSService,
-    GraphRegistry,
     Query,
     QueryOptions,
     synthetic_trace,
@@ -46,8 +45,8 @@ def xbfs_oracle():
 
 
 def make_service(*, budget_bytes=1 << 30, **kwargs) -> BFSService:
-    registry = GraphRegistry(memory_budget_bytes=budget_bytes, builder=_builder)
-    return BFSService(registry=registry, **kwargs)
+    return BFSService(builder=_builder, memory_budget_mb=budget_bytes / 2**20,
+                      **kwargs)
 
 
 def mixed_trace(num_queries: int, seed: int) -> list[Query]:

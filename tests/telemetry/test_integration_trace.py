@@ -110,7 +110,7 @@ class TestTracingNeverChangesTheAnswer:
         def fingerprints(tracer):
             kwargs = {} if tracer is None else {"tracer": tracer}
             svc = BFSService(memory_budget_mb=64.0, scale_factor=64,
-                             fault_plan=_plan(), **kwargs)
+                             fault_injector=_plan().injector(), **kwargs)
             report = svc.replay(queries)
             return {o.query.qid: levels_fingerprint(o.levels)
                     for o in report.served}

@@ -55,6 +55,28 @@ def run_matrix() -> list[dict]:
     return summaries
 
 
+def _surface(module) -> tuple[int, int]:
+    """``(symbols, crc32)`` of ``module``'s public surface: every name in
+    its ``__all__``, every exported class's constructor signature and
+    the signature of each of its public methods. The CRC32 is
+    deterministic across machines and changes exactly when the API
+    does."""
+    import inspect
+    import zlib
+
+    entries = []
+    for name in sorted(module.__all__):
+        obj = getattr(module, name)
+        entries.append(name)
+        if inspect.isclass(obj):
+            entries.append(f"{name}{inspect.signature(obj)}")
+            for attr, member in sorted(vars(obj).items()):
+                if attr.startswith("_") or not callable(member):
+                    continue
+                entries.append(f"{name}.{attr}{inspect.signature(member)}")
+    return len(entries), zlib.crc32("\n".join(entries).encode())
+
+
 def run_faults_surface_fingerprint() -> dict:
     """API-surface fingerprint of :mod:`repro.faults`.
 
@@ -64,25 +86,13 @@ def run_faults_surface_fingerprint() -> dict:
     the exported names and their signatures is deterministic across
     machines and changes exactly when the API does.
     """
-    import inspect
-    import zlib
-
     import repro.faults as faults
 
-    entries = []
-    for name in sorted(faults.__all__):
-        obj = getattr(faults, name)
-        entries.append(name)
-        if inspect.isclass(obj):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                entries.append(f"{name}.{attr}{inspect.signature(member)}")
-    blob = "\n".join(entries).encode()
+    symbols, surface_crc = _surface(faults)
     return {
         "name": "faults_surface",
-        "symbols": len(entries),
-        "surface_crc32": zlib.crc32(blob),
+        "symbols": symbols,
+        "surface_crc32": surface_crc,
     }
 
 
@@ -121,22 +131,12 @@ def run_telemetry_fingerprint() -> dict:
     virtual span count, event count and dotted counter names are pure
     functions of the model, so the CRC drifts exactly when the
     telemetry API or the instrumentation points change."""
-    import inspect
     import zlib
 
     import repro.telemetry as telemetry
     from repro.telemetry import CounterRegistry, Tracer
 
-    entries = []
-    for name in sorted(telemetry.__all__):
-        obj = getattr(telemetry, name)
-        entries.append(name)
-        if inspect.isclass(obj):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                entries.append(f"{name}.{attr}{inspect.signature(member)}")
-    surface_blob = "\n".join(entries).encode()
+    symbols, surface_crc = _surface(telemetry)
 
     tracer = Tracer()
     XBFS(rmat(12, 8, seed=2), tracer=tracer).run(0)
@@ -145,8 +145,8 @@ def run_telemetry_fingerprint() -> dict:
     names_blob = "\n".join(registry.names()).encode()
     return {
         "name": "telemetry",
-        "symbols": len(entries),
-        "surface_crc32": zlib.crc32(surface_blob),
+        "symbols": symbols,
+        "surface_crc32": surface_crc,
         "counters": len(registry.names()),
         "counter_names_crc32": zlib.crc32(names_blob),
         "spans": len(tracer.spans),
@@ -312,7 +312,6 @@ def run_cluster_fingerprint() -> dict:
     model, so the numbers drift exactly when the cluster layer (or
     anything it routes onto) changes — and the served answers are
     CRC'd, so a drifting answer can never hide behind stable timing."""
-    import inspect
     import zlib
 
     import repro.cluster as cluster
@@ -324,16 +323,7 @@ def run_cluster_fingerprint() -> dict:
     from repro.faults import levels_fingerprint
     from repro.service.trace import synthetic_trace
 
-    entries = []
-    for name in sorted(cluster.__all__):
-        obj = getattr(cluster, name)
-        entries.append(name)
-        if inspect.isclass(obj):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                entries.append(f"{name}.{attr}{inspect.signature(member)}")
-    surface_blob = "\n".join(entries).encode()
+    symbols, surface_crc = _surface(cluster)
 
     sizes = {"rmat:10": 1024, "rmat:11": 2048, "rmat:12": 4096}
     trace = synthetic_trace(
@@ -361,8 +351,8 @@ def run_cluster_fingerprint() -> dict:
             levels_fingerprint(o.levels).to_bytes(8, "little"), crc
         )
     summary["served_levels_crc32"] = crc
-    summary["symbols"] = len(entries)
-    summary["surface_crc32"] = zlib.crc32(surface_blob)
+    summary["symbols"] = symbols
+    summary["surface_crc32"] = surface_crc
     return summary
 
 
@@ -374,7 +364,6 @@ def run_obs_fingerprint() -> dict:
     metrics. The audit record counts per stage, the alert tally and
     the sketch percentiles are pure functions of the model; the served
     answers are CRC'd so the plane can never silently perturb them."""
-    import inspect
     import zlib
 
     import repro.obs as obs
@@ -383,16 +372,7 @@ def run_obs_fingerprint() -> dict:
     from repro.obs import AuditLog, SloEngine, SloSpec
     from repro.service.trace import synthetic_trace
 
-    entries = []
-    for name in sorted(obs.__all__):
-        obj = getattr(obs, name)
-        entries.append(name)
-        if inspect.isclass(obj):
-            for attr, member in sorted(vars(obj).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                entries.append(f"{name}.{attr}{inspect.signature(member)}")
-    surface_blob = "\n".join(entries).encode()
+    symbols, surface_crc = _surface(obs)
 
     audit = AuditLog()
     slo = SloEngine([
@@ -433,8 +413,8 @@ def run_obs_fingerprint() -> dict:
         "queries_served": len(report.served),
         "served_levels_crc32": crc,
         "alerts_fired": sum(s["alerts_fired"] for s in slo.status()),
-        "symbols": len(entries),
-        "surface_crc32": zlib.crc32(surface_blob),
+        "symbols": symbols,
+        "surface_crc32": surface_crc,
     }
     for stage, count in sorted(audit.counters().items()):
         summary[f"audit_{stage}"] = count
