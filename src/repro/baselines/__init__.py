@@ -2,7 +2,7 @@
 taxonomy and the Fig 8 evaluation, all running on the same simulated
 GCD substrate as XBFS."""
 
-from repro.baselines.base import BaselineBatch, BaselineResult
+from repro.baselines.base import BaselineResult
 from repro.baselines.enterprise import EnterpriseBFS
 from repro.baselines.gunrock import GunrockBFS
 from repro.baselines.hierarchical import HierarchicalBFS
@@ -12,7 +12,6 @@ from repro.baselines.sssp import SsspBFS
 
 __all__ = [
     "BaselineResult",
-    "BaselineBatch",
     "GunrockBFS",
     "EnterpriseBFS",
     "HierarchicalBFS",

@@ -1,10 +1,12 @@
 """Shared result type and helpers for the baseline BFS engines.
 
-Every baseline runs on the same simulated GCD substrate as XBFS — same
-cache model, same launch/sync costs, same atomic accounting — so the
-Fig 8 comparison isolates *algorithmic* differences (frontier
-generation style, duplicate work, redundant relaxations), not
-differences in how generously each engine is modelled.
+Every baseline is a :class:`~repro.xbfs.common.SoloEngine`: it runs on
+the same warm simulated GCD as XBFS — same cache model, same
+launch/sync costs, same atomic accounting — and its n-to-n loop returns
+the same :class:`~repro.xbfs.common.BatchResult`, so the Fig 8
+comparison isolates *algorithmic* differences (frontier generation
+style, duplicate work, redundant relaxations), not differences in how
+generously each engine is modelled.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gcd.kernel import KernelRecord
+from repro.metrics.gteps import gteps
 
-__all__ = ["BaselineResult", "BaselineBatch"]
+__all__ = ["BaselineResult", "baseline_result"]
 
 
 @dataclass
@@ -35,9 +38,7 @@ class BaselineResult:
 
     @property
     def gteps(self) -> float:
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self.traversed_edges / (self.elapsed_ms * 1e-3) / 1e9
+        return gteps(self.traversed_edges, self.elapsed_ms)
 
     @property
     def depth(self) -> int:
@@ -45,23 +46,20 @@ class BaselineResult:
         return int(lv.max()) + 1 if lv.size else 0
 
 
-@dataclass
-class BaselineBatch:
-    """n-to-n aggregate over several sources."""
-
-    runs: list[BaselineResult] = field(default_factory=list)
-
-    @property
-    def gteps(self) -> float:
-        total_ms = sum(r.elapsed_ms for r in self.runs)
-        if total_ms <= 0:
-            return 0.0
-        return sum(r.traversed_edges for r in self.runs) / (total_ms * 1e-3) / 1e9
-
-    @property
-    def steady_gteps(self) -> float:
-        runs = [r for r in self.runs if not r.paid_warmup] or self.runs
-        total_ms = sum(r.elapsed_ms for r in runs)
-        if total_ms <= 0:
-            return 0.0
-        return sum(r.traversed_edges for r in runs) / (total_ms * 1e-3) / 1e9
+def baseline_result(
+    engine, gcd, source: int, levels: np.ndarray, paid_warmup: bool,
+    redundant_work: int = 0,
+) -> BaselineResult:
+    """``engine``'s run from ``source`` that ended with ``levels`` on
+    ``gcd``: the device's clock and kernel records, and the out-degrees
+    of every reached vertex as its traversed edges."""
+    return BaselineResult(
+        engine=engine.ENGINE,
+        source=source,
+        levels=levels,
+        elapsed_ms=gcd.elapsed_ms,
+        traversed_edges=int(engine.graph.degrees[levels >= 0].sum()),
+        records=list(gcd.profiler.records),
+        paid_warmup=paid_warmup,
+        redundant_work=redundant_work,
+    )

@@ -25,18 +25,19 @@ from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
+    SoloEngine,
     first_match_per_segment,
     gather_neighbors,
     segment_lines_touched,
     unique_vertices,
     wavefront_serialized_steps,
 )
-from repro.baselines.base import BaselineBatch, BaselineResult
+from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["EnterpriseBFS"]
 
 
-class EnterpriseBFS:
+class EnterpriseBFS(SoloEngine):
     """Scan-compaction BFS with a fixed direction-switch threshold."""
 
     ENGINE = "enterprise"
@@ -51,11 +52,8 @@ class EnterpriseBFS:
     ) -> None:
         if not 0 < bottom_up_threshold <= 1:
             raise TraversalError("bottom_up_threshold must be in (0, 1]")
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
+        super().__init__(graph, device=device, config=config)
         self.bottom_up_threshold = bottom_up_threshold
-        self._gcd: GCD | None = None
 
     # ------------------------------------------------------------------
     def _scan_generate(self, levels: np.ndarray, level: int, gcd: GCD) -> np.ndarray:
@@ -100,14 +98,7 @@ class EnterpriseBFS:
     # ------------------------------------------------------------------
     def run(self, source: int) -> BaselineResult:
         graph = self.graph
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcd is None:
-            self._gcd = GCD(self.device, self.config)
-        else:
-            self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
-        paid_warmup = not gcd._warm
+        gcd, paid_warmup = self._start(source)
 
         levels = np.full(graph.num_vertices, -1, dtype=np.int32)
         levels[source] = 0
@@ -182,19 +173,4 @@ class EnterpriseBFS:
             gcd.sync()
             level += 1
 
-        reached = levels >= 0
-        return BaselineResult(
-            engine=self.ENGINE,
-            source=source,
-            levels=levels,
-            elapsed_ms=gcd.elapsed_ms,
-            traversed_edges=int(graph.degrees[reached].sum()),
-            records=list(gcd.profiler.records),
-            paid_warmup=paid_warmup,
-        )
-
-    def run_many(self, sources: np.ndarray) -> BaselineBatch:
-        batch = BaselineBatch()
-        for s in np.asarray(sources).ravel():
-            batch.runs.append(self.run(int(s)))
-        return batch
+        return baseline_result(self, gcd, source, levels, paid_warmup)

@@ -22,20 +22,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TraversalError
 from repro.gcd.atomics import AtomicStats
-from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ComputeWork, ExecConfig
+from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
-from repro.gcd.simulator import GCD
-from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
+    SoloEngine,
     gather_neighbors,
     segment_lines_touched,
     unique_vertices,
 )
-from repro.baselines.base import BaselineBatch, BaselineResult
+from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["GunrockBFS"]
 
@@ -55,36 +52,16 @@ def _cull_duplicates(frontier: np.ndarray, max_copies: int) -> np.ndarray:
     return ordered[rank < max_copies]
 
 
-class GunrockBFS:
+class GunrockBFS(SoloEngine):
     """Advance/filter BFS with duplicated frontiers."""
 
     ENGINE = "gunrock"
     #: Copies of one child surviving the heuristic cull per level.
     MAX_DUPLICATES = 4
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        *,
-        device: DeviceProfile = MI250X_GCD,
-        config: ExecConfig | None = None,
-    ) -> None:
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
-        self._gcd: GCD | None = None
-
-    # ------------------------------------------------------------------
     def run(self, source: int) -> BaselineResult:
         graph = self.graph
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcd is None:
-            self._gcd = GCD(self.device, self.config)
-        else:
-            self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
-        paid_warmup = not gcd._warm
+        gcd, paid_warmup = self._start(source)
 
         levels = np.full(graph.num_vertices, -1, dtype=np.int32)
         levels[source] = 0
@@ -158,21 +135,4 @@ class GunrockBFS:
             frontier = next_frontier
             level += 1
 
-        reached = levels >= 0
-        traversed = int(graph.degrees[reached].sum())
-        return BaselineResult(
-            engine=self.ENGINE,
-            source=source,
-            levels=levels,
-            elapsed_ms=gcd.elapsed_ms,
-            traversed_edges=traversed,
-            records=list(gcd.profiler.records),
-            paid_warmup=paid_warmup,
-            redundant_work=duplicates,
-        )
-
-    def run_many(self, sources: np.ndarray) -> BaselineBatch:
-        batch = BaselineBatch()
-        for s in np.asarray(sources).ravel():
-            batch.runs.append(self.run(int(s)))
-        return batch
+        return baseline_result(self, gcd, source, levels, paid_warmup, duplicates)

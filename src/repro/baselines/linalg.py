@@ -31,47 +31,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TraversalError
-from repro.gcd.device import DeviceProfile, MI250X_GCD
-from repro.gcd.kernel import ComputeWork, ExecConfig
+from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
-from repro.gcd.simulator import GCD
-from repro.graph.csr import CSRGraph
 from repro.xbfs import bitmap as bm
-from repro.xbfs.common import segment_lines_touched
-from repro.baselines.base import BaselineBatch, BaselineResult
+from repro.xbfs.common import SoloEngine, segment_lines_touched
+from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["LinAlgBFS"]
 
 
-class LinAlgBFS:
+class LinAlgBFS(SoloEngine):
     """Masked-SpMV BFS on the simulated GCD."""
 
     ENGINE = "linalg"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        *,
-        device: DeviceProfile = MI250X_GCD,
-        config: ExecConfig | None = None,
-    ) -> None:
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
-        self._gcd: GCD | None = None
-
     def run(self, source: int) -> BaselineResult:
         graph = self.graph
         n = graph.num_vertices
-        if not 0 <= source < n:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcd is None:
-            self._gcd = GCD(self.device, self.config)
-        else:
-            self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
-        paid_warmup = not gcd._warm
+        gcd, paid_warmup = self._start(source)
 
         levels = np.full(n, -1, dtype=np.int32)
         levels[source] = 0
@@ -133,19 +110,4 @@ class LinAlgBFS:
             frontier = next_frontier
             level += 1
 
-        reached = levels >= 0
-        return BaselineResult(
-            engine=self.ENGINE,
-            source=source,
-            levels=levels,
-            elapsed_ms=gcd.elapsed_ms,
-            traversed_edges=int(graph.degrees[reached].sum()),
-            records=list(gcd.profiler.records),
-            paid_warmup=paid_warmup,
-        )
-
-    def run_many(self, sources: np.ndarray) -> BaselineBatch:
-        batch = BaselineBatch()
-        for s in np.asarray(sources).ravel():
-            batch.runs.append(self.run(int(s)))
-        return batch
+        return baseline_result(self, gcd, source, levels, paid_warmup)

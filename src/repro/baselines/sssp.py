@@ -21,22 +21,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TraversalError
 from repro.gcd.atomics import AtomicStats
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
-from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
-from repro.baselines.base import BaselineBatch, BaselineResult
+from repro.xbfs.common import SoloEngine, gather_neighbors, segment_lines_touched
+from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["SsspBFS"]
 
 _INF = np.int32(np.iinfo(np.int32).max)
 
 
-class SsspBFS:
+class SsspBFS(SoloEngine):
     """Label-correcting unit-weight SSSP used as a BFS engine."""
 
     ENGINE = "sssp"
@@ -49,22 +47,12 @@ class SsspBFS:
         config: ExecConfig | None = None,
         max_rounds: int | None = None,
     ) -> None:
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
+        super().__init__(graph, device=device, config=config)
         self.max_rounds = max_rounds
-        self._gcd: GCD | None = None
 
     def run(self, source: int) -> BaselineResult:
         graph = self.graph
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
-        if self._gcd is None:
-            self._gcd = GCD(self.device, self.config)
-        else:
-            self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
-        paid_warmup = not gcd._warm
+        gcd, paid_warmup = self._start(source)
 
         dist = np.full(graph.num_vertices, _INF, dtype=np.int32)
         dist[source] = 0
@@ -118,20 +106,4 @@ class SsspBFS:
         gcd.sync()
 
         levels = np.where(dist == _INF, np.int32(-1), dist)
-        reached = levels >= 0
-        return BaselineResult(
-            engine=self.ENGINE,
-            source=source,
-            levels=levels,
-            elapsed_ms=gcd.elapsed_ms,
-            traversed_edges=int(graph.degrees[reached].sum()),
-            records=list(gcd.profiler.records),
-            paid_warmup=paid_warmup,
-            redundant_work=redundant,
-        )
-
-    def run_many(self, sources: np.ndarray) -> BaselineBatch:
-        batch = BaselineBatch()
-        for s in np.asarray(sources).ravel():
-            batch.runs.append(self.run(int(s)))
-        return batch
+        return baseline_result(self, gcd, source, levels, paid_warmup, redundant)

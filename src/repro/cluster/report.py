@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics.gteps import gteps
 from repro.service.metrics import dispatch_counts, percentile
 from repro.service.request import QueryOutcome
 
@@ -105,9 +106,7 @@ class ClusterReport:
             "p99_ms": percentile(lat, 99),
             **dispatch_counts(engine_totals),
             "makespan_ms": makespan,
-            "cluster_gteps": (
-                edges / (makespan * 1e-3) / 1e9 if makespan > 0 else 0.0
-            ),
+            "cluster_gteps": gteps(edges, makespan),
             "total_traversed_edges": edges,
             "balance_ratio": self.placement["balance_ratio"],
             "graphs_placed": self.placement["graphs_placed"],

@@ -218,7 +218,7 @@ class ClusterRouter:
         front door.
 
         The batch is validated up front with the engines' own
-        :func:`~repro.xbfs.concurrent.validate_batch_sources` — empty,
+        :func:`~repro.xbfs.bitmap.validate_batch_sources` — empty,
         oversized, out-of-range and duplicate-source batches raise a
         typed :class:`~repro.errors.BatchSourceError` before any query
         is admitted or any quota charged. Valid batches fan out into
@@ -227,7 +227,7 @@ class ClusterRouter:
         """
         import numpy as np
 
-        from repro.xbfs.concurrent import validate_batch_sources
+        from repro.xbfs.bitmap import validate_batch_sources
 
         max_batch = min(r.scheduler.max_batch for r in self.replicas)
         validate_batch_sources(

@@ -22,6 +22,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.metrics.gteps import gteps
+
 __all__ = [
     "RESULTS_SCHEMA_VERSION",
     "summarize_batch",
@@ -38,24 +40,19 @@ RESULTS_SCHEMA_VERSION = 2
 
 
 def summarize_batch(name: str, batch) -> dict:
-    """Reduce an XBFS/baseline batch to a JSON-able summary.
-
-    Works with anything exposing ``runs`` whose elements carry
-    ``elapsed_ms`` / ``traversed_edges`` / ``depth`` (both
-    :class:`~repro.xbfs.driver.BatchResult` and
-    :class:`~repro.baselines.base.BaselineBatch` qualify).
+    """Reduce an n-to-n :class:`~repro.xbfs.common.BatchResult` (the
+    one every solo engine's ``run_many`` returns, XBFS and the
+    baselines alike) to a JSON-able summary of its warm runs
+    (:attr:`~repro.xbfs.common.BatchResult.steady_runs`).
     """
-    runs = list(batch.runs)
-    steady = [r for r in runs if not getattr(r, "paid_warmup", False)] or runs
+    steady = batch.steady_runs
     total_ms = sum(r.elapsed_ms for r in steady)
     total_edges = sum(r.traversed_edges for r in steady)
     return {
         "name": name,
-        "runs": len(runs),
+        "runs": len(batch.runs),
         "steady_runs": len(steady),
-        "steady_gteps": (
-            total_edges / (total_ms * 1e-3) / 1e9 if total_ms > 0 else 0.0
-        ),
+        "steady_gteps": gteps(total_edges, total_ms),
         "mean_elapsed_ms": total_ms / max(1, len(steady)),
         "mean_depth": sum(r.depth for r in steady) / max(1, len(steady)),
         "total_traversed_edges": int(total_edges),

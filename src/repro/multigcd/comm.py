@@ -39,13 +39,17 @@ class InterconnectModel:
         if self.latency_us < 0:
             raise PartitionError("latency must be non-negative")
 
-    def alltoall_ms(self, bytes_matrix: np.ndarray) -> float:
+    def alltoall_ms(
+        self, bytes_matrix: np.ndarray, *, ranks: np.ndarray | None = None
+    ) -> float:
         """Time for one all-to-all exchange.
 
         ``bytes_matrix[i, j]`` is the payload part ``i`` sends to part
         ``j``. The busiest endpoint (max of its send and receive
         volume, diagonal excluded — local hand-off is free) sets the
         bandwidth term; a log2(P)-step butterfly sets the latency term.
+        ``ranks`` (the parts' GCD ids in a larger pod) does not matter
+        on one tier.
         """
         m = np.asarray(bytes_matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -74,7 +74,6 @@ from repro.multigcd.partition import partition_by_edges
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["MultiGcdBFS", "PodEngine", "PodBatchResult"]
 
@@ -378,9 +377,6 @@ class MultiGcdBFS(PodEngine):
 
         See the module docstring. Batches are validated up front with a
         typed :class:`~repro.errors.BatchSourceError`."""
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(sources, self.graph.num_vertices, max_batch=None,
-                               engine=self.ENGINE)
         return self._traverse(sources)
 
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):

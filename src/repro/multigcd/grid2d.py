@@ -55,7 +55,6 @@ from repro.multigcd.distributed_bfs import TOP_DOWN, PodBatchResult, PodEngine
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
-from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS"]
 
@@ -116,16 +115,27 @@ class Grid2dBFS(PodEngine):
         #: Discovery ownership after the reduce-scatter: GCD (i, j)
         #: owns the (i·C + j)-th of P equal slices, inside row block i.
         self.owner_bounds = np.linspace(0, n, num_gcds + 1).astype(np.int64)
+        #: GCD (i, j) is pod GCD i·C + j: row i of this grid is
+        #: processor row i's members, and its column j processor
+        #: column j's (GCDs j, j + C, ...).
+        self.grid = np.arange(num_gcds).reshape(self.rows, self.cols)
         self._tile_degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def _subcomm_cost(self, peers: int, bytes_per_peer: float) -> float:
-        """α-β cost of an allgather/reduce-scatter over ``peers`` ranks."""
+    def _subcomm_cost(self, groups: np.ndarray, bytes_per_peer: float) -> float:
+        """α-β cost of one allgather/reduce-scatter phase.
+
+        Each row of ``groups`` is one sub-communicator, as the pod GCD
+        ids of its members; each member sends ``bytes_per_peer`` to
+        every peer. The sub-communicators run concurrently, so the
+        slowest one (priced on its members' real GCD ids, which decide
+        the tier under a two-tier interconnect) sets the phase time."""
+        peers = groups.shape[1]
         if peers <= 1 or bytes_per_peer <= 0:
             return 0.0
         m = np.full((peers, peers), bytes_per_peer, dtype=np.float64)
         np.fill_diagonal(m, 0.0)
-        return self.interconnect.alltoall_ms(m)
+        return max(self.interconnect.alltoall_ms(m, ranks=g) for g in groups)
 
     def _exchange_scale(self, level: int, phase: str) -> float:
         """Latency multiplier for one collective (1.0 without faults)."""
@@ -159,9 +169,6 @@ class Grid2dBFS(PodEngine):
 
         See the module docstring. Batches are validated up front with a
         typed :class:`~repro.errors.BatchSourceError`."""
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(sources, self.graph.num_vertices, max_batch=None,
-                               engine=self.ENGINE)
         return self._traverse(sources)
 
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):
@@ -242,7 +249,7 @@ class Grid2dBFS(PodEngine):
         the discovered rows it owns after the reduce-scatter; and reads
         every message it received."""
         edges, first, ag_worst, rs_worst, recv = pod.exchange
-        ag_ms = self._subcomm_cost(self.rows, ag_worst) * self._exchange_scale(
+        ag_ms = self._subcomm_cost(self.grid.T, ag_worst) * self._exchange_scale(
             level, "allgather"
         )
         col_block = np.searchsorted(self.col_bounds, active, side="right") - 1
@@ -263,7 +270,7 @@ class Grid2dBFS(PodEngine):
                     recv_bytes=int(recv[i, j]),
                 )
         tile_ms = pod.step()
-        rs_ms = self._subcomm_cost(self.cols, rs_worst) * self._exchange_scale(
+        rs_ms = self._subcomm_cost(self.grid, rs_worst) * self._exchange_scale(
             level, "reduce_scatter"
         )
         self._settle(pod, level, int(active.size), tile_ms, ag_ms + rs_ms,

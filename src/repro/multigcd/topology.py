@@ -31,7 +31,7 @@ class TwoTierInterconnect:
     Drop-in for :class:`~repro.multigcd.comm.InterconnectModel` as a
     pod's ``interconnect``: it has the same ``alltoall_ms(bytes_matrix)``
     and nothing else (no ``bandwidth`` or ``latency_us`` of its own).
-    Part *p* lives on node ``p // gcds_per_node``.
+    GCD *g* lives on node ``g // gcds_per_node``.
     """
 
     name: str = "frontier-node"
@@ -43,16 +43,19 @@ class TwoTierInterconnect:
         if self.gcds_per_node < 1:
             raise PartitionError("gcds_per_node must be >= 1")
 
-    def alltoall_ms(self, bytes_matrix: np.ndarray) -> float:
+    def alltoall_ms(
+        self, bytes_matrix: np.ndarray, *, ranks: np.ndarray | None = None
+    ) -> float:
         """Split the exchange by tier; the phases overlap, so the level
-        pays the slower of the two."""
+        pays the slower of the two. Part *i* is GCD ``ranks[i]``
+        (default: GCD *i*)."""
         m = np.asarray(bytes_matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PartitionError(f"bytes_matrix must be square, got {m.shape}")
         p = m.shape[0]
         if p == 1:
             return 0.0
-        nodes = np.arange(p) // self.gcds_per_node
+        nodes = np.asarray(np.arange(p) if ranks is None else ranks) // self.gcds_per_node
         same_node = nodes[:, None] == nodes[None, :]
         intra_m = np.where(same_node, m, 0.0)
         inter_m = np.where(same_node, 0.0, m)

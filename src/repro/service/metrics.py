@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.metrics.gteps import gteps
 from repro.service.request import QueryOutcome
 from repro.telemetry.sketch import LatencySketch
 from repro.telemetry.stats import percentile
@@ -205,10 +206,7 @@ class ServiceMetrics:
     def gteps(self) -> float:
         """Aggregate modelled throughput, Graph500-credited: every
         served query's solo-equivalent edges over the makespan."""
-        span = self.makespan_ms
-        if span <= 0:
-            return 0.0
-        return self.total_traversed_edges / (span * 1e-3) / 1e9
+        return gteps(self.total_traversed_edges, self.makespan_ms)
 
     @property
     def mean_sharing_factor(self) -> float:

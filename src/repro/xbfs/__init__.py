@@ -15,9 +15,9 @@ from repro.xbfs.classifier import (
     Decision,
 )
 from repro.xbfs.bitmap import BitmapBatchResult
-from repro.xbfs.common import UNVISITED
+from repro.xbfs.common import UNVISITED, BatchResult
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
-from repro.xbfs.driver import BatchResult, XBFS, XBFSResult
+from repro.xbfs.driver import XBFS, XBFSResult
 from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.frontier import FrontierQueue, sorted_queue_from_mask
 from repro.xbfs.level import LevelResult

@@ -50,16 +50,16 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.errors import TraversalError
+from repro.errors import BatchSourceError, TraversalError
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import AccessStream, Pattern, rand_read, rand_write, segmented_read, seq_read, seq_write
-from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
+from repro.metrics.gteps import gteps
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.classifier import Decision, DecisionAudit
-from repro.xbfs.common import gather_adjacency, replay_on_fault, segment_lines_touched
+from repro.xbfs.common import GcdEngine, gather_adjacency, replay_on_fault, segment_lines_touched
 
 __all__ = [
     "WORD_BITS",
@@ -81,6 +81,7 @@ __all__ = [
     "unpack_rows",
     "counter_add",
     "counter_levels",
+    "validate_batch_sources",
     "BitmapBatchResult",
     "BitmapBatchEngine",
 ]
@@ -125,6 +126,40 @@ def row_bytes(rows: int, width: int, *, block: bool = False) -> int:
     return -(-rows // 8) if block else 0
 
 
+def validate_batch_sources(
+    sources: np.ndarray,
+    num_vertices: int,
+    *,
+    max_batch: int | None,
+    engine: str = "batch",
+) -> None:
+    """Reject malformed multi-source batches with a typed error.
+
+    A duplicate source would alias one status bit (two queries sharing
+    a level array is fine — two *slots* sharing a bit is a silent
+    wrong-cost answer), and an out-of-range source would index the
+    status planes out of bounds. Both raise
+    :class:`~repro.errors.BatchSourceError` before any modelled cost is
+    charged. ``max_batch=None`` skips the capacity check (the multi-GCD
+    pods' bitmaps grow a word per 64 sources, with no slot limit).
+    """
+    k = int(sources.size)
+    if k < 1 or (max_batch is not None and k > max_batch):
+        cap = "1.." + (str(max_batch) if max_batch is not None else "n")
+        raise BatchSourceError(
+            f"{engine} batch must hold {cap} sources, got {k}"
+        )
+    if sources.min() < 0 or sources.max() >= num_vertices:
+        raise BatchSourceError(
+            f"{engine} batch source out of range [0, {num_vertices})"
+        )
+    if np.unique(sources).size != k:
+        raise BatchSourceError(
+            f"{engine} batch sources must be distinct (got {k} slots, "
+            f"{int(np.unique(sources).size)} distinct)"
+        )
+
+
 def make_bitmap(num_vertices: int, num_sources: int) -> np.ndarray:
     """All-zero ``(num_vertices, words)`` uint64 bitmap."""
     return np.zeros((num_vertices, words_for(num_sources)), dtype=_WORD)
@@ -135,7 +170,7 @@ def set_source_bits(bitmap: np.ndarray, sources: np.ndarray) -> None:
 
     Callers must have rejected duplicate sources already — two slots on
     one row would alias a single bit (the same hazard
-    :func:`repro.xbfs.concurrent.validate_batch_sources` guards).
+    :func:`validate_batch_sources` guards).
     """
     sources = np.asarray(sources, dtype=np.int64)
     slots = np.arange(sources.size, dtype=np.int64)
@@ -484,23 +519,25 @@ class BitmapBatchResult(DecisionAudit):
     def gteps(self) -> float:
         """Aggregate throughput credited the Graph500 way: every
         source's traversal counts, over the shared wall time."""
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self.solo_edges / (self.elapsed_ms * 1e-3) / 1e9
+        return gteps(self.solo_edges, self.elapsed_ms)
 
 
-class BitmapBatchEngine:
+class BitmapBatchEngine(GcdEngine):
     """Construction and level loop shared by the bitmap multi-source
     engines.
 
     A subclass names itself (:attr:`ENGINE`, the tag on spans, launches
-    and errors) and implements :meth:`_plan` and :meth:`_charge`; its
-    entry point validates the batch and calls :meth:`_traverse`. The
-    device (one simulated GCD), the host product and the result type
-    are hooks too (:meth:`_device`, :meth:`_product`, :meth:`_result`).
+    and errors), caps its batch width (:attr:`MAX_BATCH`) and
+    implements :meth:`_plan` and :meth:`_charge`; its entry point calls
+    :meth:`_traverse`. The device (one warm simulated GCD, from
+    :class:`~repro.xbfs.common.GcdEngine`), the host product and the
+    result type are hooks too (:meth:`_device`, :meth:`_product`,
+    :meth:`_result`).
     """
 
     ENGINE = ""
+    #: Most sources one run takes (``None``: no slot limit).
+    MAX_BATCH: int | None = None
 
     def __init__(
         self,
@@ -512,9 +549,7 @@ class BitmapBatchEngine:
         injector=None,
         recovery: RecoveryPolicy | None = None,
     ) -> None:
-        self.graph = graph
-        self.device = device
-        self.config = config or ExecConfig()
+        super().__init__(graph, device=device, config=config)
         #: Optional :class:`~repro.telemetry.tracer.Tracer`; runs emit
         #: ``bfs.run``/``bfs.level`` spans like the solo driver, tagged
         #: ``engine=ENGINE``.
@@ -525,7 +560,6 @@ class BitmapBatchEngine:
         if injector is not None and self.tracer.enabled:
             injector.bind_tracer(self.tracer)
         self.recovery = recovery or DEFAULT_RECOVERY
-        self._gcd: GCD | None = None
         #: Sources in the run in flight.
         self._width = 0
 
@@ -639,24 +673,6 @@ class BitmapBatchEngine:
         )
         return edges
 
-    def _device(self):
-        """The device a run drives, reset for the run, and whether the
-        run pays its first-launch warm-up.
-
-        One simulated GCD here, kept warm across runs; it is anything
-        with ``elapsed_ms``, ``sync()`` and ``quiesce()`` (a pod drives
-        its member GCDs as one bulk-synchronous device)."""
-        if self._gcd is None:
-            self._gcd = GCD(
-                self.device,
-                self.config,
-                injector=self.injector,
-                tracer=self.tracer if self.tracer.enabled else None,
-            )
-        else:
-            self._gcd.reset(keep_warm=True)
-        return self._gcd, not self._gcd._warm
-
     def _product(
         self,
         frontier: np.ndarray,
@@ -680,7 +696,15 @@ class BitmapBatchEngine:
         return BitmapBatchResult(**fields)
 
     def _traverse(self, sources: np.ndarray) -> BitmapBatchResult:
-        """Run the level loop from validated, distinct ``sources``."""
+        """Validate ``sources`` (:func:`validate_batch_sources`, at most
+        :attr:`MAX_BATCH` of them) and run the level loop from them.
+
+        The device a run drives is anything with ``elapsed_ms``,
+        ``sync()`` and ``quiesce()`` (a pod drives its member GCDs as
+        one bulk-synchronous device)."""
+        sources = np.asarray(sources, dtype=np.int64).ravel()
+        validate_batch_sources(sources, self.graph.num_vertices,
+                               max_batch=self.MAX_BATCH, engine=self.ENGINE)
         k = self._width = int(sources.size)
         gcd, paid_warmup = self._device()
         with self.tracer.span(

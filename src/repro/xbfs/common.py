@@ -9,17 +9,26 @@ tests against both naive Python and the lane-accurate wavefront
 interpreter. The level-replay policy the single-GCD drivers share under
 injected device faults (:func:`replay_on_fault`) and the flag-scan
 frontier claim every top-down expand dedups with
-(:func:`unique_vertices`) live here too.
+(:func:`unique_vertices`) live here too, as does the shell every
+single-GCD engine runs in: :class:`GcdEngine` owns one warm simulated
+GCD, and :class:`SoloEngine` adds the source check and the n-to-n loop
+whose :class:`BatchResult` XBFS and the Fig 8 baselines all return.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 import numpy as np
 
 from repro.errors import DeviceFaultError, RecoveryExhaustedError, TraversalError
+from repro.gcd.device import DeviceProfile, MI250X_GCD
+from repro.gcd.kernel import ExecConfig
+from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
+from repro.metrics.gteps import gteps
+from repro.telemetry.tracer import NULL_TRACER
 
 __all__ = [
     "gather_adjacency",
@@ -32,6 +41,9 @@ __all__ = [
     "wavefront_serialized_steps",
     "replay_on_fault",
     "unique_vertices",
+    "GcdEngine",
+    "SoloEngine",
+    "BatchResult",
     "UNVISITED",
     "DEFAULT_PROBE_BLOCK",
 ]
@@ -334,3 +346,97 @@ def replay_on_fault(
             if rollback is not None:
                 rollback()
             gcd.quiesce()
+
+
+@dataclass
+class BatchResult:
+    """Aggregate of an n-to-n run (one solo run per source)."""
+
+    runs: list = field(default_factory=list)
+
+    @property
+    def total_edges(self) -> int:
+        return sum(r.traversed_edges for r in self.runs)
+
+    @property
+    def total_ms(self) -> float:
+        return sum(r.elapsed_ms for r in self.runs)
+
+    @property
+    def gteps(self) -> float:
+        """n-to-n throughput: all traversed edges over all elapsed time."""
+        return gteps(self.total_edges, self.total_ms)
+
+    @property
+    def steady_runs(self) -> list:
+        """Runs that did not pay the one-time warm-up (Graph500 treats
+        the first BFS as untimed)."""
+        steady = [r for r in self.runs if not r.paid_warmup]
+        return steady if steady else self.runs
+
+    @property
+    def steady_gteps(self) -> float:
+        """n-to-n throughput over warm runs only — the figure-of-merit
+        used for the Fig 8 comparison."""
+        runs = self.steady_runs
+        return gteps(sum(r.traversed_edges for r in runs), sum(r.elapsed_ms for r in runs))
+
+
+class GcdEngine:
+    """An engine over one graph on one simulated GCD.
+
+    The GCD is built on the first run, which pays its first-launch
+    warm-up; later runs reset it with ``keep_warm=True``, like
+    back-to-back BFS in one process. An engine that takes a fault
+    ``injector`` or a ``tracer`` sets them before its first run; the
+    class defaults (none, and the disabled tracer) give a plain device.
+    """
+
+    injector = None
+    tracer = NULL_TRACER
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        *,
+        device: DeviceProfile = MI250X_GCD,
+        config: ExecConfig | None = None,
+    ) -> None:
+        self.graph = graph
+        self.device = device
+        self.config = config or ExecConfig()
+        self._gcd: GCD | None = None
+
+    def _device(self) -> tuple[GCD, bool]:
+        """The GCD reset for a run, and whether the run pays its
+        first-launch warm-up."""
+        if self._gcd is None:
+            self._gcd = GCD(
+                self.device,
+                self.config,
+                injector=self.injector,
+                tracer=self.tracer if self.tracer.enabled else None,
+            )
+        else:
+            self._gcd.reset(keep_warm=True)
+        return self._gcd, not self._gcd._warm
+
+
+class SoloEngine(GcdEngine):
+    """A :class:`GcdEngine` that traverses from one source per run:
+    XBFS and the Fig 8 baselines, so that their comparison isolates
+    algorithmic differences. A subclass implements ``run(source, ...)``,
+    which starts with :meth:`_start`."""
+
+    def _start(self, source: int) -> tuple[GCD, bool]:
+        """Check ``source``, then :meth:`_device` for its run."""
+        n = self.graph.num_vertices
+        if not 0 <= source < n:
+            raise TraversalError(f"source {source} out of range [0, {n})")
+        return self._device()
+
+    def run_many(self, sources: np.ndarray, **run_options) -> BatchResult:
+        """The paper's n-to-n measurement: one run per source."""
+        return BatchResult(
+            [self.run(int(s), **run_options) for s in np.asarray(sources).ravel()]
+        )

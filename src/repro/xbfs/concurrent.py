@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BatchSourceError
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import Decision
 
@@ -42,45 +41,10 @@ __all__ = [
     "ConcurrentBFS",
     "MAX_CONCURRENT",
     "coalescing_key",
-    "validate_batch_sources",
 ]
 
 #: One status bit per source in a 64-bit word.
 MAX_CONCURRENT = 64
-
-
-def validate_batch_sources(
-    sources: np.ndarray,
-    num_vertices: int,
-    *,
-    max_batch: int | None = MAX_CONCURRENT,
-    engine: str = "concurrent",
-) -> None:
-    """Reject malformed multi-source batches with a typed error.
-
-    A duplicate source would alias one status bit (two queries sharing
-    a level array is fine — two *slots* sharing a bit is a silent
-    wrong-cost answer), and an out-of-range source would index the
-    status planes out of bounds. Both raise
-    :class:`~repro.errors.BatchSourceError` before any modelled cost is
-    charged. ``max_batch=None`` skips the capacity check (the multi-GCD
-    pods' bitmaps grow a word per 64 sources, with no slot limit).
-    """
-    k = int(sources.size)
-    if k < 1 or (max_batch is not None and k > max_batch):
-        cap = "1.." + (str(max_batch) if max_batch is not None else "n")
-        raise BatchSourceError(
-            f"{engine} batch must hold {cap} sources, got {k}"
-        )
-    if sources.min() < 0 or sources.max() >= num_vertices:
-        raise BatchSourceError(
-            f"{engine} batch source out of range [0, {num_vertices})"
-        )
-    if np.unique(sources).size != k:
-        raise BatchSourceError(
-            f"{engine} batch sources must be distinct (got {k} slots, "
-            f"{int(np.unique(sources).size)} distinct)"
-        )
 
 
 def coalescing_key(
@@ -108,6 +72,7 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
     """Bit-parallel batched BFS over one simulated GCD."""
 
     ENGINE = "concurrent"
+    MAX_BATCH = MAX_CONCURRENT
 
     @property
     def warm_bytes(self) -> int:
@@ -117,11 +82,6 @@ class ConcurrentBFS(bm.BitmapBatchEngine):
 
     def run(self, sources: np.ndarray) -> bm.BitmapBatchResult:
         """Traverse from up to 64 sources simultaneously."""
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(
-            sources, self.graph.num_vertices, max_batch=MAX_CONCURRENT,
-            engine=self.ENGINE,
-        )
         return self._traverse(sources)
 
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):

@@ -8,12 +8,13 @@ validated against the oracle in tests) and the modelled cost (the
 profiler's kernel records plus sync gaps).
 
 ``XBFS(graph).run(source)`` is the package's primary public entry
-point; ``run_many`` is the paper's "n to n" measurement loop.
+point; ``run_many`` (from :class:`~repro.xbfs.common.SoloEngine`) is the
+paper's "n to n" measurement loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from repro.gcd.memory import seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.graph.rearrange import rearrange_by_degree
+from repro.metrics.gteps import gteps
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs import bottom_up, scan_free, single_scan
 from repro.xbfs.classifier import (
@@ -35,12 +37,12 @@ from repro.xbfs.classifier import (
     Decision,
     DecisionAudit,
 )
-from repro.xbfs.common import DEFAULT_PROBE_BLOCK, replay_on_fault
+from repro.xbfs.common import DEFAULT_PROBE_BLOCK, SoloEngine, replay_on_fault
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
 
-__all__ = ["XBFS", "XBFSResult", "BatchResult"]
+__all__ = ["XBFS", "XBFSResult"]
 
 
 @dataclass
@@ -89,51 +91,10 @@ class XBFSResult(DecisionAudit):
     @property
     def gteps(self) -> float:
         """Giga traversed edges per second, modeled time."""
-        if self.elapsed_ms <= 0:
-            return 0.0
-        return self.traversed_edges / (self.elapsed_ms * 1e-3) / 1e9
+        return gteps(self.traversed_edges, self.elapsed_ms)
 
 
-@dataclass
-class BatchResult:
-    """Aggregate of an n-to-n run (one BFS per source)."""
-
-    runs: list[XBFSResult] = field(default_factory=list)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(r.traversed_edges for r in self.runs)
-
-    @property
-    def total_ms(self) -> float:
-        return sum(r.elapsed_ms for r in self.runs)
-
-    @property
-    def gteps(self) -> float:
-        """n-to-n throughput: all traversed edges over all elapsed time."""
-        if self.total_ms <= 0:
-            return 0.0
-        return self.total_edges / (self.total_ms * 1e-3) / 1e9
-
-    @property
-    def steady_runs(self) -> list[XBFSResult]:
-        """Runs that did not pay the one-time warm-up (Graph500 treats
-        the first BFS as untimed)."""
-        steady = [r for r in self.runs if not r.paid_warmup]
-        return steady if steady else self.runs
-
-    @property
-    def steady_gteps(self) -> float:
-        """n-to-n throughput over warm runs only — the figure-of-merit
-        used for the Fig 8 comparison."""
-        runs = self.steady_runs
-        total_ms = sum(r.elapsed_ms for r in runs)
-        if total_ms <= 0:
-            return 0.0
-        return sum(r.traversed_edges for r in runs) / (total_ms * 1e-3) / 1e9
-
-
-class XBFS:
+class XBFS(SoloEngine):
     """Adaptive BFS engine on one simulated GCD.
 
     Parameters
@@ -199,11 +160,13 @@ class XBFS:
                 f"unknown bottom_up_impl {bottom_up_impl!r}; "
                 f"use one of {bottom_up.IMPLS}"
             )
-        self.config = (config or ExecConfig()).with_overrides(rearranged=rearrange)
+        super().__init__(
+            rearrange_by_degree(graph) if rearrange else graph,
+            device=device,
+            config=(config or ExecConfig()).with_overrides(rearranged=rearrange),
+        )
         self._base_graph = graph
         self._rearranged = rearrange
-        self.graph = rearrange_by_degree(graph) if rearrange else graph
-        self.device = device
         self.classifier = classifier or AdaptiveClassifier()
         self.proactive = proactive
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -214,7 +177,6 @@ class XBFS:
             injector.bind_tracer(self.tracer)
         self.recovery = recovery or DEFAULT_RECOVERY
         self._scratch = ScratchPool()
-        self._gcd: GCD | None = None
         #: The re-arranged transpose (``rearrange=True`` only); a plain
         #: transpose is the graph's own memoized :meth:`CSRGraph.reverse`.
         self._rearranged_reverse: CSRGraph | None = None
@@ -256,30 +218,13 @@ class XBFS:
         produces the Graph500 parent array (checkable with
         :func:`repro.baselines.serial.validate_parents`).
         """
-        graph = self.graph
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(
-                f"source {source} out of range [0, {graph.num_vertices})"
-            )
         if force_strategy is not None and force_strategy not in (
             SCAN_FREE,
             SINGLE_SCAN,
             BOTTOM_UP,
         ):
             raise TraversalError(f"unknown strategy {force_strategy!r}")
-
-        # One simulated device per engine: the first run pays the
-        # first-launch warm-up, subsequent runs (the n-to-n loop) reuse
-        # the warm device — matching back-to-back BFS in one process.
-        if self._gcd is None:
-            self._gcd = GCD(
-                self.device, self.config,
-                injector=self.injector,
-                tracer=self.tracer if self.tracer.enabled else None,
-            )
-        else:
-            self._gcd.reset(keep_warm=True)
-        gcd = self._gcd
+        gcd, paid_warmup = self._start(source)
         with self.tracer.span(
             "bfs.run",
             clock=lambda: gcd.elapsed_ms,
@@ -290,6 +235,7 @@ class XBFS:
             return self._traverse(
                 gcd,
                 source,
+                paid_warmup=paid_warmup,
                 force_strategy=force_strategy,
                 max_levels=max_levels,
                 record_parents=record_parents,
@@ -300,6 +246,7 @@ class XBFS:
         gcd: GCD,
         source: int,
         *,
+        paid_warmup: bool,
         force_strategy: str | None,
         max_levels: int | None,
         record_parents: bool,
@@ -307,7 +254,6 @@ class XBFS:
         """The traversal body of :meth:`run`, inside its trace span."""
         graph = self.graph
         tracer = self.tracer
-        paid_warmup = not gcd._warm
         status = StatusArray(graph.num_vertices)
         status.set_source(source)
         parents: np.ndarray | None = None
@@ -519,13 +465,3 @@ class XBFS:
             rollback=rollback,
             level=level,
         )
-
-    # ------------------------------------------------------------------
-    def run_many(
-        self, sources: np.ndarray, *, force_strategy: str | None = None
-    ) -> BatchResult:
-        """The paper's n-to-n measurement: one BFS per source."""
-        batch = BatchResult()
-        for s in np.asarray(sources).ravel():
-            batch.runs.append(self.run(int(s), force_strategy=force_strategy))
-        return batch

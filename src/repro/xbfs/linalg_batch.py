@@ -58,7 +58,6 @@ from repro.graph.csr import CSRGraph
 from repro.telemetry.tracer import Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import BOTTOM_UP, SINGLE_SCAN, AdaptiveClassifier, Decision
-from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = [
     "LinAlgBatchBFS",
@@ -82,6 +81,7 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
     """Whole-batch BFS as masked Boolean CSR×matrix products."""
 
     ENGINE = "linalg_batch"
+    MAX_BATCH = MAX_LINALG_BATCH
 
     def __init__(
         self,
@@ -112,11 +112,6 @@ class LinAlgBatchBFS(bm.BitmapBatchEngine):
 
     def run(self, sources: np.ndarray) -> bm.BitmapBatchResult:
         """Traverse from up to :data:`MAX_LINALG_BATCH` sources at once."""
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        validate_batch_sources(
-            sources, self.graph.num_vertices, max_batch=MAX_LINALG_BATCH,
-            engine=self.ENGINE,
-        )
         return self._traverse(sources)
 
     def _plan(self, level, active, frontier_edges, missing, prev_active, prev):

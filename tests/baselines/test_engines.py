@@ -1,9 +1,11 @@
-"""Correctness and behaviour tests for the four GPU-style baselines.
+"""Correctness and behaviour tests for the GPU-style baselines.
 
-Every engine must produce oracle-exact levels on every graph family;
-engine-specific tests then pin down the behaviour each baseline exists
-to exhibit (duplicate frontiers, O(V) scans, arena sweeps, redundant
-relaxations).
+Every solo engine — the five baselines and XBFS, all on the one
+:class:`~repro.xbfs.common.SoloEngine` shell — must produce
+oracle-exact levels on every graph family, reject an out-of-range
+source, and pay the warm-up once per n-to-n batch; engine-specific
+tests then pin down the behaviour each baseline exists to exhibit
+(duplicate frontiers, O(V) scans, arena sweeps, redundant relaxations).
 """
 
 import numpy as np
@@ -13,12 +15,14 @@ from repro.baselines import (
     EnterpriseBFS,
     GunrockBFS,
     HierarchicalBFS,
+    LinAlgBFS,
     SsspBFS,
 )
 from repro.errors import TraversalError
 from repro.graph.stats import bfs_levels_reference, pick_sources
+from repro.xbfs import XBFS, BatchResult
 
-ENGINES = [GunrockBFS, EnterpriseBFS, HierarchicalBFS, SsspBFS]
+ENGINES = [GunrockBFS, EnterpriseBFS, HierarchicalBFS, SsspBFS, LinAlgBFS, XBFS]
 GRAPHS = [
     "fig1_graph",
     "small_rmat",
@@ -56,6 +60,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_batch_and_warmup(self, engine_cls, small_rmat):
         batch = engine_cls(small_rmat).run_many(pick_sources(small_rmat, 3, seed=2))
+        assert isinstance(batch, BatchResult)
         assert [r.paid_warmup for r in batch.runs] == [True, False, False]
         assert batch.steady_gteps >= batch.gteps
         assert batch.gteps > 0
@@ -90,8 +95,6 @@ class TestGunrock:
     def test_expands_more_edges_than_xbfs(self, social_graph):
         """The duplicated frontier does strictly more edge work than an
         exact-frontier engine on a dense graph."""
-        from repro.xbfs.driver import XBFS
-
         source = int(np.argmax(social_graph.degrees))
         gr = GunrockBFS(social_graph).run(source)
         gr_fetch = sum(r.fetch_kb for r in gr.records)
@@ -181,8 +184,6 @@ class TestLinAlg:
     """The GraphBLAST/TurboBFS-style masked-SpMV engine."""
 
     def test_matches_oracle_all_graphs(self, request):
-        from repro.baselines.linalg import LinAlgBFS
-
         for fixture in GRAPHS:
             graph = request.getfixturevalue(fixture)
             source = int(np.argmax(graph.degrees))
@@ -192,8 +193,6 @@ class TestLinAlg:
             ), fixture
 
     def test_two_kernels_per_level(self, fig1_graph):
-        from repro.baselines.linalg import LinAlgBFS
-
         result = LinAlgBFS(fig1_graph).run(0)
         names = [r.name for r in result.records]
         assert names == ["la_spmv", "la_mask_assign"] * result.depth
@@ -201,8 +200,6 @@ class TestLinAlg:
     def test_dense_vector_sweep_every_level(self, deep_graph):
         """The taxonomy's point: the dense frontier vector costs a full
         |V| sweep per level, so deep graphs multiply it out."""
-        from repro.baselines.linalg import LinAlgBFS
-
         result = LinAlgBFS(deep_graph).run(0)
         spmvs = [r for r in result.records if r.name == "la_spmv"]
         assert len(spmvs) == result.depth
@@ -216,11 +213,9 @@ class TestLinAlg:
         """XBFS's bottom-up avoids the peak-level edge storm the SpMV
         must pay; end-to-end XBFS wins once the peak level carries real
         work (scale >= 15 — below that everything is launch-bound)."""
-        from repro.baselines.linalg import LinAlgBFS
         from repro.experiments.common import scaled_device
         from repro.graph.generators import rmat
         from repro.graph.stats import pick_sources
-        from repro.xbfs.driver import XBFS
 
         graph = rmat(15, 16, seed=7)
         device = scaled_device(graph)
@@ -230,7 +225,6 @@ class TestLinAlg:
         assert xbfs.steady_gteps > la.steady_gteps
 
     def test_batch(self, small_rmat):
-        from repro.baselines.linalg import LinAlgBFS
         from repro.graph.stats import pick_sources
 
         batch = LinAlgBFS(small_rmat).run_many(pick_sources(small_rmat, 3, seed=9))

@@ -99,3 +99,27 @@ class TestMultiNodeBFS:
         assert tiers.level_formats == fabric.level_formats
         assert sum(f["bitmap"] for f in tiers.level_formats) > 0
         assert tiers.compute_ms == fabric.compute_ms
+
+    def test_grid_columns_cross_nodes(self, small_rmat):
+        """A 4x4 grid's processor column j is GCDs j, j+4, j+8, j+12,
+        so on 8-GCD nodes every column allgather crosses the slow tier:
+        the grid pays more exchange time on two tiers than on Infinity
+        Fabric alone, for the same bytes."""
+        sources = pick_sources(small_rmat, 2, seed=1)
+        tiers = Grid2dBFS(
+            small_rmat, 16, interconnect=TwoTierInterconnect()
+        ).run_batch(sources)
+        fabric = Grid2dBFS(small_rmat, 16).run_batch(sources)
+        assert tiers.comm_ms > fabric.comm_ms
+        assert tiers.bytes_exchanged == fabric.bytes_exchanged
+        assert tiers.compute_ms == fabric.compute_ms
+
+    def test_grid_on_one_node_prices_like_fabric(self, small_rmat):
+        """With every member on one node the two-tier model is the fast
+        tier alone, collective for collective."""
+        sources = pick_sources(small_rmat, 2, seed=1)
+        one_node = Grid2dBFS(
+            small_rmat, 16, interconnect=TwoTierInterconnect(gcds_per_node=16)
+        ).run_batch(sources)
+        fabric = Grid2dBFS(small_rmat, 16).run_batch(sources)
+        assert one_node.comm_ms == fabric.comm_ms

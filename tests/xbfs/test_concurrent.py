@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import BatchSourceError, TraversalError
 from repro.graph.csr import CSRGraph
 from repro.graph.stats import bfs_levels_reference, pick_sources
-from repro.xbfs.concurrent import (
-    MAX_CONCURRENT,
-    ConcurrentBFS,
-    validate_batch_sources,
-)
+from repro.xbfs.bitmap import validate_batch_sources
+from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
 

@@ -46,6 +46,7 @@ MODULES = [
     "repro.xbfs.bottom_up",
     "repro.xbfs.classifier",
     "repro.xbfs.workload",
+    "repro.xbfs.common",
     "repro.xbfs.driver",
     "repro.xbfs.concurrent",
     "repro.xbfs.bitmap",
