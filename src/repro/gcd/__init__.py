@@ -8,13 +8,13 @@ traversal results, exact work counts) against an analytic cost model
 calibrated to the same architectural parameters.
 """
 
-from repro.gcd.atomics import AtomicStats, atomic_append, atomic_claim
+from repro.gcd.atomics import AtomicStats, atomic_claim, enqueue_stats
 from repro.gcd.cache import AnalyticCacheModel, CacheOutcome, SetAssociativeCache
 from repro.gcd.device import MI250X_GCD, P6000, V100, DeviceProfile, profile_by_name
 from repro.gcd.kernel import ComputeWork, ExecConfig, KernelCostModel, KernelRecord
 from repro.gcd.memory import AccessStream, Pattern, rand_read, rand_write, seq_read, seq_write
 from repro.gcd.profiler import LevelSummary, Profiler
-from repro.gcd.simulator import GCD, KernelSpec
+from repro.gcd.simulator import GCD
 from repro.gcd.wavefront import (
     WavefrontView,
     all_,
@@ -32,8 +32,8 @@ from repro.gcd.wavefront import (
 
 __all__ = [
     "AtomicStats",
-    "atomic_append",
     "atomic_claim",
+    "enqueue_stats",
     "AnalyticCacheModel",
     "CacheOutcome",
     "SetAssociativeCache",
@@ -55,7 +55,6 @@ __all__ = [
     "LevelSummary",
     "Profiler",
     "GCD",
-    "KernelSpec",
     "ballot",
     "any_",
     "all_",

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import TraversalError
 
-__all__ = ["AtomicStats", "atomic_claim", "atomic_append"]
+__all__ = ["AtomicStats", "atomic_claim", "enqueue_stats"]
 
 
 @dataclass
@@ -112,31 +112,15 @@ def atomic_claim(
     return winners, stats
 
 
-def atomic_append(
-    queue: np.ndarray,
-    tail: int,
-    items: np.ndarray,
-) -> tuple[int, AtomicStats]:
-    """Batched ``atomicAdd(tail, 1)`` + store, appending ``items``.
+def enqueue_stats(n: int, wavefront: int) -> AtomicStats:
+    """Atomic traffic of enqueueing ``n`` items on one shared tail.
 
-    Models the scan-free enqueue: every item costs one atomic on the
-    shared tail counter, and *all* of them conflict with each other by
-    construction (single hot address) — which is exactly why XBFS found
-    atomics cheap only while frontiers are small.
-
-    Returns the new tail. Raises on overflow rather than silently
-    wrapping, mirroring a frontier-queue capacity assert.
+    The scan-free and single-scan enqueues are warp-aggregated: one
+    ``atomicAdd`` on the tail per wavefront-worth of items, so ``n``
+    items cost ``ceil(n / wavefront)`` operations on a single address,
+    every one but the first colliding with an in-flight peer.
     """
-    items = np.asarray(items)
-    n = int(items.size)
-    if n == 0:
-        return tail, AtomicStats()
-    if tail + n > queue.size:
-        raise TraversalError(
-            f"frontier queue overflow: tail={tail}, appending {n}, capacity={queue.size}"
-        )
-    queue[tail : tail + n] = items
-    # n operations on one counter: n-1 of them collide with an in-flight peer.
-    return tail + n, AtomicStats(
-        operations=n, conflicts=max(0, n - 1), distinct_addresses=1
+    ops = -(-n // wavefront)
+    return AtomicStats(
+        operations=ops, conflicts=max(0, ops - 1), distinct_addresses=1 if ops else 0
     )

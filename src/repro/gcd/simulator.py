@@ -36,16 +36,7 @@ from repro.gcd.kernel import ComputeWork, ExecConfig, KernelCostModel, KernelRec
 from repro.gcd.memory import AccessStream
 from repro.gcd.profiler import Profiler
 
-__all__ = ["GCD", "KernelSpec"]
-
-
-class KernelSpec(dict):
-    """Keyword bundle for one kernel in a concurrent group.
-
-    A thin dict subclass (keys: name, strategy, level, streams, work,
-    work_items, bottom_up, ratio) so call sites stay readable without
-    another dataclass.
-    """
+__all__ = ["GCD"]
 
 
 class GCD:
@@ -108,26 +99,11 @@ class GCD:
             # May raise DeviceFaultError: the launch aborts with no cost
             # charged and no record added, leaving the die re-issuable.
             fault_scale = self.injector.visit("gcd.launch", name)
-        record = self.cost_model.evaluate(
-            name,
-            strategy=strategy,
-            level=level,
-            streams=streams,
-            work=work or ComputeWork(),
-            config=self.config,
-            work_items=work_items,
-            stream_id=stream_id,
-            warmup=(not self._warm) and not setup,
-            bottom_up=bottom_up,
-            ratio=ratio,
+        record = self._book(
+            name, strategy=strategy, level=level, streams=streams, work=work,
+            work_items=work_items, stream_id=stream_id, bottom_up=bottom_up,
+            ratio=ratio, setup=setup, fault_scale=fault_scale,
         )
-        if fault_scale != 1.0:
-            record = replace(record, runtime_ms=record.runtime_ms * fault_scale)
-        if not setup:
-            self._warm = True
-        self.launches += 1
-        self._streams_dirty.add(stream_id)
-        self.profiler.add(record)
         tr = self.tracer
         if tr is not None and tr.enabled:
             # Emitted before the clock charge so the rebased span start
@@ -140,8 +116,12 @@ class GCD:
         self.elapsed_ms += record.runtime_ms
         return record
 
-    def launch_concurrent(self, specs: list[KernelSpec]) -> list[KernelRecord]:
+    def launch_concurrent(self, specs: list[dict]) -> list[KernelRecord]:
         """Run a group of kernels on distinct streams.
+
+        Each spec holds :meth:`launch`'s keywords for one kernel (name,
+        strategy, level, streams, work, work_items, bottom_up, ratio);
+        kernel ``i`` runs on stream ``i``.
 
         Streams overlap launch latencies, but the kernels share one
         memory system and one set of compute units, so their *work*
@@ -163,26 +143,7 @@ class GCD:
             fault_scale = self.injector.visit(
                 "gcd.launch_concurrent", ",".join(s["name"] for s in specs)
             )
-        records: list[KernelRecord] = []
-        for sid, spec in enumerate(specs):
-            record = self.cost_model.evaluate(
-                spec["name"],
-                strategy=spec["strategy"],
-                level=spec["level"],
-                streams=spec["streams"],
-                work=spec.get("work") or ComputeWork(),
-                config=self.config,
-                work_items=spec.get("work_items", 0),
-                stream_id=sid,
-                warmup=not self._warm,
-                bottom_up=spec.get("bottom_up", False),
-                ratio=spec.get("ratio", 0.0),
-            )
-            self._warm = True
-            self.launches += 1
-            self._streams_dirty.add(sid)
-            records.append(record)
-            self.profiler.add(record)
+        records = [self._book(stream_id=sid, **spec) for sid, spec in enumerate(specs)]
         wall = max(r.overhead_ms for r in records) + sum(
             max(r.compute_ms, r.mem_ms) for r in records
         )
@@ -199,33 +160,71 @@ class GCD:
         self.elapsed_ms += wall * fault_scale
         return records
 
+    def _book(
+        self,
+        name: str,
+        *,
+        strategy: str,
+        level: int,
+        streams: list[AccessStream],
+        stream_id: int,
+        work: ComputeWork | None = None,
+        work_items: int = 0,
+        bottom_up: bool = False,
+        ratio: float = 0.0,
+        setup: bool = False,
+        fault_scale: float = 1.0,
+    ) -> KernelRecord:
+        """Evaluate one kernel on ``stream_id`` and book it: the
+        first-launch warm-up, the launch count, the stream left in
+        flight and the profiler row. ``fault_scale`` stretches the
+        kernel's runtime (a latency fault). The caller charges the
+        clock."""
+        record = self.cost_model.evaluate(
+            name,
+            strategy=strategy,
+            level=level,
+            streams=streams,
+            work=work or ComputeWork(),
+            config=self.config,
+            work_items=work_items,
+            stream_id=stream_id,
+            warmup=not (self._warm or setup),
+            bottom_up=bottom_up,
+            ratio=ratio,
+        )
+        if fault_scale != 1.0:
+            record = replace(record, runtime_ms=record.runtime_ms * fault_scale)
+        if not setup:
+            self._warm = True
+        self.launches += 1
+        self._streams_dirty.add(stream_id)
+        self.profiler.add(record)
+        return record
+
     def sync(self) -> float:
         """Device synchronisation: every stream that has work in flight
         must be waited on. Returns the cost charged (ms)."""
         fault_scale = 1.0
         if self.injector is not None:
             fault_scale = self.injector.visit("gcd.sync")
-        active = max(1, len(self._streams_dirty))
-        cost_ms = active * self.device.device_sync_us * 1e-3 * fault_scale
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.complete("gcd.sync", duration_ms=cost_ms, streams=active)
-        self.elapsed_ms += cost_ms
-        self.sync_ms += cost_ms
-        self.syncs += 1
-        self._streams_dirty.clear()
-        return cost_ms
+        return self._settle("gcd.sync", fault_scale)
 
     def quiesce(self) -> float:
         """Fault-immune synchronisation for recovery paths: settles
         every in-flight stream (same cost as :meth:`sync`) but never
         visits the fault injector — a die being *recovered* must not
         fault again inside its own recovery step."""
+        return self._settle("gcd.quiesce")
+
+    def _settle(self, span: str, fault_scale: float = 1.0) -> float:
+        """Wait on every dirty stream: charge the sync cost, emit
+        ``span`` and leave no stream in flight."""
         active = max(1, len(self._streams_dirty))
-        cost_ms = active * self.device.device_sync_us * 1e-3
+        cost_ms = active * self.device.device_sync_us * 1e-3 * fault_scale
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.complete("gcd.quiesce", duration_ms=cost_ms, streams=active)
+            tr.complete(span, duration_ms=cost_ms, streams=active)
         self.elapsed_ms += cost_ms
         self.sync_ms += cost_ms
         self.syncs += 1

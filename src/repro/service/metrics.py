@@ -68,9 +68,6 @@ class ServiceMetrics:
     the serving stack."""
 
     latencies_ms: list[float] = field(default_factory=list)
-    #: One entry per *dispatch* (batch or solo run).
-    batch_sizes: list[int] = field(default_factory=list)
-    sharing_factors: list[float] = field(default_factory=list)
     served: int = 0
     rejected_queue_full: int = 0
     rejected_deadline: int = 0
@@ -160,9 +157,6 @@ class ServiceMetrics:
         self.dispatches += 1
         self.batch_size_sum += int(num_queries)
         self.sharing_sum += sharing_factor
-        if self.exact_percentiles:
-            self.batch_sizes.append(num_queries)
-            self.sharing_factors.append(sharing_factor)
 
     def record_recovery(self, virtual_ms: float) -> None:
         """Total virtual recovery delay of one recovered dispatch."""

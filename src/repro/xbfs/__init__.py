@@ -2,7 +2,7 @@
 
 Public surface: :class:`~repro.xbfs.driver.XBFS` (the engine),
 :class:`~repro.xbfs.classifier.AdaptiveClassifier` (the α/growth
-strategy selector), the three strategy modules, and the status/frontier
+strategy selector), the three strategy modules, and the status
 primitives they share.
 """
 
@@ -19,7 +19,6 @@ from repro.xbfs.common import UNVISITED, BatchResult
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.driver import XBFS, XBFSResult
 from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
-from repro.xbfs.frontier import FrontierQueue, sorted_queue_from_mask
 from repro.xbfs.level import LevelResult
 from repro.xbfs.repair import (
     REPAIR_MS_PER_MEDGE,
@@ -61,8 +60,6 @@ __all__ = [
     "repair_cost_ms",
     "REPAIR_MS_PER_MEDGE",
     "StatusArray",
-    "FrontierQueue",
-    "sorted_queue_from_mask",
     "LevelResult",
     "scan_free",
     "single_scan",

@@ -60,7 +60,6 @@ from repro.xbfs.common import (
     segment_lines_touched,
     wavefront_serialized_steps,
 )
-from repro.xbfs.frontier import sorted_queue_from_mask
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
@@ -86,7 +85,9 @@ def _queue_generation(
     wf = gcd.device.wavefront_size
     segments = -(-n // wf)
     blocks = -(-segments // _BLOCK)
-    queue = sorted_queue_from_mask(status.unvisited_mask())
+    # The double-scan product: unvisited ids in ascending order (the
+    # paper's "globally sorted frontiers").
+    queue = np.flatnonzero(status.unvisited_mask())
     u = int(queue.size)
 
     records = [

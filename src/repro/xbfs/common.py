@@ -7,9 +7,10 @@ cache lines a partial segment scan touches, and aggregate per-wavefront
 divergence. They are implemented once here, loop-free, and validated in
 tests against both naive Python and the lane-accurate wavefront
 interpreter. The level-replay policy the single-GCD drivers share under
-injected device faults (:func:`replay_on_fault`) and the flag-scan
+injected device faults (:func:`replay_on_fault`), the flag-scan
 frontier claim every top-down expand dedups with
-(:func:`unique_vertices`) live here too, as does the shell every
+(:func:`unique_vertices`) and the stream launch of a top-down level
+kernel (:func:`launch_level`) live here too, as does the shell every
 single-GCD engine runs in: :class:`GcdEngine` owns one warm simulated
 GCD, and :class:`SoloEngine` adds the source check and the n-to-n loop
 whose :class:`BatchResult` XBFS and the Fig 8 baselines all return.
@@ -29,6 +30,7 @@ from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.metrics.gteps import gteps
 from repro.telemetry.tracer import NULL_TRACER
+from repro.xbfs.workload import split_for_streams
 
 __all__ = [
     "gather_adjacency",
@@ -40,6 +42,7 @@ __all__ = [
     "segment_lines_touched",
     "wavefront_serialized_steps",
     "replay_on_fault",
+    "launch_level",
     "unique_vertices",
     "GcdEngine",
     "SoloEngine",
@@ -346,6 +349,38 @@ def replay_on_fault(
             if rollback is not None:
                 rollback()
             gcd.quiesce()
+
+
+def launch_level(
+    gcd: GCD,
+    graph: CSRGraph,
+    frontier: np.ndarray,
+    expand: Callable[[int, np.ndarray], tuple],
+    name: str,
+    **kernel,
+) -> tuple[list, list[tuple]]:
+    """Launch the top-down level kernel ``name`` over the frontier's
+    per-stream chunks (:func:`~repro.xbfs.workload.split_for_streams`).
+
+    ``expand(i, chunk)`` runs chunk ``i`` on the host and returns
+    ``(streams, work, work_items, *product)``; every chunk is expanded
+    before anything launches. One chunk is one ``gcd.launch`` (an empty
+    frontier still issues it); several are one ``gcd.launch_concurrent``
+    group, chunk ``i`` on stream ``i``. ``kernel`` holds the launch
+    keywords every chunk shares. Returns the kernel records and each
+    chunk's ``product``.
+    """
+    chunks = split_for_streams(graph, frontier, gcd.config.num_streams) or [frontier]
+    outs = [expand(i, chunk) for i, chunk in enumerate(chunks)]
+    specs = [
+        dict(name=name, streams=streams, work=work, work_items=items, **kernel)
+        for streams, work, items, *_ in outs
+    ]
+    if len(specs) == 1:
+        records = [gcd.launch(**specs[0])]
+    else:
+        records = gcd.launch_concurrent(specs)
+    return records, [out[3:] for out in outs]
 
 
 @dataclass

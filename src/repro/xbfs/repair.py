@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED, unique_vertices
+from repro.xbfs.common import UNVISITED, gather_adjacency, unique_vertices
 
 __all__ = [
     "RepairResult",
@@ -73,27 +73,18 @@ def repair_cost_ms(relaxed_edges: int) -> float:
 
 
 def _relax_frontier(
-    offsets: np.ndarray,
-    cols: np.ndarray,
-    lv: np.ndarray,
-    frontier: np.ndarray,
+    graph: CSRGraph, lv: np.ndarray, frontier: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """One relaxation round: push ``lv[f] + 1`` along every out-edge of
     ``frontier``; return the vertices that improved and the edge count."""
-    starts = offsets[frontier]
-    deg = offsets[frontier + 1] - starts
-    total = int(deg.sum())
-    if total == 0:
+    nbrs = gather_adjacency(graph, frontier)
+    if nbrs.size == 0:
         return np.zeros(0, dtype=frontier.dtype), 0
-    cum = np.zeros(deg.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=cum[1:])
-    idx = np.arange(total, dtype=np.int64) - np.repeat(cum, deg) + np.repeat(starts, deg)
-    nbrs = cols[idx]
-    cand = np.repeat(lv[frontier] + 1, deg)
+    cand = np.repeat(lv[frontier] + 1, graph.degrees[frontier])
     before = lv[nbrs]
     np.minimum.at(lv, nbrs, cand)
     improved = nbrs[lv[nbrs] < before]
-    return unique_vertices(improved, lv.size), total
+    return unique_vertices(improved, lv.size), int(nbrs.size)
 
 
 def repair_levels(
@@ -136,12 +127,10 @@ def repair_levels(
     else:
         frontier = np.zeros(0, dtype=np.int64)
 
-    offsets = graph.row_offsets
-    cols = graph.col_indices.astype(np.int64)
     affected: set[int] = set(map(int, frontier))
     while frontier.size:
         rounds += 1
-        frontier, edges = _relax_frontier(offsets, cols, lv, frontier)
+        frontier, edges = _relax_frontier(graph, lv, frontier)
         relaxed += edges
         affected.update(map(int, frontier))
 

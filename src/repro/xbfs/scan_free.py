@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gcd.atomics import AtomicStats, atomic_claim
+from repro.gcd.atomics import atomic_claim, enqueue_stats
 from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
-from repro.gcd.simulator import GCD, KernelSpec
+from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    UNVISITED,
+    gather_neighbors,
+    launch_level,
+    segment_lines_touched,
+)
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
-from repro.xbfs.workload import split_for_streams
 
 __all__ = ["run_level", "STRATEGY"]
 
@@ -38,9 +42,9 @@ def _expand_chunk(
     level: int,
     gcd: GCD,
     parents: np.ndarray | None = None,
-) -> tuple[list, ComputeWork, np.ndarray, int, int]:
-    """Traverse one frontier chunk; returns (streams, work, winners,
-    edges inspected, work items). Mutates ``status`` exactly as the
+) -> tuple[list, ComputeWork, int, np.ndarray, int]:
+    """Traverse one frontier chunk; returns (streams, work, work items,
+    winners, edges inspected). Mutates ``status`` exactly as the
     racing CAS lanes would; when ``parents`` is given, each winner's
     parent is the frontier vertex whose lane won the CAS race."""
     neighbors, owner = gather_neighbors(graph, chunk)
@@ -54,13 +58,6 @@ def _expand_chunk(
     status.note_visited(int(winners.size))
     if parents is not None and winners.size:
         parents[winners] = chunk[owner[slots]]
-    wf = gcd.device.wavefront_size
-    enqueue_ops = -(-int(winners.size) // wf) if winners.size else 0
-    enqueue_stats = AtomicStats(
-        operations=enqueue_ops,
-        conflicts=max(0, enqueue_ops - 1),
-        distinct_addresses=1 if enqueue_ops else 0,
-    )
     line = gcd.device.cache_line_bytes
     adj_lines = segment_lines_touched(
         graph.row_offsets[chunk],
@@ -78,9 +75,11 @@ def _expand_chunk(
     ]
     work = ComputeWork(
         flat_ops=float(e_f + chunk.size),
-        atomics=cas_stats.merge(enqueue_stats),
+        atomics=cas_stats.merge(
+            enqueue_stats(int(winners.size), gcd.device.wavefront_size)
+        ),
     )
-    return streams, work, winners, e_f, int(chunk.size)
+    return streams, work, int(chunk.size), winners, e_f
 
 
 def run_level(
@@ -102,59 +101,18 @@ def run_level(
     with the other strategies (the CAS path allocates only its winner
     arrays).
     """
-    frontier = np.asarray(frontier, dtype=np.int64)
-    chunks = split_for_streams(graph, frontier, gcd.config.num_streams)
-    records = []
-    all_winners: list[np.ndarray] = []
-    edges = 0
-    if len(chunks) <= 1:
-        chunk = chunks[0] if chunks else frontier
-        streams, work, winners, e_f, items = _expand_chunk(
-            graph, status, chunk, level, gcd, parents
-        )
-        records.append(
-            gcd.launch(
-                "sf_expand",
-                strategy=STRATEGY,
-                level=level,
-                streams=streams,
-                work=work,
-                work_items=items,
-                ratio=ratio,
-            )
-        )
-        all_winners.append(winners)
-        edges += e_f
-    else:
-        specs = []
-        for chunk in chunks:
-            streams, work, winners, e_f, items = _expand_chunk(
-                graph, status, chunk, level, gcd, parents
-            )
-            specs.append(
-                KernelSpec(
-                    name="sf_expand",
-                    strategy=STRATEGY,
-                    level=level,
-                    streams=streams,
-                    work=work,
-                    work_items=items,
-                    ratio=ratio,
-                )
-            )
-            all_winners.append(winners)
-            edges += e_f
-        records.extend(gcd.launch_concurrent(specs))
-
-    new_vertices = (
-        np.concatenate(all_winners) if all_winners else np.zeros(0, dtype=np.int64)
+    records, products = launch_level(
+        gcd, graph, np.asarray(frontier, dtype=np.int64),
+        lambda _, chunk: _expand_chunk(graph, status, chunk, level, gcd, parents),
+        "sf_expand", strategy=STRATEGY, level=level, ratio=ratio,
     )
+    new_vertices = np.concatenate([w for w, _ in products]).astype(np.int64)
     return LevelResult(
         strategy=STRATEGY,
         level=level,
         records=records,
-        new_vertices=new_vertices.astype(np.int64),
-        queue_for_next=new_vertices.astype(np.int64),
+        new_vertices=new_vertices,
+        queue_for_next=new_vertices,
         queue_exact=True,
-        edges_inspected=edges,
+        edges_inspected=sum(e_f for _, e_f in products),
     )

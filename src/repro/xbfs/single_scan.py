@@ -26,21 +26,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gcd.atomics import AtomicStats
+from repro.gcd.atomics import enqueue_stats
 from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
-from repro.gcd.simulator import GCD, KernelSpec
+from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
     gather_neighbors,
+    launch_level,
     segment_lines_touched,
     unique_vertices,
 )
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
-from repro.xbfs.workload import split_for_streams
 
 __all__ = ["run_level", "STRATEGY"]
 
@@ -52,8 +52,6 @@ def _queue_gen(
 ) -> tuple[np.ndarray, list]:
     """The O(|V|) status sweep building the current frontier queue."""
     frontier = status.at_level(level)
-    wf = gcd.device.wavefront_size
-    append_ops = -(-int(frontier.size) // wf) if frontier.size else 0
     record = gcd.launch(
         "ss_queue_gen",
         strategy=STRATEGY,
@@ -64,11 +62,7 @@ def _queue_gen(
         ],
         work=ComputeWork(
             flat_ops=float(status.num_vertices),
-            atomics=AtomicStats(
-                operations=append_ops,
-                conflicts=max(0, append_ops - 1),
-                distinct_addresses=1 if append_ops else 0,
-            ),
+            atomics=enqueue_stats(int(frontier.size), gcd.device.wavefront_size),
         ),
         work_items=status.num_vertices,
         ratio=ratio,
@@ -86,8 +80,9 @@ def _expand_chunk(
     filtered_from: int = 0,
     parents: np.ndarray | None = None,
     scratch: ScratchPool | None = None,
-) -> tuple[list, ComputeWork, np.ndarray, int, int]:
-    """Inspect/update one frontier chunk non-atomically.
+) -> tuple[list, ComputeWork, int, np.ndarray, int]:
+    """Inspect/update one frontier chunk non-atomically; returns
+    (streams, work, work items, new vertices, edges inspected).
 
     ``filtered_from`` > 0 means the chunk came out of a superset queue
     of that size (no-gen after bottom-up): the kernel pays one status
@@ -136,7 +131,7 @@ def _expand_chunk(
         # out stale entries is a monotonic sweep, not a random probe.
         streams.append(seq_read("status_filter", filtered_from, 4))
     work = ComputeWork(flat_ops=float(e_f + chunk.size + filtered_from))
-    return streams, work, new_vertices, e_f, int(chunk.size)
+    return streams, work, int(chunk.size), new_vertices, e_f
 
 
 def run_level(
@@ -173,58 +168,24 @@ def run_level(
         frontier, records = _queue_gen(status, level, gcd, ratio)
     frontier = np.asarray(frontier, dtype=np.int64)
 
-    chunks = split_for_streams(graph, frontier, gcd.config.num_streams)
-    new_parts: list[np.ndarray] = []
-    edges = 0
-    if len(chunks) <= 1:
-        chunk = chunks[0] if chunks else frontier
-        streams, work, new_vertices, e_f, items = _expand_chunk(
-            graph, status, chunk, level, gcd, filtered_from=filtered_from,
+    expand_records, products = launch_level(
+        gcd, graph, frontier,
+        lambda i, chunk: _expand_chunk(
+            graph, status, chunk, level, gcd,
+            filtered_from=filtered_from if i == 0 else 0,
             parents=parents, scratch=scratch,
-        )
-        records.append(
-            gcd.launch(
-                "ss_expand",
-                strategy=STRATEGY,
-                level=level,
-                streams=streams,
-                work=work,
-                work_items=items,
-                ratio=ratio,
-            )
-        )
-        new_parts.append(new_vertices)
-        edges += e_f
-    else:
-        specs = []
-        for i, chunk in enumerate(chunks):
-            streams, work, new_vertices, e_f, items = _expand_chunk(
-                graph, status, chunk, level, gcd,
-                filtered_from=filtered_from if i == 0 else 0,
-                parents=parents, scratch=scratch,
-            )
-            specs.append(
-                KernelSpec(
-                    name="ss_expand",
-                    strategy=STRATEGY,
-                    level=level,
-                    streams=streams,
-                    work=work,
-                    work_items=items,
-                    ratio=ratio,
-                )
-            )
-            new_parts.append(new_vertices)
-            edges += e_f
-        records.extend(gcd.launch_concurrent(specs))
-
-    new_vertices = unique_vertices(np.concatenate(new_parts), graph.num_vertices)
+        ),
+        "ss_expand", strategy=STRATEGY, level=level, ratio=ratio,
+    )
+    new_vertices = unique_vertices(
+        np.concatenate([v for v, _ in products]), graph.num_vertices
+    )
     return LevelResult(
         strategy=STRATEGY,
         level=level,
-        records=records,
+        records=records + expand_records,
         new_vertices=new_vertices,
         queue_for_next=None,  # single-scan regenerates from status next level
         queue_exact=False,
-        edges_inspected=edges,
+        edges_inspected=sum(e_f for _, e_f in products),
     )

@@ -7,7 +7,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.gcd.device import MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import seq_read
-from repro.gcd.simulator import GCD, KernelSpec
+from repro.gcd.simulator import GCD
 
 
 def _launch(gcd, name="k"):
@@ -22,7 +22,7 @@ def _launch(gcd, name="k"):
 
 
 def _spec(name="k"):
-    return KernelSpec(
+    return dict(
         name=name,
         strategy="test",
         level=0,

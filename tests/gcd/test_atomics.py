@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraversalError
-from repro.gcd.atomics import AtomicStats, atomic_append, atomic_claim
+from repro.gcd.atomics import AtomicStats, atomic_claim, enqueue_stats
 
 
 class TestAtomicClaim:
@@ -68,31 +68,15 @@ class TestAtomicClaim:
         assert np.array_equal(status, reference)
 
 
-class TestAtomicAppend:
-    def test_append(self):
-        q = np.zeros(10, dtype=np.int64)
-        tail, stats = atomic_append(q, 0, np.array([4, 5, 6]))
-        assert tail == 3
-        assert q[:3].tolist() == [4, 5, 6]
-        assert stats.operations == 3
-        assert stats.conflicts == 2  # all share the tail counter
-        assert stats.distinct_addresses == 1
-
-    def test_append_at_offset(self):
-        q = np.zeros(4, dtype=np.int64)
-        tail, _ = atomic_append(q, 2, np.array([9, 9]))
-        assert tail == 4
-
-    def test_overflow_raises(self):
-        q = np.zeros(2, dtype=np.int64)
-        with pytest.raises(TraversalError, match="overflow"):
-            atomic_append(q, 1, np.array([1, 2]))
-
-    def test_empty_append(self):
-        q = np.zeros(2, dtype=np.int64)
-        tail, stats = atomic_append(q, 1, np.array([], dtype=np.int64))
-        assert tail == 1
-        assert stats.operations == 0
+class TestEnqueueStats:
+    @pytest.mark.parametrize(
+        "n, expected", [(0, (0, 0, 0)), (1, (1, 0, 1)), (64, (1, 0, 1)), (65, (2, 1, 1))]
+    )
+    def test_one_add_per_wavefront_on_one_tail(self, n, expected):
+        """Warp-aggregated enqueue: ceil(n / 64) adds on one address,
+        all but the first colliding."""
+        stats = enqueue_stats(n, 64)
+        assert (stats.operations, stats.conflicts, stats.distinct_addresses) == expected
 
 
 class TestAtomicStats:

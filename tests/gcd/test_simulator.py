@@ -6,7 +6,7 @@ from repro.errors import KernelLaunchError
 from repro.gcd.device import MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import seq_read
-from repro.gcd.simulator import GCD, KernelSpec
+from repro.gcd.simulator import GCD
 
 
 def _launch(gcd, name="k", stream_id=0):
@@ -49,7 +49,7 @@ class TestLaunch:
 
 class TestConcurrent:
     def _spec(self, name="k"):
-        return KernelSpec(
+        return dict(
             name=name,
             strategy="test",
             level=0,
@@ -96,7 +96,7 @@ class TestSync:
         multi = GCD(MI250X_GCD, ExecConfig(num_streams=3))
         multi.launch_concurrent(
             [
-                KernelSpec(
+                dict(
                     name="k",
                     strategy="t",
                     level=0,

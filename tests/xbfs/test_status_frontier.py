@@ -1,10 +1,9 @@
-"""Tests for the status array and frontier queues."""
+"""Tests for the status array."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraversalError
-from repro.xbfs.frontier import FrontierQueue, sorted_queue_from_mask
 from repro.xbfs.status import UNVISITED, StatusArray
 
 
@@ -75,53 +74,3 @@ class TestStatusArray:
         with pytest.raises(TraversalError, match="mismatch"):
             s.validate_against(np.array([0, 2, -1], dtype=np.int32))
 
-
-class TestFrontierQueue:
-    def test_append_and_read(self):
-        q = FrontierQueue(8)
-        q.append(np.array([3, 1]))
-        q.append(np.array([7]))
-        assert len(q) == 3
-        assert q.as_array().tolist() == [3, 1, 7]
-
-    def test_read_only_view(self):
-        q = FrontierQueue(4)
-        q.append(np.array([1]))
-        with pytest.raises(ValueError):
-            q.as_array()[0] = 9
-
-    def test_overflow(self):
-        q = FrontierQueue(2)
-        with pytest.raises(TraversalError, match="overflow"):
-            q.append(np.array([1, 2, 3]))
-
-    def test_atomic_stats_accumulate(self):
-        q = FrontierQueue(8)
-        q.append(np.array([1, 2]))
-        q.append(np.array([3]))
-        assert q.atomic_stats.operations == 3
-
-    def test_reset(self):
-        q = FrontierQueue(4)
-        q.append(np.array([1, 2]))
-        q.reset()
-        assert len(q) == 0
-
-    def test_of_constructor(self):
-        q = FrontierQueue.of(np.array([5, 6]))
-        assert q.as_array().tolist() == [5, 6]
-        empty = FrontierQueue.of(np.array([], dtype=np.int64))
-        assert len(empty) == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(TraversalError):
-            FrontierQueue(0)
-
-
-class TestSortedQueue:
-    def test_from_mask(self):
-        mask = np.array([True, False, True, True, False])
-        assert sorted_queue_from_mask(mask).tolist() == [0, 2, 3]
-
-    def test_empty_mask(self):
-        assert sorted_queue_from_mask(np.zeros(4, dtype=bool)).size == 0

@@ -40,7 +40,6 @@ MODULES = [
     "repro.gcd.lane_interpreter",
     "repro.xbfs.status",
     "repro.xbfs.scratch",
-    "repro.xbfs.frontier",
     "repro.xbfs.scan_free",
     "repro.xbfs.single_scan",
     "repro.xbfs.bottom_up",
