@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import TraversalError
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
@@ -28,8 +28,8 @@ from repro.xbfs.common import (
     SoloEngine,
     first_match_per_segment,
     gather_neighbors,
-    segment_lines_touched,
     unique_vertices,
+    walk_reads,
     wavefront_serialized_steps,
 )
 from repro.baselines.base import BaselineResult, baseline_result
@@ -121,18 +121,14 @@ class EnterpriseBFS(SoloEngine):
                 first = first_match_per_segment(match, degs)
                 found = first >= 0
                 scan_len = np.where(found, first + 1, degs)
-                edges = int(scan_len.sum())
-                adj_lines = segment_lines_touched(
-                    incoming.row_offsets[unvisited], scan_len,
-                    element_bytes=4, line_bytes=line,
-                )
+                edges, (_, adj) = walk_reads(incoming.row_offsets[unvisited], scan_len, line)
                 gcd.launch(
                     "en_bottom_up",
                     strategy=self.ENGINE,
                     level=level,
                     streams=[
                         seq_read("status", graph.num_vertices, 4),
-                        segmented_read("adj_list", edges, adj_lines, 4),
+                        adj,
                         rand_read("status", edges, graph.num_vertices, 4),
                         rand_write("status", int(found.sum()), int(found.sum()), 4),
                     ],
@@ -148,11 +144,7 @@ class EnterpriseBFS(SoloEngine):
                 levels[unvisited[found]] = level + 1
             else:
                 neighbors, _ = gather_neighbors(graph, frontier)
-                e_f = int(neighbors.size)
-                adj_lines = segment_lines_touched(
-                    graph.row_offsets[frontier], graph.degrees[frontier],
-                    element_bytes=4, line_bytes=line,
-                )
+                e_f, walk = walk_reads(graph.row_offsets[frontier], graph.degrees[frontier], line)
                 fresh = neighbors[levels[neighbors] == UNVISITED]
                 new_unique = unique_vertices(fresh, graph.num_vertices)
                 gcd.launch(
@@ -161,8 +153,7 @@ class EnterpriseBFS(SoloEngine):
                     level=level,
                     streams=[
                         seq_read("frontier", int(frontier.size), 4),
-                        rand_read("beg_pos", 2 * int(frontier.size), 2 * int(frontier.size), 8),
-                        segmented_read("adj_list", e_f, adj_lines, 4),
+                        *walk,
                         rand_read("status", e_f, graph.num_vertices, 4),
                         rand_write("status", int(fresh.size), int(new_unique.size), 4),
                     ],

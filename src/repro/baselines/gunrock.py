@@ -24,13 +24,13 @@ import numpy as np
 
 from repro.gcd.atomics import AtomicStats
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.xbfs.common import (
     UNVISITED,
     SoloEngine,
     gather_neighbors,
-    segment_lines_touched,
     unique_vertices,
+    walk_reads,
 )
 from repro.baselines.base import BaselineResult, baseline_result
 
@@ -73,13 +73,7 @@ class GunrockBFS(SoloEngine):
 
         while frontier.size:
             neighbors, _owner = gather_neighbors(graph, frontier)
-            e_f = int(neighbors.size)
-            adj_lines = segment_lines_touched(
-                graph.row_offsets[frontier],
-                graph.degrees[frontier],
-                element_bytes=4,
-                line_bytes=line,
-            )
+            e_f, walk = walk_reads(graph.row_offsets[frontier], graph.degrees[frontier], line)
             # Advance: emit the edge frontier.
             gcd.launch(
                 "gr_advance",
@@ -87,8 +81,7 @@ class GunrockBFS(SoloEngine):
                 level=level,
                 streams=[
                     seq_read("frontier", int(frontier.size), 4),
-                    rand_read("beg_pos", 2 * int(frontier.size), 2 * int(frontier.size), 8),
-                    segmented_read("adj_list", e_f, adj_lines, 4),
+                    *walk,
                     seq_write("edge_frontier", e_f, 4),
                 ],
                 work=ComputeWork(flat_ops=float(e_f + frontier.size)),

@@ -22,13 +22,13 @@ import numpy as np
 
 from repro.gcd.atomics import AtomicStats
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.xbfs.common import (
     UNVISITED,
     SoloEngine,
     gather_neighbors,
-    segment_lines_touched,
     unique_vertices,
+    walk_reads,
 )
 from repro.baselines.base import BaselineResult, baseline_result
 
@@ -56,11 +56,7 @@ class HierarchicalBFS(SoloEngine):
 
         while frontier.size:
             neighbors, _ = gather_neighbors(graph, frontier)
-            e_f = int(neighbors.size)
-            adj_lines = segment_lines_touched(
-                graph.row_offsets[frontier], graph.degrees[frontier],
-                element_bytes=4, line_bytes=line,
-            )
+            e_f, walk = walk_reads(graph.row_offsets[frontier], graph.degrees[frontier], line)
             fresh_mask = levels[neighbors] == UNVISITED
             fresh = neighbors[fresh_mask]
             winners = unique_vertices(fresh, graph.num_vertices)
@@ -75,8 +71,7 @@ class HierarchicalBFS(SoloEngine):
                 level=level,
                 streams=[
                     seq_read("frontier", int(frontier.size), 4),
-                    rand_read("beg_pos", 2 * int(frontier.size), 2 * int(frontier.size), 8),
-                    segmented_read("adj_list", e_f, adj_lines, 4),
+                    *walk,
                     rand_read("status", e_f, graph.num_vertices, 4),
                     rand_write("status", int(fresh.size), int(winners.size), 4),
                     seq_write("block_queues", int(winners.size), 4),

@@ -32,9 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.xbfs import bitmap as bm
-from repro.xbfs.common import SoloEngine, segment_lines_touched
+from repro.xbfs.common import SoloEngine, walk_reads
 from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["LinAlgBFS"]
@@ -61,14 +61,10 @@ class LinAlgBFS(SoloEngine):
 
         while frontier.any():
             idx = bm.occupied_rows(frontier)
-            e_f = int(graph.degrees[idx].sum())
             # SpMV: y = Aᵀ · frontier over the Boolean semiring — the
             # k = 1 push product from the shared bitmap kernels.
             incoming = bm.push_product(graph, frontier, idx)
-            adj_lines = segment_lines_touched(
-                graph.row_offsets[idx], graph.degrees[idx],
-                element_bytes=4, line_bytes=line,
-            )
+            e_f, walk = walk_reads(graph.row_offsets[idx], graph.degrees[idx], line, "col_idx")
             gcd.launch(
                 "la_spmv",
                 strategy=self.ENGINE,
@@ -80,8 +76,7 @@ class LinAlgBFS(SoloEngine):
                     # Vectors are int32, as in GraphBLAST's BFS, and the
                     # semiring accumulate reads y before writing it.
                     seq_read("frontier_vec", n, 4),
-                    rand_read("beg_pos", 2 * int(idx.size), 2 * int(idx.size), 8),
-                    segmented_read("col_idx", e_f, adj_lines, 4),
+                    *walk,
                     rand_read("y_vec", e_f, n, 4),
                     rand_write("y_vec", e_f, n, 4),
                 ],

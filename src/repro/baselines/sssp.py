@@ -24,9 +24,9 @@ import numpy as np
 from repro.gcd.atomics import AtomicStats
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
+from repro.gcd.memory import rand_read, rand_write, seq_read
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import SoloEngine, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import SoloEngine, gather_neighbors, walk_reads
 from repro.baselines.base import BaselineResult, baseline_result
 
 __all__ = ["SsspBFS"]
@@ -63,25 +63,20 @@ class SsspBFS(SoloEngine):
         while True:
             active = np.flatnonzero(dist != _INF).astype(np.int64)
             neighbors, owner = gather_neighbors(graph, active)
-            e_act = int(neighbors.size)
+            e_act, walk = walk_reads(graph.row_offsets[active], graph.degrees[active], line)
             candidate = (dist[active[owner]] + 1).astype(np.int32)
             old = dist.copy()
             np.minimum.at(dist, neighbors, candidate)
             improved = int(np.count_nonzero(dist != old))
             # Relaxations that did not lower a label are pure overhead.
             redundant += e_act - improved
-            adj_lines = segment_lines_touched(
-                graph.row_offsets[active], graph.degrees[active],
-                element_bytes=4, line_bytes=line,
-            )
             gcd.launch(
                 "sssp_relax",
                 strategy=self.ENGINE,
                 level=rounds,
                 streams=[
                     seq_read("worklist", int(active.size), 4),
-                    rand_read("beg_pos", 2 * int(active.size), 2 * int(active.size), 8),
-                    segmented_read("adj_list", e_act, adj_lines, 4),
+                    *walk,
                     rand_read("dist", e_act, graph.num_vertices, 4),
                     rand_write("dist", improved, improved, 4),
                 ],

@@ -54,12 +54,18 @@ from repro.errors import BatchSourceError, TraversalError
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
-from repro.gcd.memory import AccessStream, Pattern, rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import AccessStream, Pattern, rand_read, rand_write, seq_read, seq_write
 from repro.graph.csr import CSRGraph
 from repro.metrics.gteps import gteps
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.classifier import Decision, DecisionAudit
-from repro.xbfs.common import GcdEngine, gather_adjacency, replay_on_fault, segment_lines_touched
+from repro.xbfs.common import (
+    GcdEngine,
+    gather_adjacency,
+    replay_on_fault,
+    segment_lines_touched,
+    walk_reads,
+)
 
 __all__ = [
     "WORD_BITS",
@@ -634,8 +640,10 @@ class BitmapBatchEngine(GcdEngine):
         words = fresh.shape[1]
         line = self.device.cache_line_bytes
         span = n if span is None else span
-        starts, lengths = runs or (csr.row_offsets[rows], csr.degrees[rows])
-        edges = int(lengths.sum())
+        edges, walk = walk_reads(
+            *(runs or (csr.row_offsets[rows], csr.degrees[rows])),
+            line, "col_idx_rev" if pull else "col_idx",
+        )
         r, f = int(rows.size), int(newly.size)
         written = int(counts.sum())
         if pull:
@@ -650,11 +658,7 @@ class BitmapBatchEngine(GcdEngine):
             level=level,
             streams=[
                 first,
-                rand_read("beg_pos", 2 * r, 2 * r, 8),
-                segmented_read(
-                    "col_idx_rev" if pull else "col_idx", edges,
-                    segment_lines_touched(starts, lengths, element_bytes=4, line_bytes=line),
-                ),
+                *walk,
                 last,
                 rand_write("bit_status", f * words, f * words, 8),
                 seq_write("next_frontier", f * words, 8),

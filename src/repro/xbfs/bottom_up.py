@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.errors import TraversalError
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
@@ -57,7 +57,7 @@ from repro.xbfs.common import (
     first_match_per_segment,
     gather_neighbors,
     segment_ids,
-    segment_lines_touched,
+    walk_reads,
     wavefront_serialized_steps,
 )
 from repro.xbfs.level import LevelResult
@@ -189,7 +189,6 @@ def run_level(
     queue, records = _queue_generation(status, gcd, level, ratio)
     u = int(queue.size)
     wf = gcd.device.wavefront_size
-    line = gcd.device.cache_line_bytes
 
     # ------------------------------------------------------------------
     # Kernel 5: the early-terminating expand (over incoming edges).
@@ -269,12 +268,8 @@ def run_level(
                 )
                 parents[proactive_vertices] = incoming.col_indices[hit_pos]
 
-    edges_inspected = int(scan_len_eff.sum())
-    adj_lines = segment_lines_touched(
-        incoming.row_offsets[queue],
-        scan_len_eff,
-        element_bytes=4,
-        line_bytes=line,
+    edges_inspected, walk = walk_reads(
+        incoming.row_offsets[queue], scan_len_eff, gcd.device.cache_line_bytes
     )
     divergence = wavefront_serialized_steps(scan_len_eff, wf)
     if gcd.config.bottom_up_bitmap:
@@ -304,8 +299,7 @@ def run_level(
             level=level,
             streams=[
                 seq_read("bu_queue", u, 4),
-                rand_read("beg_pos", 2 * u, 2 * u, 8),
-                segmented_read("adj_list", edges_inspected, adj_lines, 4),
+                *walk,
                 status_probe,
                 rand_write(
                     "status",

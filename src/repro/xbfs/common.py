@@ -3,7 +3,8 @@
 Every engine needs the same handful of segment operations over CSR
 adjacency: gather all neighbours of a frontier, find the first matching
 neighbour per vertex (the bottom-up early-termination point), count the
-cache lines a partial segment scan touches, and aggregate per-wavefront
+cache lines a partial segment scan touches, price what a walk over
+adjacency reads (:func:`walk_reads`), and aggregate per-wavefront
 divergence. They are implemented once here, loop-free, and validated in
 tests against both naive Python and the lane-accurate wavefront
 interpreter. The level-replay policy the single-GCD drivers share under
@@ -26,6 +27,7 @@ import numpy as np
 from repro.errors import DeviceFaultError, RecoveryExhaustedError, TraversalError
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ExecConfig
+from repro.gcd.memory import AccessStream, rand_read, segmented_read
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.metrics.gteps import gteps
@@ -40,6 +42,7 @@ __all__ = [
     "blocked_first_match",
     "shared_arange",
     "segment_lines_touched",
+    "walk_reads",
     "wavefront_serialized_steps",
     "replay_on_fault",
     "launch_level",
@@ -291,6 +294,29 @@ def segment_lines_touched(
     s = starts[active]
     e = s + scan_lengths[active] - 1
     return int((e // per_line - s // per_line + 1).sum())
+
+
+def walk_reads(
+    starts: np.ndarray, lengths: np.ndarray, line: int, adj: str = "adj_list"
+) -> tuple[int, list[AccessStream]]:
+    """What a level kernel's walk over CSR adjacency reads (MODEL.md §1).
+
+    Each walked vertex reads its ``beg_pos`` pair (2 × 8 B), then run
+    ``i`` reads ``lengths[i]`` 4 B ids of array ``adj`` from
+    ``starts[i]``, charged the lines it opens on ``line``-byte lines
+    (:func:`segment_lines_touched`). Returns ``(edges, [beg_pos read,
+    adjacency read])``, where ``edges`` is the ids read; the caller
+    places the two streams between its own queue and probe streams.
+    """
+    edges = int(lengths.sum())
+    offsets = 2 * int(starts.size)
+    return edges, [
+        rand_read("beg_pos", offsets, offsets, 8),
+        segmented_read(
+            adj, edges,
+            segment_lines_touched(starts, lengths, element_bytes=4, line_bytes=line),
+        ),
+    ]
 
 
 def wavefront_serialized_steps(scan_lengths: np.ndarray, width: int) -> int:

@@ -17,14 +17,14 @@ import numpy as np
 
 from repro.gcd.atomics import atomic_claim, enqueue_stats
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
     gather_neighbors,
     launch_level,
-    segment_lines_touched,
+    walk_reads,
 )
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
@@ -48,7 +48,6 @@ def _expand_chunk(
     racing CAS lanes would; when ``parents`` is given, each winner's
     parent is the frontier vertex whose lane won the CAS race."""
     neighbors, owner = gather_neighbors(graph, chunk)
-    e_f = int(neighbors.size)
     winners, cas_stats, slots = atomic_claim(
         status.levels, neighbors, level + 1, expected=int(UNVISITED),
         return_slots=True,
@@ -58,17 +57,12 @@ def _expand_chunk(
     status.note_visited(int(winners.size))
     if parents is not None and winners.size:
         parents[winners] = chunk[owner[slots]]
-    line = gcd.device.cache_line_bytes
-    adj_lines = segment_lines_touched(
-        graph.row_offsets[chunk],
-        graph.degrees[chunk],
-        element_bytes=4,
-        line_bytes=line,
+    e_f, walk = walk_reads(
+        graph.row_offsets[chunk], graph.degrees[chunk], gcd.device.cache_line_bytes
     )
     streams = [
         seq_read("frontier_queue", chunk.size, 4),
-        rand_read("beg_pos", 2 * chunk.size, 2 * chunk.size, 8),
-        segmented_read("adj_list", e_f, adj_lines, 4),
+        *walk,
         rand_read("status", e_f, status.num_vertices, 4),
         rand_write("status", int(winners.size), int(winners.size), 4),
         seq_write("next_queue", int(winners.size), 4),

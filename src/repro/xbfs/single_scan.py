@@ -28,15 +28,15 @@ import numpy as np
 
 from repro.gcd.atomics import enqueue_stats
 from repro.gcd.kernel import ComputeWork
-from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
+from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
     gather_neighbors,
     launch_level,
-    segment_lines_touched,
     unique_vertices,
+    walk_reads,
 )
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
@@ -111,17 +111,12 @@ def _expand_chunk(
         uniq, first = np.unique(fresh, return_index=True)
         flat_idx = np.flatnonzero(fresh_mask)[first]
         parents[uniq] = chunk[owner[flat_idx]]
-    line = gcd.device.cache_line_bytes
-    adj_lines = segment_lines_touched(
-        graph.row_offsets[chunk],
-        graph.degrees[chunk],
-        element_bytes=4,
-        line_bytes=line,
+    _, walk = walk_reads(
+        graph.row_offsets[chunk], graph.degrees[chunk], gcd.device.cache_line_bytes
     )
     streams = [
         seq_read("frontier_queue", int(chunk.size) + filtered_from, 4),
-        rand_read("beg_pos", 2 * int(chunk.size), 2 * int(chunk.size), 8),
-        segmented_read("adj_list", e_f, adj_lines, 4),
+        *walk,
         rand_read("status", e_f, status.num_vertices, 4),
         rand_write("status", int(fresh.size), int(new_vertices.size), 4),
     ]
