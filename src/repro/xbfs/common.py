@@ -299,19 +299,13 @@ def segment_lines_touched(
 def walk_reads(
     starts: np.ndarray, lengths: np.ndarray, line: int, adj: str = "adj_list"
 ) -> tuple[int, list[AccessStream]]:
-    """What a level kernel's walk over CSR adjacency reads (MODEL.md §1).
-
-    Each walked vertex reads its ``beg_pos`` pair (2 × 8 B), then run
-    ``i`` reads ``lengths[i]`` 4 B ids of array ``adj`` from
-    ``starts[i]``, charged the lines it opens on ``line``-byte lines
-    (:func:`segment_lines_touched`). Returns ``(edges, [beg_pos read,
-    adjacency read])``, where ``edges`` is the ids read; the caller
-    places the two streams between its own queue and probe streams.
-    """
+    """The walk rule (MODEL.md §1): each walked vertex reads its
+    ``beg_pos`` pair (2 × 8 B), then run ``i`` reads ``lengths[i]`` 4 B
+    ids of ``adj`` from ``starts[i]``, charged the ``line``-byte lines it
+    opens. Returns ``(edges, [beg_pos read, adjacency read])``."""
     edges = int(lengths.sum())
-    offsets = 2 * int(starts.size)
     return edges, [
-        rand_read("beg_pos", offsets, offsets, 8),
+        rand_read("beg_pos", 2 * starts.size, 2 * starts.size, 8),
         segmented_read(
             adj, edges,
             segment_lines_touched(starts, lengths, element_bytes=4, line_bytes=line),
