@@ -48,8 +48,7 @@ def main() -> None:
 
     work = ComputeWork(
         flat_ops=float(E_F),
-        atomics=AtomicStats(operations=E_F, conflicts=E_F - WINNERS,
-                            distinct_addresses=WINNERS),
+        atomics=AtomicStats(operations=E_F, conflicts=E_F - WINNERS),
     )
 
     def evaluate(config=None, dev=device, bottom_up=False):

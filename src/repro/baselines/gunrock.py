@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gcd.atomics import AtomicStats
+from repro.gcd.atomics import AtomicStats, enqueue_stats
 from repro.gcd.kernel import ComputeWork
 from repro.gcd.memory import rand_read, rand_write, seq_read, seq_write
 from repro.xbfs.common import (
@@ -95,8 +95,6 @@ class GunrockBFS(SoloEngine):
             kept = int(next_frontier.size)
             new_unique = unique_vertices(next_frontier, graph.num_vertices)
             duplicates += int(discovered.size) - int(new_unique.size)
-            wf = gcd.device.wavefront_size
-            append_ops = -(-kept // wf) if kept else 0
             gcd.launch(
                 "gr_filter",
                 strategy=self.ENGINE,
@@ -114,11 +112,8 @@ class GunrockBFS(SoloEngine):
                     # never reach the atomic); surviving duplicate copies
                     # of one child contend on its label. XBFS's bottom-up
                     # phase pays none of this at peak levels.
-                    atomics=AtomicStats(
-                        operations=kept + append_ops,
-                        conflicts=(kept - int(new_unique.size))
-                        + max(0, append_ops - 1),
-                        distinct_addresses=int(new_unique.size) + 1,
+                    atomics=AtomicStats(kept, kept - int(new_unique.size)).merge(
+                        enqueue_stats(kept, gcd.device.wavefront_size)
                     ),
                 ),
                 work_items=e_f,

@@ -64,7 +64,6 @@ class HierarchicalBFS(SoloEngine):
 
             # Expansion into per-block queues: block-local atomics are
             # cheap (shared memory), so only a light atomic charge.
-            blocks_used = min(self.NUM_BLOCKS, max(1, int(winners.size)))
             gcd.launch(
                 "hq_expand",
                 strategy=self.ENGINE,
@@ -81,7 +80,6 @@ class HierarchicalBFS(SoloEngine):
                     atomics=AtomicStats(
                         operations=int(fresh.size),
                         conflicts=int(fresh.size) - int(winners.size),
-                        distinct_addresses=blocks_used,
                     ),
                 ),
                 work_items=int(frontier.size),

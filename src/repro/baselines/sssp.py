@@ -84,9 +84,7 @@ class SsspBFS(SoloEngine):
                     flat_ops=float(e_act + active.size),
                     # Every relaxation is an atomicMin.
                     atomics=AtomicStats(
-                        operations=e_act,
-                        conflicts=max(0, e_act - improved) // 8,
-                        distinct_addresses=min(e_act, graph.num_vertices),
+                        operations=e_act, conflicts=max(0, e_act - improved) // 8
                     ),
                 ),
                 work_items=int(active.size),

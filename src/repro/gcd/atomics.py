@@ -33,19 +33,15 @@ class AtomicStats:
     ``conflicts`` counts *same-address* collisions within the batch —
     the only atomics that serialise on hardware; CAS attempts that
     merely fail (slot already claimed in an earlier level) are plain
-    ``operations``. ``distinct_addresses`` records how many unique slots
-    the batch touched.
+    ``operations``.
     """
 
     operations: int = 0
     conflicts: int = 0
-    distinct_addresses: int = 0
 
     def merge(self, other: "AtomicStats") -> "AtomicStats":
         return AtomicStats(
-            self.operations + other.operations,
-            self.conflicts + other.conflicts,
-            self.distinct_addresses + other.distinct_addresses,
+            self.operations + other.operations, self.conflicts + other.conflicts
         )
 
 
@@ -100,13 +96,9 @@ def atomic_claim(
     claimable = status[firsts] == expected
     winners = firsts[claimable]
     status[winners] = new_value
-    distinct = int(firsts.size)
     # Only duplicates within the batch contend on an address; attempts
     # on already-visited slots fail without serialising.
-    conflicts = ops - distinct
-    stats = AtomicStats(
-        operations=ops, conflicts=conflicts, distinct_addresses=distinct
-    )
+    stats = AtomicStats(operations=ops, conflicts=ops - int(firsts.size))
     if return_slots:
         return winners, stats, order[claimable].astype(np.int64)
     return winners, stats
@@ -121,6 +113,4 @@ def enqueue_stats(n: int, wavefront: int) -> AtomicStats:
     every one but the first colliding with an in-flight peer.
     """
     ops = -(-n // wavefront)
-    return AtomicStats(
-        operations=ops, conflicts=max(0, ops - 1), distinct_addresses=1 if ops else 0
-    )
+    return AtomicStats(operations=ops, conflicts=max(0, ops - 1))

@@ -23,7 +23,6 @@ class TestAtomicClaim:
         assert winners.tolist() == [2]
         assert stats.operations == 4
         assert stats.conflicts == 3
-        assert stats.distinct_addresses == 1
 
     def test_already_visited_fails_without_conflict(self):
         """A CAS on a non-matching slot fails but does not serialise."""
@@ -32,7 +31,6 @@ class TestAtomicClaim:
         assert winners.tolist() == [1]
         assert status[0] == 0  # untouched
         assert stats.conflicts == 0
-        assert stats.distinct_addresses == 2
 
     def test_empty(self):
         status = np.full(3, -1, dtype=np.int32)
@@ -70,22 +68,22 @@ class TestAtomicClaim:
 
 class TestEnqueueStats:
     @pytest.mark.parametrize(
-        "n, expected", [(0, (0, 0, 0)), (1, (1, 0, 1)), (64, (1, 0, 1)), (65, (2, 1, 1))]
+        "n, expected", [(0, (0, 0)), (1, (1, 0)), (64, (1, 0)), (65, (2, 1))]
     )
     def test_one_add_per_wavefront_on_one_tail(self, n, expected):
         """Warp-aggregated enqueue: ceil(n / 64) adds on one address,
         all but the first colliding."""
         stats = enqueue_stats(n, 64)
-        assert (stats.operations, stats.conflicts, stats.distinct_addresses) == expected
+        assert (stats.operations, stats.conflicts) == expected
 
 
 class TestAtomicStats:
     def test_merge(self):
-        a = AtomicStats(3, 1, 2)
-        b = AtomicStats(4, 2, 3)
+        a = AtomicStats(3, 1)
+        b = AtomicStats(4, 2)
         m = a.merge(b)
-        assert (m.operations, m.conflicts, m.distinct_addresses) == (7, 3, 5)
+        assert (m.operations, m.conflicts) == (7, 3)
 
     def test_default_zero(self):
         s = AtomicStats()
-        assert s.operations == s.conflicts == s.distinct_addresses == 0
+        assert s.operations == s.conflicts == 0
