@@ -121,14 +121,14 @@ class EnterpriseBFS(SoloEngine):
                 first = first_match_per_segment(match, degs)
                 found = first >= 0
                 scan_len = np.where(found, first + 1, degs)
-                edges, (_, adj) = walk_reads(incoming.row_offsets[unvisited], scan_len, line)
+                edges, walk = walk_reads(incoming.row_offsets[unvisited], scan_len, line)
                 gcd.launch(
                     "en_bottom_up",
                     strategy=self.ENGINE,
                     level=level,
                     streams=[
                         seq_read("status", graph.num_vertices, 4),
-                        adj,
+                        *walk,
                         rand_read("status", edges, graph.num_vertices, 4),
                         rand_write("status", int(found.sum()), int(found.sum()), 4),
                     ],

@@ -44,17 +44,17 @@ PINS = {
             ("en_scan", 1, 0, 0.0060016, 1.0, 0, 0),
             ("en_prefix_sum", 1, 0, 0.0060016, 1.0, 0, 0),
             ("en_compact", 1, 0, 0.0060012, 1.0, 0, 0),
-            ("en_bottom_up", 1, 0, 0.00601755805, 13.499994577751629, 0, 0),
+            ("en_bottom_up", 1, 0, 0.006020181800822897, 15.62499403287083, 0, 0),
             ("en_scan", 2, 0, 0.0060016, 1.0, 0, 0),
             ("en_prefix_sum", 2, 0, 0.0060016, 1.0, 0, 0),
             ("en_compact", 2, 0, 0.0060011000000000005, 1.0, 0, 0),
-            ("en_bottom_up", 2, 0, 0.0060035171, 1.2425030974154045, 0, 0),
+            ("en_bottom_up", 2, 0, 0.0060035171, 1.8675029408831312, 0, 0),
             ("en_scan", 3, 0, 0.0060016, 1.0, 0, 0),
             ("en_prefix_sum", 3, 0, 0.0060016, 1.0, 0, 0),
             ("en_compact", 3, 0, 0.0060009, 1.0, 0, 0),
             ("en_expand", 3, 0, 0.0060008562507258495, 0.47558618701082794, 0, 0),
         ],
-        20.160044009460208,
+        20.16004663321103,
     ),
     "HierarchicalBFS": (
         [
