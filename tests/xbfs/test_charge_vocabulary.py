@@ -15,6 +15,10 @@ and a pod's exchange books the bytes its members received.
 * receive buffers: the level's uncompressed exchange, priced by
   :func:`repro.xbfs.bitmap.row_bytes`.
 
+The walk rule (MODEL.md §1) is checked across every engine, XBFS and
+the Fig 8 baselines included: a kernel that reads adjacency also reads
+one ``beg_pos`` pair per work item.
+
 The tier-1 copy of the no-cliff gate (``benchmarks/bench_linalg_batch.py``)
 lives here too.
 """
@@ -28,6 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import EnterpriseBFS, GunrockBFS, HierarchicalBFS, LinAlgBFS, SsspBFS
+from repro.gcd.kernel import ExecConfig
 from repro.gcd.simulator import GCD
 from repro.graph.generators import rmat
 from repro.graph.stats import pick_sources
@@ -36,6 +42,7 @@ from repro.multigcd.grid2d import Grid2dBFS
 from repro.xbfs import bitmap as bm
 from repro.xbfs.common import gather_adjacency
 from repro.xbfs.concurrent import ConcurrentBFS
+from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import LinAlgBatchBFS
 
 from .directions import PULL_ONLY, PUSH_ONLY
@@ -177,6 +184,68 @@ def test_one_source_kernels_move_what_the_wire_moves(launches, pod):
     assert result.bytes_exchanged == result.bytes_raw
     assert [received[t] for t in range(result.depth)] == list(result.level_comm_bytes)
     assert sum(received.values()) == result.bytes_exchanged > 0
+
+
+def _solo(make, **run_options):
+    return lambda g: make(g).run(int(np.argmax(g.degrees)), **run_options)
+
+
+#: Every engine whose level kernels walk adjacency, by name.
+_WALKERS = {
+    **{
+        f"xbfs-{streams}-{forced}": _solo(
+            lambda g, streams=streams: XBFS(g, config=ExecConfig(num_streams=streams)),
+            force_strategy=forced,
+        )
+        for streams in (1, 3)
+        for forced in (None, "scan_free", "single_scan", "bottom_up")
+    },
+    **{
+        cls.__name__: _solo(cls)
+        for cls in (GunrockBFS, EnterpriseBFS, HierarchicalBFS, SsspBFS, LinAlgBFS)
+    },
+    **{
+        name: lambda g, make=make: _run(make(g), pick_sources(g, 8, seed=3))
+        for name, make in _ENGINES.items()
+    },
+}
+
+#: The walking kernels the engines above must book between them.
+_WALKS = {
+    "sf_expand", "ss_expand", "bu_expand",
+    "cb_expand", "lab_spmm_push", "lab_pull_gather",
+    "dist_bm_expand", "dist_bm_pull", "g2d_tile_expand",
+    "gr_advance", "en_expand", "en_bottom_up", "hq_expand", "sssp_relax", "la_spmv",
+}
+
+
+def test_every_walk_reads_one_beg_pos_pair_per_work_item(monkeypatch):
+    """Every booked kernel that reads adjacency (a segmented read, the
+    only read stream with exact lines) charges ``beg_pos`` of
+    16 B × ``work_items``, whichever engine, direction, strategy or
+    stream split issued it."""
+    booked = []
+    original = GCD._book
+
+    def spy(self, name, *, streams, work_items=0, **kwargs):
+        booked.append((name, kwargs["level"], streams, work_items))
+        return original(self, name, streams=streams, work_items=work_items, **kwargs)
+
+    monkeypatch.setattr(GCD, "_book", spy)
+    graph = rmat(9, 16, seed=1)
+    walked, wrong = set(), []
+    for engine, run in _WALKERS.items():
+        booked.clear()
+        run(graph)
+        for name, level, streams, items in booked:
+            if not any(s.exact_lines is not None and not s.is_write for s in streams):
+                continue
+            walked.add(name)
+            beg_pos = sum(s.bytes_requested for s in streams if s.array == "beg_pos")
+            if beg_pos != 16 * items:
+                wrong.append((engine, name, level, beg_pos, items))
+    assert wrong == []
+    assert walked == _WALKS
 
 
 def test_row_bytes_rule():
