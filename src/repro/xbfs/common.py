@@ -299,10 +299,12 @@ def segment_lines_touched(
 def walk_reads(
     starts: np.ndarray, lengths: np.ndarray, line: int, adj: str = "adj_list"
 ) -> tuple[int, list[AccessStream]]:
-    """The walk rule (MODEL.md §1): each walked vertex reads its
-    ``beg_pos`` pair (2 × 8 B), then run ``i`` reads ``lengths[i]`` 4 B
-    ids of ``adj`` from ``starts[i]``, charged the ``line``-byte lines it
-    opens. Returns ``(edges, [beg_pos read, adjacency read])``."""
+    """What a walk over CSR adjacency reads (the walk rule, MODEL.md §1).
+
+    Each walked vertex reads its ``beg_pos`` pair (2 × 8 B), then run
+    ``i`` reads ``lengths[i]`` 4 B ids of ``adj`` from ``starts[i]``,
+    charged the ``line``-byte lines it opens. Returns ``(edges,
+    [beg_pos read, adjacency read])``."""
     edges = int(lengths.sum())
     return edges, [
         rand_read("beg_pos", 2 * starts.size, 2 * starts.size, 8),

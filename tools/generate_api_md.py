@@ -173,7 +173,8 @@ def describe(module, name: str) -> str | None:
     return f"- `{name}` = `{render(obj)}`" if not inspect.ismodule(obj) else None
 
 
-def main() -> None:
+def api_text() -> str:
+    """API.md's text: one entry per ``__all__`` member of :data:`MODULES`."""
     out = [
         "# API reference\n",
         "Generated by `python tools/generate_api_md.py`; regenerate after "
@@ -192,9 +193,14 @@ def main() -> None:
             entry = describe(module, name)
             if entry:
                 out.append(entry)
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
+    text = api_text()
     with open("API.md", "w") as fh:
-        fh.write("\n".join(out) + "\n")
-    print(f"wrote API.md ({len(out)} entries over {len(MODULES)} modules)")
+        fh.write(text)
+    print(f"wrote API.md ({len(text.splitlines())} lines over {len(MODULES)} modules)")
 
 
 if __name__ == "__main__":
