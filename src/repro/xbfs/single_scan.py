@@ -89,7 +89,9 @@ def _expand_chunk(
     read per queue entry to find the live ones.
     """
     neighbors, owner = gather_neighbors(graph, chunk)
-    e_f = int(neighbors.size)
+    e_f, walk = walk_reads(
+        graph.row_offsets[chunk], graph.degrees[chunk], gcd.device.cache_line_bytes
+    )
     if scratch is not None:
         # Pooled |E_f|-sized temporaries: the status gather and the
         # freshness mask are rebuilt every level, never kept.
@@ -111,9 +113,6 @@ def _expand_chunk(
         uniq, first = np.unique(fresh, return_index=True)
         flat_idx = np.flatnonzero(fresh_mask)[first]
         parents[uniq] = chunk[owner[flat_idx]]
-    _, walk = walk_reads(
-        graph.row_offsets[chunk], graph.degrees[chunk], gcd.device.cache_line_bytes
-    )
     streams = [
         seq_read("frontier_queue", int(chunk.size) + filtered_from, 4),
         *walk,
