@@ -14,9 +14,10 @@ holds each parsed graph once, but the modelled CSR build charge is
 still paid per replica on its own cold cache — exactly the cost a
 real replica would pay building its device-resident CSR.
 
-Death wipes the replica cold: the registry is evicted down to empty
-and pending queries are taken for re-dispatch. Revival re-joins the
-ring with empty caches; the virtual clock never rewinds.
+Death wipes the replica cold: the registry is evicted down to empty,
+its devices lose their warm-up and pending queries are taken for
+re-dispatch. Revival re-joins the ring with empty caches; the virtual
+clock never rewinds.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ class Replica:
     def kill(self, at_ms: float, restart_ms: float) -> None:
         """Die at ``at_ms``; restart (cold) ``restart_ms`` later.
 
-        The registry is evicted to empty — a restarted process has no
-        warm CSRs, no cached partitions, no engines.
+        The registry is evicted to empty and every device cools — a
+        restarted process has no warm CSRs, no cached partitions, no
+        engines, and its worker GCDs and its pod each pay the
+        first-launch warm-up again.
         """
         if not self.alive:
             raise ClusterError(f"replica {self.rid} is already dead")
@@ -93,6 +96,8 @@ class Replica:
         self.revive_at_ms = at_ms + restart_ms
         self.deaths += 1
         self.registry.evict(len(self.registry))
+        for device in (*self.scheduler.workers, self.service.executor.pod):
+            device.warm = False
 
     def revive(self, at_ms: float) -> None:
         """Come back (cold) at ``at_ms``."""

@@ -203,7 +203,7 @@ class _BulkSyncPod:
 class PodEngine(bm.BitmapBatchEngine):
     """What both multi-GCD pods share around their traversals.
 
-    The lazy pool of member GCDs (kept warm across runs), the bitmap
+    The lazy pool of member GCDs (warm as one: :attr:`warm`), the bitmap
     level loop's device and result, pricing messages of rows
     (:meth:`_price`) and the warm footprint. A
     subclass names itself in ``ENGINE`` and supplies the level loop's
@@ -248,7 +248,7 @@ class PodEngine(bm.BitmapBatchEngine):
         #: Overlap each level's hideable exchange with its kernels
         #: (virtual-time accounting only — launch order is unchanged).
         self.overlap = overlap
-        #: Member GCDs, built on the first run.
+        #: Member GCDs, built on first use.
         self._gcds: list[GCD] | None = None
         #: The books of the batch in flight.
         self._pod: _BulkSyncPod | None = None
@@ -260,22 +260,21 @@ class PodEngine(bm.BitmapBatchEngine):
         checkerboard tiles) plus ownership and frontier state."""
         return self.graph.memory_bytes + 8 * self.graph.num_vertices
 
-    def _members(self) -> list[GCD]:
-        """The member GCDs, reset for a run and kept warm across runs."""
+    def _pool(self) -> list[GCD]:
+        """The member GCDs, built on first use."""
         if self._gcds is None:
             self._gcds = [
                 GCD(self.device, self.config, injector=self.injector)
                 for _ in range(self.num_gcds)
             ]
-        else:
-            for g in self._gcds:
-                g.reset(keep_warm=True)
         return self._gcds
 
     def _device(self):
-        gcds = self._members()
+        gcds = self._pool()
+        for g in gcds:
+            g.reset(keep_warm=True)
         self._pod = _BulkSyncPod(gcds)
-        return self._pod, not all(g._warm for g in gcds)
+        return self._pod, not self.warm
 
     def _result(self, **fields) -> PodBatchResult:
         pod = self._pod

@@ -111,6 +111,14 @@ class _LevelArrays:
         return ()
 
 
+@dataclass
+class _Pod:
+    """The service's multi-GCD pod, which warms up as one device."""
+
+    #: Whether its members have paid their one warm-up (MODEL.md §6).
+    warm: bool = False
+
+
 class _Tier(NamedTuple):
     """One row of :data:`_TIERS`. ``build(executor, graph, device=,
     tracer=, injector=)`` makes the engine cached on the registry entry
@@ -198,10 +206,11 @@ def _repair(entry, plans) -> tuple[_LevelArrays, dict]:
 class ExecutionEngine:
     """Runs one ready dispatch on the right engine, recovering faults.
 
-    Stateful only where recovery demands it: the consecutive-failure
-    streak and the open circuit breaker's remaining cooldown. Engine
-    instances themselves are cached on the registry entry (so they are
-    evicted with the graph), never here.
+    Stateful only where recovery or the device demands it: the
+    consecutive-failure streak, the open circuit breaker's remaining
+    cooldown and whether the service's :attr:`pod` has paid its
+    warm-up. Engine instances themselves are cached on the registry
+    entry (so they are evicted with the graph), never here.
     """
 
     def __init__(
@@ -266,6 +275,9 @@ class ExecutionEngine:
         self._fault_streak = 0
         #: Dispatches the open circuit breaker still routes serially.
         self._breaker_cooldown_left = 0
+        #: The pod every pod engine built here runs on: it pays one
+        #: warm-up per service, not one per engine.
+        self.pod = _Pod()
 
     # ------------------------------------------------------------------
     def run(
@@ -277,6 +289,7 @@ class ExecutionEngine:
         *,
         graph_key: str,
         now_ms: float = 0.0,
+        worker=None,
     ) -> Dispatch:
         """Run the engine for one dispatch, recovering from injected
         faults.
@@ -300,6 +313,11 @@ class ExecutionEngine:
            consecutive exhausted dispatches, routes the next
            ``breaker_cooldown`` dispatches to the serial baseline —
            degraded latency, bit-identical answers.
+
+        ``worker`` is the scheduler's
+        :class:`~repro.service.scheduler.WorkerState` the dispatch runs
+        on: a single-GCD engine starts as warm as it (see
+        :meth:`_call`).
         """
         if not entry.alive:
             raise StaleEntryError(
@@ -337,7 +355,7 @@ class ExecutionEngine:
                     result, detail = _repair(entry, plans)
                 else:
                     tier, detail = self._pick(entry, sources, batched, default_surface)
-                    result = _TIERS[tier].call(self._engine(entry, tier), live, sources)
+                    result = self._call(entry, tier, live, sources, worker)
             except (DeviceFaultError, RecoveryExhaustedError) as exc:
                 attempt += 1
                 if attempt > recovery.max_dispatch_retries:
@@ -536,6 +554,24 @@ class ExecutionEngine:
             device = scaled_device(entry.graph)
             entry.engines[slot] = device
         return device
+
+    def _call(self, entry: RegistryEntry, tier: str, live, sources, worker):
+        """Run the ``tier``'s engine on its device: the :attr:`pod`, or
+        the ``worker`` GCD. The run starts exactly as warm as that
+        device, whichever device ran the engine before, and leaves it
+        warm once a traversal kernel is booked on it; a launch that a
+        fault aborts books none. With no ``worker``, a single-GCD engine
+        keeps its own warm-up state."""
+        row = _TIERS[tier]
+        engine = self._engine(entry, tier)
+        device = self.pod if row.pod else worker
+        if device is None:
+            return row.call(engine, live, sources)
+        engine.warm = device.warm
+        try:
+            return row.call(engine, live, sources)
+        finally:
+            device.warm = engine.warm
 
     def _engine(self, entry: RegistryEntry, tier: str):
         """The ``tier``'s engine on ``entry``, built from its

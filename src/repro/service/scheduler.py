@@ -25,7 +25,9 @@ Dispatches land on the least-loaded of ``workers`` simulated GCDs
 (earliest ``busy_until``, ties to the lowest index), so the virtual
 clock models real queueing delay: a batch starts when both its window
 has closed *and* its worker is free, and a registry miss additionally
-pays the modelled CSR build charge before the traversal.
+pays the modelled CSR build charge before the traversal. Each worker
+pays the first-launch warm-up once, on the first traversal kernel it
+runs; an engine starts as warm as the worker it lands on.
 
 Which engine serves a ready batch — solo XBFS, the concurrent iBFS
 batch engine, the size-routed multi-GCD pod or the circuit breaker's
@@ -75,6 +77,10 @@ class WorkerState:
     busy_until_ms: float = 0.0
     dispatches: int = 0
     busy_ms: float = 0.0
+    #: Whether the GCD has paid its first-launch warm-up: every
+    #: single-GCD engine the executor runs on it afterwards starts warm,
+    #: whichever graph version or registry entry built it.
+    warm: bool = False
 
 
 @dataclass
@@ -393,6 +399,7 @@ class CoalescingScheduler:
 
             elapsed, sharing, levels_of, engine = self.executor.run(
                 entry, live, sources, batched, graph_key=graph, now_ms=start,
+                worker=worker,
             )
             sp.set(engine=engine)
             finish = start + build_ms + elapsed

@@ -12,9 +12,10 @@ injected device faults (:func:`replay_on_fault`), the flag-scan
 frontier claim every top-down expand dedups with
 (:func:`unique_vertices`) and the stream launch of a top-down level
 kernel (:func:`launch_level`) live here too, as does the shell every
-single-GCD engine runs in: :class:`GcdEngine` owns one warm simulated
-GCD, and :class:`SoloEngine` adds the source check and the n-to-n loop
-whose :class:`BatchResult` XBFS and the Fig 8 baselines all return.
+single-GCD engine runs in: :class:`GcdEngine` owns one simulated GCD
+and its warm-up state, and :class:`SoloEngine` adds the source check
+and the n-to-n loop whose :class:`BatchResult` XBFS and the Fig 8
+baselines all return.
 """
 
 from __future__ import annotations
@@ -442,11 +443,13 @@ class BatchResult:
 class GcdEngine:
     """An engine over one graph on one simulated GCD.
 
-    The GCD is built on the first run, which pays its first-launch
+    The GCD is built on first use. Its first run pays the first-launch
     warm-up; later runs reset it with ``keep_warm=True``, like
-    back-to-back BFS in one process. An engine that takes a fault
-    ``injector`` or a ``tracer`` sets them before its first run; the
-    class defaults (none, and the disabled tracer) give a plain device.
+    back-to-back BFS in one process. A caller that tracks the physical
+    device instead sets :attr:`warm` before a run and reads it after.
+    An engine that takes a fault ``injector`` or a ``tracer`` sets them
+    before its GCD is built; the class defaults (none, and the disabled
+    tracer) give a plain device.
     """
 
     injector = None
@@ -464,9 +467,8 @@ class GcdEngine:
         self.config = config or ExecConfig()
         self._gcd: GCD | None = None
 
-    def _device(self) -> tuple[GCD, bool]:
-        """The GCD reset for a run, and whether the run pays its
-        first-launch warm-up."""
+    def _pool(self) -> list[GCD]:
+        """The engine's GCDs, built on first use."""
         if self._gcd is None:
             self._gcd = GCD(
                 self.device,
@@ -474,9 +476,28 @@ class GcdEngine:
                 injector=self.injector,
                 tracer=self.tracer if self.tracer.enabled else None,
             )
-        else:
-            self._gcd.reset(keep_warm=True)
-        return self._gcd, not self._gcd._warm
+        return [self._gcd]
+
+    @property
+    def warm(self) -> bool:
+        """Whether the engine's GCDs have paid their first-launch
+        warm-up. The serving layer sets it before a run to the state of
+        the device the run lands on, and reads it back after, so that
+        the warm-up follows the device, not the engine object (MODEL.md
+        §6)."""
+        return all(g._warm for g in self._pool())
+
+    @warm.setter
+    def warm(self, warm: bool) -> None:
+        for g in self._pool():
+            g._warm = warm
+
+    def _device(self) -> tuple[GCD, bool]:
+        """The GCD reset for a run, and whether the run pays its
+        first-launch warm-up."""
+        (gcd,) = self._pool()
+        gcd.reset(keep_warm=True)
+        return gcd, not gcd._warm
 
 
 class SoloEngine(GcdEngine):

@@ -17,8 +17,8 @@ from repro.telemetry.export import to_jsonl
 #: Replay fixture -> (CRC-32 of ``AuditLog.to_jsonl()``, CRC-32 of the
 #: tracer's JSONL without ``host_*`` fields).
 STREAM_CRC = {
-    "fingerprint_run": (9140197, 3986315196),
-    "churn_run": (745163096, 2399070540),
+    "fingerprint_run": (1967341656, 2397156491),
+    "churn_run": (3881305375, 3594580180),
 }
 
 

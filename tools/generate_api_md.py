@@ -13,10 +13,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
-import pkgutil
 import re
-
-import repro
 
 #: Modules whose __all__ constitutes the public API, in document order.
 MODULES = [
