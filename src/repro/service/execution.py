@@ -37,7 +37,7 @@ The executor holds no queue and no clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
 from repro.xbfs.driver import XBFS
 from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
 from repro.xbfs.repair import REPAIR_BASE_MS, repair_levels
+
+if TYPE_CHECKING:
+    from repro.service.scheduler import WorkerState
 
 __all__ = [
     "Dispatch",
@@ -288,8 +291,8 @@ class ExecutionEngine:
         batched: bool,
         *,
         graph_key: str,
+        worker: WorkerState,
         now_ms: float = 0.0,
-        worker=None,
     ) -> Dispatch:
         """Run the engine for one dispatch, recovering from injected
         faults.
@@ -316,7 +319,7 @@ class ExecutionEngine:
 
         ``worker`` is the scheduler's
         :class:`~repro.service.scheduler.WorkerState` the dispatch runs
-        on: a single-GCD engine starts as warm as it (see
+        on: a single-GCD engine starts as warm as its GCD (see
         :meth:`_call`).
         """
         if not entry.alive:
@@ -560,13 +563,10 @@ class ExecutionEngine:
         the ``worker`` GCD. The run starts exactly as warm as that
         device, whichever device ran the engine before, and leaves it
         warm once a traversal kernel is booked on it; a launch that a
-        fault aborts books none. With no ``worker``, a single-GCD engine
-        keeps its own warm-up state."""
+        fault aborts books none."""
         row = _TIERS[tier]
         engine = self._engine(entry, tier)
         device = self.pod if row.pod else worker
-        if device is None:
-            return row.call(engine, live, sources)
         engine.warm = device.warm
         try:
             return row.call(engine, live, sources)

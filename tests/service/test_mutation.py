@@ -250,7 +250,8 @@ class TestStaleEntries:
         svc.registry.mutate("rmat:9", delta)
         q = Query(qid=0, graph="rmat:9", source=0, arrival_ms=0.0)
         with pytest.raises(StaleEntryError):
-            svc.executor.run(entry, [q], [0], False, graph_key="rmat:9")
+            svc.executor.run(entry, [q], [0], False, graph_key="rmat:9",
+                             worker=svc.scheduler.workers[0])
 
     def test_eviction_storm_then_redispatch_serves_current_version(self):
         svc = self._service()

@@ -27,7 +27,7 @@ def spy_dispatches(monkeypatch) -> list:
 
     def run(self, entry, live, sources, batched, **kwargs):
         out = original(self, entry, live, sources, batched, **kwargs)
-        seen.append((self, entry, live, sources, kwargs.get("worker"), out))
+        seen.append((self, entry, live, sources, kwargs["worker"], out))
         return out
 
     monkeypatch.setattr(ExecutionEngine, "run", run)
@@ -41,7 +41,7 @@ def _warm_elapsed(executor, entry, tier, live, sources) -> float:
     return row.call(engine, live, sources).elapsed_ms
 
 
-def extra_ms(seen) -> list[tuple[str, int | None, float]]:
+def extra_ms(seen) -> list[tuple[str, int, float]]:
     """``(tier, worker index, ms)`` per dispatch an engine served:
     its ``elapsed_ms`` minus a warm run's. Repair and serial dispatches
     run no device and are left out."""
@@ -51,6 +51,5 @@ def extra_ms(seen) -> list[tuple[str, int | None, float]]:
         if _TIERS[tier].build is None:
             continue
         warm = _warm_elapsed(executor, entry, tier, live, sources)
-        out.append((tier, None if worker is None else worker.index,
-                     dispatch.elapsed_ms - warm))
+        out.append((tier, worker.index, dispatch.elapsed_ms - warm))
     return out
